@@ -8,7 +8,6 @@ import (
 	"hirep/internal/agentdir"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
-	"hirep/internal/wire"
 )
 
 // admissionPair builds the standard batched-ingest fixture with the agent's
@@ -148,24 +147,7 @@ func TestAdmissionMixedBatchAfterAdmit(t *testing.T) {
 		agentdir.SignReport(self, subject.ID, true, rn),
 		[]byte("not a report"),
 	}
-	nonce, _ := pkc.NewNonce(nil)
-	sealed, err := pkc.Seal(info.AP, encodeReportBatch(self, nonce, replyOnion, wires, nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan batchAck, 1)
-	peer.mu.Lock()
-	peer.pendingAcks[nonce] = &batchAckWait{sp: info.SP, count: len(wires), ch: ch}
-	peer.mu.Unlock()
-	if err := peer.sendThroughOnion(info.Onion, wire.TReportBatch, sealed); err != nil {
-		t.Fatal(err)
-	}
-	var ack batchAck
-	select {
-	case ack = <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no batch ack arrived")
-	}
+	ack := sendWires(t, peer, info, wires, replyOnion)
 	want := []ReportStatus{StatusStored, StatusMalformed}
 	for i, st := range ack.statuses {
 		if st != want[i] {
@@ -273,36 +255,4 @@ func TestAdmissionGateEviction(t *testing.T) {
 	if g.reportsBy(first) != 0 {
 		t.Fatal("oldest identity survived FIFO eviction")
 	}
-}
-
-// FuzzDecodeAdmission throws arbitrary bytes at both admission-touched
-// decoders — the batch decoder's trailing-optional solution and the ack
-// decoder's trailing-optional difficulty. Neither may panic, and accepted
-// values must be in range.
-func FuzzDecodeAdmission(f *testing.F) {
-	self, err := pkc.NewIdentity(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var subject pkc.NodeID
-	nonce, _ := pkc.NewNonce(nil)
-	ro := &onion.Onion{Entry: "127.0.0.1:1", Blob: []byte{1, 2, 3}, Seq: 1, Sig: []byte{4}}
-	wires := [][]byte{agentdir.SignReport(self, subject, true, nonce)}
-	sol, _, _ := pkc.MintAdmission(self.ID, 4, nil)
-	f.Add(encodeReportBatch(self, nonce, ro, wires, sol[:]))
-	f.Add(encodeBatchAck(self, nonce, []ReportStatus{StatusAdmissionRequired}, 12))
-	f.Add(encodeBatchAck(self, nonce, []ReportStatus{StatusStored}, 0))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if b, err := decodeReportBatch(data); err == nil {
-			if b.sol != nil && len(b.sol) != pkc.AdmissionSolutionSize {
-				t.Fatalf("accepted solution of %d bytes", len(b.sol))
-			}
-		}
-		if a, err := decodeBatchAck(data); err == nil {
-			if a.bits < 0 || a.bits > 256 {
-				t.Fatalf("accepted difficulty %d", a.bits)
-			}
-		}
-	})
 }

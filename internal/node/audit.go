@@ -327,20 +327,16 @@ func (n *Node) auditFetch(target AgentInfo, subject pkc.NodeID, replyOnion *onio
 		b   *proof.Bundle
 		res proof.Result
 	)
-	err := n.retrier.DoMax(0, func(_ int, _ time.Duration) error {
+	err := n.retry(0, func(wait time.Duration) error {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return resilience.Permanent(ErrTimeout)
 		}
-		wait := n.timeout()
 		if wait > remaining {
 			wait = remaining
 		}
 		var aerr error
-		b, res, aerr = n.requestTrustProvenWait(target, subject, replyOnion, wait)
-		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrBadAgent) || errors.Is(aerr, ErrWrongOwner) {
-			return resilience.Permanent(aerr)
-		}
+		b, res, aerr = n.requestTrustProvenOnce(target, subject, replyOnion, wait)
 		return aerr
 	})
 	return b, res, err

@@ -1,9 +1,6 @@
 package node
 
 import (
-	"bytes"
-	"crypto/ecdh"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,12 +16,12 @@ import (
 
 // This file implements the batched, acknowledged report-ingest pipeline
 // (DESIGN.md §11). A TReportBatch packs many signed transaction reports into
-// one onion-routed frame; the agent verifies them through a worker pool with
-// pkc.VerifyBatch, appends the survivors to its store, and answers with a
-// TReportBatchAck carrying one status per report through the sender's reply
-// onion. The ack is what structurally fixes the silent-drop bug of the
-// fire-and-forget TReport path: a rejected report comes back named, counted
-// by reason on both sides, and retried or surfaced instead of vanishing.
+// one sealed exchange (exchange.go); the agent verifies them through a worker
+// pool with pkc.VerifyBatch, appends the survivors to its store, and replies
+// with one status per report. The ack is what structurally fixes the
+// silent-drop bug of the fire-and-forget TReport path: a rejected report
+// comes back named, counted by reason on both sides, and retried or surfaced
+// instead of vanishing.
 
 // MaxBatchReports bounds the reports carried by one TReportBatch. At ~105
 // wire bytes per signed report the cap keeps a full batch, sealed and
@@ -40,7 +37,7 @@ const (
 // ErrBatchTooLarge reports a ReportBatch call exceeding MaxBatchReports.
 var ErrBatchTooLarge = fmt.Errorf("node: report batch exceeds %d reports", MaxBatchReports)
 
-// ReportStatus is the per-report outcome carried in a TReportBatchAck.
+// ReportStatus is the per-report outcome carried in a batch ack.
 type ReportStatus uint8
 
 // Per-report ack statuses. Protocol rejects (replay, bad key, malformed) are
@@ -60,8 +57,7 @@ const (
 	// batch must carry a proof-of-work solution bound to the reporter's
 	// nodeID. Not Retryable() — a blind resend cannot succeed — but not
 	// final either: ReportBatch mints a solution and retries, and the ack
-	// carries the demanded difficulty. Pre-§13 senders read it as a
-	// permanent reject (safe but lossy; see the mixed-version note).
+	// carries the demanded difficulty.
 	StatusAdmissionRequired
 )
 
@@ -103,167 +99,67 @@ type BatchReport struct {
 	Positive bool
 }
 
-// reportBatch is a decoded TReportBatch plaintext.
-type reportBatch struct {
-	sp         ed25519.PublicKey // reporter signature key (ID is derived)
-	ap         *ecdh.PublicKey   // reporter anonymity key, for sealing the ack
-	nonce      pkc.Nonce         // batch nonce matching ack to batch
-	replyOnion *onion.Onion      // route for the ack
-	reports    [][]byte          // signed report wires (agentdir.SignReport)
-	sol        []byte            // optional admission proof-of-work solution
-}
-
-// encodeReportBatch builds the TReportBatch plaintext: SP_p, AP_p, batch
-// nonce, reply onion, then the signed report wires — followed, only when the
-// sender is answering a StatusAdmissionRequired ack, by a trailing-optional
-// admission solution (DESIGN.md §13). The suffix is appended strictly on
-// demand so batches to pre-§13 agents keep the exact legacy shape those
-// agents' decoders Finish() on. Sealed to the agent's anonymity key by the
-// caller.
-func encodeReportBatch(self *pkc.Identity, nonce pkc.Nonce, replyOnion *onion.Onion, reports [][]byte, sol []byte) []byte {
-	var e wire.Encoder
-	e.Bytes(self.Sign.Public)
-	e.Bytes(self.Anon.Public.Bytes())
-	e.Bytes(nonce[:])
-	encodeOnion(&e, replyOnion)
+// encodeBatchBody writes a TReportBatch request body: the signed report wires
+// (agentdir.SignReport), then the sender's admission proof-of-work solution
+// (DESIGN.md §13) — empty until an agent has demanded one.
+func encodeBatchBody(e *wire.Encoder, reports [][]byte, sol []byte) {
 	e.U64(uint64(len(reports)))
 	for _, r := range reports {
 		e.Bytes(r)
 	}
-	if len(sol) > 0 {
-		e.Bytes(sol)
-	}
-	return e.Encode()
+	e.Bytes(sol)
 }
 
-// decodeReportBatch parses a TReportBatch plaintext written by
-// encodeReportBatch, rejecting oversized counts before allocating.
-func decodeReportBatch(plain []byte) (reportBatch, error) {
-	d := wire.NewDecoder(plain)
-	spRaw := d.Bytes()
-	apRaw := d.Bytes()
-	nonceRaw := d.Bytes()
-	replyOnion, onionErr := decodeOnion(d)
+// decodeBatchBody parses a body written by encodeBatchBody, rejecting empty
+// and oversized counts before allocating.
+func decodeBatchBody(d *wire.Decoder) (reports [][]byte, sol []byte, err error) {
 	count := d.U64()
-	if d.Err() != nil {
-		return reportBatch{}, d.Err()
+	if d.Err() != nil || count == 0 || count > MaxBatchReports {
+		return nil, nil, ErrBadMessage
 	}
-	if onionErr != nil {
-		return reportBatch{}, onionErr
-	}
-	if len(spRaw) != ed25519.PublicKeySize || len(nonceRaw) != pkc.NonceSize {
-		return reportBatch{}, ErrBadMessage
-	}
-	if count == 0 || count > MaxBatchReports {
-		return reportBatch{}, ErrBadMessage
-	}
-	ap, err := ecdh.X25519().NewPublicKey(apRaw)
-	if err != nil {
-		return reportBatch{}, ErrBadMessage
-	}
-	b := reportBatch{
-		sp:         ed25519.PublicKey(append([]byte(nil), spRaw...)),
-		ap:         ap,
-		replyOnion: replyOnion,
-		reports:    make([][]byte, 0, count),
-	}
-	copy(b.nonce[:], nonceRaw)
+	reports = make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
-		b.reports = append(b.reports, d.Bytes())
+		reports = append(reports, d.Bytes())
 	}
-	if d.More() {
-		// Trailing-optional admission solution (§13); absent in batches from
-		// pre-admission senders, which still decode.
-		sol := d.Bytes()
-		if len(sol) != pkc.AdmissionSolutionSize {
-			return reportBatch{}, ErrBadMessage
-		}
-		b.sol = sol
+	sol = d.Bytes()
+	if d.Finish() != nil || (len(sol) != 0 && len(sol) != pkc.AdmissionSolutionSize) {
+		return nil, nil, ErrBadMessage
 	}
-	if d.Finish() != nil {
-		return reportBatch{}, d.Finish()
-	}
-	return b, nil
-}
-
-// encodeBatchAck builds the TReportBatchAck plaintext: a signed part (batch
-// nonce + statuses, plus — only for admission bounces — the trailing-optional
-// demanded proof-of-work difficulty) followed by the agent's SP and
-// signature, exactly the shape of a trust response. The difficulty is inside
-// the signed part so a relay cannot inflate the work it asks of a reporter.
-// Sealed to the reporter's anonymity key by the caller.
-func encodeBatchAck(self *pkc.Identity, nonce pkc.Nonce, statuses []ReportStatus, bits int) []byte {
-	raw := make([]byte, len(statuses))
-	for i, s := range statuses {
-		raw[i] = byte(s)
-	}
-	var body wire.Encoder
-	body.Bytes(nonce[:])
-	body.Bytes(raw)
-	if bits > 0 {
-		body.U64(uint64(bits))
-	}
-	signedPart := body.Encode()
-	sig := self.SignMessage(signedPart)
-	var e wire.Encoder
-	e.Bytes(signedPart).Bytes(self.Sign.Public).Bytes(sig)
-	return e.Encode()
-}
-
-// decodedBatchAck is a parsed TReportBatchAck plaintext, before signature
-// verification (the caller matches sp against the awaited agent first).
-type decodedBatchAck struct {
-	signedPart []byte
-	sp         []byte
-	sig        []byte
-	nonce      pkc.Nonce
-	raw        []byte // one status byte per report
-	bits       int    // demanded admission difficulty (0 when absent)
-}
-
-// decodeBatchAck parses a TReportBatchAck plaintext written by
-// encodeBatchAck, including the trailing-optional admission difficulty.
-func decodeBatchAck(plain []byte) (decodedBatchAck, error) {
-	d := wire.NewDecoder(plain)
-	var a decodedBatchAck
-	a.signedPart = d.Bytes()
-	a.sp = d.Bytes()
-	a.sig = d.Bytes()
-	if err := d.Finish(); err != nil {
-		return decodedBatchAck{}, err
-	}
-	b := wire.NewDecoder(a.signedPart)
-	nonceRaw := b.Bytes()
-	a.raw = b.Bytes()
-	if b.More() {
-		bits := b.U64()
-		if bits == 0 || bits > 256 {
-			return decodedBatchAck{}, ErrBadMessage
-		}
-		a.bits = int(bits)
-	}
-	if err := b.Finish(); err != nil {
-		return decodedBatchAck{}, err
-	}
-	if len(nonceRaw) != pkc.NonceSize {
-		return decodedBatchAck{}, ErrBadMessage
-	}
-	copy(a.nonce[:], nonceRaw)
-	return a, nil
+	return reports, sol, nil
 }
 
 // batchAck is one settled ack: the per-report statuses plus the admission
-// difficulty demanded by the agent (0 unless the batch was bounced).
+// difficulty demanded by the agent (0 unless the batch was bounced). The
+// difficulty rides inside the signed reply body, so a relay cannot inflate
+// the work it asks of a reporter.
 type batchAck struct {
 	statuses []ReportStatus
 	bits     int
 }
 
-// batchAckWait is one outstanding batch awaiting its ack.
-type batchAckWait struct {
-	sp    ed25519.PublicKey // agent expected to sign the ack
-	count int               // statuses the ack must carry
-	ch    chan batchAck
+// encodeBatchAck writes an ack reply body: one status byte per report, then
+// the demanded difficulty.
+func encodeBatchAck(e *wire.Encoder, statuses []ReportStatus, bits int) {
+	raw := make([]byte, len(statuses))
+	for i, s := range statuses {
+		raw[i] = byte(s)
+	}
+	e.Bytes(raw).U64(uint64(bits))
+}
+
+// decodeBatchAck parses an ack reply body, which must carry exactly count
+// statuses.
+func decodeBatchAck(r *wire.Decoder, count int) (batchAck, error) {
+	raw := r.Bytes()
+	bits := r.U64()
+	if r.Finish() != nil || len(raw) != count || bits > 256 {
+		return batchAck{}, ErrBadAgent
+	}
+	statuses := make([]ReportStatus, len(raw))
+	for i, v := range raw {
+		statuses[i] = ReportStatus(v)
+	}
+	return batchAck{statuses: statuses, bits: int(bits)}, nil
 }
 
 // ReportBatch sends a batch of signed transaction reports to agent through
@@ -285,12 +181,9 @@ func (n *Node) ReportBatch(agent AgentInfo, reports []BatchReport, replyOnion *o
 	}
 	var ack batchAck
 	send := func(sol []byte) error {
-		return n.retrier.Do(func(_ int, perAttempt time.Duration) error {
+		return n.retry(0, func(wait time.Duration) error {
 			var aerr error
-			ack, aerr = n.reportBatchOnce(agent, reports, replyOnion, sol, n.attemptBudget(perAttempt))
-			if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrBadAgent) {
-				return resilience.Permanent(aerr)
-			}
+			ack, aerr = n.reportBatchOnce(agent, reports, replyOnion, sol, wait)
 			return aerr
 		})
 	}
@@ -307,49 +200,27 @@ func (n *Node) ReportBatch(agent AgentInfo, reports []BatchReport, replyOnion *o
 	return ack.statuses, err
 }
 
-// reportBatchOnce runs one complete batch/ack exchange under wait.
+// reportBatchOnce runs one complete batch/ack exchange under wait, signing
+// every report under a fresh nonce.
 func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, sol []byte, wait time.Duration) (batchAck, error) {
-	if n.isClosed() {
-		return batchAck{}, ErrClosed
-	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
-		return batchAck{}, resilience.Permanent(fmt.Errorf("node: agent onion: %w", err))
-	}
-	nonce, err := pkc.NewNonce(nil)
+	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		return batchAck{}, err
 	}
-	self := n.identity()
 	wires := make([][]byte, len(reports))
-	for i, r := range reports {
+	for i, rep := range reports {
 		rn, err := pkc.NewNonce(nil)
 		if err != nil {
 			return batchAck{}, err
 		}
-		wires[i] = agentdir.SignReport(self, r.Subject, r.Positive, rn)
+		wires[i] = agentdir.SignReport(q.self, rep.Subject, rep.Positive, rn)
 	}
-	sealed, err := pkc.Seal(agent.AP, encodeReportBatch(self, nonce, replyOnion, wires, sol), nil)
+	encodeBatchBody(&q.body, wires, sol)
+	r, err := n.exchange(agent, wire.TReportBatch, &q, wait)
 	if err != nil {
 		return batchAck{}, err
 	}
-	ch := make(chan batchAck, 1)
-	n.mu.Lock()
-	n.pendingAcks[nonce] = &batchAckWait{sp: agent.SP, count: len(reports), ch: ch}
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pendingAcks, nonce)
-		n.mu.Unlock()
-	}()
-	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TReportBatch, sealed, wait); err != nil {
-		return batchAck{}, err
-	}
-	select {
-	case ack := <-ch:
-		return ack, nil
-	case <-time.After(wait):
-		return batchAck{}, ErrTimeout
-	}
+	return decodeBatchAck(&r, len(reports))
 }
 
 // ReportBatchOrDefer is the resilient form of ReportBatch: it chunks reports
@@ -478,14 +349,10 @@ func (n *Node) replyOnionForFlush() *onion.Onion {
 
 // --- agent side ----------------------------------------------------------
 
-// ingestJob is one decoded, admission-accepted batch awaiting verification.
+// ingestJob is one vetted batch awaiting verification.
 type ingestJob struct {
-	self       *pkc.Identity // identity that opened the batch; signs the ack
-	reporter   pkc.NodeID
-	ap         *ecdh.PublicKey
-	nonce      pkc.Nonce
-	replyOnion *onion.Onion
-	reports    [][]byte
+	req     request
+	reports [][]byte
 }
 
 // ingestPool is the agent's verification worker pool with a bounded
@@ -531,38 +398,31 @@ func (p *ingestPool) stop() {
 }
 
 // handleReportBatch admits one TReportBatch arriving through this agent's
-// onion: decode, register the self-certifying reporter key (§3.5.2, as for
-// trust requests), authenticate the reply onion, then hand the batch to the
-// verification pool — or shed with an all-saturated ack when the pool's
-// admission queue is full.
+// onion: vet the request, pass the sybil-admission gate, register the
+// self-certifying reporter key (§3.5.2, as for trust requests), then hand the
+// batch to the verification pool — or shed with an all-saturated ack when the
+// pool's admission queue is full.
 func (n *Node) handleReportBatch(sealed []byte) {
 	if n.agent == nil || n.ingest == nil {
 		return
 	}
-	self, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
+	req, err := n.openRequest(sealed)
+	var reports [][]byte
+	var sol []byte
+	if err == nil {
+		reports, sol, err = decodeBatchBody(&req.body)
 	}
-	b, err := decodeReportBatch(plain)
 	if err != nil {
-		// A batch that does not decode — including the empty batch, rejected
-		// at the codec so it never occupies a verification-pool slot — is
-		// counted as malformed rather than silently vanishing.
-		n.countIngest(StatusMalformed)
+		// A batch that opens but does not decode — including the empty
+		// batch, rejected at the codec so it never occupies a
+		// verification-pool slot — is counted as malformed rather than
+		// silently vanishing.
+		if errors.Is(err, ErrBadMessage) {
+			n.countIngest(StatusMalformed)
+		}
 		return
 	}
-	reporter := pkc.DeriveNodeID(b.sp)
-	// The reply onion must be signed by the reporter and non-stale; without
-	// this an attacker could use the agent as an ack reflector.
-	if err := b.replyOnion.VerifySig(b.sp); err != nil {
-		return
-	}
-	n.mu.Lock()
-	ageErr := n.ages.Accept(reporter, b.replyOnion)
-	n.mu.Unlock()
-	if ageErr != nil {
-		return
-	}
+	job := ingestJob{req: req, reports: reports}
 	// Sybil-admission gate (§13), deliberately BEFORE RegisterKey — an
 	// unadmitted identity must not even occupy a key-table slot — and before
 	// the verification pool, so a bounced batch costs this agent one SHA-256
@@ -570,7 +430,7 @@ func (n *Node) handleReportBatch(sealed []byte) {
 	// batch bounces with StatusAdmissionRequired plus the demanded
 	// difficulty; the sender solves and retries.
 	if g := n.admission; g != nil {
-		verdict := g.check(reporter, b.sol, len(b.reports))
+		verdict := g.check(req.id, sol, len(reports))
 		if !verdict.passed() {
 			switch verdict {
 			case admissionReplay:
@@ -580,16 +440,9 @@ func (n *Node) handleReportBatch(sealed []byte) {
 				n.stats.admissionThrottled.Add(1)
 				n.cnt.admissionThrottled.Inc()
 			}
-			n.stats.admissionRequired.Add(int64(len(b.reports)))
-			n.cnt.admissionRequired.Add(int64(len(b.reports)))
-			statuses := make([]ReportStatus, len(b.reports))
-			for i := range statuses {
-				statuses[i] = StatusAdmissionRequired
-			}
-			n.sendBatchAck(ingestJob{
-				self: self, reporter: reporter, ap: b.ap,
-				nonce: b.nonce, replyOnion: b.replyOnion, reports: b.reports,
-			}, statuses, g.bits)
+			n.stats.admissionRequired.Add(int64(len(reports)))
+			n.cnt.admissionRequired.Add(int64(len(reports)))
+			n.sendBatchAck(job, uniformStatuses(len(reports), StatusAdmissionRequired), g.bits)
 			return
 		}
 		if verdict == admissionNewlyOK {
@@ -597,16 +450,8 @@ func (n *Node) handleReportBatch(sealed []byte) {
 			n.cnt.admissionAdmitted.Inc()
 		}
 	}
-	if err := n.agent.RegisterKey(reporter, b.sp); err != nil {
+	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
-	}
-	job := ingestJob{
-		self:       self,
-		reporter:   reporter,
-		ap:         b.ap,
-		nonce:      b.nonce,
-		replyOnion: b.replyOnion,
-		reports:    b.reports,
 	}
 	select {
 	case n.ingest.jobs <- job:
@@ -614,14 +459,19 @@ func (n *Node) handleReportBatch(sealed []byte) {
 		// Admission control: the verification backlog is full. Shed the whole
 		// batch before spending any signature check on it, and say so — the
 		// sender re-queues saturated reports through its outbox.
-		n.stats.ingestShed.Add(int64(len(job.reports)))
-		n.cnt.ingestShed.Add(int64(len(job.reports)))
-		statuses := make([]ReportStatus, len(job.reports))
-		for i := range statuses {
-			statuses[i] = StatusSaturated
-		}
-		n.sendBatchAck(job, statuses, 0)
+		n.stats.ingestShed.Add(int64(len(reports)))
+		n.cnt.ingestShed.Add(int64(len(reports)))
+		n.sendBatchAck(job, uniformStatuses(len(reports), StatusSaturated), 0)
 	}
+}
+
+// uniformStatuses returns n copies of st: the ack of a batch judged whole.
+func uniformStatuses(n int, st ReportStatus) []ReportStatus {
+	statuses := make([]ReportStatus, n)
+	for i := range statuses {
+		statuses[i] = st
+	}
+	return statuses
 }
 
 // processReportBatch is the worker body: filter out reports this group does
@@ -647,7 +497,7 @@ func (n *Node) processReportBatch(job ingestJob) {
 		idx = append(idx, i)
 	}
 	if len(owned) > 0 {
-		_, errs := n.agent.SubmitReportBatch(job.reporter, owned)
+		_, errs := n.agent.SubmitReportBatch(job.req.id, owned)
 		for j, err := range errs {
 			statuses[idx[j]] = statusFromSubmitError(err)
 			n.countIngest(statuses[idx[j]])
@@ -657,49 +507,12 @@ func (n *Node) processReportBatch(job ingestJob) {
 	n.sendBatchAck(job, statuses, 0)
 }
 
-// sendBatchAck signs, seals, and routes one per-report ack back through the
-// reporter's reply onion. bits, when positive, is the admission difficulty
-// demanded of a bounced batch.
+// sendBatchAck answers one batch with its per-report statuses. bits, when
+// positive, is the admission difficulty demanded of a bounced batch.
 func (n *Node) sendBatchAck(job ingestJob, statuses []ReportStatus, bits int) {
-	if n.isClosed() {
-		return
-	}
-	sealed, err := pkc.Seal(job.ap, encodeBatchAck(job.self, job.nonce, statuses, bits), nil)
-	if err != nil {
-		return
-	}
-	_ = n.sendThroughOnion(job.replyOnion, wire.TReportBatchAck, sealed)
-}
-
-// handleReportBatchAck consumes an ack arriving through this node's own
-// onion and routes it to the waiting ReportBatch call.
-func (n *Node) handleReportBatchAck(sealed []byte) {
-	_, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	a, err := decodeBatchAck(plain)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	w := n.pendingAcks[a.nonce]
-	n.mu.Unlock()
-	if w == nil || len(a.raw) != w.count {
-		return
-	}
-	// Only the agent the batch was addressed to may settle it.
-	if !bytes.Equal(a.sp, w.sp) || !pkc.Verify(w.sp, a.signedPart, a.sig) {
-		return
-	}
-	statuses := make([]ReportStatus, len(a.raw))
-	for i, v := range a.raw {
-		statuses[i] = ReportStatus(v)
-	}
-	select {
-	case w.ch <- batchAck{statuses: statuses, bits: a.bits}:
-	default:
-	}
+	e := job.req.replyBody()
+	encodeBatchAck(&e, statuses, bits)
+	n.reply(&job.req, &e)
 }
 
 // statusFromSubmitError maps an agentdir.SubmitReport(Batch) outcome to its

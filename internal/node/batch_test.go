@@ -37,6 +37,26 @@ func batchPair(t *testing.T, agentOpts Options) (agentNode, peer *Node, info Age
 	return agentNode, peer, agentNode.Info(ao), po
 }
 
+// sendWires runs one batch/ack exchange for hand-crafted report wires, the
+// way reportBatchOnce does for freshly signed ones.
+func sendWires(t *testing.T, peer *Node, info AgentInfo, wires [][]byte, replyOnion *onion.Onion) batchAck {
+	t.Helper()
+	q, err := peer.newRequest(replyOnion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodeBatchBody(&q.body, wires, nil)
+	r, err := peer.exchange(info, wire.TReportBatch, &q, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := decodeBatchAck(&r, len(wires))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
 // TestReportBatchLive drives a full batch/ack exchange over real loopback
 // TCP: every report must come back acknowledged as stored, land in the
 // agent's store, and be counted on both sides.
@@ -93,25 +113,7 @@ func TestReportBatchMixed(t *testing.T) {
 	want := []ReportStatus{StatusStored, StatusStored, StatusReplay, StatusBadKey, StatusMalformed}
 
 	// Send the crafted batch through the real wire path and wait for its ack.
-	nonce, _ := pkc.NewNonce(nil)
-	sealed, err := pkc.Seal(info.AP, encodeReportBatch(self, nonce, replyOnion, wires, nil), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan batchAck, 1)
-	peer.mu.Lock()
-	peer.pendingAcks[nonce] = &batchAckWait{sp: info.SP, count: len(wires), ch: ch}
-	peer.mu.Unlock()
-	if err := peer.sendThroughOnion(info.Onion, wire.TReportBatch, sealed); err != nil {
-		t.Fatal(err)
-	}
-	var statuses []ReportStatus
-	select {
-	case ack := <-ch:
-		statuses = ack.statuses
-	case <-time.After(5 * time.Second):
-		t.Fatal("no batch ack arrived")
-	}
+	statuses := sendWires(t, peer, info, wires, replyOnion).statuses
 	for i, st := range statuses {
 		if st != want[i] {
 			t.Fatalf("report %d acked %v, want %v", i, st, want[i])
@@ -298,36 +300,6 @@ func TestReportBatchTooLarge(t *testing.T) {
 	}
 }
 
-// FuzzDecodeReportBatch throws arbitrary bytes at the batch decoder: it must
-// never panic or over-allocate, and every accepted batch must re-encode from
-// parsed fields without loss of count.
-func FuzzDecodeReportBatch(f *testing.F) {
-	// Seed with a well-formed batch so the fuzzer starts from valid shapes.
-	self, err := pkc.NewIdentity(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var subject pkc.NodeID
-	nonce, _ := pkc.NewNonce(nil)
-	ro := &onion.Onion{Entry: "127.0.0.1:1", Blob: []byte{1, 2, 3}, Seq: 1, Sig: []byte{4}}
-	wires := [][]byte{agentdir.SignReport(self, subject, true, nonce)}
-	f.Add(encodeReportBatch(self, nonce, ro, wires, nil))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 'x'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeReportBatch(data)
-		if err != nil {
-			return
-		}
-		if len(b.reports) == 0 || len(b.reports) > MaxBatchReports {
-			t.Fatalf("accepted batch with %d reports", len(b.reports))
-		}
-		if len(b.sp) == 0 || b.ap == nil || b.replyOnion == nil {
-			t.Fatal("accepted batch with missing fields")
-		}
-	})
-}
-
 // TestReportBatchOrDeferStopsWhenSaturated pins the saturation-backoff fix:
 // once a chunk comes back with an all-saturated ack, ReportBatchOrDefer must
 // defer the remaining chunks in one step instead of firing each of them at
@@ -393,12 +365,12 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 // verification-pool slot.
 func TestEmptyReportBatchCountedMalformed(t *testing.T) {
 	agentNode, peer, info, replyOnion := batchPair(t, Options{})
-	nonce, err := pkc.NewNonce(nil)
+	q, err := peer.newRequest(replyOnion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := encodeReportBatch(peer.identity(), nonce, replyOnion, nil, nil)
-	sealed, err := pkc.Seal(info.AP, plain, nil)
+	encodeBatchBody(&q.body, nil, nil)
+	sealed, err := pkc.Seal(info.AP, q.body.Encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

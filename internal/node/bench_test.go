@@ -540,46 +540,33 @@ type preparedBatch struct {
 // frame carries nonces never sent before.
 func prepareBatchFrame(b *testing.B, n *Node, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) preparedBatch {
 	b.Helper()
-	nonce, err := pkc.NewNonce(nil)
+	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		b.Fatal(err)
 	}
-	self := n.identity()
 	wires := make([][]byte, len(reports))
 	for i, r := range reports {
 		rn, err := pkc.NewNonce(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		wires[i] = agentdir.SignReport(self, r.Subject, r.Positive, rn)
+		wires[i] = agentdir.SignReport(q.self, r.Subject, r.Positive, rn)
 	}
-	sealed, err := pkc.Seal(agent.AP, encodeReportBatch(self, nonce, replyOnion, wires, nil), nil)
+	encodeBatchBody(&q.body, wires, nil)
+	sealed, err := pkc.Seal(agent.AP, q.body.Encode(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return preparedBatch{nonce: nonce, sealed: sealed, count: len(reports)}
+	return preparedBatch{nonce: q.nonce, sealed: sealed, count: len(reports)}
 }
 
 // sendBatchFrame runs the send/ack half of reportBatchOnce for a prepared
-// frame: register the ack waiter, push the frame through the agent's onion,
-// wait for the signed per-report ack.
+// frame.
 func (n *Node) sendBatchFrame(agent AgentInfo, pb preparedBatch, wait time.Duration) ([]ReportStatus, error) {
-	ch := make(chan batchAck, 1)
-	n.mu.Lock()
-	n.pendingAcks[pb.nonce] = &batchAckWait{sp: agent.SP, count: pb.count, ch: ch}
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pendingAcks, pb.nonce)
-		n.mu.Unlock()
-	}()
-	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TReportBatch, pb.sealed, wait); err != nil {
+	r, err := n.sendAndAwait(agent, wire.TReportBatch, pb.nonce, pb.sealed, wait)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case ack := <-ch:
-		return ack.statuses, nil
-	case <-time.After(wait):
-		return nil, ErrTimeout
-	}
+	ack, err := decodeBatchAck(&r, pb.count)
+	return ack.statuses, err
 }

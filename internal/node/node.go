@@ -30,7 +30,6 @@ import (
 	"hirep/internal/repstore"
 	"hirep/internal/resilience"
 	"hirep/internal/transport"
-	"hirep/internal/trust"
 	"hirep/internal/wire"
 )
 
@@ -214,14 +213,6 @@ type AgentInfo struct {
 // ID returns the agent's self-certifying node ID.
 func (a AgentInfo) ID() pkc.NodeID { return pkc.DeriveNodeID(a.SP) }
 
-// trustResponse is a decoded, verified trust-value response.
-type trustResponse struct {
-	subject    pkc.NodeID
-	value      trust.Value
-	hasData    bool
-	wrongOwner bool // agent's group does not own the subject (DESIGN.md §12)
-}
-
 // Node is one live hiREP participant.
 type Node struct {
 	opts    Options
@@ -234,37 +225,32 @@ type Node struct {
 	id      *pkc.Identity
 	prev    []*pkc.Identity                 // predecessors kept during rotation grace period
 	hs      map[pkc.Nonce]onion.RelayAnswer // outstanding relay handshakes
-	pending map[pkc.Nonce]chan trustResponse
-	closed  atomic.Bool // checked on hot paths without taking n.mu
+	pending map[pkc.Nonce]waiter            // outstanding sealed exchanges (exchange.go)
+	closed  atomic.Bool                     // checked on hot paths without taking n.mu
 	wg      sync.WaitGroup
 
-	// Batched report ingest (batch.go): outstanding batch acks keyed by
-	// batch nonce, the agent-side verification pool, and the standing reply
-	// onion enabling acknowledged outbox flushes.
-	pendingAcks map[pkc.Nonce]*batchAckWait
-	ingest      *ingestPool
-	ackOnion    *onion.Onion
-	admission   *admissionGate // sybil-admission gate (nil = disabled)
+	// Batched report ingest (batch.go): the agent-side verification pool and
+	// the standing reply onion enabling acknowledged outbox flushes.
+	ingest    *ingestPool
+	ackOnion  *onion.Onion
+	admission *admissionGate // sybil-admission gate (nil = disabled)
 
-	// Replication plumbing (replication.go): primary-side shipping state,
-	// replica stores held for other primaries, and in-flight status probes.
-	repl          *replicator
-	replicas      *replicaSet
-	pendingStatus map[pkc.Nonce]chan ReplStatus
+	// Replication plumbing (replication.go): primary-side shipping state and
+	// replica stores held for other primaries.
+	repl     *replicator
+	replicas *replicaSet
 
 	// Routed-overlay placement state (overlay.go): the adopted signed shard
 	// map, this node's group membership, and in-progress handoff seals.
 	place *placement
 
-	// Verifiable-read plumbing (proof.go): outstanding proof requests, the
-	// payload cache, the edge-forwarding config, and the audit harness's
-	// tamper hook.
-	pendingProofs map[pkc.Nonce]*proofWait
-	proofCache    *proofCache
-	proofMu       sync.Mutex
-	proofTamper   func(*proof.Bundle)
-	edgeUpstream  AgentInfo
-	edgeOnion     *onion.Onion
+	// Verifiable-read plumbing (proof.go): the payload cache, the
+	// edge-forwarding config, and the audit harness's tamper hook.
+	proofCache   *proofCache
+	proofMu      sync.Mutex
+	proofTamper  func(*proof.Bundle)
+	edgeUpstream AgentInfo
+	edgeOnion    *onion.Onion
 
 	// Transport plumbing: the outbound connection pool, the inbound session
 	// gate, and the per-message-type frame counters (transport.go in this
@@ -432,20 +418,17 @@ func Listen(addr string, opts Options) (*Node, error) {
 		return nil, fmt.Errorf("node: listen: %w", err)
 	}
 	n := &Node{
-		id:            id,
-		opts:          opts,
-		ln:            ln,
-		ages:          onion.NewAgeTracker(),
-		hs:            make(map[pkc.Nonce]onion.RelayAnswer),
-		pending:       make(map[pkc.Nonce]chan trustResponse),
-		pendingAcks:   make(map[pkc.Nonce]*batchAckWait),
-		pendingStatus: make(map[pkc.Nonce]chan ReplStatus),
-		pendingProofs: make(map[pkc.Nonce]*proofWait),
-		dialer:        opts.Dialer,
-		reg:           opts.Metrics,
-		flushCh:       make(chan struct{}, 1),
-		closeCh:       make(chan struct{}),
-		sessionSem:    make(chan struct{}, opts.MaxSessions),
+		id:         id,
+		opts:       opts,
+		ln:         ln,
+		ages:       onion.NewAgeTracker(),
+		hs:         make(map[pkc.Nonce]onion.RelayAnswer),
+		pending:    make(map[pkc.Nonce]waiter),
+		dialer:     opts.Dialer,
+		reg:        opts.Metrics,
+		flushCh:    make(chan struct{}, 1),
+		closeCh:    make(chan struct{}),
+		sessionSem: make(chan struct{}, opts.MaxSessions),
 	}
 	n.place = newPlacement(opts)
 	if opts.ProofCache > 0 {
@@ -572,7 +555,7 @@ func (n *Node) isClosed() bool {
 }
 
 // handle dispatches one inbound frame. Handshake frames answer through the
-// responder (same stream on a session, same socket for a legacy one-shot);
+// responder (same stream on a session, same socket for a one-shot);
 // onion frames are one-way.
 func (n *Node) handle(typ wire.MsgType, payload []byte, r transport.Responder) {
 	switch typ {
@@ -669,24 +652,18 @@ func (n *Node) handleOnion(payload []byte) {
 	switch innerType {
 	case wire.TTrustReq:
 		n.handleTrustReq(inner)
-	case wire.TTrustResp:
-		n.handleTrustResp(inner)
+	case wire.TReply:
+		n.handleReply(inner)
 	case wire.TReport:
 		n.handleReport(inner)
 	case wire.TKeyUpdate:
 		n.handleKeyUpdate(inner)
 	case wire.TReplStatusReq:
 		n.handleReplStatusReq(inner)
-	case wire.TReplStatusResp:
-		n.handleReplStatusResp(inner)
 	case wire.TReportBatch:
 		n.handleReportBatch(inner)
-	case wire.TReportBatchAck:
-		n.handleReportBatchAck(inner)
 	case wire.TProofReq:
 		n.handleProofReq(inner)
-	case wire.TProofResp:
-		n.handleProofResp(inner)
 	case wire.TAdvisory:
 		n.handleAdvisory(inner)
 	}
@@ -714,9 +691,8 @@ func (n *Node) openAny(sealed []byte) (*pkc.Identity, []byte, bool) {
 	return nil, nil, false
 }
 
-// sendTimeout writes one frame to addr within budget, over a pooled session
-// connection when the peer speaks the session protocol and a one-shot dial
-// when it is legacy. Single attempt; send adds retries.
+// sendTimeout writes one frame to addr within budget over a pooled session
+// connection. Single attempt; send adds retries.
 func (n *Node) sendTimeout(addr string, typ wire.MsgType, payload []byte, budget time.Duration) error {
 	return n.pool.Send(addr, typ, payload, budget)
 }
@@ -731,8 +707,7 @@ func (n *Node) send(addr string, typ wire.MsgType, payload []byte) error {
 
 // roundTripTimeout writes one frame to addr and waits for its matched
 // response, all within budget — multiplexed over a pooled session
-// connection, or via a one-shot dial for legacy peers. Single attempt;
-// roundTrip adds retries.
+// connection. Single attempt; roundTrip adds retries.
 func (n *Node) roundTripTimeout(addr string, typ wire.MsgType, payload []byte, budget time.Duration) (wire.MsgType, []byte, error) {
 	return n.pool.RoundTrip(addr, typ, payload, budget)
 }

@@ -332,35 +332,48 @@ func (n *Node) refreshPlacementIfStale() {
 // --- routed client APIs ----------------------------------------------------
 
 // RequestTrustRouted asks the agent group owning subject for its trust value,
-// routing by the adopted placement map. During a migration reads route to the
-// previous owner, which holds the full tally until the pull completes. On a
-// wrong-owner answer — the routing map here is staler than the agent's — the
-// map is refreshed from the placement sources and the request re-routed, up
-// to maxOwnerHops times.
+// routing by the adopted placement map.
 func (n *Node) RequestTrustRouted(subject pkc.NodeID, replyOnion *onion.Onion) (trust.Value, bool, error) {
+	var (
+		v       trust.Value
+		hasData bool
+	)
+	err := n.askOwner(subject, func(owner AgentInfo) error {
+		var aerr error
+		v, hasData, aerr = n.RequestTrust(owner, subject, replyOnion)
+		return aerr
+	})
+	return v, hasData, err
+}
+
+// askOwner runs ask against the agent group that owns subject's reads under
+// the adopted placement map. During a migration reads route to the previous
+// owner, which holds the full tally until the pull completes. On a
+// wrong-owner answer — the routing map here is staler than the agent's — the
+// map is refreshed from the placement sources and the question re-routed, up
+// to maxOwnerHops times.
+func (n *Node) askOwner(subject pkc.NodeID, ask func(owner AgentInfo) error) error {
 	for hop := 0; hop < maxOwnerHops; hop++ {
 		m, _ := n.Placement()
 		if m == nil {
-			return 0, false, ErrNoPlacement
+			return ErrNoPlacement
 		}
 		info, err := n.groupInfo(m, m.ReadOwner(subject))
 		if err != nil {
-			return 0, false, err
+			return err
 		}
-		v, hasData, err := n.RequestTrust(info, subject, replyOnion)
-		if errors.Is(err, ErrWrongOwner) {
-			n.stats.placementRedirects.Add(1)
-			n.cnt.placementRedirects.Inc()
-			if !n.refreshPlacement() && hop > 0 {
-				// The sources have nothing newer and the redirect persists:
-				// re-asking the same owner again cannot converge.
-				return 0, false, err
-			}
-			continue
+		if err = ask(info); !errors.Is(err, ErrWrongOwner) {
+			return err
 		}
-		return v, hasData, err
+		n.stats.placementRedirects.Add(1)
+		n.cnt.placementRedirects.Inc()
+		if !n.refreshPlacement() && hop > 0 {
+			// The sources have nothing newer and the redirect persists:
+			// re-asking the same owner again cannot converge.
+			return err
+		}
 	}
-	return 0, false, ErrWrongOwner
+	return ErrWrongOwner
 }
 
 // ReportBatchRouted splits reports by owning group under the adopted map and

@@ -2,9 +2,6 @@ package node
 
 import (
 	"bytes"
-	"crypto/ecdh"
-	"crypto/ed25519"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,14 +9,12 @@ import (
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
 	"hirep/internal/proof"
-	"hirep/internal/resilience"
 	"hirep/internal/wire"
 )
 
 // This file carries the verifiable-read subsystem (internal/proof,
-// DESIGN.md §14) over the live protocol. A TProofReq travels exactly like a
-// trust request — sealed to the responder's anonymity key, routed through its
-// onion, answered through the requestor's reply onion — but the answer is a
+// DESIGN.md §14) over the live protocol. A TProofReq is the same sealed
+// exchange as a trust request (exchange.go), but the answer is a
 // self-verifying proof bundle (or a compact signed trust snapshot) instead of
 // a bare tally. Because the bundle's integrity rests on the issuing agent's
 // signature rather than on who served it, the same frames can be answered by
@@ -27,7 +22,7 @@ import (
 // cached payload bytes without touching any agent, and the client's
 // verification catches any alteration.
 
-// Proof response kinds carried in the TProofResp signed part.
+// Proof response kinds carried in the reply body.
 const (
 	proofKindBundle     = 1 // payload is an encoded proof.Bundle
 	proofKindSnapshot   = 2 // payload is an encoded proof.TrustSnapshot
@@ -47,22 +42,6 @@ const defaultSnapshotTTL = 60 * time.Second
 // snapshot's effective lifetime by the same amount — snapshot freshness
 // assumes loosely synchronized clocks.
 const snapshotClockSkew = 30 * time.Second
-
-// proofResp is one decoded, outer-signature-verified proof response.
-type proofResp struct {
-	subject pkc.NodeID
-	kind    uint64
-	payload []byte
-}
-
-// proofWait is one outstanding proof request: the responder key the requestor
-// addressed (the outer response signature must be by exactly that key — for
-// an edge that is the edge's own key, the inner bundle staying the agent's)
-// and the delivery channel.
-type proofWait struct {
-	sp ed25519.PublicKey
-	ch chan proofResp
-}
 
 // proofCache is the bounded FIFO payload cache behind Options.ProofCache.
 // Entries are the exact signed payload bytes served before — re-serving them
@@ -171,25 +150,17 @@ func (n *Node) RequestTrustProven(agent AgentInfo, subject pkc.NodeID, replyOnio
 		b   *proof.Bundle
 		res proof.Result
 	)
-	err := n.retrier.DoMax(0, func(_ int, _ time.Duration) error {
+	err := n.retry(0, func(wait time.Duration) error {
 		var aerr error
-		b, res, aerr = n.requestTrustProvenOnce(agent, subject, replyOnion)
-		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrBadAgent) || errors.Is(aerr, ErrWrongOwner) {
-			return resilience.Permanent(aerr)
-		}
+		b, res, aerr = n.requestTrustProvenOnce(agent, subject, replyOnion, wait)
 		return aerr
 	})
 	return b, res, err
 }
 
-func (n *Node) requestTrustProvenOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (*proof.Bundle, proof.Result, error) {
-	return n.requestTrustProvenWait(agent, subject, replyOnion, n.timeout())
-}
-
-// requestTrustProvenWait is requestTrustProvenOnce under an explicit wait
-// budget — the auditor's fetch path, where a per-sweep deadline caps each
-// probe rather than the node's full request timeout.
-func (n *Node) requestTrustProvenWait(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (*proof.Bundle, proof.Result, error) {
+// requestTrustProvenOnce is one bundle fetch-and-verify under an explicit
+// wait budget (the auditor caps each probe by its sweep deadline).
+func (n *Node) requestTrustProvenOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (*proof.Bundle, proof.Result, error) {
 	kind, payload, err := n.requestProofOnce(agent, subject, replyOnion, false, wait)
 	if err != nil {
 		return nil, proof.Result{}, err
@@ -220,19 +191,16 @@ func (n *Node) requestTrustProvenWait(agent AgentInfo, subject pkc.NodeID, reply
 // but portable and cacheable.
 func (n *Node) RequestTrustSnapshot(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (*proof.TrustSnapshot, error) {
 	var ts *proof.TrustSnapshot
-	err := n.retrier.DoMax(0, func(_ int, _ time.Duration) error {
+	err := n.retry(0, func(wait time.Duration) error {
 		var aerr error
-		ts, aerr = n.requestTrustSnapshotOnce(agent, subject, replyOnion)
-		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrBadAgent) || errors.Is(aerr, ErrWrongOwner) {
-			return resilience.Permanent(aerr)
-		}
+		ts, aerr = n.requestTrustSnapshotOnce(agent, subject, replyOnion, wait)
 		return aerr
 	})
 	return ts, err
 }
 
-func (n *Node) requestTrustSnapshotOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (*proof.TrustSnapshot, error) {
-	kind, payload, err := n.requestProofOnce(agent, subject, replyOnion, true, n.timeout())
+func (n *Node) requestTrustSnapshotOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (*proof.TrustSnapshot, error) {
+	kind, payload, err := n.requestProofOnce(agent, subject, replyOnion, true, wait)
 	if err != nil {
 		return nil, err
 	}
@@ -253,129 +221,45 @@ func (n *Node) requestTrustSnapshotOnce(agent AgentInfo, subject pkc.NodeID, rep
 }
 
 // RequestTrustProvenRouted is RequestTrustProven routed by the adopted
-// placement map, refreshing and re-routing on wrong-owner answers exactly
-// like RequestTrustRouted.
+// placement map, exactly like RequestTrustRouted.
 func (n *Node) RequestTrustProvenRouted(subject pkc.NodeID, replyOnion *onion.Onion) (*proof.Bundle, proof.Result, error) {
-	for hop := 0; hop < maxOwnerHops; hop++ {
-		m, _ := n.Placement()
-		if m == nil {
-			return nil, proof.Result{}, ErrNoPlacement
-		}
-		info, err := n.groupInfo(m, m.ReadOwner(subject))
-		if err != nil {
-			return nil, proof.Result{}, err
-		}
-		b, res, err := n.RequestTrustProven(info, subject, replyOnion)
-		if errors.Is(err, ErrWrongOwner) {
-			n.stats.placementRedirects.Add(1)
-			n.cnt.placementRedirects.Inc()
-			if !n.refreshPlacement() && hop > 0 {
-				return nil, proof.Result{}, err
-			}
-			continue
-		}
-		return b, res, err
-	}
-	return nil, proof.Result{}, ErrWrongOwner
+	var (
+		b   *proof.Bundle
+		res proof.Result
+	)
+	err := n.askOwner(subject, func(owner AgentInfo) error {
+		var aerr error
+		b, res, aerr = n.RequestTrustProven(owner, subject, replyOnion)
+		return aerr
+	})
+	return b, res, err
 }
 
-// requestProofOnce runs one complete proof request/response exchange against
-// target and returns the verified-outer response's kind and payload bytes.
-// Exposing raw payload bytes (rather than a decoded bundle) is what lets the
-// edge cache and re-serve exactly what it received.
+// requestProofOnce runs one proof exchange against target and returns the
+// reply's kind and payload bytes. Request body: subject, snapshot flag. Reply
+// body: subject, kind, payload. Exposing raw payload bytes (rather than a
+// decoded bundle) is what lets the edge cache and re-serve exactly what it
+// received.
 func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, snapshotOnly bool, wait time.Duration) (uint64, []byte, error) {
-	if n.isClosed() {
-		return 0, nil, ErrClosed
-	}
-	if err := target.Onion.VerifySig(target.SP); err != nil {
-		return 0, nil, resilience.Permanent(fmt.Errorf("node: proof target onion: %w", err))
-	}
-	nonce, err := pkc.NewNonce(nil)
+	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		return 0, nil, err
 	}
-	self := n.identity()
-	// Same shape as a trust request — SP_p, AP_p, subject, nonce, reply onion
-	// — plus the trailing-optional snapshot flag (absent = bundle, so a
-	// pre-§14 encoding of the prefix stays decodable by this handler).
-	var e wire.Encoder
-	e.Bytes(self.Sign.Public)
-	e.Bytes(self.Anon.Public.Bytes())
-	e.Bytes(subject[:])
-	e.Bytes(nonce[:])
-	encodeOnion(&e, replyOnion)
-	e.Bool(snapshotOnly)
-	sealed, err := pkc.Seal(target.AP, e.Encode(), nil)
+	q.body.Bytes(subject[:]).Bool(snapshotOnly)
+	r, err := n.exchange(target, wire.TProofReq, &q, wait)
 	if err != nil {
 		return 0, nil, err
 	}
-	w := &proofWait{sp: target.SP, ch: make(chan proofResp, 1)}
-	n.mu.Lock()
-	n.pendingProofs[nonce] = w
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pendingProofs, nonce)
-		n.mu.Unlock()
-	}()
-	if err := n.sendThroughOnionTimeout(target.Onion, wire.TProofReq, sealed, wait); err != nil {
-		return 0, nil, err
+	subjRaw := r.Bytes()
+	kind := r.U64()
+	payload := r.Bytes()
+	if r.Finish() != nil || !bytes.Equal(subjRaw, subject[:]) {
+		return 0, nil, ErrBadAgent
 	}
-	select {
-	case resp := <-w.ch:
-		if resp.subject != subject {
-			return 0, nil, ErrBadAgent
-		}
-		if resp.kind == proofKindWrongOwner {
-			return 0, nil, ErrWrongOwner
-		}
-		return resp.kind, resp.payload, nil
-	case <-time.After(wait):
-		return 0, nil, ErrTimeout
+	if kind == proofKindWrongOwner {
+		return 0, nil, ErrWrongOwner
 	}
-}
-
-// handleProofResp consumes a proof response arriving through this node's own
-// onion: the outer signature must verify AND be by exactly the key the
-// request was addressed to — an edge answers under its own key, and a third
-// party's valid signature over someone else's payload is not an answer.
-func (n *Node) handleProofResp(sealed []byte) {
-	_, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	d := wire.NewDecoder(plain)
-	signedPart := d.Bytes()
-	respSP := d.Bytes()
-	sig := d.Bytes()
-	if d.Finish() != nil {
-		return
-	}
-	if len(respSP) != ed25519.PublicKeySize || !pkc.Verify(ed25519.PublicKey(respSP), signedPart, sig) {
-		return
-	}
-	b := wire.NewDecoder(signedPart)
-	subjRaw := b.Bytes()
-	nonceRaw := b.Bytes()
-	kind := b.U64()
-	payload := append([]byte(nil), b.Bytes()...)
-	if b.Finish() != nil || len(subjRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	var subject pkc.NodeID
-	var nonce pkc.Nonce
-	copy(subject[:], subjRaw)
-	copy(nonce[:], nonceRaw)
-	n.mu.Lock()
-	w := n.pendingProofs[nonce]
-	n.mu.Unlock()
-	if w == nil || !bytes.Equal(w.sp, respSP) {
-		return
-	}
-	select {
-	case w.ch <- proofResp{subject: subject, kind: kind, payload: payload}:
-	default:
-	}
+	return kind, payload, nil
 }
 
 // countProofVerdict counts one client-side verification outcome.
@@ -394,13 +278,10 @@ func (n *Node) countProofVerdict(v proof.Verdict) {
 
 // --- responder side --------------------------------------------------------
 
-// proofRequest is one decoded, vetted inbound proof request.
+// proofRequest is one vetted inbound proof request.
 type proofRequest struct {
-	self         *pkc.Identity // the identity the requestor sealed to
-	requestorAP  *ecdh.PublicKey
+	request
 	subject      pkc.NodeID
-	nonce        []byte
-	replyOnion   *onion.Onion
 	snapshotOnly bool
 }
 
@@ -409,63 +290,28 @@ type proofRequest struct {
 // snapshot; as a configured edge, from the payload cache with a forward
 // upstream on miss. A node that is neither drops the frame.
 func (n *Node) handleProofReq(sealed []byte) {
-	self, plain, ok := n.openAny(sealed)
-	if !ok {
+	if n.agent == nil && n.proofCache == nil {
 		return
 	}
-	d := wire.NewDecoder(plain)
-	spRaw := append([]byte(nil), d.Bytes()...)
-	apRaw := d.Bytes()
-	subjRaw := d.Bytes()
-	nonceRaw := append([]byte(nil), d.Bytes()...)
-	replyOnion, onionErr := decodeOnion(d)
-	snapshotOnly := false
-	if d.More() {
-		snapshotOnly = d.Bool()
-	}
-	if d.Finish() != nil || onionErr != nil {
-		return
-	}
-	if len(spRaw) != ed25519.PublicKeySize || len(subjRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	requestorSP := ed25519.PublicKey(spRaw)
-	requestorAP, err := ecdh.X25519().NewPublicKey(apRaw)
+	req, err := n.openRequest(sealed)
 	if err != nil {
 		return
 	}
-	requestorID := pkc.DeriveNodeID(requestorSP)
-	if n.agent != nil {
-		// §3.5.2 key learning, exactly like a trust request.
-		if err := n.agent.RegisterKey(requestorID, requestorSP); err != nil {
-			return
-		}
-	}
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
+	subject, ok := decodeNodeID(&req.body)
+	snapshotOnly := req.body.Bool()
+	if !ok || req.body.Finish() != nil {
 		return
 	}
-	n.mu.Lock()
-	ageErr := n.ages.Accept(requestorID, replyOnion)
-	n.mu.Unlock()
-	if ageErr != nil {
+	pr := &proofRequest{request: req, subject: subject, snapshotOnly: snapshotOnly}
+	if n.agent == nil {
+		n.serveProofAsEdge(pr)
 		return
 	}
-	var subject pkc.NodeID
-	copy(subject[:], subjRaw)
-	req := &proofRequest{
-		self:         self,
-		requestorAP:  requestorAP,
-		subject:      subject,
-		nonce:        nonceRaw,
-		replyOnion:   replyOnion,
-		snapshotOnly: snapshotOnly,
+	// §3.5.2 key learning, exactly like a trust request.
+	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
+		return
 	}
-	switch {
-	case n.agent != nil:
-		n.serveProofAsAgent(req)
-	case n.proofCache != nil:
-		n.serveProofAsEdge(req)
-	}
+	n.serveProofAsAgent(pr)
 }
 
 // serveProofAsAgent answers a proof request from this agent's own store:
@@ -598,23 +444,11 @@ func (n *Node) serveProofAsEdge(req *proofRequest) {
 	}()
 }
 
-// sendProofResp signs and seals one proof response to the requestor and sends
-// it through their reply onion.
+// sendProofResp answers one proof request.
 func (n *Node) sendProofResp(req *proofRequest, kind uint64, payload []byte) {
-	var body wire.Encoder
-	body.Bytes(req.subject[:])
-	body.Bytes(req.nonce)
-	body.U64(kind)
-	body.Bytes(payload)
-	signedPart := body.Encode()
-	sig := req.self.SignMessage(signedPart)
-	var e wire.Encoder
-	e.Bytes(signedPart).Bytes(req.self.Sign.Public).Bytes(sig)
-	sealedResp, err := pkc.Seal(req.requestorAP, e.Encode(), nil)
-	if err != nil {
-		return
-	}
-	_ = n.sendThroughOnion(req.replyOnion, wire.TProofResp, sealedResp)
+	e := req.replyBody()
+	e.Bytes(req.subject[:]).U64(kind).Bytes(payload)
+	n.reply(&req.request, &e)
 }
 
 // countProofServed counts one proof payload served (agent or edge).

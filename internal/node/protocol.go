@@ -1,9 +1,7 @@
 package node
 
 import (
-	"crypto/ecdh"
-	"crypto/ed25519"
-	"errors"
+	"bytes"
 	"fmt"
 	"math"
 	"time"
@@ -11,7 +9,6 @@ import (
 	"hirep/internal/agentdir"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
-	"hirep/internal/resilience"
 	"hirep/internal/trust"
 	"hirep/internal/wire"
 )
@@ -90,88 +87,53 @@ func (n *Node) sendThroughOnionTimeout(o *onion.Onion, innerType wire.MsgType, s
 // RequestTrust asks agent for its trust value of subject (§3.5.1/§3.5.2).
 // replyOnion is this node's own onion, through which the agent answers. The
 // returned hasData is false when the agent has no reports about the subject.
-// Transient failures (an unreachable entry relay, a lost response) are
-// retried under the node's retry policy with a fresh nonce per attempt.
+// Transient failures are retried under the node's retry policy.
 func (n *Node) RequestTrust(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (trust.Value, bool, error) {
 	return n.requestTrust(agent, subject, replyOnion, 0, n.timeout())
 }
 
 // requestTrust is RequestTrust with the attempt budget and response wait
 // exposed: attempts <= 0 uses the retry policy's budget; probes pass 1 and a
-// short wait. Protocol-level rejections (a bad agent signature, a closed
-// node) are permanent and never retried.
+// short wait.
 func (n *Node) requestTrust(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, attempts int, wait time.Duration) (trust.Value, bool, error) {
 	var (
 		v       trust.Value
 		hasData bool
 	)
-	err := n.retrier.DoMax(attempts, func(_ int, _ time.Duration) error {
+	err := n.retry(attempts, func(time.Duration) error {
 		var aerr error
 		v, hasData, aerr = n.requestTrustOnce(agent, subject, replyOnion, wait)
-		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrBadAgent) || errors.Is(aerr, ErrWrongOwner) {
-			return resilience.Permanent(aerr)
-		}
 		return aerr
 	})
 	return v, hasData, err
 }
 
-// requestTrustOnce runs one complete request/response exchange: send the
-// sealed request through the agent's onion and wait up to wait for the
-// response to arrive back through replyOnion.
+// requestTrustOnce runs one trust exchange. Request body: subject. Reply
+// body: subject, value, hasData, wrong-owner flag.
 func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (trust.Value, bool, error) {
-	if n.isClosed() {
-		return 0, false, ErrClosed
-	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
-		return 0, false, resilience.Permanent(fmt.Errorf("node: agent onion: %w", err))
-	}
-	nonce, err := pkc.NewNonce(nil)
+	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		return 0, false, err
 	}
-	// Plaintext request: SP_p, AP_p, subject, nonce, reply onion — then
-	// sealed to the agent's anonymity key (the paper's SP_e(R) encryption).
-	self := n.identity()
-	var e wire.Encoder
-	e.Bytes(self.Sign.Public)
-	e.Bytes(self.Anon.Public.Bytes())
-	e.Bytes(subject[:])
-	e.Bytes(nonce[:])
-	encodeOnion(&e, replyOnion)
-	sealed, err := pkc.Seal(agent.AP, e.Encode(), nil)
+	q.body.Bytes(subject[:])
+	r, err := n.exchange(agent, wire.TTrustReq, &q, wait)
 	if err != nil {
 		return 0, false, err
 	}
-	ch := make(chan trustResponse, 1)
-	n.mu.Lock()
-	n.pending[nonce] = ch
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pending, nonce)
-		n.mu.Unlock()
-	}()
-	// Single-attempt send: the enclosing requestTrust loop owns retries, so a
-	// dead entry relay costs one dial here, not a nested retry storm.
-	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TTrustReq, sealed, wait); err != nil {
-		return 0, false, err
+	subjRaw := r.Bytes()
+	value := trust.Value(math.Float64frombits(r.U64()))
+	hasData := r.Bool()
+	wrongOwner := r.Bool()
+	if r.Finish() != nil || !bytes.Equal(subjRaw, subject[:]) || !value.Valid() {
+		return 0, false, ErrBadAgent
 	}
-	select {
-	case resp := <-ch:
-		if resp.subject != subject {
-			return 0, false, ErrBadAgent
-		}
-		if resp.wrongOwner {
-			// The agent's group does not own this subject under its placement
-			// epoch: a routing miss, not an answer. The routed caller
-			// refreshes its map and re-asks the owner.
-			return 0, false, ErrWrongOwner
-		}
-		return resp.value, resp.hasData, nil
-	case <-time.After(wait):
-		return 0, false, ErrTimeout
+	if wrongOwner {
+		// The agent's group does not own this subject under its placement
+		// epoch: a routing miss, not an answer. The routed caller refreshes
+		// its map and re-asks the owner.
+		return 0, false, ErrWrongOwner
 	}
+	return value, hasData, nil
 }
 
 // ReportTransaction sends a signed transaction report about subject to agent
@@ -204,147 +166,38 @@ func (n *Node) handleTrustReq(sealed []byte) {
 	if n.agent == nil {
 		return
 	}
-	// Open with whichever of our identities the requestor sealed to (it may
-	// hold a pre-rotation descriptor) and answer under that same identity so
-	// its signature check passes.
-	self, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	d := wire.NewDecoder(plain)
-	spRaw := append([]byte(nil), d.Bytes()...)
-	apRaw := d.Bytes()
-	subjRaw := d.Bytes()
-	nonceRaw := d.Bytes()
-	replyOnion, onionErr := decodeOnion(d)
-	if d.Finish() != nil || onionErr != nil {
-		return
-	}
-	if len(spRaw) != ed25519.PublicKeySize || len(subjRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	requestorSP := ed25519.PublicKey(spRaw)
-	requestorAP, err := ecdh.X25519().NewPublicKey(apRaw)
+	req, err := n.openRequest(sealed)
 	if err != nil {
 		return
 	}
-	requestorID := pkc.DeriveNodeID(requestorSP)
+	subject, ok := decodeNodeID(&req.body)
+	if !ok || req.body.Finish() != nil {
+		return
+	}
 	// §3.5.2: "E will add the nodeid and public key of P to its public key
 	// list if P's nodeid is not in the list."
-	if err := n.agent.RegisterKey(requestorID, requestorSP); err != nil {
+	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
 	}
-	// The reply onion must be signed by the requestor and non-stale.
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
-		return
-	}
-	n.mu.Lock()
-	ageErr := n.ages.Accept(requestorID, replyOnion)
-	n.mu.Unlock()
-	if ageErr != nil {
-		return
-	}
-	var subject pkc.NodeID
-	copy(subject[:], subjRaw)
 	// Routed overlay (DESIGN.md §12): a subject outside this group's shards
 	// gets a signed wrong-owner answer instead of a tally — this agent may
 	// hold a partial (or no) view of it, and serving that would be worse
 	// than redirecting the requestor to the owner.
-	var (
-		value      trust.Value
-		hasData    bool
-		wrongOwner bool
-	)
-	if _, read := n.subjectOwnership(subject); !read {
-		wrongOwner = true
-		value = 0.5
+	value, hasData := trust.Value(0.5), false // uninformed prior, flagged to the requestor
+	_, owned := n.subjectOwnership(subject)
+	if owned {
+		if v, ok := n.agent.TrustValue(subject); ok {
+			value, hasData = v, true
+		}
+		n.stats.trustServed.Add(1)
+	} else {
+		// A redirect, not a served value.
 		n.stats.placementRedirects.Add(1)
 		n.cnt.placementRedirects.Inc()
-	} else {
-		value, hasData = n.agent.TrustValue(subject)
-		if !hasData {
-			value = 0.5 // no reports: uninformed prior, flagged to the requestor
-		}
 	}
-	// Response: subject, value, hasData, nonce, then — only when set — the
-	// wrong-owner flag, SP_e, signature; sealed to the requestor's anonymity
-	// key and routed through its onion. The flag is trailing-optional for
-	// version compatibility: a pre-overlay responder never emits it and a
-	// pre-overlay requestor never receives it (ordinary answers keep the
-	// original shape), so mixed-version fleets only diverge on an actual
-	// wrong-owner redirect, which old requestors could not act on anyway.
-	var body wire.Encoder
-	body.Bytes(subject[:])
-	body.U64(math.Float64bits(float64(value)))
-	body.Bool(hasData)
-	body.Bytes(nonceRaw)
-	if wrongOwner {
-		body.Bool(true)
-	}
-	signedPart := body.Encode()
-	sig := self.SignMessage(signedPart)
-	var e wire.Encoder
-	e.Bytes(signedPart).Bytes(self.Sign.Public).Bytes(sig)
-	sealedResp, err := pkc.Seal(requestorAP, e.Encode(), nil)
-	if err != nil {
-		return
-	}
-	if !wrongOwner {
-		// A wrong-owner answer is a routing redirect, not a served value;
-		// it is counted in placementRedirects above instead.
-		n.stats.trustServed.Add(1)
-	}
-	_ = n.sendThroughOnion(replyOnion, wire.TTrustResp, sealedResp)
-}
-
-// handleTrustResp consumes a trust response arriving through this node's own
-// onion and routes it to the waiting request.
-func (n *Node) handleTrustResp(sealed []byte) {
-	_, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	d := wire.NewDecoder(plain)
-	signedPart := d.Bytes()
-	agentSP := d.Bytes()
-	sig := d.Bytes()
-	if d.Finish() != nil {
-		return
-	}
-	if len(agentSP) != ed25519.PublicKeySize || !pkc.Verify(ed25519.PublicKey(agentSP), signedPart, sig) {
-		return
-	}
-	b := wire.NewDecoder(signedPart)
-	subjRaw := b.Bytes()
-	bits := b.U64()
-	hasData := b.Bool()
-	nonceRaw := b.Bytes()
-	// Trailing-optional (see handleTrustReq): absent on ordinary answers and
-	// on responses from pre-overlay agents, present only on a redirect.
-	wrongOwner := false
-	if b.More() {
-		wrongOwner = b.Bool()
-	}
-	if b.Finish() != nil || len(subjRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	var subject pkc.NodeID
-	var nonce pkc.Nonce
-	copy(subject[:], subjRaw)
-	copy(nonce[:], nonceRaw)
-	value := trust.Value(math.Float64frombits(bits))
-	if !value.Valid() {
-		return
-	}
-	n.mu.Lock()
-	ch := n.pending[nonce]
-	n.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- trustResponse{subject: subject, value: value, hasData: hasData, wrongOwner: wrongOwner}:
-		default:
-		}
-	}
+	e := req.replyBody()
+	e.Bytes(subject[:]).U64(math.Float64bits(float64(value))).Bool(hasData).Bool(!owned)
+	n.reply(&req, &e)
 }
 
 // handleReport stores a signed transaction report (§3.5.3).

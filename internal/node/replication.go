@@ -1,7 +1,7 @@
 package node
 
 import (
-	"crypto/ecdh"
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
@@ -1025,51 +1025,27 @@ type ReplStatus struct {
 // ReplicationStatus asks agent (through its onion) how caught-up its replica
 // of primary is. promote additionally instructs the agent to reconcile with
 // the surviving replicas before answering, so the returned position reflects
-// the post-pull state. Single attempt; callers own retries.
+// the post-pull state. Single attempt; callers own retries. Request body:
+// primary, promote flag. Reply body: primary, epoch, last sequence, reports.
 func (n *Node) ReplicationStatus(agent AgentInfo, primary pkc.NodeID, promote bool, replyOnion *onion.Onion, wait time.Duration) (ReplStatus, error) {
-	if n.isClosed() {
-		return ReplStatus{}, ErrClosed
-	}
-	if err := agent.Onion.VerifySig(agent.SP); err != nil {
-		return ReplStatus{}, fmt.Errorf("node: agent onion: %w", err)
-	}
-	nonce, err := pkc.NewNonce(nil)
+	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		return ReplStatus{}, err
 	}
-	self := n.identity()
-	var e wire.Encoder
-	e.Bytes(self.Sign.Public)
-	e.Bytes(self.Anon.Public.Bytes())
-	e.Bytes(primary[:])
-	e.Bytes(nonce[:])
-	e.Bool(promote)
-	encodeOnion(&e, replyOnion)
-	sealed, err := pkc.Seal(agent.AP, e.Encode(), nil)
+	q.body.Bytes(primary[:]).Bool(promote)
+	r, err := n.exchange(agent, wire.TReplStatusReq, &q, wait)
 	if err != nil {
 		return ReplStatus{}, err
 	}
-	ch := make(chan ReplStatus, 1)
-	n.mu.Lock()
-	n.pendingStatus[nonce] = ch
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.pendingStatus, nonce)
-		n.mu.Unlock()
-	}()
-	if err := n.sendThroughOnionTimeout(agent.Onion, wire.TReplStatusReq, sealed, wait); err != nil {
-		return ReplStatus{}, err
+	st := ReplStatus{Primary: primary}
+	primaryRaw := r.Bytes()
+	st.Epoch = r.U64()
+	st.LastSeq = r.U64()
+	st.Reports = int64(r.U64())
+	if r.Finish() != nil || !bytes.Equal(primaryRaw, primary[:]) {
+		return ReplStatus{}, ErrBadAgent
 	}
-	select {
-	case st := <-ch:
-		if st.Primary != primary {
-			return ReplStatus{}, ErrBadAgent
-		}
-		return st, nil
-	case <-time.After(wait):
-		return ReplStatus{}, ErrTimeout
-	}
+	return st, nil
 }
 
 // handleReplStatusReq answers a replication-status probe arriving through
@@ -1080,43 +1056,18 @@ func (n *Node) handleReplStatusReq(sealed []byte) {
 	if n.agent == nil {
 		return
 	}
-	self, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	d := wire.NewDecoder(plain)
-	spRaw := append([]byte(nil), d.Bytes()...)
-	apRaw := d.Bytes()
-	primaryRaw := d.Bytes()
-	nonceRaw := d.Bytes()
-	promote := d.Bool()
-	replyOnion, onionErr := decodeOnion(d)
-	if d.Finish() != nil || onionErr != nil {
-		return
-	}
-	if len(spRaw) != ed25519.PublicKeySize || len(primaryRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	requestorSP := ed25519.PublicKey(spRaw)
-	requestorAP, err := ecdh.X25519().NewPublicKey(apRaw)
+	req, err := n.openRequest(sealed)
 	if err != nil {
 		return
 	}
-	requestorID := pkc.DeriveNodeID(requestorSP)
-	if err := n.agent.RegisterKey(requestorID, requestorSP); err != nil {
+	primary, ok := decodeNodeID(&req.body)
+	promote := req.body.Bool()
+	if !ok || req.body.Finish() != nil {
 		return
 	}
-	if err := replyOnion.VerifySig(requestorSP); err != nil {
+	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
 	}
-	n.mu.Lock()
-	ageErr := n.ages.Accept(requestorID, replyOnion)
-	n.mu.Unlock()
-	if ageErr != nil {
-		return
-	}
-	var primary pkc.NodeID
-	copy(primary[:], primaryRaw)
 	if promote {
 		n.pullFromSurvivors(primary)
 	}
@@ -1125,62 +1076,9 @@ func (n *Node) handleReplStatusReq(sealed []byte) {
 	if store != nil {
 		reports = int64(store.ReportCount())
 	}
-	var body wire.Encoder
-	body.Bytes(primary[:])
-	body.U64(epoch)
-	body.U64(lastSeq)
-	body.U64(uint64(reports))
-	body.Bytes(nonceRaw)
-	signedPart := body.Encode()
-	sig := self.SignMessage(signedPart)
-	var e wire.Encoder
-	e.Bytes(signedPart).Bytes(self.Sign.Public).Bytes(sig)
-	sealedResp, err := pkc.Seal(requestorAP, e.Encode(), nil)
-	if err != nil {
-		return
-	}
-	_ = n.sendThroughOnion(replyOnion, wire.TReplStatusResp, sealedResp)
-}
-
-// handleReplStatusResp routes a replication-status answer to the waiting
-// probe.
-func (n *Node) handleReplStatusResp(sealed []byte) {
-	_, plain, ok := n.openAny(sealed)
-	if !ok {
-		return
-	}
-	d := wire.NewDecoder(plain)
-	signedPart := d.Bytes()
-	agentSP := d.Bytes()
-	sig := d.Bytes()
-	if d.Finish() != nil {
-		return
-	}
-	if len(agentSP) != ed25519.PublicKeySize || !pkc.Verify(ed25519.PublicKey(agentSP), signedPart, sig) {
-		return
-	}
-	b := wire.NewDecoder(signedPart)
-	primaryRaw := b.Bytes()
-	epoch := b.U64()
-	lastSeq := b.U64()
-	reports := b.U64()
-	nonceRaw := b.Bytes()
-	if b.Finish() != nil || len(primaryRaw) != pkc.NodeIDSize || len(nonceRaw) != pkc.NonceSize {
-		return
-	}
-	var primary pkc.NodeID
-	var nonce pkc.Nonce
-	copy(primary[:], primaryRaw)
-	copy(nonce[:], nonceRaw)
-	n.mu.Lock()
-	ch := n.pendingStatus[nonce]
-	n.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- ReplStatus{Primary: primary, Epoch: epoch, LastSeq: lastSeq, Reports: int64(reports)}:
-		default:
-		}
-	}
+	e := req.replyBody()
+	e.Bytes(primary[:]).U64(epoch).U64(lastSeq).U64(uint64(reports))
+	n.reply(&req, &e)
 }
 
 // PromoteReplica performs stateful backup promotion for a dead primary

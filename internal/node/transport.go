@@ -22,7 +22,7 @@ const defaultMaxSessions = 256
 const firstFrameTimeout = 5 * time.Second
 
 // acceptLoop serves inbound connections. Each accepted conn is handed to
-// transport.ServeConn, which sniffs hello-vs-legacy and runs the
+// transport.ServeConn, which sniffs session-vs-one-shot and runs the
 // appropriate loop; the sessionSem gate bounds how many conns are served at
 // once so a conn flood cannot exhaust goroutines — beyond the cap,
 // connections are closed on arrival and counted as shed.
@@ -47,7 +47,7 @@ func (n *Node) acceptLoop() {
 		default:
 			// At the session cap: shed the connection instead of queuing a
 			// goroutine behind it. The peer sees a close-before-hello-ack,
-			// which its pool treats as a transient failure, not legacy.
+			// which its pool treats as a transient failure.
 			conn.Close()
 			n.stats.sessionsShed.Add(1)
 			n.sessShedCnt.Inc()

@@ -80,67 +80,22 @@ func TestConnFloodShedsSessions(t *testing.T) {
 	}
 }
 
-// legacyNodeServer mimics the pre-transport accept loop at the node
-// protocol level: one plain frame per connection, TPing echoed as TPong,
-// unknown types (hellos included) silently dropped.
-func legacyNodeServer(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				_ = c.SetDeadline(time.Now().Add(2 * time.Second))
-				typ, payload, err := wire.ReadFrame(c)
-				if err != nil || typ != wire.TPing {
-					return
-				}
-				_ = wire.WriteFrame(c, wire.TPong, payload)
-			}(c)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestLegacyInterop pins both interop directions of the hello negotiation:
-// a pooled node talking to a legacy one-shot peer falls back transparently,
-// and a legacy one-shot client gets served by a pooled node's listener.
-func TestLegacyInterop(t *testing.T) {
+// TestOneShotClientServed pins the one-shot-server case: a dial-per-frame
+// client (the BenchmarkRoundTripDirect baseline) is served by a pooled
+// node's listener.
+func TestOneShotClientServed(t *testing.T) {
 	n, err := Listen("127.0.0.1:0", Options{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-
-	// Pooled node -> legacy peer: the hello is rejected by close, the
-	// verdict is cached, and pings complete one-shot.
-	legacyAddr := legacyNodeServer(t)
-	for i := 0; i < 3; i++ {
-		if !n.Ping(legacyAddr) {
-			t.Fatalf("ping %d to legacy peer failed", i)
-		}
-	}
-	if got := n.Metrics().Snapshot()["transport_legacy_frames_total"]; got == 0 {
-		t.Fatal("pings to a legacy peer never took the legacy fallback")
-	}
-
-	// Legacy client -> pooled node: a one-shot exchange against the session
-	// listener still gets the old single-frame semantics.
 	dial := resilience.NetDialer("tcp")
 	typ, resp, err := transport.DirectRoundTrip(dial, n.Addr(), wire.TPing, []byte("nonce"), 2*time.Second)
 	if err != nil {
-		t.Fatalf("legacy client against pooled node: %v", err)
+		t.Fatalf("one-shot client against pooled node: %v", err)
 	}
 	if typ != wire.TPong || string(resp) != "nonce" {
-		t.Fatalf("legacy client got (%v, %q)", typ, resp)
+		t.Fatalf("one-shot client got (%v, %q)", typ, resp)
 	}
 }
 

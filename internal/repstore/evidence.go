@@ -25,8 +25,7 @@ import (
 //
 // where key/wire are the rotated-away identity's signing key and the signed
 // key-update certificate authorizing the succession (both empty for an
-// uncertified link recorded by a bare Merge). Pre-HRSNAP05 snapshots carry
-// the IDs-only layout, loaded as uncertified links.
+// uncertified link recorded by a bare Merge).
 //
 // In canonical encodings (shard exports) subjects and links are sorted
 // ascending by ID bytes; the snapshot body is not canonical and writes them
@@ -296,7 +295,7 @@ func appendLineageSection(body []byte, links []LineageLink) []byte {
 	return body
 }
 
-// decodeLineageSection parses one lineage section (certified layout).
+// decodeLineageSection parses one lineage section.
 func decodeLineageSection(d *snapReader) []LineageLink {
 	count := d.u32()
 	hint := int(count)
@@ -328,27 +327,6 @@ func decodeLineageSection(d *snapReader) []LineageLink {
 		if wireLen > 0 {
 			l.Wire = append([]byte(nil), d.take(wireLen)...)
 		}
-		if d.err != nil {
-			return nil
-		}
-		links = append(links, l)
-	}
-	return links
-}
-
-// decodeLineageSectionV4 parses the pre-certificate (HRSNAP04) IDs-only
-// layout; the links load uncertified.
-func decodeLineageSectionV4(d *snapReader) []LineageLink {
-	count := d.u32()
-	hint := int(count)
-	if hint > 1024 {
-		hint = 1024
-	}
-	links := make([]LineageLink, 0, hint)
-	for i := uint32(0); i < count; i++ {
-		var l LineageLink
-		copy(l.Old[:], d.take(pkc.NodeIDSize))
-		copy(l.New[:], d.take(pkc.NodeIDSize))
 		if d.err != nil {
 			return nil
 		}

@@ -464,26 +464,35 @@ func TestAutoCompaction(t *testing.T) {
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s.Append(Record{Reporter: nid(1), Subject: nid(2), Positive: true, Nonce: nnc(1)})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapName)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-1] ^= 0xFF
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("corrupt snapshot opened: %v", err)
+	for name, damage := range map[string]func(buf []byte){
+		"flipped byte": func(buf []byte) { buf[len(buf)-1] ^= 0xFF },
+		// HRSNAP05 is the only format: an older magic over an otherwise
+		// intact file is refused, not loaded under guessed layout rules.
+		"old magic": func(buf []byte) { copy(buf, "HRSNAP04") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = s.Append(Record{Reporter: nid(1), Subject: nid(2), Positive: true, Nonce: nnc(1)})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, snapName)
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(buf)
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Fatalf("damaged snapshot opened: %v", err)
+			}
+		})
 	}
 }
 

@@ -19,25 +19,21 @@ import (
 //	subject[20] | u64 pos | u64 neg | u32 reporter count |
 //	  (reporter[20] | u32 pos | u32 neg)*
 //
-// then (HRSNAP03 and later) the handoff merge markers:
+// then the handoff merge markers:
 //
 //	u32 marker count | (u64 placement epoch | u32 shard)*
 //
 // The markers travel with the tallies because they guard the tallies: a
 // marker without its merged data (or vice versa) would either lose a shard to
 // a refused re-pull or double-count it on a re-run, so both become durable in
-// the same atomic rename. HRSNAP02 snapshots (no marker section) still load,
-// with no markers.
+// the same atomic rename.
 //
-// HRSNAP04 appends the verifiable-read state (DESIGN.md §14) after the
-// markers: the merge-lineage section, then the evidence section (layouts in
-// evidence.go). Both fold into the snapshot for the same reason the markers
-// do — evidence torn from the tally it backs would turn honest bundles
-// partial (or worse, unverifiable) after a restart. HRSNAP05 extends the
-// lineage section with each link's key-update certificate, so a bundle
-// spanning a §3.5 rotation stays provable after compaction. HRSNAP04/03/02
-// snapshots still load — 04's IDs-only lineage loads uncertified, 03/02 with
-// empty evidence and lineage.
+// The verifiable-read state (DESIGN.md §14) follows the markers: the
+// merge-lineage section — each link with its key-update certificate, so a
+// bundle spanning a §3.5 rotation stays provable after compaction — then the
+// evidence section (layouts in evidence.go). Both fold into the snapshot for
+// the same reason the markers do — evidence torn from the tally it backs
+// would turn honest bundles partial (or worse, unverifiable) after a restart.
 //
 // epoch is the snapshot's WAL replay floor: the snapshot contains every
 // record from WAL epochs below it, so recovery replays only epoch files at
@@ -52,9 +48,6 @@ import (
 const (
 	snapName     = "snapshot"
 	snapMagic    = "HRSNAP05"
-	snapMagicV4  = "HRSNAP04" // pre-certificate lineage layout, still loadable
-	snapMagicV3  = "HRSNAP03" // pre-evidence format, still loadable
-	snapMagicV2  = "HRSNAP02" // pre-marker format, still loadable
 	snapMagicLen = 8
 )
 
@@ -165,18 +158,7 @@ func (s *Store) loadSnapshot() (uint64, error) {
 	if len(buf) < snapMagicLen+16 {
 		return 0, fmt.Errorf("%w: bad header", ErrCorruptSnapshot)
 	}
-	magic := string(buf[:snapMagicLen])
-	ver := 0
-	switch magic {
-	case snapMagic:
-		ver = 5
-	case snapMagicV4:
-		ver = 4
-	case snapMagicV3:
-		ver = 3
-	case snapMagicV2:
-		ver = 2
-	default:
+	if string(buf[:snapMagicLen]) != snapMagic {
 		return 0, fmt.Errorf("%w: bad header", ErrCorruptSnapshot)
 	}
 	hdr := buf[snapMagicLen:]
@@ -192,19 +174,16 @@ func (s *Store) loadSnapshot() (uint64, error) {
 	if want != crc {
 		return 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptSnapshot)
 	}
-	if err := s.decodeState(body, ver); err != nil {
+	if err := s.decodeState(body); err != nil {
 		return 0, err
 	}
 	return epoch, nil
 }
 
 // decodeState parses a snapshot body into the shards. The body passed its
-// CRC, so structural violations still mean corruption (or a version skew)
-// and error out rather than guessing. ver is the format version the magic
-// declared: 3+ has the handoff merge-marker section after the subjects, 4+
-// the lineage + evidence sections after the markers, 5+ the certified
-// lineage layout (4 carries IDs only).
-func (s *Store) decodeState(body []byte, ver int) error {
+// CRC, so structural violations still mean corruption and error out rather
+// than guessing.
+func (s *Store) decodeState(body []byte) error {
 	d := snapReader{buf: body}
 	count := d.u32()
 	total := int64(0)
@@ -234,36 +213,28 @@ func (s *Store) decodeState(body []byte, ver int) error {
 		s.shardFor(subject).subjects[subject] = st
 		total += int64(pos + neg)
 	}
-	if ver >= 3 {
-		nmark := d.u32()
-		for i := uint32(0); i < nmark; i++ {
-			mark := mergeMark{epoch: d.u64(), shard: d.u32()}
-			if d.err != nil {
-				return d.err
-			}
-			s.merged[mark] = true
+	nmark := d.u32()
+	for i := uint32(0); i < nmark; i++ {
+		mark := mergeMark{epoch: d.u64(), shard: d.u32()}
+		if d.err != nil {
+			return d.err
 		}
+		s.merged[mark] = true
 	}
-	if ver >= 4 {
-		if ver >= 5 {
-			s.addLineage(decodeLineageSection(&d))
-		} else {
-			s.addLineage(decodeLineageSectionV4(&d))
+	s.addLineage(decodeLineageSection(&d))
+	decodeEvidenceSection(&d, func(subject pkc.NodeID, evs []evrec, truncated bool) bool {
+		st := s.shardFor(subject).subjects[subject]
+		if st == nil {
+			return false // evidence for a subject the tally section never named
 		}
-		decodeEvidenceSection(&d, func(subject pkc.NodeID, evs []evrec, truncated bool) bool {
-			st := s.shardFor(subject).subjects[subject]
-			if st == nil {
-				return false // evidence for a subject the tally section never named
-			}
-			if s.opts.EvidenceCap <= 0 {
-				return true // retention turned off this session; drop the wires
-			}
-			st.ev = evs
-			st.evTrunc = truncated
-			st.trimEvidence(s.opts.EvidenceCap) // cap may have shrunk across restarts
-			return true
-		})
-	}
+		if s.opts.EvidenceCap <= 0 {
+			return true // retention turned off this session; drop the wires
+		}
+		st.ev = evs
+		st.evTrunc = truncated
+		st.trimEvidence(s.opts.EvidenceCap) // cap may have shrunk across restarts
+		return true
+	})
 	if d.err != nil {
 		return d.err
 	}

@@ -13,7 +13,7 @@ import (
 
 // Responder lets a handler answer the frame it was given. For a session
 // connection the response is a stream frame tagged with the request's
-// stream id; for a legacy connection it is a plain frame on the one-shot
+// stream id; for a one-shot connection it is a plain frame on the same
 // socket. Handlers that don't respond simply never call Respond.
 type Responder interface {
 	Respond(typ wire.MsgType, payload []byte) error
@@ -30,7 +30,7 @@ type ServerConfig struct {
 	// this many handlers are running.
 	MaxStreams int
 	// FirstFrameTimeout bounds the wait for the opening frame, which decides
-	// legacy vs session.
+	// one-shot vs session.
 	FirstFrameTimeout time.Duration
 	// IdleTimeout ends a session that carried no frame for this long.
 	IdleTimeout time.Duration
@@ -68,8 +68,8 @@ func decodeFailure(err error) bool {
 
 // ServeConn owns one accepted connection for its whole life. It sniffs the
 // first frame: a THello upgrades the connection to a multiplexed session;
-// anything else is served as a legacy one-shot exchange — exactly the old
-// accept-loop behavior, which is what keeps pre-session peers interoperable.
+// anything else is served as a one-shot exchange (DirectRoundTrip's
+// counterpart): handle that single frame, answer on the same socket, close.
 // It returns when the connection is done.
 func ServeConn(nc net.Conn, cfg ServerConfig, h Handler) {
 	cfg.withDefaults()
@@ -92,12 +92,12 @@ func ServeConn(nc net.Conn, cfg ServerConfig, h Handler) {
 	}
 
 	if typ != wire.THello {
-		// Legacy one-shot peer: handle this single frame and close.
+		// One-shot peer: handle this single frame and close.
 		if cfg.OnFrame != nil {
 			cfg.OnFrame(typ)
 		}
 		_ = nc.SetDeadline(time.Now().Add(cfg.WriteTimeout))
-		h(typ, payload, legacyResponder{nc})
+		h(typ, payload, oneShotResponder{nc})
 		return
 	}
 
@@ -159,10 +159,10 @@ func serveSession(nc net.Conn, br *bufio.Reader, cfg ServerConfig, h Handler) {
 	}
 }
 
-// legacyResponder answers on the one-shot socket with a plain frame.
-type legacyResponder struct{ nc net.Conn }
+// oneShotResponder answers on the one-shot socket with a plain frame.
+type oneShotResponder struct{ nc net.Conn }
 
-func (r legacyResponder) Respond(typ wire.MsgType, payload []byte) error {
+func (r oneShotResponder) Respond(typ wire.MsgType, payload []byte) error {
 	return wire.WriteFrame(r.nc, typ, payload)
 }
 

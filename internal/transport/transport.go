@@ -1,7 +1,6 @@
 // Package transport is the live node's connection layer (DESIGN.md §9): a
 // per-peer pool of persistent, stream-multiplexed connections with bounded
-// in-flight windows, idle reaping, and transparent fallback to legacy
-// one-shot framing for peers that predate the session protocol.
+// in-flight windows and idle reaping.
 //
 // hiREP's headline claim is low messaging overhead — a peer talks only to
 // its small agent set — so the same few links carry all of a node's
@@ -13,19 +12,12 @@
 // Wire shape of a pooled connection:
 //
 //	dial → THello (plain frame) → THelloAck (plain frame) → stream frames
-//
-// A legacy peer reads the hello as its single one-shot frame, ignores the
-// unknown type, and closes; the dialer sees EOF, remembers the peer as
-// legacy for Options.LegacyTTL, and falls back to dial-per-frame for it.
-// Dead peers time out instead of closing, so they are never mislabeled.
 package transport
 
 import (
 	"bufio"
 	"errors"
-	"io"
 	"sync"
-	"syscall"
 	"time"
 
 	"hirep/internal/metrics"
@@ -58,7 +50,6 @@ const (
 	DefaultMaxConnsPerPeer = 2
 	DefaultMaxStreams      = 64
 	DefaultIdleTimeout     = 60 * time.Second
-	DefaultLegacyTTL       = time.Minute
 	DefaultDrainTimeout    = 500 * time.Millisecond
 
 	// stalledTimeouts is how many consecutive request timeouts (with no
@@ -86,9 +77,6 @@ type Options struct {
 	MaxStreams int
 	// IdleTimeout reaps connections that carried no frame for this long.
 	IdleTimeout time.Duration
-	// LegacyTTL is how long a "peer is legacy" verdict is cached before the
-	// next call re-attempts session negotiation.
-	LegacyTTL time.Duration
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before hard-closing the remaining connections.
 	DrainTimeout time.Duration
@@ -109,9 +97,6 @@ func (o *Options) withDefaults() {
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = DefaultIdleTimeout
 	}
-	if o.LegacyTTL <= 0 {
-		o.LegacyTTL = DefaultLegacyTTL
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = DefaultDrainTimeout
 	}
@@ -123,10 +108,9 @@ func (o *Options) withDefaults() {
 // poolMetrics are the registry-backed counters, resolved once at New so the
 // hot path touches only atomics.
 type poolMetrics struct {
-	dials         *metrics.Counter // raw dials issued (sessions + one-shots)
+	dials         *metrics.Counter // raw session dials issued
 	dialsAvoided  *metrics.Counter // frames served over an already-pooled conn
 	poolMisses    *metrics.Counter // frames that had to dial a fresh session conn
-	legacy        *metrics.Counter // frames served via legacy one-shot fallback
 	shed          *metrics.Counter // frames dropped with ErrSaturated
 	framesOut     *metrics.Counter // stream frames written on pooled conns
 	framesIn      *metrics.Counter // stream frames read on pooled conns
@@ -142,7 +126,6 @@ func (m *poolMetrics) bind(r *metrics.Registry) {
 	m.dials = r.Counter("transport_dials_total")
 	m.dialsAvoided = r.Counter("transport_dials_avoided_total")
 	m.poolMisses = r.Counter("transport_pool_miss_total")
-	m.legacy = r.Counter("transport_legacy_frames_total")
 	m.shed = r.Counter("transport_shed_total")
 	m.framesOut = r.Counter("transport_frames_out_total")
 	m.framesIn = r.Counter("transport_frames_in_total")
@@ -156,10 +139,9 @@ func (m *poolMetrics) bind(r *metrics.Registry) {
 
 // peerState is the pool's view of one remote address.
 type peerState struct {
-	conns       []*conn
-	dialing     int           // in-progress session dials, counted against MaxConnsPerPeer
-	legacyUntil time.Time     // while in the future, skip negotiation and go one-shot
-	wait        chan struct{} // closed when a dial completes, waking queued acquirers
+	conns   []*conn
+	dialing int           // in-progress session dials, counted against MaxConnsPerPeer
+	wait    chan struct{} // closed when a dial completes, waking queued acquirers
 }
 
 // waiter returns the channel acquirers block on while a dial is in flight.
@@ -217,8 +199,7 @@ func (p *Pool) Metrics() *metrics.Registry { return p.opts.Metrics }
 const MaxSendPayload = wire.MaxFrame - 5
 
 // RoundTrip sends one frame to addr and returns the matched response,
-// multiplexed over a pooled session connection when the peer supports it
-// and via a one-shot dial when it is legacy. budget bounds the whole
+// multiplexed over a pooled session connection. budget bounds the whole
 // operation, negotiation included.
 func (p *Pool) RoundTrip(addr string, typ wire.MsgType, payload []byte, budget time.Duration) (wire.MsgType, []byte, error) {
 	if len(payload) > MaxSendPayload {
@@ -228,9 +209,6 @@ func (p *Pool) RoundTrip(addr string, typ wire.MsgType, payload []byte, budget t
 	c, err := p.acquire(addr, deadline)
 	if err != nil {
 		return 0, nil, err
-	}
-	if c == nil { // legacy peer
-		return DirectRoundTrip(p.opts.Dialer, addr, typ, payload, time.Until(deadline))
 	}
 	rtyp, resp, err := c.roundTrip(typ, payload, deadline)
 	p.releaseConn(c)
@@ -247,20 +225,16 @@ func (p *Pool) Send(addr string, typ wire.MsgType, payload []byte, budget time.D
 	if err != nil {
 		return err
 	}
-	if c == nil { // legacy peer
-		return DirectSend(p.opts.Dialer, addr, typ, payload, time.Until(deadline))
-	}
 	err = c.send(typ, payload, deadline)
 	p.releaseConn(c)
 	return err
 }
 
 // acquire returns a session connection to addr with one in-flight window
-// slot reserved, or (nil, nil) when the peer is known legacy. It dials and
-// negotiates a fresh connection when the pool has room, queues behind an
-// in-flight dial rather than racing it, and sheds with ErrSaturated only
-// when every connection is at its window and the per-peer cap is reached
-// with no dial pending.
+// slot reserved. It dials and negotiates a fresh connection when the pool
+// has room, queues behind an in-flight dial rather than racing it, and sheds
+// with ErrSaturated only when every connection is at its window and the
+// per-peer cap is reached with no dial pending.
 func (p *Pool) acquire(addr string, deadline time.Time) (*conn, error) {
 	for {
 		p.mu.Lock()
@@ -272,11 +246,6 @@ func (p *Pool) acquire(addr string, deadline time.Time) (*conn, error) {
 		if ps == nil {
 			ps = &peerState{}
 			p.peers[addr] = ps
-		}
-		if time.Now().Before(ps.legacyUntil) {
-			p.mu.Unlock()
-			p.met.legacy.Inc()
-			return nil, nil
 		}
 		for _, c := range ps.conns {
 			if c.tryReserve() {
@@ -315,7 +284,7 @@ func (p *Pool) acquire(addr string, deadline time.Time) (*conn, error) {
 	ps.dialing++
 	p.mu.Unlock()
 
-	c, legacy, err := p.negotiate(addr, deadline)
+	c, err := p.negotiate(addr, deadline)
 
 	p.mu.Lock()
 	ps.dialing--
@@ -324,11 +293,6 @@ func (p *Pool) acquire(addr string, deadline time.Time) (*conn, error) {
 	case err != nil:
 		p.mu.Unlock()
 		return nil, err
-	case legacy:
-		ps.legacyUntil = time.Now().Add(p.opts.LegacyTTL)
-		p.mu.Unlock()
-		p.met.legacy.Inc()
-		return nil, nil
 	case p.closed:
 		p.mu.Unlock()
 		c.fail(ErrClosed)
@@ -351,19 +315,17 @@ func (p *Pool) releaseConn(c *conn) {
 	p.met.inflight.Add(-1)
 }
 
-// negotiate dials addr and runs the hello exchange. It returns the ready
-// session connection, or legacy == true when the peer closed the
-// connection on the hello — the legacy one-shot signature. Timeouts and
-// transport errors are returned as-is: a dead peer must not be mislabeled
-// legacy.
-func (p *Pool) negotiate(addr string, deadline time.Time) (*conn, bool, error) {
+// negotiate dials addr and runs the hello exchange, returning the ready
+// session connection. A peer that closes on the hello is a failed dial like
+// any other.
+func (p *Pool) negotiate(addr string, deadline time.Time) (*conn, error) {
 	budget := time.Until(deadline)
 	if budget <= 0 {
-		return nil, false, ErrTimeout
+		return nil, ErrTimeout
 	}
 	nc, err := p.opts.Dialer(addr, budget)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	p.met.dials.Inc()
 	_ = nc.SetDeadline(deadline)
@@ -371,7 +333,7 @@ func (p *Pool) negotiate(addr string, deadline time.Time) (*conn, bool, error) {
 	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello(hello)); err != nil {
 		nc.Close()
 		p.met.negotiateFail.Inc()
-		return nil, false, err
+		return nil, err
 	}
 	// The buffered reader outlives negotiation: the conn's readLoop keeps
 	// using it, so bytes it slurps past the ack are not lost.
@@ -379,22 +341,19 @@ func (p *Pool) negotiate(addr string, deadline time.Time) (*conn, bool, error) {
 	typ, payload, err := wire.ReadFrame(br)
 	if err != nil {
 		nc.Close()
-		if peerClosed(err) {
-			return nil, true, nil
-		}
 		p.met.negotiateFail.Inc()
-		return nil, false, err
+		return nil, err
 	}
 	if typ != wire.THelloAck {
 		nc.Close()
 		p.met.negotiateFail.Inc()
-		return nil, false, ErrNegotiate
+		return nil, ErrNegotiate
 	}
 	ack, err := wire.DecodeHello(payload)
 	if err != nil {
 		nc.Close()
 		p.met.negotiateFail.Inc()
-		return nil, false, ErrNegotiate
+		return nil, ErrNegotiate
 	}
 	window := p.opts.MaxStreams
 	if int(ack.MaxStreams) < window {
@@ -404,14 +363,7 @@ func (p *Pool) negotiate(addr string, deadline time.Time) (*conn, bool, error) {
 		window = 1
 	}
 	_ = nc.SetDeadline(time.Time{})
-	return newConn(p, addr, nc, br, window), false, nil
-}
-
-// peerClosed reports whether err is the shape a legacy one-shot peer
-// produces when it reads the hello, ignores the unknown type, and closes.
-func peerClosed(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET)
+	return newConn(p, addr, nc, br, window), nil
 }
 
 // removeConn drops a dead connection from the pool.
@@ -426,16 +378,6 @@ func (p *Pool) removeConn(c *conn) {
 				break
 			}
 		}
-	}
-	p.mu.Unlock()
-}
-
-// ForgetLegacy clears a cached legacy verdict for addr (tests and admin
-// tooling; the verdict also expires on its own after LegacyTTL).
-func (p *Pool) ForgetLegacy(addr string) {
-	p.mu.Lock()
-	if ps := p.peers[addr]; ps != nil {
-		ps.legacyUntil = time.Time{}
 	}
 	p.mu.Unlock()
 }
@@ -530,9 +472,9 @@ func (p *Pool) ConnCount() int {
 	return n
 }
 
-// DirectRoundTrip performs the legacy one-shot exchange: dial, write one
-// plain frame, read one plain frame, close. It is both the fallback for
-// legacy peers and the baseline the pooled path is benchmarked against.
+// DirectRoundTrip performs a one-shot exchange outside any pool: dial, write
+// one plain frame, read one plain frame, close. It is the dial-per-frame
+// baseline the pooled path is benchmarked against.
 func DirectRoundTrip(dial resilience.Dialer, addr string, typ wire.MsgType, payload []byte, budget time.Duration) (wire.MsgType, []byte, error) {
 	nc, err := dial(addr, budget)
 	if err != nil {
@@ -544,16 +486,4 @@ func DirectRoundTrip(dial resilience.Dialer, addr string, typ wire.MsgType, payl
 		return 0, nil, err
 	}
 	return wire.ReadFrame(nc)
-}
-
-// DirectSend performs the legacy one-shot fire-and-forget: dial, write one
-// plain frame, close.
-func DirectSend(dial resilience.Dialer, addr string, typ wire.MsgType, payload []byte, budget time.Duration) error {
-	nc, err := dial(addr, budget)
-	if err != nil {
-		return err
-	}
-	defer nc.Close()
-	_ = nc.SetDeadline(time.Now().Add(budget))
-	return wire.WriteFrame(nc, typ, payload)
 }

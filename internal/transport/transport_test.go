@@ -237,11 +237,9 @@ func TestSecondConnWhenWindowFull(t *testing.T) {
 	wg.Wait()
 }
 
-// legacyServer mimics the pre-session node: read exactly one plain frame,
-// answer TPing with TPong, then close — and silently drop unknown types,
-// which is what a hello looks like to it.
-func legacyServer(t *testing.T) string {
-	t.Helper()
+// TestPeerClosingOnHelloIsError: a peer that reads the hello and closes
+// without acking is a failed dial — no fallback, nothing pooled.
+func TestPeerClosingOnHelloIsError(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -256,48 +254,25 @@ func legacyServer(t *testing.T) string {
 			go func(nc net.Conn) {
 				defer nc.Close()
 				_ = nc.SetDeadline(time.Now().Add(time.Second))
-				typ, payload, err := wire.ReadFrame(nc)
-				if err != nil || typ != wire.TPing {
-					return // unknown frame: no-op, close (legacy behavior)
-				}
-				_ = wire.WriteFrame(nc, wire.TPong, payload)
+				_, _, _ = wire.ReadFrame(nc)
 			}(nc)
 		}
 	}()
-	return ln.Addr().String()
-}
-
-// TestLegacyFallback: a pooled client talking to a legacy peer must detect
-// the hello rejection, cache the verdict, and complete via one-shot frames.
-func TestLegacyFallback(t *testing.T) {
-	addr := legacyServer(t)
 	p := newTestPool(t, Options{})
-	for i := 0; i < 3; i++ {
-		typ, resp, err := p.RoundTrip(addr, wire.TPing, []byte{7}, time.Second)
-		if err != nil {
-			t.Fatalf("legacy round trip %d: %v", i, err)
-		}
-		if typ != wire.TPong || len(resp) != 1 || resp[0] != 7 {
-			t.Fatalf("legacy round trip %d: (%v, %v)", i, typ, resp)
-		}
-	}
-	snap := p.Metrics().Snapshot()
-	// First call burns one dial discovering the peer is legacy, then each
-	// call one-shots; the verdict is cached so negotiation never re-runs.
-	if got := snap["transport_legacy_frames_total"]; got != 3 {
-		t.Fatalf("legacy frames = %d, want 3", got)
+	if _, _, err := p.RoundTrip(ln.Addr().String(), wire.TPing, []byte{7}, time.Second); err == nil {
+		t.Fatal("round trip to a peer that closed on the hello succeeded")
 	}
 	if p.ConnCount() != 0 {
-		t.Fatalf("legacy peer left %d pooled conns", p.ConnCount())
+		t.Fatalf("rejected hello left %d pooled conns", p.ConnCount())
 	}
-	if err := p.Send(addr, wire.TPing, []byte{9}, time.Second); err != nil {
-		t.Fatalf("legacy send: %v", err)
+	if got := p.Metrics().Snapshot()["transport_negotiate_fail_total"]; got != 1 {
+		t.Fatalf("negotiate failures = %d, want 1", got)
 	}
 }
 
-// TestLegacyClientAgainstSessionServer: an old one-shot client hitting a
-// ServeConn server must get the old semantics (interop the other way).
-func TestLegacyClientAgainstSessionServer(t *testing.T) {
+// TestOneShotClientAgainstSessionServer: a DirectRoundTrip client hitting a
+// ServeConn server is served its single frame on the same socket.
+func TestOneShotClientAgainstSessionServer(t *testing.T) {
 	addr := sessionServer(t, ServerConfig{}, echoHandler(0))
 	dial := func(a string, d time.Duration) (net.Conn, error) {
 		return net.DialTimeout("tcp", a, d)
@@ -311,9 +286,9 @@ func TestLegacyClientAgainstSessionServer(t *testing.T) {
 	}
 }
 
-// TestDeadPeerIsNotLegacy: a peer that times out (rather than closing) must
-// surface an error, not get cached as legacy.
-func TestDeadPeerIsNotLegacy(t *testing.T) {
+// TestDeadPeerTimesOut: a peer that accepts and says nothing must surface an
+// error within budget.
+func TestDeadPeerTimesOut(t *testing.T) {
 	// A listener that accepts and then never reads or writes.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -334,9 +309,6 @@ func TestDeadPeerIsNotLegacy(t *testing.T) {
 	_, _, err = p.RoundTrip(ln.Addr().String(), wire.TPing, nil, 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("black-holed peer round trip succeeded")
-	}
-	if got := p.Metrics().Snapshot()["transport_legacy_frames_total"]; got != 0 {
-		t.Fatalf("silent peer was cached legacy (counter %d)", got)
 	}
 }
 

@@ -39,7 +39,7 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzSessionFrames(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteStreamFrame(&seed, TTrustReq, 1, []byte("first"))
-	_ = WriteStreamFrame(&seed, TTrustResp, 2, []byte("second, interleaved"))
+	_ = WriteStreamFrame(&seed, TReply, 2, []byte("second, interleaved"))
 	f.Add(seed.Bytes())
 	f.Add(seed.Bytes()[:seed.Len()-4]) // torn tail
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 5, 0, 0, 0, 1})

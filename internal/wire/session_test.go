@@ -15,7 +15,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	}{
 		{TPing, 0, ""},
 		{TOnion, 1, "onion bytes"},
-		{TTrustResp, 0xFFFFFFFF, "max stream id"},
+		{TReply, 0xFFFFFFFF, "max stream id"},
 		{TPong, 7, strings.Repeat("x", 4096)},
 	}
 	for _, f := range frames {

@@ -26,9 +26,12 @@ const (
 	TKeyConfirm
 	// TOnion carries an onion blob plus an opaque end-to-end payload.
 	TOnion
-	// Inner payload types carried through onions.
+	// Inner payload types carried through onions. TTrustReq, TReplStatusReq,
+	// TReportBatch and TProofReq are the requests of the one sealed exchange
+	// (DESIGN.md §5.1); TReply is the answer to all of them, matched to its
+	// request by nonce. TReport is the unacknowledged single report.
 	TTrustReq
-	TTrustResp
+	TReply
 	TReport
 	// TKeyUpdate announces a §3.5 key rotation to an agent.
 	TKeyUpdate
@@ -40,9 +43,8 @@ const (
 	TPing
 	TPong
 	// THello / THelloAck negotiate a stream-multiplexed transport session on
-	// a fresh connection (DESIGN.md §9). Both travel as plain frames so a
-	// legacy one-shot peer can read (and reject) a hello, which is exactly
-	// how the negotiation detects it.
+	// a fresh connection (DESIGN.md §9). Both travel as plain frames: the
+	// server tells a session from a one-shot exchange by its first frame.
 	THello
 	THelloAck
 	// Agent-state replication (DESIGN.md §10). These travel as direct
@@ -68,29 +70,18 @@ const (
 	// gone).
 	RFetch
 	RFetchResp
-	// TReplStatusReq / TReplStatusResp are onion-inner messages: a peer asks
-	// a backup agent how caught-up its replica of a given primary is —
-	// the probe stateful promotion (§3.4.3) rests on. The request can carry
-	// a promote flag, instructing the replica to reconcile with surviving
-	// replicas before serving.
+	// TReplStatusReq asks a backup agent how caught-up its replica of a given
+	// primary is — the probe stateful promotion (§3.4.3) rests on. It can
+	// carry a promote flag, instructing the replica to reconcile with
+	// surviving replicas before serving.
 	TReplStatusReq
-	TReplStatusResp
-	// TReportBatch / TReportBatchAck are onion-inner messages carrying the
-	// batched, acknowledged report-ingest pipeline (DESIGN.md §11): a batch
-	// packs many signed transaction reports into one frame, and the ack
-	// returns a per-report status through the reporter's reply onion —
-	// unlike the fire-and-forget TReport, rejected reports are visible to
-	// the sender instead of vanishing.
-	//
-	// Both frames grew trailing-optional admission fields (DESIGN.md §13),
-	// guarded by Decoder.More() for mixed-version compatibility: a batch may
-	// end with a proof-of-work solution (pkc.VerifyAdmission) admitting the
-	// reporter's identity, and an ack's signed part may end with the
-	// difficulty the agent demands (so StatusAdmissionRequired bounces tell
-	// the sender how much work to mint). Old decoders ignore the suffixes;
-	// new decoders treat their absence as "no solution" / "no gate".
+	// TReportBatch carries the batched, acknowledged report-ingest pipeline
+	// (DESIGN.md §11): many signed transaction reports plus the sender's
+	// admission proof-of-work solution (DESIGN.md §13, possibly empty) in one
+	// request, answered by a per-report status — unlike the fire-and-forget
+	// TReport, rejected reports are visible to the sender instead of
+	// vanishing.
 	TReportBatch
-	TReportBatchAck
 	// TPlacementReq / TPlacement exchange the overlay's signed placement map
 	// (DESIGN.md §12): the request carries the asker's current epoch, the
 	// response the full signed map. TPlacement also travels unsolicited —
@@ -110,22 +101,15 @@ const (
 	// Signed and allowlisted exactly like the intra-group replication frames.
 	RHandoff
 	RHandoffResp
-	// TProofReq / TProofResp are onion-inner messages of the verifiable-read
-	// subsystem (DESIGN.md §14): the request asks an agent — or an untrusted
-	// edge cache — for a subject's reputation as evidence rather than as a
-	// bare tally; the response carries a self-verifying proof bundle or a
-	// compact signed trust snapshot back through the requestor's reply
-	// onion. Both end with trailing-optional fields guarded by
-	// Decoder.More() (the §12/§13 convention), so mixed protocol revisions
-	// keep interoperating.
+	// TProofReq asks an agent — or an untrusted edge cache — for a subject's
+	// reputation as evidence rather than as a bare tally (DESIGN.md §14); the
+	// reply carries a self-verifying proof bundle or a compact signed trust
+	// snapshot.
 	TProofReq
-	TProofResp
 	// TAdvisory is the onion-inner gossip frame of the audit subsystem
 	// (DESIGN.md §15): a signed, self-contained audit advisory accusing an
 	// agent of provable lying, with the offending proof bundle riding inside
-	// so every receiver re-runs proof.Verify before acting. Pre-§15 nodes
-	// drop the unknown inner type, so advisories degrade to no-ops rather
-	// than errors on mixed fleets.
+	// so every receiver re-runs proof.Verify before acting.
 	TAdvisory
 )
 
@@ -147,8 +131,8 @@ func (t MsgType) String() string {
 		return "onion"
 	case TTrustReq:
 		return "trust-req"
-	case TTrustResp:
-		return "trust-resp"
+	case TReply:
+		return "reply"
 	case TReport:
 		return "report"
 	case TKeyUpdate:
@@ -183,12 +167,8 @@ func (t MsgType) String() string {
 		return "repl-fetch-resp"
 	case TReplStatusReq:
 		return "repl-status-req"
-	case TReplStatusResp:
-		return "repl-status-resp"
 	case TReportBatch:
 		return "report-batch"
-	case TReportBatchAck:
-		return "report-batch-ack"
 	case TPlacementReq:
 		return "placement-req"
 	case TPlacement:
@@ -199,8 +179,6 @@ func (t MsgType) String() string {
 		return "shard-handoff-resp"
 	case TProofReq:
 		return "proof-req"
-	case TProofResp:
-		return "proof-resp"
 	case TAdvisory:
 		return "audit-advisory"
 	default:
@@ -348,12 +326,6 @@ func (d *Decoder) Bool() bool {
 	d.buf = d.buf[1:]
 	return v
 }
-
-// More reports whether unread bytes remain and no decode error has occurred.
-// It is how decoders read trailing-optional fields: a field appended to a
-// message in a later protocol revision is decoded only when present, so both
-// directions of a mixed-version exchange still parse.
-func (d *Decoder) More() bool { return d.err == nil && len(d.buf) > 0 }
 
 // Err returns the first decode error, or ErrTrailingData if bytes remain
 // after Finish was called.

@@ -174,7 +174,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for _, typ := range []MsgType{TRelayRequest, TRelayResponse, TKeyVerify, TKeyConfirm, TOnion, TTrustReq, TTrustResp, TReport} {
+	for _, typ := range []MsgType{TRelayRequest, TRelayResponse, TKeyVerify, TKeyConfirm, TOnion, TTrustReq, TReply, TReport} {
 		if typ.String() == "" {
 			t.Fatalf("type %d has empty string", typ)
 		}

@@ -71,6 +71,12 @@ go test -race -shuffle=on ./...
 echo "== campaign smoke (sybil flood + slander cell + lying agent, -race)"
 go test -race -count=1 -run 'TestSimAdmissionRaisesCost|TestLiveBackendSmoke|TestLiveLyingAgentCampaign' ./internal/campaign/
 
+# bench/ is a separate module compiled against internal/*, so the root ./...
+# patterns above never see it: a rename there breaks the benchmark silently.
+# No file under bench/ may be edited to make this pass.
+echo "== bench module (vet + race tests against this tree)"
+(cd bench && go vet ./... && go test -race ./...)
+
 if [[ $fast -eq 1 ]]; then
     echo "verify: OK (benchmarks skipped)"
     exit 0
