@@ -75,11 +75,11 @@ func (n *Node) cacheAgent(desc string) bool {
 		return false
 	}
 	id := info.ID()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if id == n.id.ID {
+	if id == n.ID() {
 		return false
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.agentCache == nil {
 		n.agentCache = make(map[pkc.NodeID]string)
 	}

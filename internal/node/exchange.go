@@ -60,7 +60,7 @@ func (n *Node) exchange(target AgentInfo, typ wire.MsgType, q *outRequest, wait 
 	if n.isClosed() {
 		return wire.Decoder{}, ErrClosed
 	}
-	if err := target.Onion.VerifySig(target.SP); err != nil {
+	if err := n.memo.VerifySig(target.Onion, target.SP); err != nil {
 		return wire.Decoder{}, resilience.Permanent(fmt.Errorf("node: target onion: %w", err))
 	}
 	sealed, err := pkc.Seal(target.AP, q.body.Encode(), nil)
@@ -93,10 +93,14 @@ func (n *Node) sendAndAwait(target AgentInfo, typ wire.MsgType, nonce pkc.Nonce,
 	if err := n.sendThroughOnionTimeout(target.Onion, typ, sealed, wait); err != nil {
 		return wire.Decoder{}, err
 	}
+	// Stopped on return: an abandoned timer would stay live for the full
+	// wait, so retained memory would scale with request rate × Timeout.
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case body := <-w.ch:
 		return body, nil
-	case <-time.After(wait):
+	case <-timer.C:
 		return wire.Decoder{}, ErrTimeout
 	}
 }
@@ -195,7 +199,7 @@ func (n *Node) openRequest(sealed []byte) (request, error) {
 		return request{}, err
 	}
 	req.self = self
-	if err := req.replyOnion.VerifySig(req.sp); err != nil {
+	if err := n.memo.VerifySig(req.replyOnion, req.sp); err != nil {
 		return request{}, err
 	}
 	n.mu.Lock()

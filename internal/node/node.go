@@ -222,8 +222,8 @@ type Node struct {
 	seqMu   sync.Mutex
 	seq     uint64
 	mu      sync.Mutex
-	id      *pkc.Identity
-	prev    []*pkc.Identity                 // predecessors kept during rotation grace period
+	ids     atomic.Pointer[[]*pkc.Identity] // current identity, then grace-period predecessors; swapped whole at rotation
+	memo    *onion.Memo                     // peels and onion signatures this node already checked
 	hs      map[pkc.Nonce]onion.RelayAnswer // outstanding relay handshakes
 	pending map[pkc.Nonce]waiter            // outstanding sealed exchanges (exchange.go)
 	closed  atomic.Bool                     // checked on hot paths without taking n.mu
@@ -325,21 +325,12 @@ func (n *Node) timeout() time.Duration {
 }
 
 // identity returns the node's current identity (thread-safe).
-func (n *Node) identity() *pkc.Identity {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.id
-}
+func (n *Node) identity() *pkc.Identity { return n.identities()[0] }
 
 // identities returns the current identity followed by grace-period
-// predecessors, newest first.
-func (n *Node) identities() []*pkc.Identity {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*pkc.Identity, 0, 1+len(n.prev))
-	out = append(out, n.id)
-	return append(out, n.prev...)
-}
+// predecessors, newest first. The slice is an immutable snapshot shared by
+// every caller: the frame path reads it without a lock or an allocation.
+func (n *Node) identities() []*pkc.Identity { return *n.ids.Load() }
 
 // Listen starts a node on addr ("127.0.0.1:0" for an ephemeral port).
 func Listen(addr string, opts Options) (*Node, error) {
@@ -418,7 +409,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 		return nil, fmt.Errorf("node: listen: %w", err)
 	}
 	n := &Node{
-		id:         id,
 		opts:       opts,
 		ln:         ln,
 		ages:       onion.NewAgeTracker(),
@@ -430,6 +420,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		closeCh:    make(chan struct{}),
 		sessionSem: make(chan struct{}, opts.MaxSessions),
 	}
+	n.ids.Store(&[]*pkc.Identity{id})
 	n.place = newPlacement(opts)
 	if opts.ProofCache > 0 {
 		n.proofCache = newProofCache(opts.ProofCache, opts.SnapshotTTL)
@@ -441,6 +432,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		n.reg = metrics.NewRegistry()
 	}
 	n.cnt.bind(n.reg)
+	n.memo = onion.NewMemo(n.reg)
 	n.bindFrameCounters(n.reg)
 	n.pool = transport.New(transport.Options{
 		Dialer:          n.dialer,
@@ -670,10 +662,11 @@ func (n *Node) handleOnion(payload []byte) {
 }
 
 // peelAny peels an onion layer with the current identity or a grace-period
-// predecessor (rotation keeps old onions usable briefly).
+// predecessor (rotation keeps old onions usable briefly). A memoised peel is
+// found only under an identity still in that window.
 func (n *Node) peelAny(blob []byte) (onion.PeelResult, bool) {
 	for _, id := range n.identities() {
-		if res, err := onion.Peel(id.Anon, blob); err == nil {
+		if res, err := n.memo.Peel(id.Anon, blob); err == nil {
 			return res, true
 		}
 	}

@@ -21,18 +21,19 @@ func (n *Node) RotateIdentity(agents []AgentInfo) (oldID, newID pkc.NodeID, err 
 	if n.isClosed() {
 		return pkc.NodeID{}, pkc.NodeID{}, ErrClosed
 	}
-	n.mu.Lock()
-	old := n.id
+	n.mu.Lock() // serialises rotations; readers load the snapshot lock-free
+	ids := n.identities()
+	old := ids[0]
 	next, updateWire, rerr := old.Rotate(nil)
 	if rerr != nil {
 		n.mu.Unlock()
 		return pkc.NodeID{}, pkc.NodeID{}, rerr
 	}
-	n.prev = append([]*pkc.Identity{old}, n.prev...)
-	if len(n.prev) > maxPrevIdentities {
-		n.prev = n.prev[:maxPrevIdentities]
+	if len(ids) > maxPrevIdentities {
+		ids = ids[:maxPrevIdentities]
 	}
-	n.id = next
+	rotated := append([]*pkc.Identity{next}, ids...)
+	n.ids.Store(&rotated)
 	n.mu.Unlock()
 
 	// Announce to every agent that knows the old identity, sealed to the

@@ -7,7 +7,7 @@ import (
 	"hirep/internal/pkc"
 )
 
-func ident(t *testing.T) *pkc.Identity {
+func ident(t testing.TB) *pkc.Identity {
 	t.Helper()
 	id, err := pkc.NewIdentity(nil)
 	if err != nil {

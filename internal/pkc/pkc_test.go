@@ -153,6 +153,23 @@ func TestSealOverheadConstant(t *testing.T) {
 	}
 }
 
+// TestSealGeometryMatchesAEAD pins the box-geometry constants to what the
+// AEAD Seal and Open actually run reports.
+func TestSealGeometryMatchesAEAD(t *testing.T) {
+	aead, err := newAEAD(make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aead.NonceSize() != sealNonceLen || aead.Overhead() != sealTagLen {
+		t.Fatalf("AEAD nonce/tag = %d/%d, constants say %d/%d",
+			aead.NonceSize(), aead.Overhead(), sealNonceLen, sealTagLen)
+	}
+	id := mustIdentity(t)
+	if n := len(id.Anon.Public.Bytes()); n != sealEphLen {
+		t.Fatalf("X25519 public key is %d bytes, constant says %d", n, sealEphLen)
+	}
+}
+
 func TestSealNilKey(t *testing.T) {
 	if _, err := Seal(nil, []byte("x"), nil); err == nil {
 		t.Fatal("Seal with nil key accepted")

@@ -10,6 +10,14 @@ import (
 	"io"
 )
 
+// Seal box geometry. The AES-GCM sizes are the standard ones cipher.NewGCM
+// uses; a test checks them against a real cipher.AEAD.
+const (
+	sealEphLen   = 32 // X25519 public key
+	sealNonceLen = 12 // GCM standard nonce
+	sealTagLen   = 16 // GCM tag
+)
+
 // Seal encrypts plaintext to the anonymity public key ap so that only the
 // holder of the matching private key can read it. It is the "AP_x( ... )"
 // operation the paper uses for onion layers and relay handshakes.
@@ -54,13 +62,10 @@ func (kp AnonKeyPair) Open(box []byte) ([]byte, error) {
 	if kp.private == nil {
 		return nil, ErrBadKey
 	}
-	const ephLen = 32
-	aeadProbe, _ := newAEAD(make([]byte, 32))
-	nonceLen := aeadProbe.NonceSize()
-	if len(box) < ephLen+nonceLen+aeadProbe.Overhead() {
+	if len(box) < SealOverhead() {
 		return nil, ErrBadCiphertext
 	}
-	ephPub, err := ecdh.X25519().NewPublicKey(box[:ephLen])
+	ephPub, err := ecdh.X25519().NewPublicKey(box[:sealEphLen])
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}
@@ -72,8 +77,8 @@ func (kp AnonKeyPair) Open(box []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonce := box[ephLen : ephLen+nonceLen]
-	plain, err := aead.Open(nil, nonce, box[ephLen+nonceLen:], box[:ephLen])
+	nonce := box[sealEphLen : sealEphLen+sealNonceLen]
+	plain, err := aead.Open(nil, nonce, box[sealEphLen+sealNonceLen:], box[:sealEphLen])
 	if err != nil {
 		return nil, ErrBadCiphertext
 	}
@@ -81,10 +86,7 @@ func (kp AnonKeyPair) Open(box []byte) ([]byte, error) {
 }
 
 // SealOverhead is the number of bytes Seal adds to a plaintext.
-func SealOverhead() int {
-	aead, _ := newAEAD(make([]byte, 32))
-	return 32 + aead.NonceSize() + aead.Overhead()
-}
+func SealOverhead() int { return sealEphLen + sealNonceLen + sealTagLen }
 
 func newAEAD(shared []byte) (cipher.AEAD, error) {
 	key := sha256.Sum256(shared)

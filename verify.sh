@@ -174,6 +174,29 @@ if s and b:
     print(f"batched ingest speedup over single-report: {s * 256 / b:.1f}x (target >= 5x)")
 EOF
 
+# The onion memo (DESIGN.md §5.1) stands in for a relay hop's X25519 +
+# AES-GCM on every use of an onion after the first. A hit must cost at most a
+# tenth of the cold peel it replaces, or the memo is not paying for its lock;
+# the measured ratio is nearer 1/800.
+echo "== onion memo benchmarks (cold peel vs memo hit)"
+memo_out=$(go test -run '^$' -bench 'BenchmarkOnionMemo' -benchmem ./internal/onion/ 2>&1)
+echo "$memo_out"
+out="$out
+$memo_out"
+BENCH_OUT="$memo_out" python3 - <<'EOF'
+import os, re, sys
+ns = {m.group(1): float(m.group(2))
+      for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op", os.environ["BENCH_OUT"], re.M)}
+cold, hit = ns.get("BenchmarkOnionMemo/cold"), ns.get("BenchmarkOnionMemo/hit")
+if not (cold and hit):
+    print("verify: FAIL — BenchmarkOnionMemo/{cold,hit} did not run")
+    sys.exit(1)
+print(f"onion memo hit vs cold peel: {hit:.0f} ns vs {cold:.0f} ns = 1/{cold / hit:.0f} (gate <= 1/10)")
+if hit * 10 > cold:
+    print(f"verify: FAIL — a memo hit costs {hit:.0f} ns, more than a tenth of a cold peel ({cold:.0f} ns)")
+    sys.exit(1)
+EOF
+
 # Admission-gate steady-state overhead (DESIGN.md §13): once an identity is
 # admitted, the gate adds one SHA-256 + a map hit per batch, which must stay
 # within 5% of the ungated batched path. Both benchmarks move 256 reports
