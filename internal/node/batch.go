@@ -322,12 +322,8 @@ func (n *Node) deferBatch(agent AgentInfo, chunk []BatchReport) {
 	}
 }
 
-// batchSize returns the node's report batch size (thread-safe).
-func (n *Node) batchSize() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.ReportBatchSize
-}
+// batchSize returns the node's report batch size, fixed at Listen.
+func (n *Node) batchSize() int { return n.opts.ReportBatchSize }
 
 // SetReplyOnion gives the node a standing reply onion of its own, enabling
 // acknowledged, batched outbox flushes: with one attached, the flusher

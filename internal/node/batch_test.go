@@ -370,11 +370,11 @@ func TestEmptyReportBatchCountedMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	encodeBatchBody(&q.body, nil, nil)
-	sealed, err := pkc.Seal(info.AP, q.body.Encode(), nil)
+	sealed, err := q.seal(info.AP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.sendThroughOnion(info.Onion, wire.TReportBatch, sealed); err != nil {
+	if err := peer.sendThroughOnion(info.Onion, wire.TReportBatch, sealed.box); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Stats().IngestRejectedMalformed == 1 })

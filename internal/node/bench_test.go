@@ -526,12 +526,10 @@ func benchIngestSharded(b *testing.B, ngroups int) {
 	b.ReportMetric(float64(b.N)*size*float64(ngroups)/b.Elapsed().Seconds(), "reports/sec")
 }
 
-// preparedBatch is one pre-signed, pre-sealed TReportBatch frame plus the
-// batch nonce its ack will answer to.
+// preparedBatch is one pre-signed, pre-sealed TReportBatch frame.
 type preparedBatch struct {
-	nonce  pkc.Nonce
-	sealed []byte
-	count  int
+	sealedRequest
+	count int
 }
 
 // prepareBatchFrame builds what reportBatchOnce would have built inline: a
@@ -553,17 +551,17 @@ func prepareBatchFrame(b *testing.B, n *Node, agent AgentInfo, reports []BatchRe
 		wires[i] = agentdir.SignReport(q.self, r.Subject, r.Positive, rn)
 	}
 	encodeBatchBody(&q.body, wires, nil)
-	sealed, err := pkc.Seal(agent.AP, q.body.Encode(), nil)
+	sealed, err := q.seal(agent.AP)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return preparedBatch{nonce: q.nonce, sealed: sealed, count: len(reports)}
+	return preparedBatch{sealedRequest: sealed, count: len(reports)}
 }
 
 // sendBatchFrame runs the send/ack half of reportBatchOnce for a prepared
 // frame.
 func (n *Node) sendBatchFrame(agent AgentInfo, pb preparedBatch, wait time.Duration) ([]ReportStatus, error) {
-	r, err := n.sendAndAwait(agent, wire.TReportBatch, pb.nonce, pb.sealed, wait)
+	r, err := n.sendAndAwait(agent, wire.TReportBatch, pb.sealedRequest, wait)
 	if err != nil {
 		return nil, err
 	}

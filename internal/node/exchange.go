@@ -19,14 +19,18 @@ import (
 // trust value, a proof bundle or snapshot, a report batch's fate, a replica's
 // position — is the same two frames:
 //
-//	request  = Seal_AP(target)( SP_p, AP_p, nonce, reply onion, body… )
-//	reply    = Seal_AP(p)( signed{ nonce, body… }, SP_target, sig )
+//	request  = Seal_AP(target)( SP_p, nonce, reply onion, body… )
+//	reply    = handle ‖ AEAD_k( signed{ nonce, body… }, SP_target, sig )
 //
+// where k and handle come out of the X25519 agreement the request was sealed
+// with (pkc.SealRequest): the answer costs neither end a second agreement,
+// and it only opens if the replier held the key the request was sealed to.
 // The request travels through the target's onion under its own inner type;
-// the reply travels back through the requestor's onion as wire.TReply and is
-// accepted only if it is signed by exactly the key the request was addressed
-// to. The callers in protocol.go, proof.go, batch.go and replication.go
-// supply nothing but their body fields.
+// the reply travels back through the requestor's onion as wire.TReply, is
+// matched to its request by handle before any cryptography, and is accepted
+// only if it is signed by exactly the key the request was addressed to. The
+// callers in protocol.go, proof.go, batch.go and replication.go supply
+// nothing but their body fields.
 
 // outRequest is one request under construction: the common prefix is
 // written and body is open for the caller's fields. self is the identity the
@@ -46,16 +50,29 @@ func (n *Node) newRequest(replyOnion *onion.Onion) (outRequest, error) {
 		return q, err
 	}
 	q.body.Bytes(q.self.Sign.Public)
-	q.body.Bytes(q.self.Anon.Public.Bytes())
 	q.body.Bytes(q.nonce[:])
 	encodeOnion(&q.body, replyOnion)
 	return q, nil
 }
 
-// exchange seals q to target's anonymity key (the paper's SP_e(R)
-// encryption), runs one complete request/reply round trip and returns a
-// decoder positioned at the reply body. Single attempt: retry owns re-sends,
-// so a dead entry relay costs one dial here, not a nested retry storm.
+// sealedRequest is one request ready to send: the box, and what its reply
+// is matched by.
+type sealedRequest struct {
+	box   []byte
+	nonce pkc.Nonce
+	key   pkc.ReplyKey
+}
+
+// seal seals q to an agent's anonymity key (the paper's SP_e(R) encryption).
+func (q *outRequest) seal(ap *ecdh.PublicKey) (sealedRequest, error) {
+	box, key, err := pkc.SealRequest(ap, q.body.Encode(), nil)
+	return sealedRequest{box: box, nonce: q.nonce, key: key}, err
+}
+
+// exchange seals q to target, runs one complete request/reply round trip and
+// returns a decoder positioned at the reply body. Single attempt: retry owns
+// re-sends, so a dead entry relay costs one dial here, not a nested retry
+// storm.
 func (n *Node) exchange(target AgentInfo, typ wire.MsgType, q *outRequest, wait time.Duration) (wire.Decoder, error) {
 	if n.isClosed() {
 		return wire.Decoder{}, ErrClosed
@@ -63,39 +80,44 @@ func (n *Node) exchange(target AgentInfo, typ wire.MsgType, q *outRequest, wait 
 	if err := n.memo.VerifySig(target.Onion, target.SP); err != nil {
 		return wire.Decoder{}, resilience.Permanent(fmt.Errorf("node: target onion: %w", err))
 	}
-	sealed, err := pkc.Seal(target.AP, q.body.Encode(), nil)
+	sealed, err := q.seal(target.AP)
 	if err != nil {
 		return wire.Decoder{}, err
 	}
-	return n.sendAndAwait(target, typ, q.nonce, sealed, wait)
+	return n.sendAndAwait(target, typ, sealed, wait)
 }
 
-// waiter is one outstanding request: the key it was addressed to and the
-// channel its reply body is delivered on.
+// waiter is one outstanding request: the key it was addressed to, what its
+// reply must open under and echo, and the channel the reply body is
+// delivered on.
 type waiter struct {
-	sp ed25519.PublicKey
-	ch chan wire.Decoder
+	sp    ed25519.PublicKey
+	key   pkc.ReplyKey
+	nonce pkc.Nonce
+	ch    chan wire.Decoder
 }
 
-// sendAndAwait registers the waiter for nonce, sends the sealed request
-// through the target's onion and waits up to wait for handleReply to deliver
-// the reply body.
-func (n *Node) sendAndAwait(target AgentInfo, typ wire.MsgType, nonce pkc.Nonce, sealed []byte, wait time.Duration) (wire.Decoder, error) {
-	w := waiter{sp: target.SP, ch: make(chan wire.Decoder, 1)}
+// sendAndAwait registers the waiter for the request's reply handle, sends
+// the sealed request through the target's onion and waits for handleReply to
+// deliver the reply body. wait bounds the send and the wait together.
+func (n *Node) sendAndAwait(target AgentInfo, typ wire.MsgType, q sealedRequest, wait time.Duration) (wire.Decoder, error) {
+	deadline := time.Now().Add(wait)
+	w := waiter{sp: target.SP, key: q.key, nonce: q.nonce, ch: make(chan wire.Decoder, 1)}
+	handle := q.key.Handle()
 	n.mu.Lock()
-	n.pending[nonce] = w
+	n.pending[handle] = w
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
-		delete(n.pending, nonce)
+		delete(n.pending, handle)
 		n.mu.Unlock()
 	}()
-	if err := n.sendThroughOnionTimeout(target.Onion, typ, sealed, wait); err != nil {
+	if err := n.sendThroughOnionTimeout(target.Onion, typ, q.box, wait); err != nil {
 		return wire.Decoder{}, err
 	}
 	// Stopped on return: an abandoned timer would stay live for the full
 	// wait, so retained memory would scale with request rate × Timeout.
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	select {
 	case body := <-w.ch:
@@ -106,29 +128,43 @@ func (n *Node) sendAndAwait(target AgentInfo, typ wire.MsgType, nonce pkc.Nonce,
 }
 
 // handleReply consumes a reply arriving through this node's own onion and
-// hands its body to the waiting exchange. The outer signature must verify AND
-// be by exactly the key the request was addressed to: an edge answers under
-// its own key, and a third party's valid signature is not an answer. A reply
-// whose nonce has no waiter is dropped before any signature work.
-func (n *Node) handleReply(sealed []byte) {
-	_, plain, ok := n.openAny(sealed)
+// hands its body to the waiting exchange. A reply whose handle has no waiter
+// costs a map miss: it is dropped before any cryptography.
+func (n *Node) handleReply(box []byte) {
+	handle, ok := pkc.ReplyHandleOf(box)
 	if !ok {
 		return
 	}
-	r, err := decodeReply(plain)
-	if err != nil {
+	n.mu.Lock()
+	w, ok := n.pending[handle]
+	n.mu.Unlock()
+	if !ok {
 		return
 	}
-	n.mu.Lock()
-	w, ok := n.pending[r.nonce]
-	n.mu.Unlock()
-	if !ok || !bytes.Equal(w.sp, r.sp) || !pkc.Verify(w.sp, r.signedPart, r.sig) {
+	body, ok := w.open(box)
+	if !ok {
 		return
 	}
 	select {
-	case w.ch <- r.body:
+	case w.ch <- body:
 	default:
 	}
+}
+
+// open opens a reply box under the waiter's key and vets what is inside: it
+// must echo the request nonce, and its outer signature must verify AND be by
+// exactly the key the request was addressed to — an edge answers under its
+// own key, and a third party's valid signature is not an answer.
+func (w *waiter) open(box []byte) (wire.Decoder, bool) {
+	plain, err := w.key.Open(box)
+	if err != nil {
+		return wire.Decoder{}, false
+	}
+	r, err := decodeReply(plain)
+	if err != nil || r.nonce != w.nonce || !bytes.Equal(w.sp, r.sp) || !pkc.Verify(w.sp, r.signedPart, r.sig) {
+		return wire.Decoder{}, false
+	}
+	return r.body, true
 }
 
 // replyEnvelope is a parsed reply plaintext, before signature verification.
@@ -174,31 +210,43 @@ func (n *Node) retry(attempts int, once func(wait time.Duration) error) error {
 // request is one opened, vetted inbound request: the identity of ours the
 // requestor sealed to (it may hold a pre-rotation descriptor, and the reply
 // must be signed under that same identity to pass its addressed-key check),
-// who asked, how to answer, and the request body still to be decoded.
+// who asked, how to answer — the key to seal under and the onion to route
+// through — and the request body still to be decoded.
 type request struct {
 	self       *pkc.Identity
 	sp         ed25519.PublicKey
 	id         pkc.NodeID
-	ap         *ecdh.PublicKey
+	key        pkc.ReplyKey
 	nonce      []byte
 	replyOnion *onion.Onion
 	body       wire.Decoder
 }
 
-// openRequest opens a sealed request arriving through this node's onion and
-// vets its common prefix: well-formed keys, a reply onion signed by the
-// requestor — without which the node would be a reply reflector — and
-// non-stale. ErrBadMessage marks a frame that opened but did not parse.
+// openRequest opens a sealed request arriving through this node's onion,
+// with the current identity or a grace-period predecessor, and vets its
+// common prefix: a well-formed key, a reply onion signed by the requestor —
+// without which the node would be a reply reflector — and non-stale.
+// ErrBadMessage marks a frame that opened but did not parse.
 func (n *Node) openRequest(sealed []byte) (request, error) {
-	self, plain, ok := n.openAny(sealed)
-	if !ok {
+	var (
+		self  *pkc.Identity
+		plain []byte
+		key   pkc.ReplyKey
+	)
+	for _, id := range n.identities() {
+		if p, k, err := id.Anon.OpenRequest(sealed); err == nil {
+			self, plain, key = id, p, k
+			break
+		}
+	}
+	if self == nil {
 		return request{}, pkc.ErrBadCiphertext
 	}
 	req, err := decodeRequest(plain)
 	if err != nil {
 		return request{}, err
 	}
-	req.self = self
+	req.self, req.key = self, key
 	if err := n.memo.VerifySig(req.replyOnion, req.sp); err != nil {
 		return request{}, err
 	}
@@ -214,7 +262,6 @@ func (n *Node) openRequest(sealed []byte) (request, error) {
 func decodeRequest(plain []byte) (request, error) {
 	d := wire.NewDecoder(plain)
 	sp := append([]byte(nil), d.Bytes()...)
-	apRaw := d.Bytes()
 	nonce := d.Bytes()
 	replyOnion, err := decodeOnion(d)
 	if err != nil {
@@ -223,11 +270,7 @@ func decodeRequest(plain []byte) (request, error) {
 	if len(sp) != ed25519.PublicKeySize || len(nonce) != pkc.NonceSize {
 		return request{}, ErrBadMessage
 	}
-	ap, err := ecdh.X25519().NewPublicKey(apRaw)
-	if err != nil {
-		return request{}, ErrBadMessage
-	}
-	return request{sp: sp, id: pkc.DeriveNodeID(sp), ap: ap, nonce: nonce, replyOnion: replyOnion, body: *d}, nil
+	return request{sp: sp, id: pkc.DeriveNodeID(sp), nonce: nonce, replyOnion: replyOnion, body: *d}, nil
 }
 
 // decodeNodeID reads one node-ID field of a request or reply body.
@@ -249,7 +292,7 @@ func (req *request) replyBody() wire.Encoder {
 }
 
 // reply signs the body under the identity the request was sealed to, seals
-// it to the requestor's anonymity key and routes it through the reply onion.
+// it under the request's reply key and routes it through the reply onion.
 func (n *Node) reply(req *request, body *wire.Encoder) {
 	if n.isClosed() {
 		return
@@ -257,9 +300,9 @@ func (n *Node) reply(req *request, body *wire.Encoder) {
 	signedPart := body.Encode()
 	var e wire.Encoder
 	e.Bytes(signedPart).Bytes(req.self.Sign.Public).Bytes(req.self.SignMessage(signedPart))
-	sealed, err := pkc.Seal(req.ap, e.Encode(), nil)
+	box, err := req.key.Seal(e.Encode(), nil)
 	if err != nil {
 		return
 	}
-	_ = n.sendThroughOnion(req.replyOnion, wire.TReply, sealed)
+	_ = n.sendThroughOnion(req.replyOnion, wire.TReply, box)
 }

@@ -78,14 +78,14 @@ func TestMemoKeepsRequestVetting(t *testing.T) {
 		}
 		if self != nil { // claim another requestor's keys in the prefix
 			q = outRequest{nonce: q.nonce, self: self}
-			q.body.Bytes(self.Sign.Public).Bytes(self.Anon.Public.Bytes()).Bytes(q.nonce[:])
+			q.body.Bytes(self.Sign.Public).Bytes(q.nonce[:])
 			encodeOnion(&q.body, replyOnion)
 		}
-		sealed, err := pkc.Seal(agentNode.AnonPublic(), q.body.Encode(), nil)
+		sealed, err := q.seal(agentNode.AnonPublic())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = agentNode.openRequest(sealed)
+		_, err = agentNode.openRequest(sealed.box)
 		return err
 	}
 	for i := 0; i < 2; i++ {

@@ -225,9 +225,13 @@ type Node struct {
 	ids     atomic.Pointer[[]*pkc.Identity] // current identity, then grace-period predecessors; swapped whole at rotation
 	memo    *onion.Memo                     // peels and onion signatures this node already checked
 	hs      map[pkc.Nonce]onion.RelayAnswer // outstanding relay handshakes
-	pending map[pkc.Nonce]waiter            // outstanding sealed exchanges (exchange.go)
+	pending map[pkc.ReplyHandle]waiter      // outstanding sealed exchanges (exchange.go)
 	closed  atomic.Bool                     // checked on hot paths without taking n.mu
 	wg      sync.WaitGroup
+
+	// timeoutNs is Options.Timeout as SetTimeout last left it: an atomic,
+	// because every frame a relay forwards reads it.
+	timeoutNs atomic.Int64
 
 	// Batched report ingest (batch.go): the agent-side verification pool and
 	// the standing reply onion enabling acknowledged outbox flushes.
@@ -312,17 +316,12 @@ func (n *Node) SetTimeout(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	n.mu.Lock()
-	n.opts.Timeout = d
-	n.mu.Unlock()
+	n.timeoutNs.Store(int64(d))
 }
 
-// timeout returns the current dial/request timeout (thread-safe).
-func (n *Node) timeout() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.Timeout
-}
+// timeout returns the current dial/request timeout. The frame path calls it
+// once per forwarded frame, so it takes no lock.
+func (n *Node) timeout() time.Duration { return time.Duration(n.timeoutNs.Load()) }
 
 // identity returns the node's current identity (thread-safe).
 func (n *Node) identity() *pkc.Identity { return n.identities()[0] }
@@ -413,7 +412,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		ln:         ln,
 		ages:       onion.NewAgeTracker(),
 		hs:         make(map[pkc.Nonce]onion.RelayAnswer),
-		pending:    make(map[pkc.Nonce]waiter),
+		pending:    make(map[pkc.ReplyHandle]waiter),
 		dialer:     opts.Dialer,
 		reg:        opts.Metrics,
 		flushCh:    make(chan struct{}, 1),
@@ -421,6 +420,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		sessionSem: make(chan struct{}, opts.MaxSessions),
 	}
 	n.ids.Store(&[]*pkc.Identity{id})
+	n.timeoutNs.Store(int64(opts.Timeout))
 	n.place = newPlacement(opts)
 	if opts.ProofCache > 0 {
 		n.proofCache = newProofCache(opts.ProofCache, opts.SnapshotTTL)

@@ -156,7 +156,7 @@ func TestSealOverheadConstant(t *testing.T) {
 // TestSealGeometryMatchesAEAD pins the box-geometry constants to what the
 // AEAD Seal and Open actually run reports.
 func TestSealGeometryMatchesAEAD(t *testing.T) {
-	aead, err := newAEAD(make([]byte, 32))
+	aead, err := newAEAD([32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
