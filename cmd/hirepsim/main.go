@@ -100,6 +100,7 @@ func main() {
 	}
 
 	ranAny := false
+	begin := time.Now()
 	for _, e := range all {
 		if !want(e.name) {
 			continue
@@ -128,6 +129,15 @@ func main() {
 		mtr.Summary().Render(os.Stdout)
 		fmt.Println()
 		mtr.Overview().Render(os.Stdout)
+		fmt.Println()
+	}
+	// The end-to-end figure for the selection: wall clock and, when the
+	// event loops were observed, simulated events per wall second.
+	wall := time.Since(begin).Seconds()
+	if mtr != nil {
+		fmt.Printf("%s: %.2f s, %d events, %.0f events/s\n", *exp, wall, mtr.Events(), float64(mtr.Events())/wall)
+	} else {
+		fmt.Printf("%s: %.2f s (-metrics adds events and events/s)\n", *exp, wall)
 	}
 }
 

@@ -81,7 +81,10 @@ type agentState struct {
 	// perReporter keeps reporter-attributed tallies for the
 	// credibility-weighted model (reporter -> subject -> tally).
 	perReporter map[topology.NodeID]map[topology.NodeID]tally
-	rng         *xrand.RNG
+	// reporters is perReporter's key set in ascending order, the order the
+	// credibility model sums in.
+	reporters []topology.NodeID
+	rng       *xrand.RNG
 }
 
 // down reports whether the agent cannot serve right now.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"hirep/internal/simnet"
 	"hirep/internal/topology"
@@ -93,9 +94,11 @@ func (s *System) reportEstimate(a *agentState, subject topology.NodeID) (trust.V
 	// the rest of the agent's evidence (PeerTrust-style, §4.2.3). A liar
 	// systematically contradicts the honest majority across subjects, so its
 	// credibility collapses and its reports stop moving the estimate.
+	// Reporters are walked in ID order so the float sums, and with them the
+	// estimate's last bit, do not depend on map iteration order.
 	var sumW, sumWV float64
-	for reporter, subjects := range a.perReporter {
-		rt, ok := subjects[subject]
+	for _, reporter := range a.reporters {
+		rt, ok := a.perReporter[reporter][subject]
 		if !ok || rt.pos+rt.neg == 0 {
 			continue
 		}
@@ -169,6 +172,10 @@ func (a *agentState) record(reporter, subject topology.NodeID, positive bool) {
 	if bySubject == nil {
 		bySubject = make(map[topology.NodeID]tally)
 		a.perReporter[reporter] = bySubject
+		i := sort.Search(len(a.reporters), func(i int) bool { return a.reporters[i] >= reporter })
+		a.reporters = append(a.reporters, 0)
+		copy(a.reporters[i+1:], a.reporters[i:])
+		a.reporters[i] = reporter
 	}
 	rt := bySubject[subject]
 	if positive {
@@ -272,10 +279,12 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 		Estimates:  make([]trust.Value, len(candidates)),
 		Responded:  len(tx.responses),
 	}
+	// The list is walked in its own order, not the response map's, so the
+	// float sums are the same on every run.
 	aggs := make([]trust.Aggregate, len(candidates))
-	for agent, ests := range tx.responses {
-		e := p.list.find(agent)
-		if e == nil {
+	for _, e := range p.list.entries {
+		ests, responded := tx.responses[e.agent]
+		if !responded {
 			continue
 		}
 		w := e.expertise.Value()
@@ -376,11 +385,16 @@ func (s *System) refill(id topology.NodeID) {
 			s.net.SendKindBytes(id, b.agent, kindProbeID, probePayload{origin: id, agent: b.agent}, probeSize())
 		}
 		s.net.Run(0)
-		for agent := range s.curProbe.acks {
+		// Most recently demoted first, the cache's own order: which live
+		// backups rejoin a nearly full list must not depend on map order.
+		// restore edits the cache, so walk a copy.
+		for _, b := range append([]*agentEntry(nil), p.list.backups...) {
 			if len(p.list.entries) >= s.cfg.TrustedAgents {
 				break
 			}
-			p.list.restore(agent)
+			if s.curProbe.acks[b.agent] {
+				p.list.restore(b.agent)
+			}
 		}
 		s.curProbe = nil
 	}

@@ -3,11 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"hirep/internal/core"
 	"hirep/internal/stats"
-	"hirep/internal/topology"
-	"hirep/internal/voting"
-	"hirep/internal/xrand"
 )
 
 // BytesView re-examines Figure 5's comparison in bytes instead of messages.
@@ -20,72 +16,31 @@ func BytesView(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
+	// hiREP beside voting at the default degree.
+	vs := []variant{
+		hirepVariant(p, "hirep", "bytes-hirep", p.Hirep),
+		votingVariant(p, "voting", "bytes-voting", p.AvgDegree, p.Voting),
+	}
+	runs, err := replay(p, vs)
+	if err != nil {
+		return ExpResult{}, err
+	}
 	table := stats.NewTable("Traffic in messages vs bytes per transaction (Figure 5 revisited)",
 		"system", "msgs/tx", "bytes/tx", "bytes/msg")
-	var notes []string
-
-	// hiREP.
-	var hMsgs, hBytes stats.Accum
-	err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		seed := replicaSeed(p.Seed, "bytes-hirep", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := core.NewSystem(w.Net, w.Oracle, p.Hirep, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		sys.Bootstrap()
-		kinds := core.TrafficKinds()
-		for _, spec := range w.Workload(p.Transactions, p.Hirep.CandidatesPerTx) {
-			var b0, b1 int64
-			for _, k := range kinds {
-				b0 += w.Net.Bytes(k)
+	msgs, bytes := make([]stats.Accum, len(vs)), make([]stats.Accum, len(vs))
+	for i, v := range vs {
+		for _, txs := range runs[i] {
+			for _, tx := range txs {
+				msgs[i].Add(float64(tx.msgs))
+				bytes[i].Add(float64(tx.bytes))
 			}
-			res := sys.RunTransaction(spec.Requestor, spec.Candidates)
-			for _, k := range kinds {
-				b1 += w.Net.Bytes(k)
-			}
-			hMsgs.Add(float64(res.TrustMessages))
-			hBytes.Add(float64(b1 - b0))
 		}
-		return nil
-	})
-	if err != nil {
-		return ExpResult{}, err
+		table.AddRow(v.name, msgs[i].Mean(), bytes[i].Mean(), bytes[i].Mean()/msgs[i].Mean())
 	}
-	table.AddRow("hirep", hMsgs.Mean(), hBytes.Mean(), hBytes.Mean()/hMsgs.Mean())
-
-	// Voting at the default degree.
-	var vMsgs, vBytes stats.Accum
-	err = forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		seed := replicaSeed(p.Seed, "bytes-voting", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := voting.NewSystem(w.Net, w.Oracle, p.Voting, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		for _, spec := range w.Workload(p.Transactions, p.Voting.CandidatesPerTx) {
-			b0 := w.Net.Bytes(voting.KindVoteReq) + w.Net.Bytes(voting.KindVoteResp)
-			res := sys.RunTransaction(spec.Requestor, spec.Candidates)
-			b1 := w.Net.Bytes(voting.KindVoteReq) + w.Net.Bytes(voting.KindVoteResp)
-			vMsgs.Add(float64(res.TrustMessages))
-			vBytes.Add(float64(b1 - b0))
-		}
-		return nil
-	})
-	if err != nil {
-		return ExpResult{}, err
-	}
-	table.AddRow("voting", vMsgs.Mean(), vBytes.Mean(), vBytes.Mean()/vMsgs.Mean())
-
-	notes = append(notes,
+	hMsgs, hBytes, vMsgs, vBytes := msgs[0].Mean(), bytes[0].Mean(), msgs[1].Mean(), bytes[1].Mean()
+	notes := []string{
 		fmt.Sprintf("messages: hiREP %.1fx cheaper; bytes: %.1fx cheaper (onion layers cost ~%.0f B/msg vs %.0f B/msg)",
-			vMsgs.Mean()/hMsgs.Mean(), vBytes.Mean()/hBytes.Mean(),
-			hBytes.Mean()/hMsgs.Mean(), vBytes.Mean()/vMsgs.Mean()))
+			vMsgs/hMsgs, vBytes/hBytes, hBytes/hMsgs, vBytes/vMsgs),
+	}
 	return ExpResult{Name: "bytes", Table: table, Notes: notes}, nil
 }

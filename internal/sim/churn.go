@@ -3,10 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"hirep/internal/core"
 	"hirep/internal/stats"
 	"hirep/internal/topology"
-	"hirep/internal/xrand"
 )
 
 // Churn sweeps per-transaction agent offline probability and measures how
@@ -18,54 +16,51 @@ func Churn(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
+	probs := []float64{0, 0.1, 0.2, 0.4}
+	type world struct {
+		txs     []txStats
+		backups int // populated backup-cache entries at the end of the run
+	}
+	worlds := make([]world, len(probs)*p.Replicas)
+	err := forEachTask(len(worlds), p.workers(), func(i int) error {
+		prob, rep := probs[i/p.Replicas], i%p.Replicas
+		cfg := p.Hirep
+		cfg.OfflineProb = prob
+		w, sys, err := newHirep(p, cfg, replicaSeed(p.Seed, fmt.Sprintf("churn-%.2f", prob), rep))
+		if err != nil {
+			return fmt.Errorf("offline %.2f replica %d: %w", prob, rep, err)
+		}
+		sys.Bootstrap()
+		out := &worlds[i]
+		for _, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
+			out.txs = append(out.txs, hirepStats(sys.RunTransaction(spec.Requestor, spec.Candidates)))
+		}
+		// Count populated backup caches as evidence the §3.4.3 path ran.
+		for n := 0; n < w.Graph.N(); n++ {
+			out.backups += sys.BackupCountOf(topology.NodeID(n))
+		}
+		return nil
+	})
+	if err != nil {
+		return ExpResult{}, err
+	}
 	table := stats.NewTable("Churn ablation: agent offline probability vs accuracy (§3.4.3 maintenance)",
 		"offline prob", "final MSE", "good-choice rate", "responses/tx", "maint msgs/tx", "backup hits")
 	var notes []string
-	for _, prob := range []float64{0, 0.1, 0.2, 0.4} {
-		var mseAcc, respAcc, maintAcc stats.Accum
-		var goodAcc stats.Accum
-		var backups int
-		err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("churn-%.2f", prob), rep)
-			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
+	lastQuarter := p.Transactions * 3 / 4
+	for i, prob := range probs {
+		var mseAcc, goodAcc, respAcc, maintAcc stats.Accum
+		backups := 0
+		for _, w := range worlds[i*p.Replicas : (i+1)*p.Replicas] {
+			for _, tx := range w.txs {
+				respAcc.Add(float64(tx.answers))
+				maintAcc.Add(float64(tx.maint))
 			}
-			cfg := p.Hirep
-			cfg.OfflineProb = prob
-			sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-			if err != nil {
-				return err
+			if mse, ok := tailMSE(w.txs[lastQuarter:]); ok {
+				mseAcc.Add(mse)
 			}
-			sys.Bootstrap()
-			var sq float64
-			var n int
-			lastQuarter := p.Transactions * 3 / 4
-			for t, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
-				r := sys.RunTransaction(spec.Requestor, spec.Candidates)
-				respAcc.Add(float64(r.Responded))
-				maintAcc.Add(float64(r.MaintMessages))
-				if t >= lastQuarter {
-					sq += r.SqErr
-					n += r.SqN
-					if r.Outcome {
-						goodAcc.Add(1)
-					} else {
-						goodAcc.Add(0)
-					}
-				}
-			}
-			if n > 0 {
-				mseAcc.Add(sq / float64(n))
-			}
-			// Count populated backup caches as evidence the §3.4.3 path ran.
-			for i := 0; i < w.Graph.N(); i++ {
-				backups += sys.BackupCountOf(topology.NodeID(i))
-			}
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
+			observeGood(&goodAcc, w.txs[lastQuarter:])
+			backups += w.backups
 		}
 		table.AddRow(prob, mseAcc.Mean(), goodAcc.Mean(), respAcc.Mean(), maintAcc.Mean(), backups)
 		notes = append(notes, fmt.Sprintf("offline %.0f%%: MSE %.3f, %.1f responses/tx",

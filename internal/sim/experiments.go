@@ -5,12 +5,10 @@ import (
 	"math"
 
 	"hirep/internal/attack"
-	"hirep/internal/core"
 	"hirep/internal/rca"
 	"hirep/internal/stats"
 	"hirep/internal/topology"
 	"hirep/internal/trustme"
-	"hirep/internal/voting"
 	"hirep/internal/xrand"
 )
 
@@ -24,17 +22,52 @@ type ExpResult struct {
 	Series []*stats.Series
 }
 
-type samplePoint struct{ x, y float64 }
-
-// mergeSamples folds per-replica sample tracks into a named series.
-func mergeSamples(name string, tracks [][]samplePoint) *stats.Series {
+// cumulative renders one variant's replicas as a series of running totals of
+// y in the given unit, sampled every p.SampleEvery transactions and averaged
+// over the replicas.
+func cumulative(p Params, name string, replicas [][]txStats, y func(txStats) float64, unit float64) *stats.Series {
 	s := stats.NewSeries(name)
-	for _, track := range tracks {
-		for _, pt := range track {
-			s.Observe(pt.x, pt.y)
+	for _, txs := range replicas {
+		var cum float64
+		for t, tx := range txs {
+			cum += y(tx)
+			if (t+1)%p.SampleEvery == 0 {
+				s.Observe(float64(t+1), cum/unit)
+			}
 		}
 	}
 	return s
+}
+
+// bucketMSE renders one variant's replicas as a series of the MSE within
+// each p.SampleEvery-transaction bucket, averaged over the replicas.
+func bucketMSE(p Params, name string, replicas [][]txStats) *stats.Series {
+	s := stats.NewSeries(name)
+	for _, txs := range replicas {
+		var sq float64
+		var n int
+		for t, tx := range txs {
+			sq += tx.sqErr
+			n += tx.sqN
+			if (t+1)%p.SampleEvery == 0 && n > 0 {
+				s.Observe(float64(t+1), sq/float64(n))
+				sq, n = 0, 0
+			}
+		}
+	}
+	return s
+}
+
+// observeGood folds each transaction's outcome into acc as 1 or 0, so its
+// mean is the good-choice rate.
+func observeGood(acc *stats.Accum, txs []txStats) {
+	for _, tx := range txs {
+		if tx.good {
+			acc.Add(1)
+		} else {
+			acc.Add(0)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -48,68 +81,25 @@ func Fig5(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	var series []*stats.Series
+	var vs []variant
 	for _, deg := range []int{2, 3, 4} {
-		deg := deg
-		tracks := make([][]samplePoint, p.Replicas)
-		err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("fig5-voting-%d", deg), rep)
-			// "voting-n" runs on a BRITE-style power-law graph of average
-			// degree n, like every topology in §5.2; even at degree 2 the
-			// hubs let a TTL-4 flood reach a large node population.
-			w, err := buildWorld(p, topology.PowerLaw, deg, seed)
-			if err != nil {
-				return err
-			}
-			cfg := p.Voting
-			sys, err := voting.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			var cum int64
-			for t, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
-				cum += sys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages
-				if (t+1)%p.SampleEvery == 0 {
-					tracks[rep] = append(tracks[rep], samplePoint{float64(t + 1), float64(cum) / 100})
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
-		}
-		series = append(series, mergeSamples(fmt.Sprintf("voting-%d", deg), tracks))
+		// "voting-n" runs on a BRITE-style power-law graph of average
+		// degree n, like every topology in §5.2; even at degree 2 the
+		// hubs let a TTL-4 flood reach a large node population.
+		vs = append(vs, votingVariant(p, fmt.Sprintf("voting-%d", deg), fmt.Sprintf("fig5-voting-%d", deg), deg, p.Voting))
 	}
 	// hiREP on the default power-law topology.
-	tracks := make([][]samplePoint, p.Replicas)
-	err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		seed := replicaSeed(p.Seed, "fig5-hirep", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := core.NewSystem(w.Net, w.Oracle, p.Hirep, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		sys.Bootstrap()
-		var cum int64
-		for t, spec := range w.Workload(p.Transactions, p.Hirep.CandidatesPerTx) {
-			cum += sys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages
-			if (t+1)%p.SampleEvery == 0 {
-				tracks[rep] = append(tracks[rep], samplePoint{float64(t + 1), float64(cum) / 100})
-			}
-		}
-		return nil
-	})
+	vs = append(vs, hirepVariant(p, "hirep", "fig5-hirep", p.Hirep))
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-	series = append(series, mergeSamples("hirep", tracks))
-
+	series := make([]*stats.Series, len(vs))
+	for i, v := range vs {
+		series[i] = cumulative(p, v.name, runs[i], func(tx txStats) float64 { return float64(tx.msgs) }, 100)
+	}
 	table := stats.SeriesTable("Figure 5: trust query traffic cost (messages x10^2, cumulative)", "transactions", series...)
-	notes := fig5Notes(series)
-	return ExpResult{Name: "fig5", Table: table, Notes: notes, Series: series}, nil
+	return ExpResult{Name: "fig5", Table: table, Notes: fig5Notes(series), Series: series}, nil
 }
 
 func fig5Notes(series []*stats.Series) []string {
@@ -146,78 +136,22 @@ func Fig6(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	var series []*stats.Series
-
-	// Voting baseline.
-	tracks := make([][]samplePoint, p.Replicas)
-	err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		seed := replicaSeed(p.Seed, "fig6-voting", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := voting.NewSystem(w.Net, w.Oracle, p.Voting, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		tracks[rep] = mseTrack(p, w.Workload(p.Transactions, p.Voting.CandidatesPerTx), func(spec TxSpec) (float64, int) {
-			r := sys.RunTransaction(spec.Requestor, spec.Candidates)
-			return r.SqErr, r.SqN
-		})
-		return nil
-	})
+	vs := []variant{votingVariant(p, "voting", "fig6-voting", p.AvgDegree, p.Voting)}
+	for _, thr := range []float64{0.4, 0.6, 0.8} {
+		cfg := p.Hirep
+		cfg.RemoveThreshold = thr
+		vs = append(vs, hirepVariant(p, fmt.Sprintf("hirep-%d", int(thr*10)), fmt.Sprintf("fig6-hirep-%.1f", thr), cfg))
+	}
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-	series = append(series, mergeSamples("voting", tracks))
-
-	for _, thr := range []float64{0.4, 0.6, 0.8} {
-		thr := thr
-		tracks := make([][]samplePoint, p.Replicas)
-		err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("fig6-hirep-%.1f", thr), rep)
-			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			cfg := p.Hirep
-			cfg.RemoveThreshold = thr
-			sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			sys.Bootstrap()
-			tracks[rep] = mseTrack(p, w.Workload(p.Transactions, cfg.CandidatesPerTx), func(spec TxSpec) (float64, int) {
-				r := sys.RunTransaction(spec.Requestor, spec.Candidates)
-				return r.SqErr, r.SqN
-			})
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
-		}
-		series = append(series, mergeSamples(fmt.Sprintf("hirep-%d", int(thr*10)), tracks))
+	series := make([]*stats.Series, len(vs))
+	for i, v := range vs {
+		series[i] = bucketMSE(p, v.name, runs[i])
 	}
-
 	table := stats.SeriesTable("Figure 6: trust accuracy (MSE) vs transactions, 10% malicious", "transactions", series...)
 	return ExpResult{Name: "fig6", Table: table, Notes: fig6Notes(series), Series: series}, nil
-}
-
-// mseTrack replays a workload and emits bucketed mean-MSE samples.
-func mseTrack(p Params, specs []TxSpec, run func(TxSpec) (float64, int)) []samplePoint {
-	var out []samplePoint
-	var sq float64
-	var n int
-	for t, spec := range specs {
-		dsq, dn := run(spec)
-		sq += dsq
-		n += dn
-		if (t+1)%p.SampleEvery == 0 && n > 0 {
-			out = append(out, samplePoint{float64(t + 1), sq / float64(n)})
-			sq, n = 0, 0
-		}
-	}
-	return out
 }
 
 func fig6Notes(series []*stats.Series) []string {
@@ -252,76 +186,33 @@ func Fig7(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	hirepSeries := stats.NewSeries("hirep")
-	votingSeries := stats.NewSeries("voting")
-	type point struct {
-		ratio         float64
-		hirep, voting float64
-		hn, vn        int
-	}
 	ratios := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	results := make([][]point, p.Replicas)
-	err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		for _, ratio := range ratios {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("fig7-%.2f", ratio), rep)
-			// hiREP.
-			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			hcfg := p.Hirep
-			hcfg.MaliciousFrac = ratio
-			hsys, err := core.NewSystem(w.Net, w.Oracle, hcfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			hsys.Bootstrap()
-			var hsq float64
-			var hn int
-			half := p.Transactions / 2
-			for t, spec := range w.Workload(p.Transactions, hcfg.CandidatesPerTx) {
-				r := hsys.RunTransaction(spec.Requestor, spec.Candidates)
-				if t < half {
-					continue // training phase; Figure 7 plots trained accuracy
-				}
-				hsq += r.SqErr
-				hn += r.SqN
-			}
-			// Voting on an identical world realization.
-			w2, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			vcfg := p.Voting
-			vcfg.MaliciousFrac = ratio
-			vsys, err := voting.NewSystem(w2.Net, w2.Oracle, vcfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			var vsq float64
-			var vn int
-			for t, spec := range w2.Workload(p.Transactions, vcfg.CandidatesPerTx) {
-				r := vsys.RunTransaction(spec.Requestor, spec.Candidates)
-				if t < half {
-					continue // same window as hiREP for a fair comparison
-				}
-				vsq += r.SqErr
-				vn += r.SqN
-			}
-			results[rep] = append(results[rep], point{ratio: ratio, hirep: hsq, hn: hn, voting: vsq, vn: vn})
-		}
-		return nil
-	})
+	// Per ratio, hiREP and voting on identical world realizations (one
+	// seed label), each in its own world.
+	var vs []variant
+	for _, ratio := range ratios {
+		label := fmt.Sprintf("fig7-%.2f", ratio)
+		hcfg := p.Hirep
+		hcfg.MaliciousFrac = ratio
+		vcfg := p.Voting
+		vcfg.MaliciousFrac = ratio
+		vs = append(vs, hirepVariant(p, "hirep", label, hcfg), votingVariant(p, "voting", label, p.AvgDegree, vcfg))
+	}
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-	for _, track := range results {
-		for _, pt := range track {
-			if pt.hn > 0 {
-				hirepSeries.Observe(pt.ratio*100, pt.hirep/float64(pt.hn))
-			}
-			if pt.vn > 0 {
-				votingSeries.Observe(pt.ratio*100, pt.voting/float64(pt.vn))
+	hirepSeries := stats.NewSeries("hirep")
+	votingSeries := stats.NewSeries("voting")
+	// The first half is the training phase; Figure 7 plots trained accuracy,
+	// over the same window for both systems.
+	half := p.Transactions / 2
+	for i, ratio := range ratios {
+		for j, s := range []*stats.Series{hirepSeries, votingSeries} {
+			for _, txs := range runs[2*i+j] {
+				if mse, ok := tailMSE(txs[half:]); ok {
+					s.Observe(ratio*100, mse)
+				}
 			}
 		}
 	}
@@ -340,6 +231,18 @@ func Fig7(p Params) (ExpResult, error) {
 // Figure 8: cumulative response time.
 // ---------------------------------------------------------------------------
 
+// onionLengthVariants is pure voting beside hiREP at the given onion lengths,
+// the systems Figure 8 and the latency table compare.
+func onionLengthVariants(p Params, exp string, relays ...int) []variant {
+	vs := []variant{votingVariant(p, "voting", exp+"-voting", p.AvgDegree, p.Voting)}
+	for _, r := range relays {
+		cfg := p.Hirep
+		cfg.OnionRelays = r
+		vs = append(vs, hirepVariant(p, fmt.Sprintf("hirep-%d", r), fmt.Sprintf("%s-hirep-%d", exp, r), cfg))
+	}
+	return vs
+}
+
 // Fig8 regenerates Figure 8: cumulative trust-request response time against
 // transactions for pure voting and hiREP with 5/7/10 onion relays. Fewer
 // relays mean shorter paths; voting pays for flood congestion.
@@ -347,64 +250,15 @@ func Fig8(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	var series []*stats.Series
-
-	tracks := make([][]samplePoint, p.Replicas)
-	err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-		seed := replicaSeed(p.Seed, "fig8-voting", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := voting.NewSystem(w.Net, w.Oracle, p.Voting, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		var cum float64
-		for t, spec := range w.Workload(p.Transactions, p.Voting.CandidatesPerTx) {
-			cum += float64(sys.RunTransaction(spec.Requestor, spec.Candidates).ResponseTime)
-			if (t+1)%p.SampleEvery == 0 {
-				tracks[rep] = append(tracks[rep], samplePoint{float64(t + 1), cum})
-			}
-		}
-		return nil
-	})
+	vs := onionLengthVariants(p, "fig8", 10, 7, 5)
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-	series = append(series, mergeSamples("voting", tracks))
-
-	for _, relays := range []int{10, 7, 5} {
-		relays := relays
-		tracks := make([][]samplePoint, p.Replicas)
-		err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("fig8-hirep-%d", relays), rep)
-			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			cfg := p.Hirep
-			cfg.OnionRelays = relays
-			sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			sys.Bootstrap()
-			var cum float64
-			for t, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
-				cum += float64(sys.RunTransaction(spec.Requestor, spec.Candidates).ResponseTime)
-				if (t+1)%p.SampleEvery == 0 {
-					tracks[rep] = append(tracks[rep], samplePoint{float64(t + 1), cum})
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
-		}
-		series = append(series, mergeSamples(fmt.Sprintf("hirep-%d", relays), tracks))
+	series := make([]*stats.Series, len(vs))
+	for i, v := range vs {
+		series[i] = cumulative(p, v.name, runs[i], func(tx txStats) float64 { return tx.resp }, 1)
 	}
-
 	table := stats.SeriesTable("Figure 8: cumulative response time (ms) vs transactions", "transactions", series...)
 	var notes []string
 	finals := map[string]float64{}
@@ -436,80 +290,62 @@ func Overhead(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	seed := replicaSeed(p.Seed, "overhead", 0)
-	w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-	if err != nil {
-		return ExpResult{}, err
-	}
-	hsys, err := core.NewSystem(w.Net, w.Oracle, p.Hirep, xrand.New(seed))
-	if err != nil {
-		return ExpResult{}, err
-	}
-	hsys.Bootstrap()
-	var hAcc stats.Accum
-	txns := p.Transactions
-	if txns > 50 {
-		txns = 50
-	}
-	for _, spec := range w.Workload(txns, p.Hirep.CandidatesPerTx) {
-		hAcc.Add(float64(hsys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages))
-	}
-	wv, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-	if err != nil {
-		return ExpResult{}, err
-	}
-	vsys, err := voting.NewSystem(wv.Net, wv.Oracle, p.Voting, xrand.New(seed))
-	if err != nil {
-		return ExpResult{}, err
-	}
-	var vAcc stats.Accum
-	for _, spec := range wv.Workload(txns, p.Voting.CandidatesPerTx) {
-		vAcc.Add(float64(vsys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages))
-	}
-	wt, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-	if err != nil {
-		return ExpResult{}, err
-	}
-	tsys, err := trustme.NewSystem(wt.Net, wt.Oracle, p.TrustMe, xrand.New(seed))
-	if err != nil {
-		return ExpResult{}, err
-	}
-	var tAcc stats.Accum
-	for _, spec := range wt.Workload(txns, p.TrustMe.CandidatesPerTx) {
-		tAcc.Add(float64(tsys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages))
-	}
-
-	// The centralized corner of §3.1's design space: a single RCA server.
-	wr, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-	if err != nil {
-		return ExpResult{}, err
-	}
-	rsys, err := rca.NewSystem(wr.Net, wr.Oracle, rca.DefaultConfig(), xrand.New(seed))
-	if err != nil {
-		return ExpResult{}, err
-	}
-	var rAcc, rRespAcc stats.Accum
-	for _, spec := range wr.Workload(txns, rca.DefaultConfig().CandidatesPerTx) {
-		r := rsys.RunTransaction(spec.Requestor, spec.Candidates)
-		rAcc.Add(float64(r.TrustMessages))
-		rRespAcc.Add(float64(r.ResponseTime))
-	}
-
+	// One world realization, at most 50 transactions, five systems.
+	p.Replicas = 1
+	p.Transactions = min(p.Transactions, 50)
 	// §5.3's remark: "In the real system, TTL value is generally set to be 7,
 	// which suggests more messages will be sent out" — measure it.
-	w7, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-	if err != nil {
-		return ExpResult{}, err
-	}
 	v7cfg := p.Voting
 	v7cfg.TTL = 7
-	v7sys, err := voting.NewSystem(w7.Net, w7.Oracle, v7cfg, xrand.New(seed))
+	vs := []variant{
+		hirepVariant(p, "hirep", "overhead", p.Hirep),
+		votingVariant(p, "voting", "overhead", p.AvgDegree, p.Voting),
+		votingVariant(p, "voting-ttl7", "overhead", p.AvgDegree, v7cfg),
+		{"trustme", "overhead", func(seed int64) ([]TxSpec, func(TxSpec) txStats, error) {
+			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			sys, err := trustme.NewSystem(w.Net, w.Oracle, p.TrustMe, xrand.New(seed))
+			if err != nil {
+				return nil, nil, err
+			}
+			return w.Workload(p.Transactions, p.TrustMe.CandidatesPerTx), func(spec TxSpec) txStats {
+				return txStats{msgs: sys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages}
+			}, nil
+		}},
+		// The centralized corner of §3.1's design space: a single RCA server.
+		{"central-rca", "overhead", func(seed int64) ([]TxSpec, func(TxSpec) txStats, error) {
+			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			cfg := rca.DefaultConfig()
+			sys, err := rca.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
+			if err != nil {
+				return nil, nil, err
+			}
+			return w.Workload(p.Transactions, cfg.CandidatesPerTx), func(spec TxSpec) txStats {
+				r := sys.RunTransaction(spec.Requestor, spec.Candidates)
+				return txStats{msgs: r.TrustMessages, resp: float64(r.ResponseTime)}
+			}, nil
+		}},
+	}
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-	var v7Acc stats.Accum
-	for _, spec := range w7.Workload(txns, v7cfg.CandidatesPerTx) {
-		v7Acc.Add(float64(v7sys.RunTransaction(spec.Requestor, spec.Candidates).TrustMessages))
+	msgs := make([]float64, len(vs)) // mean msgs/tx, in vs order
+	var rcaResp stats.Accum
+	for i := range vs {
+		var acc stats.Accum
+		for _, tx := range runs[i][0] {
+			acc.Add(float64(tx.msgs))
+			if i == len(vs)-1 {
+				rcaResp.Add(tx.resp)
+			}
+		}
+		msgs[i] = acc.Mean()
 	}
 
 	c, o := p.Hirep.TrustedAgents, p.Hirep.OnionRelays
@@ -517,15 +353,15 @@ func Overhead(p Params) (ExpResult, error) {
 	exact := 3 * c * (o + 1)    // this implementation: req+resp+report, each o+1 hops
 	table := stats.NewTable("Trust-distribution overhead per transaction (§4.1)",
 		"system", "mean msgs/tx", "max-analytic", "note")
-	table.AddRow("hirep", hAcc.Mean(), exact, fmt.Sprintf("paper bound 2c(oi+oj)=%d; O(c)", analytic))
-	table.AddRow("voting", vAcc.Mean(), "-", "TTL-4 flood + reverse-path votes")
-	table.AddRow("voting-ttl7", v7Acc.Mean(), "-", "deployed-Gnutella TTL (§5.3 remark)")
-	table.AddRow("trustme", tAcc.Mean(), "-", "double broadcast (query + report)")
-	table.AddRow("central-rca", rAcc.Mean(), "-",
-		fmt.Sprintf("cheapest but a bottleneck + SPOF (§3.1); resp %.0f ms", rRespAcc.Mean()))
+	table.AddRow("hirep", msgs[0], exact, fmt.Sprintf("paper bound 2c(oi+oj)=%d; O(c)", analytic))
+	table.AddRow("voting", msgs[1], "-", "TTL-4 flood + reverse-path votes")
+	table.AddRow("voting-ttl7", msgs[2], "-", "deployed-Gnutella TTL (§5.3 remark)")
+	table.AddRow("trustme", msgs[3], "-", "double broadcast (query + report)")
+	table.AddRow("central-rca", msgs[4], "-",
+		fmt.Sprintf("cheapest but a bottleneck + SPOF (§3.1); resp %.0f ms", rcaResp.Mean()))
 	notes := []string{
 		fmt.Sprintf("hiREP %.0f msgs/tx vs voting %.0f (%.1fx less) vs trustme %.0f",
-			hAcc.Mean(), vAcc.Mean(), vAcc.Mean()/math.Max(hAcc.Mean(), 1), tAcc.Mean()),
+			msgs[0], msgs[1], msgs[1]/math.Max(msgs[0], 1), msgs[3]),
 	}
 	return ExpResult{Name: "overhead", Table: table, Notes: notes}, nil
 }
@@ -542,33 +378,32 @@ func Attacks(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	table := stats.NewTable("Robustness against attacks (§4.2)",
-		"scenario", "final MSE", "good-choice rate", "agents killed")
-	var notes []string
-	for _, sc := range attack.Catalog() {
-		seed := replicaSeed(p.Seed, "attacks-"+sc.Name, 0)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return ExpResult{}, err
-		}
+	scenarios := attack.Catalog()
+	type outcome struct {
+		mse, rate float64
+		killed    int
+	}
+	rows := make([]outcome, len(scenarios))
+	err := forEachTask(len(scenarios), p.workers(), func(i int) error {
+		sc := scenarios[i]
 		cfg := p.Hirep
 		sc.Apply(&cfg)
-		sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
+		w, sys, err := newHirep(p, cfg, replicaSeed(p.Seed, "attacks-"+sc.Name, 0))
 		if err != nil {
-			return ExpResult{}, err
+			return fmt.Errorf("%s: %w", sc.Name, err)
 		}
 		sys.Bootstrap()
-		killed := 0
-		var sq float64
-		var n, good, goodN int
 		lastQuarter := p.Transactions * 3 / 4
 		dosAt := 0
 		if sc.Faults.KillHonestFrac > 0 {
 			dosAt = p.Transactions / 2
 		}
+		row := &rows[i]
+		var sq float64
+		var n, good, goodN int
 		for t, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
 			if dosAt > 0 && t == dosAt {
-				killed = len(sys.KillAgents(sc.Faults.KillHonestFrac))
+				row.killed = len(sys.KillAgents(sc.Faults.KillHonestFrac))
 			}
 			r := sys.RunTransaction(spec.Requestor, spec.Candidates)
 			if t >= lastQuarter {
@@ -580,16 +415,23 @@ func Attacks(p Params) (ExpResult, error) {
 				}
 			}
 		}
-		mse := 0.0
 		if n > 0 {
-			mse = sq / float64(n)
+			row.mse = sq / float64(n)
 		}
-		rate := 0.0
 		if goodN > 0 {
-			rate = float64(good) / float64(goodN)
+			row.rate = float64(good) / float64(goodN)
 		}
-		table.AddRow(sc.Name, mse, rate, killed)
-		notes = append(notes, fmt.Sprintf("%s: MSE %.3f, good-choice %.2f", sc.Name, mse, rate))
+		return nil
+	})
+	if err != nil {
+		return ExpResult{}, err
+	}
+	table := stats.NewTable("Robustness against attacks (§4.2)",
+		"scenario", "final MSE", "good-choice rate", "agents killed")
+	var notes []string
+	for i, sc := range scenarios {
+		table.AddRow(sc.Name, rows[i].mse, rows[i].rate, rows[i].killed)
+		notes = append(notes, fmt.Sprintf("%s: MSE %.3f, good-choice %.2f", sc.Name, rows[i].mse, rows[i].rate))
 	}
 	return ExpResult{Name: "attacks", Table: table, Notes: notes}, nil
 }

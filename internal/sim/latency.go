@@ -3,11 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"hirep/internal/core"
 	"hirep/internal/stats"
-	"hirep/internal/topology"
-	"hirep/internal/voting"
-	"hirep/internal/xrand"
 )
 
 // Latency reports per-transaction response-time distributions (mean / P50 /
@@ -18,64 +14,23 @@ func Latency(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
-	table := stats.NewTable("Response-time distribution per transaction (ms)",
-		"system", "mean", "P50", "P95", "P99", "max")
-	var notes []string
-
-	collect := func(label string, run func(rep int, sample *stats.Sample) error) error {
-		var sample stats.Sample
-		for rep := 0; rep < p.Replicas; rep++ {
-			if err := run(rep, &sample); err != nil {
-				return err
-			}
-		}
-		table.AddRow(label, sample.Mean(), sample.Quantile(0.5), sample.Quantile(0.95), sample.Quantile(0.99), sample.Max())
-		notes = append(notes, fmt.Sprintf("%s: P50 %.0f ms, P99 %.0f ms", label, sample.Quantile(0.5), sample.Quantile(0.99)))
-		return nil
-	}
-
-	err := collect("voting", func(rep int, sample *stats.Sample) error {
-		seed := replicaSeed(p.Seed, "latency-voting", rep)
-		w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-		if err != nil {
-			return err
-		}
-		sys, err := voting.NewSystem(w.Net, w.Oracle, p.Voting, xrand.New(seed))
-		if err != nil {
-			return err
-		}
-		for _, spec := range w.Workload(p.Transactions, p.Voting.CandidatesPerTx) {
-			sample.Add(float64(sys.RunTransaction(spec.Requestor, spec.Candidates).ResponseTime))
-		}
-		return nil
-	})
+	vs := onionLengthVariants(p, "latency", 5, 7, 10)
+	runs, err := replay(p, vs)
 	if err != nil {
 		return ExpResult{}, err
 	}
-
-	for _, relays := range []int{5, 7, 10} {
-		relays := relays
-		err := collect(fmt.Sprintf("hirep-%d", relays), func(rep int, sample *stats.Sample) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("latency-hirep-%d", relays), rep)
-			w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
+	table := stats.NewTable("Response-time distribution per transaction (ms)",
+		"system", "mean", "P50", "P95", "P99", "max")
+	var notes []string
+	for i, v := range vs {
+		var sample stats.Sample
+		for _, txs := range runs[i] {
+			for _, tx := range txs {
+				sample.Add(tx.resp)
 			}
-			cfg := p.Hirep
-			cfg.OnionRelays = relays
-			sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			sys.Bootstrap()
-			for _, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
-				sample.Add(float64(sys.RunTransaction(spec.Requestor, spec.Candidates).ResponseTime))
-			}
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
 		}
+		table.AddRow(v.name, sample.Mean(), sample.Quantile(0.5), sample.Quantile(0.95), sample.Quantile(0.99), sample.Max())
+		notes = append(notes, fmt.Sprintf("%s: P50 %.0f ms, P99 %.0f ms", v.name, sample.Quantile(0.5), sample.Quantile(0.99)))
 	}
 	return ExpResult{Name: "latency", Table: table, Notes: notes}, nil
 }

@@ -3,11 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"hirep/internal/core"
 	"hirep/internal/stats"
-	"hirep/internal/topology"
-	"hirep/internal/voting"
-	"hirep/internal/xrand"
 )
 
 // Loss sweeps network message-loss probability and compares how hiREP and
@@ -21,72 +17,39 @@ func Loss(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
+	losses := []float64{0, 0.01, 0.05, 0.10, 0.20}
+	// Per loss level, hiREP and voting over identical lossy worlds.
+	var vs []variant
+	for _, loss := range losses {
+		lossy := p
+		lossy.Net.LossProb = loss
+		label := fmt.Sprintf("loss-%.2f", loss)
+		vs = append(vs, hirepVariant(lossy, "hirep", label, p.Hirep), votingVariant(lossy, "voting", label, p.AvgDegree, p.Voting))
+	}
+	runs, err := replay(p, vs)
+	if err != nil {
+		return ExpResult{}, err
+	}
 	table := stats.NewTable("Robustness to network message loss",
 		"loss prob", "hirep MSE", "hirep responses/tx", "voting MSE", "voting voters/tx")
 	var notes []string
-	for _, loss := range []float64{0, 0.01, 0.05, 0.10, 0.20} {
-		var hMSE, hResp, vMSE, vVoters stats.Accum
-		err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-			seed := replicaSeed(p.Seed, fmt.Sprintf("loss-%.2f", loss), rep)
-			netCfg := p.Net
-			netCfg.LossProb = loss
-
-			// hiREP.
-			pp := p
-			pp.Net = netCfg
-			w, err := buildWorld(pp, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			hsys, err := core.NewSystem(w.Net, w.Oracle, p.Hirep, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			hsys.Bootstrap()
-			var sq float64
-			var n int
-			lastQuarter := p.Transactions * 3 / 4
-			for t, spec := range w.Workload(p.Transactions, p.Hirep.CandidatesPerTx) {
-				r := hsys.RunTransaction(spec.Requestor, spec.Candidates)
-				hResp.Add(float64(r.Responded))
-				if t >= lastQuarter {
-					sq += r.SqErr
-					n += r.SqN
+	lastQuarter := p.Transactions * 3 / 4
+	for i, loss := range losses {
+		// mse and answers/tx of hiREP (0) and voting (1) at this loss level.
+		var mse, answers [2]stats.Accum
+		for j := range mse {
+			for _, txs := range runs[2*i+j] {
+				for _, tx := range txs {
+					answers[j].Add(float64(tx.answers))
+				}
+				if m, ok := tailMSE(txs[lastQuarter:]); ok {
+					mse[j].Add(m)
 				}
 			}
-			if n > 0 {
-				hMSE.Add(sq / float64(n))
-			}
-
-			// Voting over an identical lossy world.
-			w2, err := buildWorld(pp, topology.PowerLaw, p.AvgDegree, seed)
-			if err != nil {
-				return err
-			}
-			vsys, err := voting.NewSystem(w2.Net, w2.Oracle, p.Voting, xrand.New(seed))
-			if err != nil {
-				return err
-			}
-			sq, n = 0, 0
-			for t, spec := range w2.Workload(p.Transactions, p.Voting.CandidatesPerTx) {
-				r := vsys.RunTransaction(spec.Requestor, spec.Candidates)
-				vVoters.Add(float64(r.Voters))
-				if t >= lastQuarter {
-					sq += r.SqErr
-					n += r.SqN
-				}
-			}
-			if n > 0 {
-				vMSE.Add(sq / float64(n))
-			}
-			return nil
-		})
-		if err != nil {
-			return ExpResult{}, err
 		}
-		table.AddRow(loss, hMSE.Mean(), hResp.Mean(), vMSE.Mean(), vVoters.Mean())
+		table.AddRow(loss, mse[0].Mean(), answers[0].Mean(), mse[1].Mean(), answers[1].Mean())
 		notes = append(notes, fmt.Sprintf("loss %.0f%%: hiREP MSE %.3f (%.1f resp/tx), voting MSE %.3f",
-			loss*100, hMSE.Mean(), hResp.Mean(), vMSE.Mean()))
+			loss*100, mse[0].Mean(), answers[0].Mean(), mse[1].Mean()))
 	}
 	return ExpResult{Name: "loss", Table: table, Notes: notes}, nil
 }

@@ -5,8 +5,6 @@ import (
 
 	"hirep/internal/core"
 	"hirep/internal/stats"
-	"hirep/internal/topology"
-	"hirep/internal/xrand"
 )
 
 // Models compares the agent trust-computation models (§4.2.3's "next level
@@ -18,52 +16,35 @@ func Models(p Params) (ExpResult, error) {
 	if err := p.Validate(); err != nil {
 		return ExpResult{}, err
 	}
+	var vs []variant
+	var lies []bool // lies[i] is whether variant i's reporters lie
+	for _, lying := range []bool{false, true} {
+		for _, model := range []core.AgentModel{core.ModelRating, core.ModelTally, core.ModelCredibility} {
+			cfg := p.Hirep
+			cfg.Model = model
+			cfg.LyingReporters = lying
+			vs = append(vs, hirepVariant(p, model.String(), fmt.Sprintf("models-%v-%v", model, lying), cfg))
+			lies = append(lies, lying)
+		}
+	}
+	runs, err := replay(p, vs)
+	if err != nil {
+		return ExpResult{}, err
+	}
 	table := stats.NewTable("Agent computation models under report manipulation (§4.2.3)",
 		"model", "lying reporters", "final MSE", "good-choice rate")
 	var notes []string
-	for _, lying := range []bool{false, true} {
-		for _, model := range []core.AgentModel{core.ModelRating, core.ModelTally, core.ModelCredibility} {
-			var mseAcc, goodAcc stats.Accum
-			err := forEachReplica(p.Replicas, p.workers(), func(rep int) error {
-				seed := replicaSeed(p.Seed, fmt.Sprintf("models-%v-%v", model, lying), rep)
-				w, err := buildWorld(p, topology.PowerLaw, p.AvgDegree, seed)
-				if err != nil {
-					return err
-				}
-				cfg := p.Hirep
-				cfg.Model = model
-				cfg.LyingReporters = lying
-				sys, err := core.NewSystem(w.Net, w.Oracle, cfg, xrand.New(seed))
-				if err != nil {
-					return err
-				}
-				sys.Bootstrap()
-				var sq float64
-				var n int
-				lastQuarter := p.Transactions * 3 / 4
-				for t, spec := range w.Workload(p.Transactions, cfg.CandidatesPerTx) {
-					r := sys.RunTransaction(spec.Requestor, spec.Candidates)
-					if t >= lastQuarter {
-						sq += r.SqErr
-						n += r.SqN
-						if r.Outcome {
-							goodAcc.Add(1)
-						} else {
-							goodAcc.Add(0)
-						}
-					}
-				}
-				if n > 0 {
-					mseAcc.Add(sq / float64(n))
-				}
-				return nil
-			})
-			if err != nil {
-				return ExpResult{}, err
+	lastQuarter := p.Transactions * 3 / 4
+	for i, v := range vs {
+		var mseAcc, goodAcc stats.Accum
+		for _, txs := range runs[i] {
+			if mse, ok := tailMSE(txs[lastQuarter:]); ok {
+				mseAcc.Add(mse)
 			}
-			table.AddRow(model.String(), lying, mseAcc.Mean(), goodAcc.Mean())
-			notes = append(notes, fmt.Sprintf("%s lying=%v: MSE %.4f", model, lying, mseAcc.Mean()))
+			observeGood(&goodAcc, txs[lastQuarter:])
 		}
+		table.AddRow(v.name, lies[i], mseAcc.Mean(), goodAcc.Mean())
+		notes = append(notes, fmt.Sprintf("%s lying=%v: MSE %.4f", v.name, lies[i], mseAcc.Mean()))
 	}
 	return ExpResult{Name: "models", Table: table, Notes: notes}, nil
 }

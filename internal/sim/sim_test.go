@@ -104,10 +104,10 @@ func TestWorkloadWellFormed(t *testing.T) {
 	}
 }
 
-func TestForEachReplicaRunsAll(t *testing.T) {
+func TestForEachTaskRunsAll(t *testing.T) {
 	ran := make([]bool, 7)
-	err := forEachReplica(7, 3, func(rep int) error {
-		ran[rep] = true
+	err := forEachTask(7, 3, func(i int) error {
+		ran[i] = true
 		return nil
 	})
 	if err != nil {
@@ -115,24 +115,49 @@ func TestForEachReplicaRunsAll(t *testing.T) {
 	}
 	for i, r := range ran {
 		if !r {
-			t.Fatalf("replica %d skipped", i)
+			t.Fatalf("task %d skipped", i)
 		}
 	}
 }
 
-func TestForEachReplicaPropagatesError(t *testing.T) {
-	err := forEachReplica(4, 2, func(rep int) error {
-		if rep == 2 {
-			return errBoom
+// TestForEachTaskPropagatesError: nothing new starts once a failure is
+// known, and with two failing indices the lower one's error comes back even
+// when the higher one fails first.
+func TestForEachTaskPropagatesError(t *testing.T) {
+	errLow, errHigh := errTest("boom at 2"), errTest("boom at 5")
+	fail := func(i int) error {
+		switch i {
+		case 2:
+			return errLow
+		case 5:
+			return errHigh
 		}
 		return nil
+	}
+	started := 0
+	err := forEachTask(8, 1, func(i int) error {
+		started++
+		return fail(i)
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("error not propagated: %v", err)
+	if err != errLow || started != 3 {
+		t.Fatalf("one worker: error %v after %d tasks, want %v after 3", err, started, errLow)
+	}
+	for _, workers := range []int{2, 8} {
+		highFailed := make(chan struct{})
+		err := forEachTask(64, workers, func(i int) error {
+			switch i {
+			case 2:
+				<-highFailed
+			case 5:
+				defer close(highFailed)
+			}
+			return fail(i)
+		})
+		if err != errLow {
+			t.Fatalf("workers=%d: got %v, want the lowest failing index's error %v", workers, err, errLow)
+		}
 	}
 }
-
-var errBoom = errTest("boom")
 
 type errTest string
 

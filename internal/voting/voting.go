@@ -64,28 +64,45 @@ func (c Config) Validate() error {
 	return c.Rating.Validate()
 }
 
-// Payloads.
+// Payloads travel as pointers into per-node scratch owned by the System, so
+// a poll allocates nothing per message. A node handles the first query it
+// sees and no other, so it forwards once and votes once per poll: one query
+// record and one vote record per node is all a poll can use.
 type (
+	// voteReqPayload is a query as one node sends it; every copy the node fans
+	// out points at the same record. The parent chain is the flood tree: the
+	// reverse route back to the requestor, nearest first, shared between
+	// siblings instead of copied into each.
 	voteReqPayload struct {
-		pollID     uint64
-		origin     topology.NodeID
-		candidates []topology.NodeID
-		ttl        int
-		// path is the reverse route back to the origin, nearest-first.
-		path []topology.NodeID
+		node   topology.NodeID // the sender of these copies
+		parent *voteReqPayload // the query node first received; nil at the requestor
+		// depth is the number of nodes on the reverse route, node included:
+		// a copy's receiver is depth hops from the requestor.
+		depth int
 	}
+	// voteRespPayload is one voter's vote on its way down the reverse route.
+	// It has exactly one message in flight at a time (or none, once lost or
+	// delivered), so a relay forwards the payload itself after advancing at.
 	voteRespPayload struct {
-		pollID uint64
-		voter  topology.NodeID
-		votes  []trust.Value
-		// path holds the remaining reverse hops; empty means deliver here.
-		path []topology.NodeID
+		votes []trust.Value
+		at    *voteReqPayload // the hop the message in flight is addressed to
 	}
 )
+
+// nodeScratch is one node's share of the poll in progress. It is reused by
+// the next poll, which is safe only because RunTransaction drains the network
+// before it returns: no message outlives its poll.
+type nodeScratch struct {
+	seen  uint64 // ID of the last poll whose query reached the node
+	query voteReqPayload
+	vote  voteRespPayload
+}
 
 // Wire-size estimates for the bytes view of the traffic experiments (same
 // constants as the hiREP size model: 5-byte frames, 21-byte addresses,
 // 20-byte node IDs).
+//
+// pathLen is the number of nodes on the reverse route the message carries.
 func querySize(candidates, pathLen int) int {
 	return 5 + 8 + 20*candidates + 8 + 21*pathLen + 16
 }
@@ -94,12 +111,13 @@ func voteSize(candidates, pathLen int) int {
 	return 5 + 8 + 20 + 8*candidates + 21*pathLen + 12
 }
 
-// pollState accumulates one in-flight poll at the requestor.
+// pollState accumulates the poll in progress at the requestor.
 type pollState struct {
-	id       uint64
-	sums     []float64
-	count    int
-	lastResp simnet.Time
+	id         uint64
+	candidates []topology.NodeID
+	sums       []float64
+	count      int
+	lastResp   simnet.Time
 }
 
 // TxResult mirrors core.TxResult for the experiment harness.
@@ -133,9 +151,9 @@ type System struct {
 	wrng      *xrand.RNG
 	malicious []bool
 	voterRNGs []*xrand.RNG
-	seen      map[uint64]map[topology.NodeID]bool
-	cur       *pollState
-	nextID    uint64
+	nodes     []nodeScratch
+	votes     []trust.Value // backing store of every nodes[i].vote.votes
+	cur       pollState
 }
 
 // NewSystem builds the baseline over net with ground truth from oracle.
@@ -154,15 +172,14 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 		rng:       rng.Split("voting"),
 		malicious: make([]bool, n),
 		voterRNGs: make([]*xrand.RNG, n),
-		seen:      make(map[uint64]map[topology.NodeID]bool),
+		nodes:     make([]nodeScratch, n),
 	}
 	s.wrng = s.rng.Split("workload")
 	roleRNG := s.rng.Split("roles")
 	for i := 0; i < n; i++ {
 		s.malicious[i] = roleRNG.Bool(cfg.MaliciousFrac)
 		s.voterRNGs[i] = s.rng.SplitN("voter", i)
-		id := topology.NodeID(i)
-		net.SetHandler(id, func(nw *simnet.Network, m simnet.Message) { s.dispatch(nw, m) })
+		net.SetHandler(topology.NodeID(i), s.dispatch)
 	}
 	return s, nil
 }
@@ -179,10 +196,10 @@ func (s *System) MaliciousCount() int {
 }
 
 func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {
-	switch m.Kind {
-	case KindVoteReq:
+	switch m.KindID {
+	case kindVoteReqID:
 		s.onVoteReq(nw, m)
-	case KindVoteResp:
+	case kindVoteRespID:
 		s.onVoteResp(nw, m)
 	}
 }
@@ -190,55 +207,42 @@ func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {
 // onVoteReq handles a flood arrival: first receipt votes and forwards;
 // duplicates die (they were still counted as sent messages).
 func (s *System) onVoteReq(nw *simnet.Network, m simnet.Message) {
-	p := m.Payload.(voteReqPayload)
-	seen := s.seen[p.pollID]
-	if seen == nil {
-		seen = make(map[topology.NodeID]bool)
-		s.seen[p.pollID] = seen
-	}
-	if seen[m.To] {
+	p := m.Payload.(*voteReqPayload)
+	me := &s.nodes[m.To]
+	if me.seen == s.cur.id {
 		return
 	}
-	seen[m.To] = true
+	me.seen = s.cur.id
 	// Vote: evaluate every candidate from local experience and send the vote
 	// back along the reverse path.
-	votes := make([]trust.Value, len(p.candidates))
-	for i, c := range p.candidates {
+	nc := len(s.cur.candidates)
+	votes := s.votes[int(m.To)*nc:][:nc]
+	for i, c := range s.cur.candidates {
 		votes[i] = s.cfg.Rating.Evaluate(!s.malicious[m.To], s.oracle.Trustworthy(int(c)), s.voterRNGs[m.To])
 	}
-	resp := voteRespPayload{pollID: p.pollID, voter: m.To, votes: votes, path: p.path[1:]}
-	nw.SendKindBytes(m.To, p.path[0], kindVoteRespID, resp, voteSize(len(votes), len(p.path)))
-	// Forward while TTL lasts.
-	if p.ttl <= 1 {
+	me.vote = voteRespPayload{votes: votes, at: p}
+	nw.SendKindBytes(m.To, p.node, kindVoteRespID, &me.vote, voteSize(nc, p.depth))
+	// Forward while TTL lasts: this copy arrived on its hop number p.depth.
+	if p.depth >= s.cfg.TTL {
 		return
 	}
+	me.query = voteReqPayload{node: m.To, parent: p, depth: p.depth + 1}
 	for _, nb := range s.net.Graph().Neighbors(m.To) {
 		if nb == m.From {
 			continue
 		}
-		fwd := voteReqPayload{
-			pollID:     p.pollID,
-			origin:     p.origin,
-			candidates: p.candidates,
-			ttl:        p.ttl - 1,
-			path:       append([]topology.NodeID{m.To}, p.path...),
-		}
-		nw.SendKindBytes(m.To, nb, kindVoteReqID, fwd, querySize(len(p.candidates), len(fwd.path)))
+		nw.SendKindBytes(m.To, nb, kindVoteReqID, &me.query, querySize(nc, me.query.depth))
 	}
 }
 
 // onVoteResp forwards a vote one reverse hop, or accumulates it at the
 // requestor.
 func (s *System) onVoteResp(nw *simnet.Network, m simnet.Message) {
-	p := m.Payload.(voteRespPayload)
-	if len(p.path) > 0 {
-		next := p.path[0]
-		nw.SendKindBytes(m.To, next, kindVoteRespID, voteRespPayload{
-			pollID: p.pollID, voter: p.voter, votes: p.votes, path: p.path[1:],
-		}, voteSize(len(p.votes), len(p.path)))
-		return
-	}
-	if s.cur == nil || s.cur.id != p.pollID {
+	p := m.Payload.(*voteRespPayload)
+	if next := p.at.parent; next != nil {
+		// The route still to travel is the one next carries.
+		p.at = next
+		nw.SendKindBytes(m.To, next.node, kindVoteRespID, p, voteSize(len(p.votes), next.depth))
 		return
 	}
 	for i, v := range p.votes {
@@ -251,24 +255,27 @@ func (s *System) onVoteResp(nw *simnet.Network, m simnet.Message) {
 // RunTransaction floods a poll for the candidates, waits for all votes, and
 // selects the best candidate by the unweighted vote mean.
 func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology.NodeID) TxResult {
-	before := s.net.Count(KindVoteReq) + s.net.Count(KindVoteResp)
-	s.nextID++
-	poll := &pollState{id: s.nextID, sums: make([]float64, len(candidates))}
-	s.cur = poll
-	s.seen[poll.id] = map[topology.NodeID]bool{requestor: true}
+	if s.net.Pending() != 0 {
+		// The per-node scratch is about to be reused; a message still in
+		// flight would point into it.
+		panic("voting: RunTransaction on a network with events pending")
+	}
+	before := s.net.CountKind(kindVoteReqID) + s.net.CountKind(kindVoteRespID)
+	nc := len(candidates)
+	if need := len(s.nodes) * nc; len(s.votes) < need {
+		s.votes = make([]trust.Value, need)
+	}
+	// The sums buffer is reused, zeroed (append of a make extends in place).
+	s.cur = pollState{id: s.cur.id + 1, candidates: candidates, sums: append(s.cur.sums[:0], make([]float64, nc)...)}
+	poll := &s.cur
+	root := &s.nodes[requestor]
+	root.seen = poll.id
+	root.query = voteReqPayload{node: requestor, depth: 1}
 	start := s.net.Now()
 	for _, nb := range s.net.Graph().Neighbors(requestor) {
-		s.net.SendKindBytes(requestor, nb, kindVoteReqID, voteReqPayload{
-			pollID:     poll.id,
-			origin:     requestor,
-			candidates: candidates,
-			ttl:        s.cfg.TTL,
-			path:       []topology.NodeID{requestor},
-		}, querySize(len(candidates), 1))
+		s.net.SendKindBytes(requestor, nb, kindVoteReqID, &root.query, querySize(nc, 1))
 	}
 	s.net.Run(0)
-	s.cur = nil
-	delete(s.seen, poll.id)
 
 	res := TxResult{
 		Requestor:  requestor,
@@ -302,7 +309,7 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	if poll.lastResp > 0 {
 		res.ResponseTime = poll.lastResp - start
 	}
-	res.TrustMessages = s.net.Count(KindVoteReq) + s.net.Count(KindVoteResp) - before
+	res.TrustMessages = s.net.CountKind(kindVoteReqID) + s.net.CountKind(kindVoteRespID) - before
 	return res
 }
 

@@ -199,3 +199,139 @@ func TestChosenAmongCandidates(t *testing.T) {
 		}
 	}
 }
+
+// narrowRating rates good subjects 0.9 and bad ones 0.1 to within 1e-12, so a
+// poll's estimates do not depend on how far each voter's random stream has
+// advanced and a long-lived System can be compared with a fresh one.
+func narrowRating() trust.RatingModel {
+	return trust.RatingModel{GoodLo: 0.9, GoodHi: 0.9 + 1e-12, BadLo: 0.1, BadHi: 0.1 + 1e-12}
+}
+
+// TestScratchReuseLeaksNothing: 50 consecutive polls on one System answer
+// exactly as 50 fresh Systems given one poll each. Every poll reuses the
+// per-node query and vote records and the seen stamps of the polls before
+// it; a stale stamp would lose voters, a stale record would bend a route or a
+// vote. TTL 7 floods the whole overlay through its deepest trees.
+func TestScratchReuseLeaksNothing(t *testing.T) {
+	for _, ttl := range []int{4, 7} {
+		cfg := DefaultConfig()
+		cfg.TTL = ttl
+		cfg.MaliciousFrac = 0.3
+		cfg.Rating = narrowRating()
+		const n, seed = 150, 11
+		used := buildSystem(t, n, 3, cfg, seed)
+		wl := xrand.New(99)
+		for i := 0; i < 50; i++ {
+			requestor := topology.NodeID(wl.Intn(n))
+			candidates := used.PickCandidates(requestor)
+			got := used.RunTransaction(requestor, candidates)
+			want := buildSystem(t, n, 3, cfg, seed).RunTransaction(requestor, candidates)
+			if got.Voters != want.Voters || got.TrustMessages != want.TrustMessages {
+				t.Fatalf("ttl %d poll %d: %d voters, %d msgs on the reused system; %d, %d on a fresh one",
+					ttl, i, got.Voters, got.TrustMessages, want.Voters, want.TrustMessages)
+			}
+			// The reused system's clock has advanced, so times agree to
+			// rounding, not to the bit.
+			if d := float64(got.ResponseTime - want.ResponseTime); math.Abs(d) > 1e-9*float64(want.ResponseTime) {
+				t.Fatalf("ttl %d poll %d: response time %v, fresh %v", ttl, i, got.ResponseTime, want.ResponseTime)
+			}
+			for j := range want.Estimates {
+				if math.Abs(float64(got.Estimates[j]-want.Estimates[j])) > 1e-9 {
+					t.Fatalf("ttl %d poll %d: estimates %v, fresh %v", ttl, i, got.Estimates, want.Estimates)
+				}
+			}
+		}
+	}
+}
+
+// TestWireBytesMatchRouteLength: on a hand-built tree (no duplicate queries)
+// the byte counters equal the closed-form sums of querySize and voteSize over
+// route lengths, so the depth a hop records is the length of the route a
+// message would carry.
+//
+//	0 - 1 - 3 - 5
+//	|   |
+//	2   4
+func TestWireBytesMatchRouteLength(t *testing.T) {
+	g := topology.NewGraph(6)
+	for _, e := range [][2]topology.NodeID{{0, 1}, {0, 2}, {1, 3}, {1, 4}, {3, 5}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const requestor, nc = 0, 2
+	dist := g.BFSDistances(requestor)
+	for _, ttl := range []int{2, 4} {
+		net, err := simnet.New(g, simnet.DefaultConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.TTL = ttl
+		cfg.CandidatesPerTx = nc
+		sys, err := NewSystem(net, trust.NewOracle(6, 0.5, xrand.New(1)), cfg, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sys.RunTransaction(requestor, []topology.NodeID{4, 5})
+
+		var wantReq, wantResp, voters int
+		for v, d := range dist {
+			if d > ttl {
+				continue // the flood dies before it gets here
+			}
+			// A node d hops out forwards, while TTL lasts, to every
+			// neighbour but the one it heard from, a route d+1 long.
+			if fanout := g.Degree(topology.NodeID(v)); d == 0 {
+				wantReq += fanout * querySize(nc, 1)
+			} else if d < ttl {
+				wantReq += (fanout - 1) * querySize(nc, d+1)
+			}
+			// Its vote travels d hops, the route one node shorter each hop.
+			for left := d; left >= 1; left-- {
+				wantResp += voteSize(nc, left)
+			}
+			if d > 0 {
+				voters++
+			}
+		}
+		if got := net.Bytes(KindVoteReq); got != int64(wantReq) {
+			t.Errorf("ttl %d: %d query bytes, want %d", ttl, got, wantReq)
+		}
+		if got := net.Bytes(KindVoteResp); got != int64(wantResp) {
+			t.Errorf("ttl %d: %d vote bytes, want %d", ttl, got, wantResp)
+		}
+		if res.Voters != voters {
+			t.Errorf("ttl %d: %d voters, want %d", ttl, res.Voters, voters)
+		}
+	}
+}
+
+// TestWarmPollAllocations: once a System has run a poll, another allocates
+// only its result and the odd growth of the simulator's event slab — nothing
+// per message (a poll here sends over a thousand).
+func TestWarmPollAllocations(t *testing.T) {
+	sys := buildSystem(t, 300, 4, DefaultConfig(), 3)
+	requestor := topology.NodeID(3)
+	candidates := sys.PickCandidates(requestor)
+	var msgs int64
+	allocs := testing.AllocsPerRun(20, func() {
+		msgs = sys.RunTransaction(requestor, candidates).TrustMessages
+	})
+	if allocs > 16 {
+		t.Fatalf("%v allocations per warm poll of %d messages, want <= 16", allocs, msgs)
+	}
+}
+
+// TestPollRefusesPendingEvents: the per-node records are only reusable on a
+// drained network.
+func TestPollRefusesPendingEvents(t *testing.T) {
+	sys := buildSystem(t, 50, 3, DefaultConfig(), 4)
+	sys.net.After(1, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunTransaction started a poll with an event pending")
+		}
+	}()
+	sys.RunTransaction(0, sys.PickCandidates(0))
+}

@@ -81,6 +81,22 @@ go test -race -shuffle=on ./...
 echo "== campaign smoke (sybil flood + slander cell + lying agent, -race)"
 go test -race -count=1 -run 'TestSimAdmissionRaisesCost|TestLiveBackendSmoke|TestLiveLyingAgentCampaign' ./internal/campaign/
 
+# The simulator's tables are a function of the seed (DESIGN.md §6): two runs
+# of the CLI must write byte-identical CSV for all 13 experiments, at whatever
+# parallelism this host gives them. TestTablesRepeat holds the same line
+# inside the package; this holds it at the surface a user runs.
+echo "== hirepsim tables repeat (two -quick -exp all runs, cmp every CSV)"
+simtmp=$(mktemp -d)
+trap 'rm -rf "$simtmp"' EXIT
+go build -o "$simtmp/hirepsim" ./cmd/hirepsim
+for run in a b; do
+    "$simtmp/hirepsim" -quick -exp all -csv -outdir "$simtmp/$run" >/dev/null
+done
+[[ $(ls "$simtmp/a" | wc -l) -eq 13 ]] || { echo "verify: FAIL — expected 13 CSV tables, got $(ls "$simtmp/a" | wc -l)"; exit 1; }
+for f in "$simtmp"/a/*.csv; do
+    cmp "$f" "$simtmp/b/$(basename "$f")" || { echo "verify: FAIL — $(basename "$f") differs between two runs of one seed"; exit 1; }
+done
+
 # bench/ is a separate module compiled against internal/*, so the root ./...
 # patterns above never see it: a rename there breaks the benchmark silently.
 # No file under bench/ may be edited to make this pass.
@@ -95,6 +111,27 @@ fi
 echo "== simnet benchmarks"
 out=$(go test -run '^$' -bench 'BenchmarkSend|BenchmarkLatency' -benchmem ./internal/simnet/ 2>&1)
 echo "$out"
+
+# One simulated transaction of each system on 300 nodes (root bench_test.go):
+# the unit the experiments repeat tens of thousands of times. The flood
+# baseline sends ~1650 messages per poll and must allocate for none of them
+# (DESIGN.md §6): its payloads live in per-node records the System owns.
+echo "== simulated-transaction benchmarks (hiREP tx, voting poll)"
+tx_out=$(go test -run '^$' -bench 'BenchmarkTransaction(Voting|Hirep)$' -benchmem -count=3 . 2>&1)
+echo "$tx_out"
+out="$out
+$tx_out"
+BENCH_OUT="$tx_out" python3 - <<'EOF'
+import os, re, sys
+allocs = [int(a) for a in re.findall(r"^BenchmarkTransactionVoting\S*\s.*?(\d+) allocs/op", os.environ["BENCH_OUT"], re.M)]
+if not allocs:
+    print("verify: FAIL — BenchmarkTransactionVoting did not run")
+    sys.exit(1)
+print(f"voting poll: {max(allocs)} allocs/op (gate <= 16)")
+if max(allocs) > 16:
+    print(f"verify: FAIL — a voting poll allocates {max(allocs)} times; something allocates per message again")
+    sys.exit(1)
+EOF
 
 echo "== appending run to BENCH_simnet.json"
 record_bench "$out" BENCH_simnet.json
