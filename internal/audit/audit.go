@@ -140,8 +140,9 @@ func (a *Advisory) Sign(auditor *pkc.Identity) {
 // authenticity, re-derived Lying verdict, and accused-vs-signer match. On
 // success it returns the decoded bundle and the receiver's own verification
 // result, so callers act on what they verified rather than on what the
-// advisory claims.
-func (a *Advisory) Verify() (*proof.Bundle, proof.Result, error) {
+// advisory claims. The embedded bundle is judged by v, the verifier the node
+// reads with, so evidence it has already checked is not checked again.
+func (a *Advisory) Verify(v *proof.Verifier) (*proof.Bundle, proof.Result, error) {
 	if len(a.AuditorSP) != ed25519.PublicKeySize ||
 		!pkc.Verify(a.AuditorSP, a.signedPart(), a.AuditorSig) {
 		return nil, proof.Result{}, ErrUnsigned
@@ -150,7 +151,7 @@ func (a *Advisory) Verify() (*proof.Bundle, proof.Result, error) {
 	if err != nil {
 		return nil, proof.Result{}, fmt.Errorf("%w: %v", ErrNoEvidence, err)
 	}
-	res, err := proof.Verify(b)
+	res, err := v.Verify(b)
 	if err != nil {
 		return nil, proof.Result{}, fmt.Errorf("%w: %v", ErrNoEvidence, err)
 	}

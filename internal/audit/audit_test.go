@@ -6,10 +6,13 @@ import (
 	"testing"
 
 	"hirep/internal/agentdir"
+	"hirep/internal/metrics"
 	"hirep/internal/pkc"
 	"hirep/internal/proof"
 	"hirep/internal/repstore"
 )
+
+func newVerifier() *proof.Verifier { return proof.NewVerifier(metrics.NewRegistry()) }
 
 func ident(t testing.TB) *pkc.Identity {
 	t.Helper()
@@ -94,7 +97,7 @@ func TestAdvisoryRoundTrip(t *testing.T) {
 		t.Fatal("AuditorID mismatch")
 	}
 
-	b, res, err := adv.Verify()
+	b, res, err := adv.Verify(newVerifier())
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -116,7 +119,7 @@ func TestAdvisoryRoundTrip(t *testing.T) {
 	if dec.Digest() != adv.Digest() {
 		t.Fatal("digest not stable across decode")
 	}
-	if _, _, err := dec.Verify(); err != nil {
+	if _, _, err := dec.Verify(newVerifier()); err != nil {
 		t.Fatalf("decoded advisory fails Verify: %v", err)
 	}
 	if len(dec.Suspects) != 1 || dec.Suspects[0].Skew() != 0.9 {
@@ -133,7 +136,7 @@ func TestAdvisoryFraming(t *testing.T) {
 	t.Run("unsigned", func(t *testing.T) {
 		b, _ := lyingBundle(t)
 		adv := &Advisory{Accused: b.AgentID(), Bundle: b.Encode()}
-		if _, _, err := adv.Verify(); !errors.Is(err, ErrUnsigned) {
+		if _, _, err := adv.Verify(newVerifier()); !errors.Is(err, ErrUnsigned) {
 			t.Fatalf("err %v, want ErrUnsigned", err)
 		}
 	})
@@ -141,7 +144,7 @@ func TestAdvisoryFraming(t *testing.T) {
 	t.Run("tampered-after-signing", func(t *testing.T) {
 		adv, _, _ := signedAdvisory(t)
 		adv.Reason = "edited accusation"
-		if _, _, err := adv.Verify(); !errors.Is(err, ErrUnsigned) {
+		if _, _, err := adv.Verify(newVerifier()); !errors.Is(err, ErrUnsigned) {
 			t.Fatalf("err %v, want ErrUnsigned", err)
 		}
 	})
@@ -149,7 +152,7 @@ func TestAdvisoryFraming(t *testing.T) {
 	t.Run("bare-accusation", func(t *testing.T) {
 		adv := &Advisory{Accused: ident(t).ID, Bundle: []byte("not a bundle")}
 		adv.Sign(auditor)
-		if _, _, err := adv.Verify(); !errors.Is(err, ErrNoEvidence) {
+		if _, _, err := adv.Verify(newVerifier()); !errors.Is(err, ErrNoEvidence) {
 			t.Fatalf("err %v, want ErrNoEvidence", err)
 		}
 	})
@@ -158,7 +161,7 @@ func TestAdvisoryFraming(t *testing.T) {
 		b, agent := matchingBundle(t)
 		adv := &Advisory{Accused: agent.ID, Bundle: b.Encode()}
 		adv.Sign(auditor)
-		if _, _, err := adv.Verify(); !errors.Is(err, ErrNotLying) {
+		if _, _, err := adv.Verify(newVerifier()); !errors.Is(err, ErrNotLying) {
 			t.Fatalf("err %v, want ErrNotLying", err)
 		}
 	})
@@ -168,7 +171,7 @@ func TestAdvisoryFraming(t *testing.T) {
 		framed := ident(t).ID // innocent bystander named in the accusation
 		adv := &Advisory{Accused: framed, Bundle: b.Encode()}
 		adv.Sign(auditor)
-		if _, _, err := adv.Verify(); !errors.Is(err, ErrWrongAccused) {
+		if _, _, err := adv.Verify(newVerifier()); !errors.Is(err, ErrWrongAccused) {
 			t.Fatalf("err %v, want ErrWrongAccused", err)
 		}
 	})

@@ -537,7 +537,7 @@ func (n *Node) handleAdvisory(sealed []byte) {
 		n.cnt.advisoriesDuplicate.Inc()
 		return
 	}
-	_, res, err := adv.Verify()
+	_, res, err := adv.Verify(n.proofs)
 	if err != nil {
 		n.stats.advisoriesRejected.Add(1)
 		n.cnt.advisoriesRejected.Inc()

@@ -224,6 +224,7 @@ type Node struct {
 	mu      sync.Mutex
 	ids     atomic.Pointer[[]*pkc.Identity] // current identity, then grace-period predecessors; swapped whole at rotation
 	memo    *onion.Memo                     // peels and onion signatures this node already checked
+	proofs  *proof.Verifier                 // evidence and key-update signatures this node already checked
 	hs      map[pkc.Nonce]onion.RelayAnswer // outstanding relay handshakes
 	pending map[pkc.ReplyHandle]waiter      // outstanding sealed exchanges (exchange.go)
 	closed  atomic.Bool                     // checked on hot paths without taking n.mu
@@ -433,6 +434,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 	}
 	n.cnt.bind(n.reg)
 	n.memo = onion.NewMemo(n.reg)
+	n.proofs = proof.NewVerifier(n.reg)
 	n.bindFrameCounters(n.reg)
 	n.pool = transport.New(transport.Options{
 		Dialer:          n.dialer,

@@ -175,7 +175,7 @@ func (n *Node) requestTrustProvenOnce(agent AgentInfo, subject pkc.NodeID, reply
 	if b.Subject != subject {
 		return nil, proof.Result{}, fmt.Errorf("%w: bundle names the wrong subject", ErrBadAgent)
 	}
-	res, err := proof.Verify(b)
+	res, err := n.proofs.Verify(b)
 	if err != nil {
 		// Unauthenticated: nothing is pinned on anyone — a cache or relay
 		// corrupted it, or the responder forged it. Either way, bad answer.

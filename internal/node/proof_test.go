@@ -1,6 +1,8 @@
 package node
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,5 +300,102 @@ func TestProofCachePutSemantics(t *testing.T) {
 	}
 	if _, ok := c.get("s", now.Add(11*time.Second)); ok {
 		t.Fatal("entry served past its explicit expiry")
+	}
+}
+
+func sigMemoMisses(n *Node) int64 { return n.reg.Snapshot()["sig_memo_misses_total"] }
+
+// TestProofWarmVerifierKeepsEveryVerdict reads one subject's bundle again
+// and again through the requestor's verifier: the second read re-checks at
+// most one evidence signature, a report filed in between costs exactly one,
+// and a warm memo changes no verdict — a wire the agent forged among
+// memoised ones is still Lying (and re-examined on every read), a wire an
+// edge corrupted is still ErrBadAgent with nothing pinned on the agent.
+func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
+	agentNode, requestor, edge, relays := proofFleet(t)
+	agentOnion, err := agentNode.BuildOnion(fetchRoute(t, agentNode, relays[:1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := agentNode.Info(agentOnion)
+	subject, _ := pkc.NewIdentity(nil)
+	seedReports(t, requestor, info, subject.ID, 6, agentNode)
+	reqOnion, err := requestor.BuildOnion(fetchRoute(t, requestor, relays[1:2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(from AgentInfo) (proof.Result, int64, error) {
+		t.Helper()
+		before := sigMemoMisses(requestor)
+		_, res, err := requestor.RequestTrustProven(from, subject.ID, reqOnion)
+		return res, sigMemoMisses(requestor) - before, err
+	}
+	if res, cost, err := read(info); err != nil || res.Verdict != proof.Matching || cost != 6 {
+		t.Fatalf("first read: %+v, %d signature checks, %v; want Matching at 6", res, cost, err)
+	}
+	if res, cost, err := read(info); err != nil || res.Verdict != proof.Matching || cost > 1 {
+		t.Fatalf("second read: %+v, %d signature checks, %v; want Matching at <= 1", res, cost, err)
+	}
+	// Filing the report built the requestor a newer onion, which retires the
+	// one the reads answered through.
+	seedReports(t, requestor, info, subject.ID, 1, agentNode)
+	if reqOnion, err = requestor.BuildOnion(fetchRoute(t, requestor, relays[1:2])); err != nil {
+		t.Fatal(err)
+	}
+	if res, cost, err := read(info); err != nil || res.Verdict != proof.Matching || res.Pos != 7 || cost != 1 {
+		t.Fatalf("read after one more report: %+v, %d signature checks, %v; want Matching 7/0 at 1", res, cost, err)
+	}
+
+	// The agent forges one wire of a bundle whose other six are memoised.
+	flipWire := func(b *proof.Bundle) {
+		w := append([]byte(nil), b.Evidence[3].Wire...)
+		w[len(w)-1] ^= 1
+		b.Evidence[3].Wire = w
+	}
+	agentNode.SetProofTamper(flipWire)
+	for i := 0; i < 2; i++ {
+		res, cost, err := read(info)
+		if err != nil || res.Verdict != proof.Lying || !strings.Contains(res.Reason, "evidence 3: report signature invalid") || cost != 1 {
+			t.Fatalf("forged wire, read %d: %+v, %d signature checks, %v; want Lying at 1", i+1, res, cost, err)
+		}
+	}
+	agentNode.SetProofTamper(nil)
+	if got := requestor.Stats().ProofsLying; got != 2 {
+		t.Fatalf("ProofsLying = %d, want 2", got)
+	}
+
+	// An edge corrupts the same wire in its cached copy of the honest bundle:
+	// the attestation no longer covers the bytes, so nothing is pinned.
+	edgeOnion, err := edge.BuildOnion(fetchRoute(t, edge, relays[1:2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeFwd, err := edge.BuildOnion(fetchRoute(t, edge, relays[:1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := edge.ConfigureProofEdge(info, edgeFwd); err != nil {
+		t.Fatal(err)
+	}
+	edgeInfo := edge.Info(edgeOnion)
+	if res, cost, err := read(edgeInfo); err != nil || res.Verdict != proof.Matching || cost != 0 {
+		t.Fatalf("through the edge: %+v, %d signature checks, %v; want Matching at 0", res, cost, err)
+	}
+	key := proofCacheKey(subject.ID, proofKindBundle)
+	payload, ok := edge.proofCache.get(key, time.Now())
+	if !ok {
+		t.Fatal("edge did not cache the bundle")
+	}
+	b, err := proof.DecodeBundle(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipWire(b)
+	edge.proofCache.put(key, b.Encode(), time.Now().Add(time.Minute))
+	if _, _, err := read(edgeInfo); !errors.Is(err, ErrBadAgent) {
+		t.Fatalf("edge-corrupted bundle: err = %v, want ErrBadAgent", err)
+	}
+	if got := requestor.Stats().ProofsLying; got != 2 {
+		t.Fatalf("edge corruption was pinned on the agent: ProofsLying = %d", got)
 	}
 }

@@ -73,45 +73,52 @@ func PeekKeyUpdateOldID(wire []byte) (NodeID, error) {
 	return id, nil
 }
 
-// VerifyKeyUpdate checks a key-update message against the predecessor's
-// known signature public key (oldSP) and returns the parsed succession. The
-// caller must already hold oldSP for the claimed old nodeID — exactly the
-// state an agent's public-key list provides.
-func VerifyKeyUpdate(oldSP ed25519.PublicKey, wire []byte) (KeyUpdate, error) {
+// ParseKeyUpdate splits a key-update message into the succession it claims
+// and the (body, sig) pair the predecessor's key must have signed, WITHOUT
+// verifying anything: VerifyKeyUpdate is the checked entry point, and a caller
+// that checks the signature by other means (proof's memoising verifier) must
+// also check that the signing key hashes to OldID. body and sig alias wire.
+func ParseKeyUpdate(wire []byte) (upd KeyUpdate, body, sig []byte, err error) {
 	minLen := len(keyUpdateMagic) + NodeIDSize + ed25519.PublicKeySize + 1
 	if len(wire) < minLen+ed25519.SignatureSize {
-		return KeyUpdate{}, ErrBadUpdate
+		return KeyUpdate{}, nil, nil, ErrBadUpdate
 	}
 	// Parse from the front to find the AP length, then split signature.
 	p := len(keyUpdateMagic)
 	for i := range keyUpdateMagic {
 		if wire[i] != keyUpdateMagic[i] {
-			return KeyUpdate{}, ErrBadUpdate
+			return KeyUpdate{}, nil, nil, ErrBadUpdate
 		}
 	}
-	var oldID NodeID
-	copy(oldID[:], wire[p:])
+	copy(upd.OldID[:], wire[p:])
 	p += NodeIDSize
 	newSP := ed25519.PublicKey(wire[p : p+ed25519.PublicKeySize])
 	p += ed25519.PublicKeySize
 	apLen := int(wire[p])
 	p++
 	if len(wire) != p+apLen+ed25519.SignatureSize {
-		return KeyUpdate{}, ErrBadUpdate
+		return KeyUpdate{}, nil, nil, ErrBadUpdate
 	}
-	newAP := wire[p : p+apLen]
-	body := wire[:p+apLen]
-	sig := wire[p+apLen:]
+	upd.NewID = DeriveNodeID(newSP)
+	upd.NewSP = append(ed25519.PublicKey(nil), newSP...)
+	upd.NewAP = append([]byte(nil), wire[p:p+apLen]...)
+	return upd, wire[:p+apLen], wire[p+apLen:], nil
+}
+
+// VerifyKeyUpdate checks a key-update message against the predecessor's
+// known signature public key (oldSP) and returns the parsed succession. The
+// caller must already hold oldSP for the claimed old nodeID — exactly the
+// state an agent's public-key list provides.
+func VerifyKeyUpdate(oldSP ed25519.PublicKey, wire []byte) (KeyUpdate, error) {
+	upd, body, sig, err := ParseKeyUpdate(wire)
+	if err != nil {
+		return KeyUpdate{}, err
+	}
 	if !Verify(oldSP, body, sig) {
 		return KeyUpdate{}, fmt.Errorf("%w: signature", ErrBadUpdate)
 	}
-	if DeriveNodeID(oldSP) != oldID {
+	if DeriveNodeID(oldSP) != upd.OldID {
 		return KeyUpdate{}, fmt.Errorf("%w: old id binding", ErrBadUpdate)
 	}
-	return KeyUpdate{
-		OldID: oldID,
-		NewID: DeriveNodeID(newSP),
-		NewSP: append(ed25519.PublicKey(nil), newSP...),
-		NewAP: append([]byte(nil), newAP...),
-	}, nil
+	return upd, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hirep/internal/agentdir"
+	"hirep/internal/metrics"
 	"hirep/internal/pkc"
 	"hirep/internal/repstore"
 )
@@ -68,18 +69,39 @@ func BenchmarkProofAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkProofVerify measures the querier-side cost: one attestation check
+// BenchmarkProofVerify measures the querier-side cost — the price of not
+// trusting the agent — three ways. plain is Verify: one attestation check
 // plus, per evidence entry, a sha1 binding, an ed25519 verify, and the tally
-// recomputation. This is the price of not trusting the agent.
+// recomputation. cold is a Verifier that has seen none of the bundle: the
+// same work plus a sha256 and a memo insert per wire — what a miss costs.
+// warm is a Verifier that has seen all of it: the ed25519 verifies become
+// sha256 lookups, everything else still runs. verify.sh gates warm at no
+// more than a tenth of cold.
 func BenchmarkProofVerify(b *testing.B) {
 	st, agentID, subject := benchStore(b)
 	bundle := Assemble(st, agentID, subject, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Verify(bundle)
-		if err != nil || res.Verdict != Matching {
-			b.Fatalf("verdict %v err %v", res.Verdict, err)
+	run := func(b *testing.B, verify func() (Result, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := verify()
+			if err != nil || res.Verdict != Matching {
+				b.Fatalf("verdict %v err %v", res.Verdict, err)
+			}
 		}
 	}
+	b.Run("plain", func(b *testing.B) {
+		run(b, func() (Result, error) { return Verify(bundle) })
+	})
+	b.Run("cold", func(b *testing.B) {
+		reg := metrics.NewRegistry()
+		run(b, func() (Result, error) { return NewVerifier(reg).Verify(bundle) })
+	})
+	b.Run("warm", func(b *testing.B) {
+		v := NewVerifier(metrics.NewRegistry())
+		if _, err := v.Verify(bundle); err != nil {
+			b.Fatal(err)
+		}
+		run(b, func() (Result, error) { return v.Verify(bundle) })
+	})
 }

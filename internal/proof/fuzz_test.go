@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"hirep/internal/metrics"
 	"hirep/internal/pkc"
 )
 
@@ -22,7 +23,10 @@ func fuzzIdent(tb testing.TB, b byte) *pkc.Identity {
 
 // FuzzDecodeProofBundle is the bundle codec contract: DecodeBundle either
 // rejects the input or accepts it into a bundle whose re-encoding is
-// byte-identical — the canonical form caches deduplicate by.
+// byte-identical — the canonical form caches deduplicate by. Every bundle it
+// accepts is also verified three ways — plain Verify, a Verifier new to it,
+// and one that has seen the whole corpus so far — which must agree on Result
+// and error.
 func FuzzDecodeProofBundle(f *testing.F) {
 	agent := fuzzIdent(f, 1)
 	reporter := fuzzIdent(f, 2)
@@ -54,9 +58,17 @@ func FuzzDecodeProofBundle(f *testing.F) {
 	}
 	full.Sign(agent)
 	f.Add(full.Encode())
+	// The same bundle with its wire forged: Lying, with the lineage memoised.
+	forged := *full
+	forged.Evidence = []Evidence{full.Evidence[0]}
+	forged.Evidence[0].Wire = append([]byte(nil), wireBytes...)
+	forged.Evidence[0].Wire[len(wireBytes)-1] ^= 1
+	forged.Sign(agent)
+	f.Add(forged.Encode())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
+	warm := NewVerifier(metrics.NewRegistry())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBundle(data)
 		if err != nil {
@@ -65,6 +77,7 @@ func FuzzDecodeProofBundle(f *testing.F) {
 		if !bytes.Equal(b.Encode(), data) {
 			t.Fatalf("accepted non-canonical bundle encoding: %x", data)
 		}
+		agree(t, warm, b)
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"hirep/internal/agentdir"
+	"hirep/internal/metrics"
 	"hirep/internal/pkc"
 	"hirep/internal/repstore"
 	"hirep/internal/wire"
@@ -93,7 +94,7 @@ type Evidence struct {
 
 // LineageLink is one §3.5 identity succession inside a bundle: Old merged
 // into New, proven by Wire — a pkc key-update message signed by the old
-// identity's key OldSP. Verify re-runs pkc.VerifyKeyUpdate on every link, so
+// identity's key OldSP. Verify re-checks that certificate on every link, so
 // the agent's word is never what authenticates a succession.
 type LineageLink struct {
 	Old, New pkc.NodeID
@@ -277,7 +278,36 @@ const maxLineageHops = 32
 // (declared-incomplete evidence, consistent as far as it goes), or Lying
 // (the evidence contradicts the published tally — provable misbehavior by
 // the agent identified by b.AgentID()).
-func Verify(b *Bundle) (Result, error) {
+//
+// Verify remembers nothing: every signature in the bundle is checked on
+// every call. It is the entry point for one-shot callers and the reference a
+// Verifier is tested against.
+func Verify(b *Bundle) (Result, error) { return verify(b, pkc.Verify) }
+
+// Verifier is Verify for a caller that reads bundles again and again. A
+// subject's evidence log is append-only and capped, so consecutive bundles
+// about it repeat all but their newest wires; a Verifier remembers which
+// evidence-wire and key-update signatures already passed Ed25519 and runs it
+// only on the ones it has not seen. Everything else Verify checks — the
+// attestation, every binding, subject resolution, nonce uniqueness, the
+// tally — runs on every call, in the same order, so the two agree on every
+// input in Result and error. The attestation itself is new on every issue
+// and is checked directly, never remembered. Safe for concurrent use.
+type Verifier struct{ sigs *pkc.SigMemo }
+
+// NewVerifier returns a Verifier with an empty memo that counts its hits and
+// misses in reg (sig_memo_hits_total, sig_memo_misses_total).
+func NewVerifier(reg *metrics.Registry) *Verifier {
+	return &Verifier{sigs: pkc.NewSigMemo(reg)}
+}
+
+// Verify is proof.Verify answered, where it can be, from what v has already
+// verified.
+func (v *Verifier) Verify(b *Bundle) (Result, error) { return verify(b, v.sigs.Verify) }
+
+// verify is the one walk behind Verify and Verifier.Verify; sigOK checks the
+// bundle's long-lived signatures — key-updates and evidence wires.
+func verify(b *Bundle, sigOK func(sp ed25519.PublicKey, msg, sig []byte) bool) (Result, error) {
 	if len(b.AgentSP) != ed25519.PublicKeySize ||
 		!pkc.Verify(b.AgentSP, b.attestation(), b.AgentSig) {
 		return Result{}, ErrUnverifiable
@@ -292,8 +322,9 @@ func Verify(b *Bundle) (Result, error) {
 	// bundle — it is a fabricated succession, provable misbehavior.
 	lineage := make(map[pkc.NodeID]pkc.NodeID, len(b.Lineage))
 	for i, l := range b.Lineage {
-		upd, err := pkc.VerifyKeyUpdate(l.OldSP, l.Wire)
-		if err != nil || upd.OldID != l.Old || upd.NewID != l.New {
+		upd, body, sig, err := pkc.ParseKeyUpdate(l.Wire)
+		if err != nil || !sigOK(l.OldSP, body, sig) || !pkc.VerifyBinding(upd.OldID, l.OldSP) ||
+			upd.OldID != l.Old || upd.NewID != l.New {
 			return lying("lineage link %d: succession %s→%s not authorized by the old identity's key",
 				i, l.Old.Short(), l.New.Short())
 		}
@@ -313,7 +344,7 @@ func Verify(b *Bundle) (Result, error) {
 		if !pkc.VerifyBinding(ev.Reporter, ev.SP) {
 			return lying("evidence %d: reporter key does not hash to reporter id", i)
 		}
-		if !pkc.Verify(ev.SP, body, sig) {
+		if !sigOK(ev.SP, body, sig) {
 			return lying("evidence %d: report signature invalid", i)
 		}
 		if !resolvesTo(subject, b.Subject, lineage) {

@@ -194,12 +194,31 @@ EOF
 # Proof serving and verification (DESIGN.md §14), recorded alongside the
 # store numbers they depend on: Assemble is the agent's per-request serving
 # cost at the documented retention cap (256 wires), Verify the querier's
-# price of not trusting the agent (one Ed25519 verify per wire).
+# price of not trusting the agent — one Ed25519 verify per wire the first
+# time (plain: no memo; cold: a memo that misses every wire), one SHA-256
+# lookup per wire once the node's verifier has seen it (warm). A warm verify
+# must cost at most a tenth of a cold one, or the memo is not standing in for
+# the signatures; the measured ratio is nearer 1/40. cold/plain is what a miss
+# adds to the check it could not avoid; it is printed, not gated.
 echo "== proof benchmarks (bundle assembly + verification at cap 256)"
 proof_out=$(go test -run '^$' -bench 'BenchmarkProof' -benchmem ./internal/proof/ 2>&1)
 echo "$proof_out"
 out="$out
 $proof_out"
+BENCH_OUT="$proof_out" python3 - <<'EOF'
+import os, re, sys
+ns = {m.group(1): float(m.group(2))
+      for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op", os.environ["BENCH_OUT"], re.M)}
+plain, cold, warm = (ns.get("BenchmarkProofVerify/" + k) for k in ("plain", "cold", "warm"))
+if not (plain and cold and warm):
+    print("verify: FAIL — BenchmarkProofVerify/{plain,cold,warm} did not run")
+    sys.exit(1)
+print(f"proof verify warm vs cold: {warm / 1e3:.0f} us vs {cold / 1e3:.0f} us = 1/{cold / warm:.0f} (gate <= 1/10)")
+print(f"proof verify cold vs plain: {cold / 1e3:.0f} us vs {plain / 1e3:.0f} us = {cold / plain:.2f}x (informational)")
+if warm * 10 > cold:
+    print(f"verify: FAIL — a warm proof verify costs {warm / 1e3:.0f} us, more than a tenth of a cold one ({cold / 1e3:.0f} us)")
+    sys.exit(1)
+EOF
 
 echo "== appending run to BENCH_repstore.json"
 record_bench "$out" BENCH_repstore.json
