@@ -384,8 +384,8 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	fmt.Printf("shutting down; %s\n", n.Stats())
-	n.Metrics().Table("resilience").Render(os.Stdout)
+	fmt.Println("shutting down")
+	n.Metrics().Table("node").Render(os.Stdout)
 	// Graceful shutdown: drain in-flight handlers and flush the report store
 	// (snapshot + WAL release) before exiting.
 	if err := n.Close(); err != nil {

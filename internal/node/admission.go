@@ -184,8 +184,6 @@ func (n *Node) mintAdmission(bits int) []byte {
 	if err != nil {
 		return nil
 	}
-	n.stats.admissionSolved.Add(1)
-	n.stats.admissionWork.Add(int64(attempts))
 	n.cnt.admissionSolved.Inc()
 	n.cnt.admissionWork.Add(int64(attempts))
 	return sol[:]

@@ -47,12 +47,11 @@ func TestAdmissionBounceNotStored(t *testing.T) {
 	if got := agentNode.AdmittedIdentities(); got != 0 {
 		t.Fatalf("agent admitted %d identities without a solution", got)
 	}
-	as := agentNode.Stats()
-	if as.AdmissionRequired != int64(len(reports)) {
-		t.Fatalf("AdmissionRequired = %d, want %d", as.AdmissionRequired, len(reports))
+	if got := metric(t, agentNode, "node_admission_required_total"); got != int64(len(reports)) {
+		t.Fatalf("node_admission_required_total = %d, want %d", got, len(reports))
 	}
-	if as.ReportBatches != 0 {
-		t.Fatalf("unadmitted batch reached the verification pool (%d batches run)", as.ReportBatches)
+	if got := metric(t, agentNode, "node_report_batches_total"); got != 0 {
+		t.Fatalf("unadmitted batch reached the verification pool (%d batches run)", got)
 	}
 }
 
@@ -84,20 +83,19 @@ func TestAdmissionAutoSolveStored(t *testing.T) {
 	if got := agentNode.AdmittedIdentities(); got != 1 {
 		t.Fatalf("agent admitted %d identities, want 1", got)
 	}
-	ps := peer.Stats()
-	if ps.AdmissionSolved != 1 || ps.AdmissionWork == 0 {
-		t.Fatalf("sender solved=%d work=%d, want 1 solve with nonzero work", ps.AdmissionSolved, ps.AdmissionWork)
+	solved, work := metric(t, peer, "node_admission_solved_total"), peer.Stats().AdmissionWork
+	if solved != 1 || work == 0 {
+		t.Fatalf("sender solved=%d work=%d, want 1 solve with nonzero work", solved, work)
 	}
-	as := agentNode.Stats()
-	if as.AdmissionAdmitted != 1 {
-		t.Fatalf("AdmissionAdmitted = %d, want 1", as.AdmissionAdmitted)
+	if got := metric(t, agentNode, "node_admission_admitted_total"); got != 1 {
+		t.Fatalf("node_admission_admitted_total = %d, want 1", got)
 	}
 
 	// Second batch from the now-admitted identity: no fresh solve.
 	if _, err := peer.ReportBatch(info, reports[:1], replyOnion); err != nil {
 		t.Fatal(err)
 	}
-	if got := peer.Stats().AdmissionSolved; got != 1 {
+	if got := metric(t, peer, "node_admission_solved_total"); got != 1 {
 		t.Fatalf("admitted identity re-solved (%d solves, want 1)", got)
 	}
 	if got := agentNode.Agent().ReportCount(); got != n+1 {
@@ -122,7 +120,7 @@ func TestAdmissionSolveLimitDefers(t *testing.T) {
 	if !allAdmissionRequired(statuses) {
 		t.Fatalf("statuses %v, want all admission-required", statuses)
 	}
-	if got := peer.Stats().AdmissionSolved; got != 0 {
+	if got := metric(t, peer, "node_admission_solved_total"); got != 0 {
 		t.Fatalf("sender solved %d proofs beyond its limit, want 0", got)
 	}
 	if got := agentNode.Agent().ReportCount(); got != 0 {

@@ -191,7 +191,6 @@ func (n *Node) AuditSweep() error {
 		n.auditSubject(a, subject, deadline)
 	}
 	n.updateSlanderGauge(a)
-	n.stats.auditSweeps.Add(1)
 	n.cnt.auditSweeps.Inc()
 	return nil
 }
@@ -210,12 +209,12 @@ func (n *Node) auditProbation(a *auditor, deadline time.Time) {
 		if !ok {
 			continue
 		}
-		n.countAuditProbe()
+		n.cnt.auditProbes.Inc()
 		b, res, err := n.auditFetch(info, id, a.replyOnion, deadline)
 		if err != nil || res.Verdict == proof.Partial {
 			// Quarantined agents are outside the book's breaker accounting;
 			// an unreachable one just stays quarantined.
-			n.countAuditFailure()
+			n.cnt.auditFailures.Inc()
 			continue
 		}
 		if res.Verdict == proof.Lying {
@@ -231,13 +230,13 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	if !ok {
 		return
 	}
-	n.countAuditProbe()
+	n.cnt.auditProbes.Inc()
 	b, res, err := n.auditFetch(primary, subject, a.replyOnion, deadline)
 	if err != nil {
 		// No verdict: a timeout or unreachable agent feeds the same breaker
 		// accounting as any failed exchange — never the quarantine ladder, so
 		// a flaky network cannot evict an honest agent.
-		n.countAuditFailure()
+		n.cnt.auditFailures.Inc()
 		n.noteAuditUnreachable(a.book, primary.ID())
 		return
 	}
@@ -248,7 +247,7 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	n.noteSuccess(a.book, primary.ID())
 	if res.Verdict == proof.Partial {
 		// Declared-incomplete evidence proves nothing either way.
-		n.countAuditFailure()
+		n.cnt.auditFailures.Inc()
 		return
 	}
 	// Matching: fold the evidence into the slander skew table, then
@@ -262,10 +261,10 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 		n.rehabilitateIfSuspect(a.book, primary.ID())
 		return
 	}
-	n.countAuditProbe()
+	n.cnt.auditProbes.Inc()
 	b2, res2, err := n.auditFetch(*second, subject, a.replyOnion, deadline)
 	if err != nil {
-		n.countAuditFailure()
+		n.cnt.auditFailures.Inc()
 		n.noteAuditUnreachable(a.book, second.ID())
 		n.rehabilitateIfSuspect(a.book, primary.ID())
 		return
@@ -276,7 +275,7 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	}
 	n.noteSuccess(a.book, second.ID())
 	if res2.Verdict == proof.Partial {
-		n.countAuditFailure()
+		n.cnt.auditFailures.Inc()
 		n.rehabilitateIfSuspect(a.book, primary.ID())
 		return
 	}
@@ -286,7 +285,6 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	// report propagation lags, replication gaps — so both take a suspect
 	// strike, never an advisory.
 	if res.Pos != res2.Pos || res.Neg != res2.Neg {
-		n.stats.auditDiverged.Add(1)
 		n.cnt.auditDiverged.Inc()
 		n.markSuspect(a.book, primary.ID())
 		n.markSuspect(a.book, second.ID())
@@ -360,7 +358,6 @@ func (n *Node) markSuspect(book *AgentBook, id pkc.NodeID) {
 	if !quarantined {
 		return
 	}
-	n.stats.agentsQuarantined.Add(1)
 	n.cnt.agentsQuarantined.Inc()
 	if wasActive {
 		if _, ok := n.promoteBackup(book, id); ok {
@@ -371,19 +368,8 @@ func (n *Node) markSuspect(book *AgentBook, id pkc.NodeID) {
 
 func (n *Node) rehabilitateIfSuspect(book *AgentBook, id pkc.NodeID) {
 	if book.Rehabilitate(id) {
-		n.stats.agentsRehabilitated.Add(1)
 		n.cnt.agentsRehabilitated.Inc()
 	}
-}
-
-func (n *Node) countAuditProbe() {
-	n.stats.auditProbes.Add(1)
-	n.cnt.auditProbes.Inc()
-}
-
-func (n *Node) countAuditFailure() {
-	n.stats.auditFailures.Add(1)
-	n.cnt.auditFailures.Inc()
 }
 
 // raiseAdvisory packages a verified Lying bundle into a signed advisory,
@@ -403,7 +389,6 @@ func (n *Node) raiseAdvisory(a *auditor, b *proof.Bundle, res proof.Result) {
 	adv.Sign(n.identity())
 	// Mark our own advisory as seen so a gossip echo is deduplicated.
 	n.advisorySeen(adv.Digest())
-	n.stats.advisoriesIssued.Add(1)
 	n.cnt.advisoriesIssued.Inc()
 	n.recordAdvisory(AdvisoryRecord{Accused: adv.Accused, Auditor: n.ID(), Reason: res.Reason, Issued: adv.Issued})
 	n.applyLyingEvidence(a.book, adv.Accused, sha256.Sum256(adv.Bundle))
@@ -433,7 +418,6 @@ func (n *Node) applyLyingEvidence(book *AgentBook, accused pkc.NodeID, bundleDig
 	n.auditMu.Unlock()
 	if strikes >= 2 {
 		if book.Evict(accused) {
-			n.stats.agentsEvicted.Add(1)
 			n.cnt.agentsEvicted.Inc()
 		}
 		return
@@ -442,7 +426,6 @@ func (n *Node) applyLyingEvidence(book *AgentBook, accused pkc.NodeID, bundleDig
 	if !quarantined {
 		return
 	}
-	n.stats.agentsQuarantined.Add(1)
 	n.cnt.agentsQuarantined.Inc()
 	if wasActive {
 		if _, ok := n.promoteBackup(book, accused); ok {
@@ -528,22 +511,18 @@ func (n *Node) handleAdvisory(sealed []byte) {
 	}
 	adv, err := audit.DecodeAdvisory(plain)
 	if err != nil {
-		n.stats.advisoriesRejected.Add(1)
 		n.cnt.advisoriesRejected.Inc()
 		return
 	}
 	if !n.advisorySeen(adv.Digest()) {
-		n.stats.advisoriesDuplicate.Add(1)
 		n.cnt.advisoriesDuplicate.Inc()
 		return
 	}
 	_, res, err := adv.Verify(n.proofs)
 	if err != nil {
-		n.stats.advisoriesRejected.Add(1)
 		n.cnt.advisoriesRejected.Inc()
 		return
 	}
-	n.stats.advisoriesAccepted.Add(1)
 	n.cnt.advisoriesAccepted.Inc()
 	n.recordAdvisory(AdvisoryRecord{Accused: adv.Accused, Auditor: adv.AuditorID(), Reason: res.Reason, Issued: adv.Issued})
 	// Act on the verified evidence against whichever book this node runs —
@@ -598,7 +577,5 @@ func (n *Node) updateSlanderGauge(a *auditor) {
 	}
 	a.mu.Unlock()
 	n.cnt.slanderSuspects.Set(int64(len(suspects)))
-	if fresh > 0 {
-		n.stats.slanderSuspectsFound.Add(fresh)
-	}
+	n.cnt.slanderSuspectsFound.Add(fresh)
 }

@@ -282,12 +282,15 @@ func TestAuditSelfHealingEndToEnd(t *testing.T) {
 		t.Fatal("evicted liar answered an evaluation")
 	}
 
-	s := auditorPeer.Stats()
-	if s.AuditSweeps != 2 || s.AdvisoriesIssued < 2 || s.AgentsQuarantined < 1 || s.AgentsEvicted < 1 {
-		t.Fatalf("auditor stats: %+v", s)
+	sweeps := auditorPeer.Stats().AuditSweeps
+	issued := metric(t, auditorPeer, "node_advisories_issued_total")
+	quarantined := metric(t, auditorPeer, "node_agents_quarantined_total")
+	evicted := metric(t, auditorPeer, "node_agents_evicted_total")
+	if sweeps != 2 || issued < 2 || quarantined < 1 || evicted < 1 {
+		t.Fatalf("auditor: sweeps=%d issued=%d quarantined=%d evicted=%d", sweeps, issued, quarantined, evicted)
 	}
-	if os := observer.Stats(); os.AgentsEvicted < 1 {
-		t.Fatalf("observer stats: %+v", os)
+	if got := metric(t, observer, "node_agents_evicted_total"); got < 1 {
+		t.Fatalf("observer evicted %d agents", got)
 	}
 }
 
@@ -342,15 +345,14 @@ func TestFabricatedAdvisoryNeverActedOn(t *testing.T) {
 	adv.Sign(attacker.identity())
 	send(adv.Encode())
 
-	waitFor(t, func() bool { return victim.Stats().AdvisoriesRejected >= 3 })
+	waitFor(t, func() bool { return metric(t, victim, "node_advisories_rejected_total") >= 3 })
 
 	// Replay of the bare accusation: deduplicated before any re-processing.
 	send(bare.Encode())
-	waitFor(t, func() bool { return victim.Stats().AdvisoriesDuplicate >= 1 })
+	waitFor(t, func() bool { return metric(t, victim, "node_advisories_duplicate_total") >= 1 })
 
-	s := victim.Stats()
-	if s.AdvisoriesAccepted != 0 || len(victim.Advisories()) != 0 {
-		t.Fatalf("fabricated advisory accepted: %+v", s)
+	if got := victim.Stats().AdvisoriesAccepted; got != 0 || len(victim.Advisories()) != 0 {
+		t.Fatalf("fabricated advisory accepted (%d accepted)", got)
 	}
 	if h := book.Health(info.ID()); h != Healthy {
 		t.Fatalf("framed agent health %v, want Healthy", h)

@@ -294,7 +294,6 @@ func (n *Node) reconcileAck(agent AgentInfo, chunk []BatchReport, statuses []Rep
 	for i, st := range statuses {
 		switch {
 		case st == StatusStored:
-			n.stats.reportsAcked.Add(1)
 			n.cnt.reportsAcked.Inc()
 		case st.Retryable():
 			if st == StatusWrongOwner {
@@ -309,7 +308,6 @@ func (n *Node) reconcileAck(agent AgentInfo, chunk []BatchReport, statuses []Rep
 			// or the agent lowers its gate.
 			n.deferReport(agent, chunk[i].Subject, chunk[i].Positive)
 		default:
-			n.stats.reportsRejected.Add(1)
 			n.cnt.reportsRejected.Inc()
 		}
 	}
@@ -430,19 +428,15 @@ func (n *Node) handleReportBatch(sealed []byte) {
 		if !verdict.passed() {
 			switch verdict {
 			case admissionReplay:
-				n.stats.admissionReplayed.Add(1)
 				n.cnt.admissionReplayed.Inc()
 			case admissionThrottled:
-				n.stats.admissionThrottled.Add(1)
 				n.cnt.admissionThrottled.Inc()
 			}
-			n.stats.admissionRequired.Add(int64(len(reports)))
 			n.cnt.admissionRequired.Add(int64(len(reports)))
 			n.sendBatchAck(job, uniformStatuses(len(reports), StatusAdmissionRequired), g.bits)
 			return
 		}
 		if verdict == admissionNewlyOK {
-			n.stats.admissionAdmitted.Add(1)
 			n.cnt.admissionAdmitted.Inc()
 		}
 	}
@@ -455,8 +449,7 @@ func (n *Node) handleReportBatch(sealed []byte) {
 		// Admission control: the verification backlog is full. Shed the whole
 		// batch before spending any signature check on it, and say so — the
 		// sender re-queues saturated reports through its outbox.
-		n.stats.ingestShed.Add(int64(len(reports)))
-		n.cnt.ingestShed.Add(int64(len(reports)))
+		n.cnt.ingest[StatusSaturated].Add(int64(len(reports)))
 		n.sendBatchAck(job, uniformStatuses(len(reports), StatusSaturated), 0)
 	}
 }
@@ -499,7 +492,7 @@ func (n *Node) processReportBatch(job ingestJob) {
 			n.countIngest(statuses[idx[j]])
 		}
 	}
-	n.stats.reportBatches.Add(1)
+	n.cnt.reportBatches.Inc()
 	n.sendBatchAck(job, statuses, 0)
 }
 
@@ -538,29 +531,9 @@ func statusFromSubmitError(err error) ReportStatus {
 	}
 }
 
-// countIngest counts one report's ingest outcome by reason, in both the
-// node stats and the metrics registry (the hirepnode shutdown table).
+// countIngest counts one report's ingest outcome by reason.
 func (n *Node) countIngest(st ReportStatus) {
-	switch st {
-	case StatusStored:
-		n.stats.reportsStored.Add(1)
-	case StatusReplay:
-		n.stats.ingestRejectedReplay.Add(1)
-		n.cnt.ingestRejectedReplay.Inc()
-	case StatusBadKey:
-		n.stats.ingestRejectedKey.Add(1)
-		n.cnt.ingestRejectedKey.Inc()
-	case StatusMalformed:
-		n.stats.ingestRejectedMalformed.Add(1)
-		n.cnt.ingestRejectedMalformed.Inc()
-	case StatusStoreFailed:
-		n.stats.ingestStoreFailed.Add(1)
-		n.cnt.ingestStoreFailed.Inc()
-	case StatusSaturated:
-		n.stats.ingestShed.Add(1)
-		n.cnt.ingestShed.Inc()
-	case StatusWrongOwner:
-		n.stats.ingestRejectedWrongOwner.Add(1)
-		n.cnt.ingestRejectedWrongOwner.Inc()
+	if int(st) < len(n.cnt.ingest) {
+		n.cnt.ingest[st].Inc()
 	}
 }

@@ -83,9 +83,9 @@ func TestReportBatchLive(t *testing.T) {
 	if got := agentNode.Agent().ReportCount(); got != n {
 		t.Fatalf("agent stored %d reports, want %d", got, n)
 	}
-	as := agentNode.Stats()
-	if as.ReportsStored != n || as.ReportBatches != 1 {
-		t.Fatalf("agent stats: stored=%d batches=%d, want %d/1", as.ReportsStored, as.ReportBatches, n)
+	stored, batches := agentNode.Stats().ReportsStored, metric(t, agentNode, "node_report_batches_total")
+	if stored != n || batches != 1 {
+		t.Fatalf("agent stats: stored=%d batches=%d, want %d/1", stored, batches, n)
 	}
 }
 
@@ -127,24 +127,14 @@ func TestReportBatchMixed(t *testing.T) {
 	if as.ReportsStored != 2 {
 		t.Fatalf("ReportsStored = %d, want 2", as.ReportsStored)
 	}
-	if as.IngestRejectedReplay != 1 || as.IngestRejectedKey != 1 || as.IngestRejectedMalformed != 1 {
-		t.Fatalf("reject counters replay=%d key=%d malformed=%d, want 1/1/1",
-			as.IngestRejectedReplay, as.IngestRejectedKey, as.IngestRejectedMalformed)
+	replay := metric(t, agentNode, "node_ingest_rejected_replay_total")
+	key := metric(t, agentNode, "node_ingest_rejected_key_total")
+	malformed := metric(t, agentNode, "node_ingest_rejected_malformed_total")
+	if replay != 1 || key != 1 || malformed != 1 {
+		t.Fatalf("reject counters replay=%d key=%d malformed=%d, want 1/1/1", replay, key, malformed)
 	}
-	if as.IngestStoreFailed != 0 {
-		t.Fatalf("IngestStoreFailed = %d: protocol rejects were conflated with store failures", as.IngestStoreFailed)
-	}
-	// The same counts must surface in the metrics registry (the hirepnode
-	// shutdown table reads it).
-	snap := agentNode.Metrics().Snapshot()
-	for _, name := range []string{
-		"node_ingest_rejected_replay_total",
-		"node_ingest_rejected_key_total",
-		"node_ingest_rejected_malformed_total",
-	} {
-		if snap[name] != 1 {
-			t.Fatalf("registry %s = %d, want 1", name, snap[name])
-		}
+	if got := metric(t, agentNode, "node_ingest_store_failed_total"); got != 0 {
+		t.Fatalf("node_ingest_store_failed_total = %d: protocol rejects were conflated with store failures", got)
 	}
 }
 
@@ -160,7 +150,7 @@ func TestLegacyReportRejectsCounted(t *testing.T) {
 	if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return agentNode.Stats().IngestRejectedKey == 1 })
+	waitFor(t, func() bool { return metric(t, agentNode, "node_ingest_rejected_key_total") == 1 })
 	if as := agentNode.Stats(); as.ReportsStored != 0 {
 		t.Fatalf("unknown-key report was stored (ReportsStored=%d)", as.ReportsStored)
 	}
@@ -184,13 +174,15 @@ func TestLegacyReportRejectsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return agentNode.Stats().IngestRejectedReplay == 1 })
+	waitFor(t, func() bool { return metric(t, agentNode, "node_ingest_rejected_replay_total") == 1 })
 	as := agentNode.Stats()
 	if as.ReportsStored != 1 {
 		t.Fatalf("ReportsStored = %d, want 1 (first copy only)", as.ReportsStored)
 	}
-	if as.IngestRejectedReplay != 1 || as.IngestRejectedKey != 1 {
-		t.Fatalf("reject counters replay=%d key=%d, want 1/1", as.IngestRejectedReplay, as.IngestRejectedKey)
+	replay := metric(t, agentNode, "node_ingest_rejected_replay_total")
+	key := metric(t, agentNode, "node_ingest_rejected_key_total")
+	if replay != 1 || key != 1 {
+		t.Fatalf("reject counters replay=%d key=%d, want 1/1", replay, key)
 	}
 }
 
@@ -231,10 +223,11 @@ func TestReportBatchSaturationSheds(t *testing.T) {
 	if err := peer.ReportBatchOrDefer(nil, info, reports, replyOnion); err != nil {
 		t.Fatal(err)
 	}
-	ps := peer.Stats()
-	if ps.ReportsDeferred != 2 || ps.ReportsAcked != 0 || ps.ReportsRejected != 0 {
-		t.Fatalf("sender stats deferred=%d acked=%d rejected=%d, want 2/0/0",
-			ps.ReportsDeferred, ps.ReportsAcked, ps.ReportsRejected)
+	deferred := peer.Stats().ReportsDeferred
+	acked := metric(t, peer, "node_reports_acked_total")
+	rejected := metric(t, peer, "node_reports_rejected_total")
+	if deferred != 2 || acked != 0 || rejected != 0 {
+		t.Fatalf("sender stats deferred=%d acked=%d rejected=%d, want 2/0/0", deferred, acked, rejected)
 	}
 	if d := peer.OutboxDepth(); d != 2 {
 		t.Fatalf("outbox depth = %d, want 2", d)
@@ -255,10 +248,11 @@ func TestReportBatchOrDeferReconciles(t *testing.T) {
 	if err := peer.ReportBatchOrDefer(nil, info, reports, replyOnion); err != nil {
 		t.Fatal(err)
 	}
-	ps := peer.Stats()
-	if ps.ReportsAcked != n || ps.ReportsRejected != 0 || ps.ReportsDeferred != 0 {
-		t.Fatalf("sender stats acked=%d rejected=%d deferred=%d, want %d/0/0",
-			ps.ReportsAcked, ps.ReportsRejected, ps.ReportsDeferred, n)
+	acked := metric(t, peer, "node_reports_acked_total")
+	rejected := metric(t, peer, "node_reports_rejected_total")
+	deferred := peer.Stats().ReportsDeferred
+	if acked != n || rejected != 0 || deferred != 0 {
+		t.Fatalf("sender stats acked=%d rejected=%d deferred=%d, want %d/0/0", acked, rejected, deferred, n)
 	}
 	if got := agentNode.Agent().ReportCount(); got != n {
 		t.Fatalf("agent stored %d, want %d", got, n)
@@ -282,9 +276,9 @@ func TestFlushOutboxBatched(t *testing.T) {
 	peer.SetReplyOnion(replyOnion) // enables the batched flush and kicks it
 	waitFor(t, func() bool { return peer.OutboxDepth() == 0 })
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == n })
-	ps := peer.Stats()
-	if ps.ReportsAcked != n || ps.ReportsLost != 0 {
-		t.Fatalf("sender stats acked=%d lost=%d, want %d/0", ps.ReportsAcked, ps.ReportsLost, n)
+	acked, lost := metric(t, peer, "node_reports_acked_total"), peer.Stats().ReportsLost
+	if acked != n || lost != 0 {
+		t.Fatalf("sender stats acked=%d lost=%d, want %d/0", acked, lost, n)
 	}
 	if as := agentNode.Stats(); as.ReportsStored != n {
 		t.Fatalf("agent stored %d, want %d", as.ReportsStored, n)
@@ -377,8 +371,8 @@ func TestEmptyReportBatchCountedMalformed(t *testing.T) {
 	if err := peer.sendThroughOnion(info.Onion, wire.TReportBatch, sealed.box); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return agentNode.Stats().IngestRejectedMalformed == 1 })
-	if got := agentNode.Stats().ReportBatches; got != 0 {
+	waitFor(t, func() bool { return metric(t, agentNode, "node_ingest_rejected_malformed_total") == 1 })
+	if got := metric(t, agentNode, "node_report_batches_total"); got != 0 {
 		t.Fatalf("empty batch reached the verification pool (%d batches run)", got)
 	}
 }

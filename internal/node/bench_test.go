@@ -175,7 +175,7 @@ func BenchmarkIngestAdmission(b *testing.B) {
 	if _, err := peer.ReportBatch(info, reports[:1], replyOnion); err != nil {
 		b.Fatal(err)
 	}
-	if got := peer.Stats().AdmissionSolved; got != 1 {
+	if got := metric(b, peer, "node_admission_solved_total"); got != 1 {
 		b.Fatalf("warm-up solved %d proofs, want 1", got)
 	}
 	b.ResetTimer()

@@ -241,7 +241,7 @@ func (n *Node) handleAgentListReq(payload []byte) {
 			e.String(desc)
 		}
 		_ = n.send(origin, wire.TAgentListResp, e.Encode())
-		n.stats.walksAnswered.Add(1)
+		n.cnt.walksAnswered.Inc()
 		tokens--
 	}
 	if tokens <= 0 || ttl <= 1 {

@@ -272,7 +272,4 @@ func TestStatsCounters(t *testing.T) {
 	if ps.FramesIn == 0 {
 		t.Fatal("no frames counted")
 	}
-	if s := ps.String(); s == "" {
-		t.Fatal("empty stats string")
-	}
 }

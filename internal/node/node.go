@@ -92,11 +92,12 @@ type Options struct {
 	IdleTimeout time.Duration
 	// MaxSessions caps concurrently served inbound connections; beyond it
 	// new connections are closed immediately and counted in
-	// Stats.SessionsShed rather than spawning goroutines (default 256).
+	// node_sessions_shed_total rather than spawning goroutines (default 256).
 	MaxSessions int
-	// Metrics receives the node's resilience counters (retries, breaker
-	// transitions, failovers, outbox depth). Nil creates a private registry,
-	// readable via Node.Metrics.
+	// Metrics receives every counter and gauge the node keeps. Nil creates a
+	// private registry, readable via Node.Metrics. Nodes sharing one
+	// registry share its counters: each one's Stats then reports the sum
+	// over all of them.
 	Metrics *metrics.Registry
 	// Replicas lists replica-agent addresses this agent ships its committed
 	// report batches to (DESIGN.md §10). Requires Agent.
@@ -257,29 +258,23 @@ type Node struct {
 	edgeUpstream AgentInfo
 	edgeOnion    *onion.Onion
 
-	// Transport plumbing: the outbound connection pool, the inbound session
-	// gate, and the per-message-type frame counters (transport.go in this
-	// package binds them).
-	pool           *transport.Pool
-	sessionSem     chan struct{}
-	sessMu         sync.Mutex
-	sessions       map[net.Conn]struct{}
-	frameCnt       [wire.NumMsgTypes]*metrics.Counter
-	frameUnknown   *metrics.Counter
-	frameReadErr   *metrics.Counter
-	frameDecodeErr *metrics.Counter
-	sessShedCnt    *metrics.Counter
+	// Transport plumbing (transport.go): the outbound connection pool and
+	// the inbound session gate.
+	pool       *transport.Pool
+	sessionSem chan struct{}
+	sessMu     sync.Mutex
+	sessions   map[net.Conn]struct{}
 
-	// stats holds the operational counters (stats.go).
-	stats nodeStats
+	// reg is the metrics registry and cnt every counter the node keeps,
+	// bound to it once at Listen (stats.go).
+	reg *metrics.Registry
+	cnt counters
 
 	// Resilience plumbing (resilience.go): retry wrapper, pluggable dialer,
-	// metrics registry, durable report outbox and its flusher, and the agent
-	// book whose breakers gate outbox flushing.
+	// durable report outbox and its flusher, and the agent book whose
+	// breakers gate outbox flushing.
 	retrier  *resilience.Retrier
 	dialer   resilience.Dialer
-	reg      *metrics.Registry
-	cnt      resilienceCounters
 	outbox   *resilience.Outbox
 	bookMu   sync.Mutex
 	book     *AgentBook
@@ -435,7 +430,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 	n.cnt.bind(n.reg)
 	n.memo = onion.NewMemo(n.reg)
 	n.proofs = proof.NewVerifier(n.reg)
-	n.bindFrameCounters(n.reg)
 	n.pool = transport.New(transport.Options{
 		Dialer:          n.dialer,
 		MaxConnsPerPeer: opts.PoolSize,
@@ -630,11 +624,11 @@ func (n *Node) handleOnion(payload []byte) {
 	}
 	res, ok := n.peelAny(blob)
 	if !ok {
-		n.stats.onionsRejcted.Add(1)
+		n.cnt.onionsRejected.Inc()
 		return
 	}
 	if !res.Exit {
-		n.stats.onionsForwarded.Add(1)
+		n.cnt.onionsForwarded.Inc()
 		// Relay: forward to the next hop; the inner payload is untouched, so
 		// relays learn nothing about content or endpoints.
 		var e wire.Encoder
@@ -642,7 +636,7 @@ func (n *Node) handleOnion(payload []byte) {
 		_ = n.send(res.Next, wire.TOnion, e.Encode())
 		return
 	}
-	n.stats.onionsExited.Add(1)
+	n.cnt.onionsExited.Inc()
 	switch innerType {
 	case wire.TTrustReq:
 		n.handleTrustReq(inner)

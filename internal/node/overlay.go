@@ -100,7 +100,6 @@ func newPlacement(opts Options) *placement {
 func (n *Node) SetPlacement(signed []byte) error {
 	m, signer, err := overlay.Decode(signed)
 	if err != nil {
-		n.stats.placementRejected.Add(1)
 		n.cnt.placementRejected.Inc()
 		return err
 	}
@@ -108,7 +107,6 @@ func (n *Node) SetPlacement(signed []byte) error {
 	p.mu.Lock()
 	if p.authority != (pkc.NodeID{}) && signer != p.authority {
 		p.mu.Unlock()
-		n.stats.placementRejected.Add(1)
 		n.cnt.placementRejected.Inc()
 		return fmt.Errorf("node: placement signed by %s, not the configured authority", signer.Short())
 	}
@@ -121,7 +119,6 @@ func (n *Node) SetPlacement(signed []byte) error {
 		if m.Epoch < p.m.Epoch {
 			old := p.m.Epoch
 			p.mu.Unlock()
-			n.stats.placementRejected.Add(1)
 			n.cnt.placementRejected.Inc()
 			return fmt.Errorf("node: placement epoch %d older than adopted %d", m.Epoch, old)
 		}
@@ -135,7 +132,6 @@ func (n *Node) SetPlacement(signed []byte) error {
 		// Outside p.mu: UnsealAll drains the store's in-flight mutations.
 		n.agent.Store().UnsealAll()
 	}
-	n.stats.placementAdopted.Add(1)
 	n.cnt.placementAdopted.Inc()
 	return nil
 }
@@ -273,7 +269,6 @@ func (n *Node) handlePlacementPush(payload []byte) {
 	unpinned := p.authority == (pkc.NodeID{})
 	p.mu.Unlock()
 	if unpinned {
-		n.stats.placementRejected.Add(1)
 		n.cnt.placementRejected.Inc()
 		return
 	}
@@ -365,7 +360,6 @@ func (n *Node) askOwner(subject pkc.NodeID, ask func(owner AgentInfo) error) err
 		if err = ask(info); !errors.Is(err, ErrWrongOwner) {
 			return err
 		}
-		n.stats.placementRedirects.Add(1)
 		n.cnt.placementRedirects.Inc()
 		if !n.refreshPlacement() && hop > 0 {
 			// The sources have nothing newer and the redirect persists:
@@ -423,7 +417,6 @@ func (n *Node) routeDeferred(recorded AgentInfo, subject pkc.NodeID) AgentInfo {
 		return recorded
 	}
 	if info.ID() != recorded.ID() {
-		n.stats.placementRedirects.Add(1)
 		n.cnt.placementRedirects.Inc()
 		return info
 	}
@@ -515,7 +508,6 @@ func (n *Node) handleHandoff(r transport.Responder, payload []byte) {
 			refuse()
 			return
 		}
-		n.stats.shardsSealed.Add(1)
 		n.cnt.handoffSealed.Inc()
 		_ = r.Respond(wire.RHandoffResp, (&wire.Encoder{}).U64(handoffOK).Bytes(nil).Encode())
 	case handoffOpExport:
@@ -609,7 +601,6 @@ func (n *Node) RebalancePull(oldAddr string, shards []int) (int, error) {
 			return done, fmt.Errorf("node: merge shard %d: %w", s, err)
 		}
 		done++
-		n.stats.shardsPulled.Add(1)
 		n.cnt.handoffPulled.Inc()
 	}
 	// The merges are in-memory repairs; fold them into a snapshot so a

@@ -128,9 +128,9 @@ func TestPlacementAdoptAndReject(t *testing.T) {
 	if err := n.SetPlacement(bad); err == nil {
 		t.Fatal("tampered map adopted")
 	}
-	st := n.Stats()
-	if st.PlacementAdopted != 2 || st.PlacementRejected != 2 {
-		t.Fatalf("adopted=%d rejected=%d, want 2/2", st.PlacementAdopted, st.PlacementRejected)
+	adopted, rejected := metric(t, n, "node_placement_adopted_total"), metric(t, n, "node_placement_rejected_total")
+	if adopted != 2 || rejected != 2 {
+		t.Fatalf("adopted=%d rejected=%d, want 2/2", adopted, rejected)
 	}
 
 	// An authority-pinned node refuses any other signer, however valid.
@@ -195,7 +195,7 @@ func TestPlacementFetchAndPush(t *testing.T) {
 	if err := sink.send(src.Addr(), wire.TPlacement, signed2); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return src.Stats().PlacementRejected >= 1 })
+	waitFor(t, func() bool { return metric(t, src, "node_placement_rejected_total") >= 1 })
 	if m, _ := src.Placement(); m == nil || m.Epoch != 1 {
 		t.Fatalf("authority-less node adopted a pushed map (epoch %v)", m)
 	}
@@ -242,10 +242,10 @@ func TestRoutedTrustWrongOwnerRedirect(t *testing.T) {
 	if m, _ := client.Placement(); m.Epoch != 2 {
 		t.Fatalf("client epoch after redirect = %d, want 2 (refreshed mid-call)", m.Epoch)
 	}
-	if got := client.Stats().PlacementRedirects; got < 1 {
+	if got := metric(t, client, "node_placement_redirects_total"); got < 1 {
 		t.Fatalf("client counted %d redirects, want >= 1", got)
 	}
-	if got := a1.Stats().PlacementRedirects; got < 1 {
+	if got := metric(t, a1, "node_placement_redirects_total"); got < 1 {
 		t.Fatalf("old owner served %d wrong-owner answers, want >= 1", got)
 	}
 	// The stale map never got an answer out of the wrong owner.
@@ -293,7 +293,7 @@ func TestReportBatchRoutedPartitions(t *testing.T) {
 	if err := client.ReportBatchRouted(nil, reports, ro); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.Stats().ReportsAcked; got != int64(len(reports)) {
+	if got := metric(t, client, "node_reports_acked_total"); got != int64(len(reports)) {
 		t.Fatalf("acked %d of %d routed reports", got, len(reports))
 	}
 	waitFor(t, func() bool {
@@ -355,7 +355,7 @@ func TestRebalancePullMigratesShards(t *testing.T) {
 	if err := client.ReportBatchRouted(nil, reports, ro); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.Stats().ReportsAcked; got != int64(len(reports)) {
+	if got := metric(t, client, "node_reports_acked_total"); got != int64(len(reports)) {
 		t.Fatalf("acked %d of %d", got, len(reports))
 	}
 	waitFor(t, func() bool { return a1.Agent().Store().ReportCount() == len(reports) })
@@ -380,7 +380,7 @@ func TestRebalancePullMigratesShards(t *testing.T) {
 	if _, err := a2.RebalancePull(a1.Addr(), moveShards[:1]); err == nil {
 		t.Fatal("unauthorized rebalance pull succeeded")
 	}
-	if got := a1.Stats().ShardsSealed; got != 0 {
+	if got := metric(t, a1, "node_handoff_sealed_total"); got != 0 {
 		t.Fatalf("unauthorized peer sealed %d shards", got)
 	}
 
@@ -400,10 +400,10 @@ func TestRebalancePullMigratesShards(t *testing.T) {
 				id.Short(), gp, gn, gok, wp, wn, ok)
 		}
 	}
-	if got := a1.Stats().ShardsSealed; got != int64(len(moveShards)) {
+	if got := metric(t, a1, "node_handoff_sealed_total"); got != int64(len(moveShards)) {
 		t.Fatalf("sealed %d shards, want %d", got, len(moveShards))
 	}
-	if got := a2.Stats().ShardsPulled; got != int64(len(moveShards)) {
+	if got := metric(t, a2, "node_handoff_pulled_total"); got != int64(len(moveShards)) {
 		t.Fatalf("pulled %d shards, want %d", got, len(moveShards))
 	}
 
@@ -616,7 +616,7 @@ func TestRebalanceSurvivesOldOwnerCrash(t *testing.T) {
 				id.Short(), g, pos, neg, ok, want[0], want[1])
 		}
 	}
-	if got := a2.Stats().ShardsPulled; got != int64(len(moves)) {
+	if got := metric(t, a2, "node_handoff_pulled_total"); got != int64(len(moves)) {
 		t.Fatalf("new owner pulled %d shards across the crash, want %d", got, len(moves))
 	}
 }

@@ -264,14 +264,11 @@ func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion
 
 // countProofVerdict counts one client-side verification outcome.
 func (n *Node) countProofVerdict(v proof.Verdict) {
-	n.stats.proofsVerified.Add(1)
 	n.cnt.proofsVerified.Inc()
 	switch v {
 	case proof.Partial:
-		n.stats.proofsPartial.Add(1)
 		n.cnt.proofsPartial.Inc()
 	case proof.Lying:
-		n.stats.proofsLying.Add(1)
 		n.cnt.proofsLying.Inc()
 	}
 }
@@ -321,7 +318,6 @@ func (n *Node) handleProofReq(sealed []byte) {
 // assembly and signing, for the audit harness's lying agent).
 func (n *Node) serveProofAsAgent(req *proofRequest) {
 	if _, read := n.subjectOwnership(req.subject); !read {
-		n.stats.placementRedirects.Add(1)
 		n.cnt.placementRedirects.Inc()
 		n.sendProofResp(req, proofKindWrongOwner, nil)
 		return
@@ -334,13 +330,11 @@ func (n *Node) serveProofAsAgent(req *proofRequest) {
 	key := proofCacheKey(req.subject, kind)
 	if n.proofCache != nil {
 		if payload, ok := n.proofCache.get(key, now); ok {
-			n.stats.proofCacheHits.Add(1)
 			n.cnt.proofCacheHits.Inc()
-			n.countProofServed()
+			n.cnt.proofsServed.Inc()
 			n.sendProofResp(req, kind, payload)
 			return
 		}
-		n.stats.proofCacheMisses.Add(1)
 		n.cnt.proofCacheMisses.Inc()
 	}
 	st := n.agent.Store()
@@ -364,7 +358,7 @@ func (n *Node) serveProofAsAgent(req *proofRequest) {
 		// entry and the payload's own validity run out together.
 		n.proofCache.put(key, payload, now.Add(n.proofCache.ttl))
 	}
-	n.countProofServed()
+	n.cnt.proofsServed.Inc()
 	n.sendProofResp(req, kind, payload)
 }
 
@@ -382,13 +376,11 @@ func (n *Node) serveProofAsEdge(req *proofRequest) {
 	key := proofCacheKey(req.subject, kind)
 	if payload, ok := n.proofCache.get(key, now); ok {
 		// Cache hit: served entirely from this edge, zero agent round trips.
-		n.stats.proofCacheHits.Add(1)
 		n.cnt.proofCacheHits.Inc()
-		n.countProofServed()
+		n.cnt.proofsServed.Inc()
 		n.sendProofResp(req, kind, payload)
 		return
 	}
-	n.stats.proofCacheMisses.Add(1)
 	n.cnt.proofCacheMisses.Inc()
 	upstream, fwdOnion := n.proofEdgeConfig()
 	if fwdOnion == nil {
@@ -439,7 +431,7 @@ func (n *Node) serveProofAsEdge(req *proofRequest) {
 		if cacheable && expires.After(fetched) {
 			n.proofCache.put(key, payload, expires)
 		}
-		n.countProofServed()
+		n.cnt.proofsServed.Inc()
 		n.sendProofResp(req, kind, payload)
 	}()
 }
@@ -449,12 +441,6 @@ func (n *Node) sendProofResp(req *proofRequest, kind uint64, payload []byte) {
 	e := req.replyBody()
 	e.Bytes(req.subject[:]).U64(kind).Bytes(payload)
 	n.reply(&req.request, &e)
-}
-
-// countProofServed counts one proof payload served (agent or edge).
-func (n *Node) countProofServed() {
-	n.stats.proofsServed.Add(1)
-	n.cnt.proofsServed.Inc()
 }
 
 // snapshotTTL returns the configured snapshot/cache TTL.

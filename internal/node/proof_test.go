@@ -99,12 +99,12 @@ func TestProofEndToEndAudit(t *testing.T) {
 		t.Fatalf("audit: recomputed %d, attributed to %v", res2.Pos, b2.AgentID())
 	}
 
-	as, rs := agentNode.Stats(), requestor.Stats()
-	if as.ProofsServed < 2 {
-		t.Fatalf("agent ProofsServed = %d", as.ProofsServed)
+	if served := metric(t, agentNode, "node_proofs_served_total"); served < 2 {
+		t.Fatalf("agent node_proofs_served_total = %d", served)
 	}
-	if rs.ProofsVerified < 2 || rs.ProofsLying != 1 {
-		t.Fatalf("requestor verdict counters: verified=%d lying=%d", rs.ProofsVerified, rs.ProofsLying)
+	verified, lying := metric(t, requestor, "node_proofs_verified_total"), metric(t, requestor, "node_proofs_lying_total")
+	if verified < 2 || lying != 1 {
+		t.Fatalf("requestor verdict counters: verified=%d lying=%d", verified, lying)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestProofEdgeCacheZeroAgentRoundTrips(t *testing.T) {
 	if b.AgentID() != agentNode.ID() {
 		t.Fatal("edge-served bundle not attributed to the issuing agent")
 	}
-	servedAfterCold := agentNode.Stats().ProofsServed
+	servedAfterCold := metric(t, agentNode, "node_proofs_served_total")
 	if servedAfterCold == 0 {
 		t.Fatal("cold read did not reach the agent")
 	}
@@ -198,12 +198,12 @@ func TestProofEdgeCacheZeroAgentRoundTrips(t *testing.T) {
 			t.Fatalf("warm read %d: verdict %v, tally %d", i, res.Verdict, b.Pos)
 		}
 	}
-	if served := agentNode.Stats().ProofsServed; served != servedAfterCold {
+	if served := metric(t, agentNode, "node_proofs_served_total"); served != servedAfterCold {
 		t.Fatalf("warm reads reached the agent: ProofsServed %d -> %d", servedAfterCold, served)
 	}
-	es := edge.Stats()
-	if es.ProofCacheHits < repeats || es.ProofsServed < repeats {
-		t.Fatalf("edge counters: hits=%d served=%d, want >= %d", es.ProofCacheHits, es.ProofsServed, repeats)
+	hits, served := edge.Stats().ProofCacheHits, metric(t, edge, "node_proofs_served_total")
+	if hits < repeats || served < repeats {
+		t.Fatalf("edge counters: hits=%d served=%d, want >= %d", hits, served, repeats)
 	}
 
 	// Snapshots ride the same cache, keyed separately from bundles.
@@ -214,11 +214,11 @@ func TestProofEdgeCacheZeroAgentRoundTrips(t *testing.T) {
 	if ts.Pos != 5 || ts.AgentID() != agentNode.ID() {
 		t.Fatalf("snapshot via edge: %d positives from %v", ts.Pos, ts.AgentID())
 	}
-	servedSnap := agentNode.Stats().ProofsServed
+	servedSnap := metric(t, agentNode, "node_proofs_served_total")
 	if _, err := requestor.RequestTrustSnapshot(edgeInfo, subject.ID, reqOnion); err != nil {
 		t.Fatal(err)
 	}
-	if served := agentNode.Stats().ProofsServed; served != servedSnap {
+	if served := metric(t, agentNode, "node_proofs_served_total"); served != servedSnap {
 		t.Fatal("warm snapshot read reached the agent")
 	}
 }
@@ -360,8 +360,8 @@ func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
 		}
 	}
 	agentNode.SetProofTamper(nil)
-	if got := requestor.Stats().ProofsLying; got != 2 {
-		t.Fatalf("ProofsLying = %d, want 2", got)
+	if got := metric(t, requestor, "node_proofs_lying_total"); got != 2 {
+		t.Fatalf("node_proofs_lying_total = %d, want 2", got)
 	}
 
 	// An edge corrupts the same wire in its cached copy of the honest bundle:
@@ -395,7 +395,7 @@ func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
 	if _, _, err := read(edgeInfo); !errors.Is(err, ErrBadAgent) {
 		t.Fatalf("edge-corrupted bundle: err = %v, want ErrBadAgent", err)
 	}
-	if got := requestor.Stats().ProofsLying; got != 2 {
-		t.Fatalf("edge corruption was pinned on the agent: ProofsLying = %d", got)
+	if got := metric(t, requestor, "node_proofs_lying_total"); got != 2 {
+		t.Fatalf("edge corruption was pinned on the agent: node_proofs_lying_total = %d", got)
 	}
 }

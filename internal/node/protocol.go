@@ -189,10 +189,9 @@ func (n *Node) handleTrustReq(sealed []byte) {
 		if v, ok := n.agent.TrustValue(subject); ok {
 			value, hasData = v, true
 		}
-		n.stats.trustServed.Add(1)
+		n.cnt.trustServed.Inc()
 	} else {
 		// A redirect, not a served value.
-		n.stats.placementRedirects.Add(1)
 		n.cnt.placementRedirects.Inc()
 	}
 	e := req.replyBody()

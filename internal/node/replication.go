@@ -209,7 +209,7 @@ func (r *replicator) onCommit(batch []byte) {
 		}
 	}
 	r.mu.Unlock()
-	r.n.stats.replBatches.Add(1)
+	r.n.cnt.replBatches.Inc()
 	for _, t := range r.targets {
 		select {
 		case t.kick <- struct{}{}:
@@ -299,7 +299,7 @@ func (r *replicator) drain(t *replTarget) bool {
 		}
 		t.acked.Store(ack.lastSeq)
 		_ = t.out.Ack(e.Seq)
-		r.n.stats.replShipped.Add(1)
+		r.n.cnt.replShipped.Inc()
 	}
 	r.updateDepthGauge()
 	return true
@@ -398,7 +398,6 @@ func (r *replicator) antiEntropy(t *replTarget) error {
 	}
 	r.updateDepthGauge()
 	r.n.cnt.replAntiEntropy.Inc()
-	r.n.stats.replRepairs.Add(1)
 	return nil
 }
 
@@ -670,7 +669,7 @@ func (n *Node) handleReplicate(r transport.Responder, payload []byte) {
 	e.U64(st.epoch).U64(st.lastSeq).Bool(st.diverged)
 	st.mu.Unlock()
 	if applied {
-		n.stats.replApplied.Add(1)
+		n.cnt.replApplied.Inc()
 	}
 	_ = r.Respond(wire.RReplicateAck, e.Encode())
 }
@@ -1007,7 +1006,7 @@ func (n *Node) pullFromSurvivors(primary pkc.NodeID) int {
 	if pulled > 0 {
 		_ = st.store.Snapshot()
 	}
-	n.stats.replPulled.Add(int64(pulled))
+	n.cnt.replPulled.Add(int64(pulled))
 	return pulled
 }
 

@@ -71,15 +71,14 @@ func TestReplicationShipsBatches(t *testing.T) {
 		}
 	}
 
-	s := p.Stats()
-	if s.ReplBatches < reports {
-		t.Fatalf("ReplBatches = %d, want >= %d", s.ReplBatches, reports)
+	if got := metric(t, p, "node_repl_batches_total"); got < reports {
+		t.Fatalf("node_repl_batches_total = %d, want >= %d", got, reports)
 	}
-	if s.ReplShipped < 1 {
-		t.Fatalf("ReplShipped = %d", s.ReplShipped)
+	if got := metric(t, p, "node_repl_shipped_total"); got < 1 {
+		t.Fatalf("node_repl_shipped_total = %d", got)
 	}
-	if a := r1.Stats().ReplApplied; a < 1 {
-		t.Fatalf("replica ReplApplied = %d", a)
+	if a := metric(t, r1, "node_repl_applied_total"); a < 1 {
+		t.Fatalf("replica node_repl_applied_total = %d", a)
 	}
 	// Once everything is acked the hinted-handoff queues must be empty.
 	waitFor(t, func() bool {
@@ -315,11 +314,11 @@ func TestChaosReplicationFailover(t *testing.T) {
 		}
 	}
 
-	ps := p.Stats()
-	if ps.ReplBatches < int64(total) || ps.ReplRepairs < 1 {
-		t.Fatalf("primary repl stats: %+v", ps)
+	batches, rounds := metric(t, p, "node_repl_batches_total"), metric(t, p, "node_repl_antientropy_total")
+	if batches < int64(total) || rounds < 1 {
+		t.Fatalf("primary repl stats: batches=%d anti-entropy rounds=%d", batches, rounds)
 	}
-	if r1.Stats().ReplApplied < 1 {
+	if metric(t, r1, "node_repl_applied_total") < 1 {
 		t.Fatal("r1 never applied a shipped batch")
 	}
 }

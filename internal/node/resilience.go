@@ -4,16 +4,14 @@ import (
 	"sort"
 	"time"
 
-	"hirep/internal/metrics"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
 	"hirep/internal/resilience"
 	"hirep/internal/wire"
 )
 
-// This file wires the node onto internal/resilience: named counters for the
-// retry/breaker/outbox machinery, deferral of undeliverable transaction
-// reports into the durable outbox, the background flusher that drains it once
+// This file wires the node onto internal/resilience: deferral of
+// undeliverable transaction reports into the durable outbox, the background flusher that drains it once
 // the target agent's circuit breaker closes again, and backup-agent failover
 // plus probing (§3.4.3, §3.6).
 
@@ -26,171 +24,6 @@ const (
 	defaultFlushInterval = 250 * time.Millisecond
 	maxFlushInterval     = 5 * time.Second
 )
-
-// resilienceCounters are the node's registry-backed resilience metrics,
-// resolved once at Listen so the hot path touches only atomics.
-type resilienceCounters struct {
-	retries         *metrics.Counter
-	breakerOpen     *metrics.Counter
-	breakerHalf     *metrics.Counter
-	breakerClose    *metrics.Counter
-	failovers       *metrics.Counter
-	reportsDeferred *metrics.Counter
-	reportsLost     *metrics.Counter
-	outboxSent      *metrics.Counter
-	outboxDepth     *metrics.Gauge
-
-	// Batched report ingest (DESIGN.md §11): per-reason reject counters on
-	// the agent side — shared with the legacy single-report path, which
-	// previously dropped every rejection invisibly — and ack reconciliation
-	// on the sender side.
-	reportBatches           *metrics.Counter
-	ingestRejectedReplay    *metrics.Counter
-	ingestRejectedKey       *metrics.Counter
-	ingestRejectedMalformed *metrics.Counter
-	ingestStoreFailed       *metrics.Counter
-	ingestShed              *metrics.Counter
-	reportsAcked            *metrics.Counter
-	reportsRejected         *metrics.Counter
-
-	// Replication health (DESIGN.md §10).
-	replHandoffDepth   *metrics.Gauge
-	replHandoffDropped *metrics.Counter
-	replShardsRepaired *metrics.Counter
-	replAntiEntropy    *metrics.Counter
-	replUnauthorized   *metrics.Counter
-
-	// Routed overlay (DESIGN.md §12): placement-map adoption, wrong-owner
-	// routing traffic, and shard-handoff progress during rebalances.
-	placementAdopted         *metrics.Counter
-	placementRejected        *metrics.Counter
-	placementRedirects       *metrics.Counter
-	ingestRejectedWrongOwner *metrics.Counter
-	handoffSealed            *metrics.Counter
-	handoffPulled            *metrics.Counter
-	handoffUnauthorized      *metrics.Counter
-
-	// Sybil-admission gate (DESIGN.md §13): agent-side bounce/admit/replay/
-	// throttle counts and sender-side proof-of-work cost.
-	admissionRequired  *metrics.Counter
-	admissionAdmitted  *metrics.Counter
-	admissionReplayed  *metrics.Counter
-	admissionThrottled *metrics.Counter
-	admissionSolved    *metrics.Counter
-	admissionWork      *metrics.Counter
-
-	// Verifiable reads (DESIGN.md §14): proofs served and verified, caught
-	// lies, and the proof payload cache's hit ratio.
-	proofsServed     *metrics.Counter
-	proofsVerified   *metrics.Counter
-	proofsPartial    *metrics.Counter
-	proofsLying      *metrics.Counter
-	proofCacheHits   *metrics.Counter
-	proofCacheMisses *metrics.Counter
-
-	// Self-healing trust plane (DESIGN.md §15): auditor progress, advisory
-	// gossip intake, book lifecycle actions, and the slander-suspect gauge.
-	auditSweeps         *metrics.Counter
-	auditProbes         *metrics.Counter
-	auditFailures       *metrics.Counter
-	auditDiverged       *metrics.Counter
-	advisoriesIssued    *metrics.Counter
-	advisoriesAccepted  *metrics.Counter
-	advisoriesRejected  *metrics.Counter
-	advisoriesDuplicate *metrics.Counter
-	agentsQuarantined   *metrics.Counter
-	agentsRehabilitated *metrics.Counter
-	agentsEvicted       *metrics.Counter
-	slanderSuspects     *metrics.Gauge
-
-	// Agent report-store health, mirrored from repstore by
-	// updateStoreHealth so shutdown dumps and scrapes see WAL growth and
-	// compaction trouble.
-	storeWALBytes        *metrics.Gauge
-	storeCompactFailures *metrics.Gauge
-	storeCompactErr      *metrics.Gauge
-}
-
-func (c *resilienceCounters) bind(r *metrics.Registry) {
-	c.retries = r.Counter("node_retries_total")
-	c.breakerOpen = r.Counter("node_breaker_open_total")
-	c.breakerHalf = r.Counter("node_breaker_halfopen_total")
-	c.breakerClose = r.Counter("node_breaker_close_total")
-	c.failovers = r.Counter("node_failover_total")
-	c.reportsDeferred = r.Counter("node_reports_deferred_total")
-	c.reportsLost = r.Counter("node_reports_lost_total")
-	c.outboxSent = r.Counter("node_outbox_sent_total")
-	c.outboxDepth = r.Gauge("node_outbox_depth")
-	c.reportBatches = r.Counter("node_report_batches_total")
-	c.ingestRejectedReplay = r.Counter("node_ingest_rejected_replay_total")
-	c.ingestRejectedKey = r.Counter("node_ingest_rejected_key_total")
-	c.ingestRejectedMalformed = r.Counter("node_ingest_rejected_malformed_total")
-	c.ingestStoreFailed = r.Counter("node_ingest_store_failed_total")
-	c.ingestShed = r.Counter("node_ingest_shed_total")
-	c.reportsAcked = r.Counter("node_reports_acked_total")
-	c.reportsRejected = r.Counter("node_reports_rejected_total")
-	c.replHandoffDepth = r.Gauge("node_repl_handoff_depth")
-	c.replHandoffDropped = r.Counter("node_repl_handoff_dropped_total")
-	c.replShardsRepaired = r.Counter("node_repl_shards_repaired_total")
-	c.replAntiEntropy = r.Counter("node_repl_antientropy_total")
-	c.replUnauthorized = r.Counter("node_repl_unauthorized_total")
-	c.placementAdopted = r.Counter("node_placement_adopted_total")
-	c.placementRejected = r.Counter("node_placement_rejected_total")
-	c.placementRedirects = r.Counter("node_placement_redirects_total")
-	c.ingestRejectedWrongOwner = r.Counter("node_ingest_rejected_wrong_owner_total")
-	c.handoffSealed = r.Counter("node_handoff_sealed_total")
-	c.handoffPulled = r.Counter("node_handoff_pulled_total")
-	c.handoffUnauthorized = r.Counter("node_handoff_unauthorized_total")
-	c.admissionRequired = r.Counter("node_admission_required_total")
-	c.admissionAdmitted = r.Counter("node_admission_admitted_total")
-	c.admissionReplayed = r.Counter("node_admission_replayed_total")
-	c.admissionThrottled = r.Counter("node_admission_throttled_total")
-	c.admissionSolved = r.Counter("node_admission_solved_total")
-	c.admissionWork = r.Counter("node_admission_work_total")
-	c.proofsServed = r.Counter("node_proofs_served_total")
-	c.proofsVerified = r.Counter("node_proofs_verified_total")
-	c.proofsPartial = r.Counter("node_proofs_partial_total")
-	c.proofsLying = r.Counter("node_proofs_lying_total")
-	c.proofCacheHits = r.Counter("node_proof_cache_hits_total")
-	c.proofCacheMisses = r.Counter("node_proof_cache_misses_total")
-	c.auditSweeps = r.Counter("node_audit_sweeps_total")
-	c.auditProbes = r.Counter("node_audit_probes_total")
-	c.auditFailures = r.Counter("node_audit_failures_total")
-	c.auditDiverged = r.Counter("node_audit_diverged_total")
-	c.advisoriesIssued = r.Counter("node_advisories_issued_total")
-	c.advisoriesAccepted = r.Counter("node_advisories_accepted_total")
-	c.advisoriesRejected = r.Counter("node_advisories_rejected_total")
-	c.advisoriesDuplicate = r.Counter("node_advisories_duplicate_total")
-	c.agentsQuarantined = r.Counter("node_agents_quarantined_total")
-	c.agentsRehabilitated = r.Counter("node_agents_rehabilitated_total")
-	c.agentsEvicted = r.Counter("node_agents_evicted_total")
-	c.slanderSuspects = r.Gauge("node_slander_suspects_total")
-	c.storeWALBytes = r.Gauge("node_store_wal_bytes")
-	c.storeCompactFailures = r.Gauge("node_store_compact_failures")
-	c.storeCompactErr = r.Gauge("node_store_compact_err")
-}
-
-// updateStoreHealth refreshes the gauges mirroring the agent store's health:
-// WAL size, compaction failure count, and whether a compaction error is
-// sticking. Refreshed on the flusher cadence and from Stats so dumps are
-// fresh. A no-op for non-agents.
-func (n *Node) updateStoreHealth() {
-	if n.agent == nil {
-		return
-	}
-	st := n.agent.Store()
-	n.cnt.storeWALBytes.Set(st.WALSize())
-	n.cnt.storeCompactFailures.Set(st.CompactFailures())
-	if st.CompactErr() != nil {
-		n.cnt.storeCompactErr.Set(1)
-	} else {
-		n.cnt.storeCompactErr.Set(0)
-	}
-}
-
-// Metrics returns the node's resilience metrics registry (the one passed in
-// Options.Metrics, or the node's private one).
-func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
 // probeTimeout returns the current probe deadline (thread-safe).
 func (n *Node) probeTimeout() time.Duration {
@@ -348,17 +181,12 @@ func (n *Node) deferReport(a AgentInfo, subject pkc.NodeID, positive bool) {
 	var e wire.Encoder
 	e.String(EncodeInfo(a)).Bytes(subject[:]).Bool(positive)
 	evicted, err := n.outbox.Enqueue(a.ID().String(), e.Encode())
-	if evicted > 0 {
-		n.cnt.reportsLost.Add(int64(evicted))
-		n.stats.reportsLost.Add(int64(evicted))
-	}
+	n.cnt.reportsLost.Add(int64(evicted))
 	if err != nil {
 		n.cnt.reportsLost.Inc()
-		n.stats.reportsLost.Add(1)
 		return
 	}
 	n.cnt.reportsDeferred.Inc()
-	n.stats.reportsDeferred.Add(1)
 	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
 }
 
@@ -445,7 +273,6 @@ func (n *Node) flushOutbox() (sent, blocked int) {
 		if err != nil {
 			_ = n.outbox.Ack(e.Seq)
 			n.cnt.reportsLost.Inc()
-			n.stats.reportsLost.Add(1)
 			continue
 		}
 		if book != nil && book.BreakerState(info.ID()) != resilience.BreakerClosed {
@@ -494,7 +321,6 @@ func (n *Node) flushOutboxBatched(book *AgentBook, ro *onion.Onion) (sent, block
 		if err != nil {
 			_ = n.outbox.Ack(e.Seq)
 			n.cnt.reportsLost.Inc()
-			n.stats.reportsLost.Add(1)
 			continue
 		}
 		info = n.routeDeferred(info, subject)
@@ -537,7 +363,6 @@ func (n *Node) flushOutboxBatched(book *AgentBook, ro *onion.Onion) (sent, block
 					_ = n.outbox.Ack(g.seqs[lo+i])
 					sent++
 					n.cnt.outboxSent.Inc()
-					n.stats.reportsAcked.Add(1)
 					n.cnt.reportsAcked.Inc()
 				case st.Retryable():
 					if st == StatusWrongOwner {
@@ -552,7 +377,6 @@ func (n *Node) flushOutboxBatched(book *AgentBook, ro *onion.Onion) (sent, block
 					blocked++
 				default:
 					_ = n.outbox.Ack(g.seqs[lo+i])
-					n.stats.reportsRejected.Add(1)
 					n.cnt.reportsRejected.Inc()
 				}
 			}

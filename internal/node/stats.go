@@ -1,249 +1,263 @@
 package node
 
 import (
-	"fmt"
-	"sync/atomic"
-
+	"hirep/internal/metrics"
 	"hirep/internal/wire"
 )
 
-// Stats are the live node's operational counters, for monitoring a deployed
-// node (printed by `hirepnode` on shutdown, scraped by tests).
+// counters holds every counter and gauge the node keeps. Each is bound to
+// one registry name in bind, once at Listen, so an event site touches one
+// atomic and every value can be scraped by name through Metrics.
+type counters struct {
+	// Inbound transport: frames accepted per message type (index 0 unused),
+	// frames of no known type, read and decode failures, and connections
+	// refused at the session cap.
+	frames          [wire.NumMsgTypes]*metrics.Counter
+	framesUnknown   *metrics.Counter
+	framesReadErr   *metrics.Counter
+	framesDecodeErr *metrics.Counter
+	sessionsShed    *metrics.Counter
+
+	// Onion relay duty and the agent's served requests.
+	onionsForwarded *metrics.Counter
+	onionsExited    *metrics.Counter
+	onionsRejected  *metrics.Counter
+	trustServed     *metrics.Counter
+	walksAnswered   *metrics.Counter
+
+	// Retries, breaker transitions, failover, and the report outbox.
+	retries         *metrics.Counter
+	breakerOpen     *metrics.Counter
+	breakerHalf     *metrics.Counter
+	breakerClose    *metrics.Counter
+	failovers       *metrics.Counter
+	reportsDeferred *metrics.Counter
+	reportsLost     *metrics.Counter
+	outboxSent      *metrics.Counter
+	outboxDepth     *metrics.Gauge
+
+	// Batched report ingest (DESIGN.md §11). ingest counts each report's
+	// outcome on the agent, indexed by ReportStatus; the acked and rejected
+	// counters reconcile acks on the sender.
+	reportBatches   *metrics.Counter
+	ingest          [StatusAdmissionRequired]*metrics.Counter
+	reportsAcked    *metrics.Counter
+	reportsRejected *metrics.Counter
+
+	// Replication (DESIGN.md §10).
+	replBatches        *metrics.Counter
+	replShipped        *metrics.Counter
+	replApplied        *metrics.Counter
+	replPulled         *metrics.Counter
+	replHandoffDepth   *metrics.Gauge
+	replHandoffDropped *metrics.Counter
+	replShardsRepaired *metrics.Counter
+	replAntiEntropy    *metrics.Counter
+	replUnauthorized   *metrics.Counter
+
+	// Routed overlay (DESIGN.md §12): placement-map adoption, wrong-owner
+	// redirects, and shard-handoff progress during rebalances.
+	placementAdopted    *metrics.Counter
+	placementRejected   *metrics.Counter
+	placementRedirects  *metrics.Counter
+	handoffSealed       *metrics.Counter
+	handoffPulled       *metrics.Counter
+	handoffUnauthorized *metrics.Counter
+
+	// Sybil-admission gate (DESIGN.md §13): agent-side bounce/admit/replay/
+	// throttle counts and sender-side proof-of-work cost.
+	admissionRequired  *metrics.Counter
+	admissionAdmitted  *metrics.Counter
+	admissionReplayed  *metrics.Counter
+	admissionThrottled *metrics.Counter
+	admissionSolved    *metrics.Counter
+	admissionWork      *metrics.Counter
+
+	// Verifiable reads (DESIGN.md §14): proofs served and verified, caught
+	// lies, and the proof payload cache.
+	proofsServed     *metrics.Counter
+	proofsVerified   *metrics.Counter
+	proofsPartial    *metrics.Counter
+	proofsLying      *metrics.Counter
+	proofCacheHits   *metrics.Counter
+	proofCacheMisses *metrics.Counter
+
+	// Self-healing trust plane (DESIGN.md §15): auditor progress, advisory
+	// gossip intake, book lifecycle actions, and slander suspects.
+	auditSweeps          *metrics.Counter
+	auditProbes          *metrics.Counter
+	auditFailures        *metrics.Counter
+	auditDiverged        *metrics.Counter
+	advisoriesIssued     *metrics.Counter
+	advisoriesAccepted   *metrics.Counter
+	advisoriesRejected   *metrics.Counter
+	advisoriesDuplicate  *metrics.Counter
+	agentsQuarantined    *metrics.Counter
+	agentsRehabilitated  *metrics.Counter
+	agentsEvicted        *metrics.Counter
+	slanderSuspects      *metrics.Gauge
+	slanderSuspectsFound *metrics.Counter
+
+	// Agent report-store health, mirrored from repstore by updateStoreHealth.
+	storeWALBytes        *metrics.Gauge
+	storeCompactFailures *metrics.Gauge
+	storeCompactErr      *metrics.Gauge
+}
+
+func (c *counters) bind(r *metrics.Registry) {
+	for t := 1; t < wire.NumMsgTypes; t++ {
+		c.frames[t] = r.Counter("node_frames_in_" + wire.MsgType(t).String() + "_total")
+	}
+	c.framesUnknown = r.Counter("node_frames_in_unknown_total")
+	c.framesReadErr = r.Counter("node_frames_read_err_total")
+	c.framesDecodeErr = r.Counter("node_frames_decode_err_total")
+	c.sessionsShed = r.Counter("node_sessions_shed_total")
+	c.onionsForwarded = r.Counter("node_onions_forwarded_total")
+	c.onionsExited = r.Counter("node_onions_exited_total")
+	c.onionsRejected = r.Counter("node_onions_rejected_total")
+	c.trustServed = r.Counter("node_trust_served_total")
+	c.walksAnswered = r.Counter("node_walks_answered_total")
+	c.retries = r.Counter("node_retries_total")
+	c.breakerOpen = r.Counter("node_breaker_open_total")
+	c.breakerHalf = r.Counter("node_breaker_halfopen_total")
+	c.breakerClose = r.Counter("node_breaker_close_total")
+	c.failovers = r.Counter("node_failover_total")
+	c.reportsDeferred = r.Counter("node_reports_deferred_total")
+	c.reportsLost = r.Counter("node_reports_lost_total")
+	c.outboxSent = r.Counter("node_outbox_sent_total")
+	c.outboxDepth = r.Gauge("node_outbox_depth")
+	c.reportBatches = r.Counter("node_report_batches_total")
+	c.ingest = [...]*metrics.Counter{
+		StatusStored:      r.Counter("node_reports_stored_total"),
+		StatusReplay:      r.Counter("node_ingest_rejected_replay_total"),
+		StatusBadKey:      r.Counter("node_ingest_rejected_key_total"),
+		StatusMalformed:   r.Counter("node_ingest_rejected_malformed_total"),
+		StatusStoreFailed: r.Counter("node_ingest_store_failed_total"),
+		StatusSaturated:   r.Counter("node_ingest_shed_total"),
+		StatusWrongOwner:  r.Counter("node_ingest_rejected_wrong_owner_total"),
+	}
+	c.reportsAcked = r.Counter("node_reports_acked_total")
+	c.reportsRejected = r.Counter("node_reports_rejected_total")
+	c.replBatches = r.Counter("node_repl_batches_total")
+	c.replShipped = r.Counter("node_repl_shipped_total")
+	c.replApplied = r.Counter("node_repl_applied_total")
+	c.replPulled = r.Counter("node_repl_pulled_total")
+	c.replHandoffDepth = r.Gauge("node_repl_handoff_depth")
+	c.replHandoffDropped = r.Counter("node_repl_handoff_dropped_total")
+	c.replShardsRepaired = r.Counter("node_repl_shards_repaired_total")
+	c.replAntiEntropy = r.Counter("node_repl_antientropy_total")
+	c.replUnauthorized = r.Counter("node_repl_unauthorized_total")
+	c.placementAdopted = r.Counter("node_placement_adopted_total")
+	c.placementRejected = r.Counter("node_placement_rejected_total")
+	c.placementRedirects = r.Counter("node_placement_redirects_total")
+	c.handoffSealed = r.Counter("node_handoff_sealed_total")
+	c.handoffPulled = r.Counter("node_handoff_pulled_total")
+	c.handoffUnauthorized = r.Counter("node_handoff_unauthorized_total")
+	c.admissionRequired = r.Counter("node_admission_required_total")
+	c.admissionAdmitted = r.Counter("node_admission_admitted_total")
+	c.admissionReplayed = r.Counter("node_admission_replayed_total")
+	c.admissionThrottled = r.Counter("node_admission_throttled_total")
+	c.admissionSolved = r.Counter("node_admission_solved_total")
+	c.admissionWork = r.Counter("node_admission_work_total")
+	c.proofsServed = r.Counter("node_proofs_served_total")
+	c.proofsVerified = r.Counter("node_proofs_verified_total")
+	c.proofsPartial = r.Counter("node_proofs_partial_total")
+	c.proofsLying = r.Counter("node_proofs_lying_total")
+	c.proofCacheHits = r.Counter("node_proof_cache_hits_total")
+	c.proofCacheMisses = r.Counter("node_proof_cache_misses_total")
+	c.auditSweeps = r.Counter("node_audit_sweeps_total")
+	c.auditProbes = r.Counter("node_audit_probes_total")
+	c.auditFailures = r.Counter("node_audit_failures_total")
+	c.auditDiverged = r.Counter("node_audit_diverged_total")
+	c.advisoriesIssued = r.Counter("node_advisories_issued_total")
+	c.advisoriesAccepted = r.Counter("node_advisories_accepted_total")
+	c.advisoriesRejected = r.Counter("node_advisories_rejected_total")
+	c.advisoriesDuplicate = r.Counter("node_advisories_duplicate_total")
+	c.agentsQuarantined = r.Counter("node_agents_quarantined_total")
+	c.agentsRehabilitated = r.Counter("node_agents_rehabilitated_total")
+	c.agentsEvicted = r.Counter("node_agents_evicted_total")
+	c.slanderSuspects = r.Gauge("node_slander_suspects_total")
+	c.slanderSuspectsFound = r.Counter("node_slander_suspects_found_total")
+	c.storeWALBytes = r.Gauge("node_store_wal_bytes")
+	c.storeCompactFailures = r.Gauge("node_store_compact_failures")
+	c.storeCompactErr = r.Gauge("node_store_compact_err")
+}
+
+// Stats is a read-only view of the counters read outside this package: the
+// live benchmark's per-layer figures and the campaign harness's scores.
+// Every other counter is read by its name in Metrics.
 type Stats struct {
-	FramesIn        int64 // frames accepted from the listener
-	FramesBad       int64 // inbound failures: FramesReadErr + FramesDecodeErr
-	FramesReadErr   int64 // transport-level read failures (resets, timeouts)
-	FramesDecodeErr int64 // frames rejected as malformed (oversized, torn)
-	SessionsShed    int64 // inbound connections refused at the session cap
-	OnionsForwarded int64 // relay duty: peeled and passed on
-	OnionsExited    int64 // onion payloads consumed at this node
-	OnionsRejected  int64 // blobs we could not peel (not ours / corrupt)
-	TrustServed     int64 // trust requests answered as an agent
-	ReportsStored   int64 // reports accepted into the agent store
-	WalksAnswered   int64 // agent-list walks answered
-	ReportsDeferred int64 // reports queued in the outbox instead of sent
-	ReportsLost     int64 // reports dropped (outbox eviction or corruption)
-
-	// Batched ingest, agent side (DESIGN.md §11). Rejects are counted by
-	// reason on both the batched and the legacy single-report path; store
-	// failures are transient and never conflated with protocol rejects.
-	ReportBatches           int64 // report batches run through the verification pool
-	IngestRejectedReplay    int64 // reports rejected: nonce already observed
-	IngestRejectedKey       int64 // reports rejected: unknown reporter or bad signature
-	IngestRejectedMalformed int64 // reports rejected: undecodable report wire
-	IngestStoreFailed       int64 // reports verified but not stored (retryable)
-	IngestShed              int64 // reports shed by admission control (retryable)
-
-	// Batched ingest, sender side: per-report ack reconciliation. Together
-	// with ReportsDeferred these account for every report handed to
-	// ReportBatchOrDefer — acked + rejected + deferred add up.
-	ReportsAcked    int64 // reports acknowledged as stored by the agent
-	ReportsRejected int64 // reports the agent's ack rejected permanently
-	ReplBatches     int64 // committed store batches tapped for replication
-	ReplShipped     int64 // batches delivered to and acknowledged by replicas
-	ReplApplied     int64 // shipped batches applied as a replica
-	ReplRepairs     int64 // anti-entropy rounds completed as a primary
-	ReplPulled      int64 // shards pulled from surviving replicas at promotion
-
-	// Routed overlay (DESIGN.md §12): placement-map lifecycle, wrong-owner
-	// routing traffic, and shard-handoff progress during rebalances.
-	PlacementAdopted         int64 // signed placement maps adopted
-	PlacementRejected        int64 // placement maps rejected (signature, authority, stale epoch)
-	PlacementRedirects       int64 // wrong-owner answers served or received
-	IngestRejectedWrongOwner int64 // reports rejected: subject outside this group's shards
-	ShardsSealed             int64 // shards sealed against writes for a handoff
-	ShardsPulled             int64 // shards pulled and merged during a rebalance
-
-	// Sybil-admission gate (DESIGN.md §13). Agent side: reports bounced
-	// pending admission, identities admitted, spent-solution replays, and
-	// rate-accounting revocations. Sender side: proofs of work minted and
-	// the total hash attempts they cost — the campaign harness's
-	// attacker-cost unit.
-	AdmissionRequired  int64 // reports bounced with StatusAdmissionRequired
-	AdmissionAdmitted  int64 // identities admitted on a valid solution
-	AdmissionReplayed  int64 // batches rejected: solution already spent
-	AdmissionThrottled int64 // admissions revoked by per-identity rate accounting
-	AdmissionSolved    int64 // admission proofs this node minted as a sender
-	AdmissionWork      int64 // hash attempts spent minting those proofs
-
-	// Verifiable reads (DESIGN.md §14). Served counts proof payloads
-	// answered (agent assembly or edge cache); Verified/Partial/Lying are
-	// client-side verdicts on bundles this node fetched and checked; the
-	// cache counters track the proof payload cache on agents and edges.
-	ProofsServed     int64 // proof bundles/snapshots served (agent or edge)
-	ProofsVerified   int64 // bundles fetched and verified by this node
-	ProofsPartial    int64 // verified bundles carrying declared-incomplete evidence
-	ProofsLying      int64 // verified bundles proving their agent lied
-	ProofCacheHits   int64 // proof payloads served straight from cache
-	ProofCacheMisses int64 // proof requests that had to assemble or forward
-
-	// Self-healing trust plane (DESIGN.md §15). Sweep/probe/failure counters
-	// track the background auditor; advisory counters split gossip intake
-	// into accepted (verified end to end), rejected (failed any check — never
-	// acted on), and duplicate; the lifecycle counters record book actions
-	// taken on verified evidence.
-	AuditSweeps          int64 // audit sweeps completed
-	AuditProbes          int64 // per-agent audit fetches attempted (incl. probation)
-	AuditFailures        int64 // audits abandoned without a verdict (timeout, Partial, unreachable)
-	AuditDiverged        int64 // cross-checks where two agents' bundles disagreed
-	AdvisoriesIssued     int64 // advisories this node signed and gossiped
-	AdvisoriesAccepted   int64 // received advisories that passed full re-verification
-	AdvisoriesRejected   int64 // received advisories rejected (malformed, unsigned, unproven)
-	AdvisoriesDuplicate  int64 // received advisories already processed (gossip dedup)
-	AgentsQuarantined    int64 // agents moved to quarantine on verified evidence
-	AgentsRehabilitated  int64 // suspects cleared by a Matching re-audit
-	AgentsEvicted        int64 // agents evicted (second strike of verified evidence)
-	SlanderSuspectsFound int64 // slander-suspect reporters flagged by skew scans
+	FramesIn           int64 // inbound frames accepted, every message type
+	OnionsForwarded    int64 // relay duty: peeled and passed on
+	OnionsExited       int64 // onion payloads consumed at this node
+	TrustServed        int64 // trust requests answered as an agent
+	ReportsStored      int64 // reports accepted into the agent store
+	IngestShed         int64 // reports shed by admission control (retryable)
+	ReportsDeferred    int64 // reports queued in the outbox instead of sent
+	ReportsLost        int64 // reports dropped (outbox eviction or corruption)
+	ProofCacheHits     int64 // proof payloads served straight from cache
+	ProofCacheMisses   int64 // proof requests that had to assemble or forward
+	AuditSweeps        int64 // audit sweeps completed
+	AdvisoriesAccepted int64 // received advisories that passed full re-verification
+	AdmissionWork      int64 // hash attempts spent minting admission proofs
 }
 
-// String renders the counters compactly.
-func (s Stats) String() string {
-	return fmt.Sprintf("frames=%d bad=%d(read=%d decode=%d) shed=%d fwd=%d exit=%d rejected=%d served=%d reports=%d walks=%d deferred=%d lost=%d ingest(batches=%d replay=%d key=%d malformed=%d storefail=%d shed=%d wrongowner=%d) acks(stored=%d rejected=%d) repl(batches=%d shipped=%d applied=%d repairs=%d pulled=%d) overlay(adopted=%d rejected=%d redirects=%d sealed=%d pulled=%d) admission(required=%d admitted=%d replayed=%d throttled=%d solved=%d work=%d) proof(served=%d verified=%d partial=%d lying=%d cachehit=%d cachemiss=%d) audit(sweeps=%d probes=%d failures=%d diverged=%d issued=%d accepted=%d rejected=%d dup=%d quarantined=%d rehabbed=%d evicted=%d slander=%d)",
-		s.FramesIn, s.FramesBad, s.FramesReadErr, s.FramesDecodeErr,
-		s.SessionsShed, s.OnionsForwarded, s.OnionsExited,
-		s.OnionsRejected, s.TrustServed, s.ReportsStored, s.WalksAnswered,
-		s.ReportsDeferred, s.ReportsLost,
-		s.ReportBatches, s.IngestRejectedReplay, s.IngestRejectedKey,
-		s.IngestRejectedMalformed, s.IngestStoreFailed, s.IngestShed,
-		s.IngestRejectedWrongOwner,
-		s.ReportsAcked, s.ReportsRejected,
-		s.ReplBatches, s.ReplShipped, s.ReplApplied, s.ReplRepairs, s.ReplPulled,
-		s.PlacementAdopted, s.PlacementRejected, s.PlacementRedirects,
-		s.ShardsSealed, s.ShardsPulled,
-		s.AdmissionRequired, s.AdmissionAdmitted, s.AdmissionReplayed,
-		s.AdmissionThrottled, s.AdmissionSolved, s.AdmissionWork,
-		s.ProofsServed, s.ProofsVerified, s.ProofsPartial, s.ProofsLying,
-		s.ProofCacheHits, s.ProofCacheMisses,
-		s.AuditSweeps, s.AuditProbes, s.AuditFailures, s.AuditDiverged,
-		s.AdvisoriesIssued, s.AdvisoriesAccepted, s.AdvisoriesRejected,
-		s.AdvisoriesDuplicate, s.AgentsQuarantined, s.AgentsRehabilitated,
-		s.AgentsEvicted, s.SlanderSuspectsFound)
-}
-
-// nodeStats is the atomic backing store.
-type nodeStats struct {
-	framesIn, framesReadErr, framesDecodeErr     atomic.Int64
-	sessionsShed                                 atomic.Int64
-	onionsForwarded, onionsExited, onionsRejcted atomic.Int64
-	trustServed, reportsStored, walksAnswered    atomic.Int64
-	reportsDeferred, reportsLost                 atomic.Int64
-	replBatches, replShipped, replApplied        atomic.Int64
-	replRepairs, replPulled                      atomic.Int64
-
-	reportBatches                              atomic.Int64
-	ingestRejectedReplay, ingestRejectedKey    atomic.Int64
-	ingestRejectedMalformed, ingestStoreFailed atomic.Int64
-	ingestShed, reportsAcked, reportsRejected  atomic.Int64
-
-	placementAdopted, placementRejected atomic.Int64
-	placementRedirects                  atomic.Int64
-	ingestRejectedWrongOwner            atomic.Int64
-	shardsSealed, shardsPulled          atomic.Int64
-
-	admissionRequired, admissionAdmitted  atomic.Int64
-	admissionReplayed, admissionThrottled atomic.Int64
-	admissionSolved, admissionWork        atomic.Int64
-
-	proofsServed, proofsVerified     atomic.Int64
-	proofsPartial, proofsLying       atomic.Int64
-	proofCacheHits, proofCacheMisses atomic.Int64
-
-	auditSweeps, auditProbes                atomic.Int64
-	auditFailures, auditDiverged            atomic.Int64
-	advisoriesIssued, advisoriesAccepted    atomic.Int64
-	advisoriesRejected, advisoriesDuplicate atomic.Int64
-	agentsQuarantined, agentsRehabilitated  atomic.Int64
-	agentsEvicted, slanderSuspectsFound     atomic.Int64
-}
-
-// Stats returns a snapshot of the node's counters. Taking a snapshot also
-// refreshes the store-health gauges so a shutdown dump sees current values.
+// Stats loads the view from the node's counters. Nodes sharing one registry
+// (Options.Metrics) share its counters, so each reports the sum over all of
+// them.
 func (n *Node) Stats() Stats {
-	n.updateStoreHealth()
-	readErr := n.stats.framesReadErr.Load()
-	decodeErr := n.stats.framesDecodeErr.Load()
+	c := &n.cnt
+	framesIn := c.framesUnknown.Load()
+	for _, f := range c.frames[1:] {
+		framesIn += f.Load()
+	}
 	return Stats{
-		FramesIn:                n.stats.framesIn.Load(),
-		FramesBad:               readErr + decodeErr,
-		FramesReadErr:           readErr,
-		FramesDecodeErr:         decodeErr,
-		SessionsShed:            n.stats.sessionsShed.Load(),
-		OnionsForwarded:         n.stats.onionsForwarded.Load(),
-		OnionsExited:            n.stats.onionsExited.Load(),
-		OnionsRejected:          n.stats.onionsRejcted.Load(),
-		TrustServed:             n.stats.trustServed.Load(),
-		ReportsStored:           n.stats.reportsStored.Load(),
-		WalksAnswered:           n.stats.walksAnswered.Load(),
-		ReportsDeferred:         n.stats.reportsDeferred.Load(),
-		ReportsLost:             n.stats.reportsLost.Load(),
-		ReportBatches:           n.stats.reportBatches.Load(),
-		IngestRejectedReplay:    n.stats.ingestRejectedReplay.Load(),
-		IngestRejectedKey:       n.stats.ingestRejectedKey.Load(),
-		IngestRejectedMalformed: n.stats.ingestRejectedMalformed.Load(),
-		IngestStoreFailed:       n.stats.ingestStoreFailed.Load(),
-		IngestShed:              n.stats.ingestShed.Load(),
-		ReportsAcked:            n.stats.reportsAcked.Load(),
-		ReportsRejected:         n.stats.reportsRejected.Load(),
-		ReplBatches:             n.stats.replBatches.Load(),
-		ReplShipped:             n.stats.replShipped.Load(),
-		ReplApplied:             n.stats.replApplied.Load(),
-		ReplRepairs:             n.stats.replRepairs.Load(),
-		ReplPulled:              n.stats.replPulled.Load(),
+		FramesIn:           framesIn,
+		OnionsForwarded:    c.onionsForwarded.Load(),
+		OnionsExited:       c.onionsExited.Load(),
+		TrustServed:        c.trustServed.Load(),
+		ReportsStored:      c.ingest[StatusStored].Load(),
+		IngestShed:         c.ingest[StatusSaturated].Load(),
+		ReportsDeferred:    c.reportsDeferred.Load(),
+		ReportsLost:        c.reportsLost.Load(),
+		ProofCacheHits:     c.proofCacheHits.Load(),
+		ProofCacheMisses:   c.proofCacheMisses.Load(),
+		AuditSweeps:        c.auditSweeps.Load(),
+		AdvisoriesAccepted: c.advisoriesAccepted.Load(),
+		AdmissionWork:      c.admissionWork.Load(),
+	}
+}
 
-		PlacementAdopted:         n.stats.placementAdopted.Load(),
-		PlacementRejected:        n.stats.placementRejected.Load(),
-		PlacementRedirects:       n.stats.placementRedirects.Load(),
-		IngestRejectedWrongOwner: n.stats.ingestRejectedWrongOwner.Load(),
-		ShardsSealed:             n.stats.shardsSealed.Load(),
-		ShardsPulled:             n.stats.shardsPulled.Load(),
+// Metrics returns the node's registry (the one passed in Options.Metrics,
+// or the node's private one), with the store-health gauges refreshed.
+func (n *Node) Metrics() *metrics.Registry {
+	n.updateStoreHealth()
+	return n.reg
+}
 
-		AdmissionRequired:  n.stats.admissionRequired.Load(),
-		AdmissionAdmitted:  n.stats.admissionAdmitted.Load(),
-		AdmissionReplayed:  n.stats.admissionReplayed.Load(),
-		AdmissionThrottled: n.stats.admissionThrottled.Load(),
-		AdmissionSolved:    n.stats.admissionSolved.Load(),
-		AdmissionWork:      n.stats.admissionWork.Load(),
-
-		ProofsServed:     n.stats.proofsServed.Load(),
-		ProofsVerified:   n.stats.proofsVerified.Load(),
-		ProofsPartial:    n.stats.proofsPartial.Load(),
-		ProofsLying:      n.stats.proofsLying.Load(),
-		ProofCacheHits:   n.stats.proofCacheHits.Load(),
-		ProofCacheMisses: n.stats.proofCacheMisses.Load(),
-
-		AuditSweeps:          n.stats.auditSweeps.Load(),
-		AuditProbes:          n.stats.auditProbes.Load(),
-		AuditFailures:        n.stats.auditFailures.Load(),
-		AuditDiverged:        n.stats.auditDiverged.Load(),
-		AdvisoriesIssued:     n.stats.advisoriesIssued.Load(),
-		AdvisoriesAccepted:   n.stats.advisoriesAccepted.Load(),
-		AdvisoriesRejected:   n.stats.advisoriesRejected.Load(),
-		AdvisoriesDuplicate:  n.stats.advisoriesDuplicate.Load(),
-		AgentsQuarantined:    n.stats.agentsQuarantined.Load(),
-		AgentsRehabilitated:  n.stats.agentsRehabilitated.Load(),
-		AgentsEvicted:        n.stats.agentsEvicted.Load(),
-		SlanderSuspectsFound: n.stats.slanderSuspectsFound.Load(),
+// updateStoreHealth refreshes the gauges mirroring the agent store's health:
+// WAL size, compaction failure count, and whether a compaction error is
+// sticking. Refreshed on the flusher cadence and from Metrics. A no-op for
+// non-agents.
+func (n *Node) updateStoreHealth() {
+	if n.agent == nil {
+		return
+	}
+	st := n.agent.Store()
+	n.cnt.storeWALBytes.Set(st.WALSize())
+	n.cnt.storeCompactFailures.Set(st.CompactFailures())
+	if st.CompactErr() != nil {
+		n.cnt.storeCompactErr.Set(1)
+	} else {
+		n.cnt.storeCompactErr.Set(0)
 	}
 }
 
 // countFrame counts one accepted inbound frame, per message type.
 func (n *Node) countFrame(typ wire.MsgType) {
-	n.stats.framesIn.Add(1)
-	if int(typ) < len(n.frameCnt) && n.frameCnt[typ] != nil {
-		n.frameCnt[typ].Inc()
+	if int(typ) < len(n.cnt.frames) && n.cnt.frames[typ] != nil {
+		n.cnt.frames[typ].Inc()
 	} else {
-		n.frameUnknown.Inc()
+		n.cnt.framesUnknown.Inc()
 	}
-}
-
-// countReadError counts an inbound transport-level read failure.
-func (n *Node) countReadError() {
-	n.stats.framesReadErr.Add(1)
-	n.frameReadErr.Inc()
-}
-
-// countDecodeError counts an inbound frame rejected as malformed.
-func (n *Node) countDecodeError() {
-	n.stats.framesDecodeErr.Add(1)
-	n.frameDecodeErr.Inc()
 }

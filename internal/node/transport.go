@@ -4,9 +4,7 @@ import (
 	"net"
 	"time"
 
-	"hirep/internal/metrics"
 	"hirep/internal/transport"
-	"hirep/internal/wire"
 )
 
 // defaultMaxSessions caps concurrently served inbound connections. A
@@ -34,8 +32,8 @@ func (n *Node) acceptLoop() {
 		IdleTimeout:       n.opts.IdleTimeout,
 		WriteTimeout:      n.timeout(), // SetTimeout may run concurrently
 		OnFrame:           n.countFrame,
-		OnReadError:       n.countReadError,
-		OnDecodeError:     n.countDecodeError,
+		OnReadError:       n.cnt.framesReadErr.Inc,
+		OnDecodeError:     n.cnt.framesDecodeErr.Inc,
 	}
 	for {
 		conn, err := n.ln.Accept()
@@ -49,8 +47,7 @@ func (n *Node) acceptLoop() {
 			// goroutine behind it. The peer sees a close-before-hello-ack,
 			// which its pool treats as a transient failure.
 			conn.Close()
-			n.stats.sessionsShed.Add(1)
-			n.sessShedCnt.Inc()
+			n.cnt.sessionsShed.Inc()
 			continue
 		}
 		n.trackSession(conn)
@@ -95,16 +92,4 @@ func (n *Node) closeSessions() {
 		conn.Close()
 	}
 	n.sessMu.Unlock()
-}
-
-// bindFrameCounters resolves the per-message-type inbound counters plus the
-// read/decode error counters once, so the frame path touches only atomics.
-func (n *Node) bindFrameCounters(r *metrics.Registry) {
-	for t := 1; t < wire.NumMsgTypes; t++ {
-		n.frameCnt[t] = r.Counter("node_frames_in_" + wire.MsgType(t).String() + "_total")
-	}
-	n.frameUnknown = r.Counter("node_frames_in_unknown_total")
-	n.frameReadErr = r.Counter("node_frames_read_err_total")
-	n.frameDecodeErr = r.Counter("node_frames_decode_err_total")
-	n.sessShedCnt = r.Counter("node_sessions_shed_total")
 }

@@ -86,10 +86,10 @@ type Message struct {
 // Handler processes a delivered message at its receiving node.
 type Handler func(net *Network, msg Message)
 
-// Tracer observes every message delivery (see internal/trace for a ring
-// implementation). Tracing happens at delivery time: at is the virtual
-// delivery instant, sent the virtual send instant, and queued the portion of
-// the in-flight time spent waiting for the receiver to go idle (all ms).
+// Tracer observes every message delivery. Tracing happens at delivery time:
+// at is the virtual delivery instant, sent the virtual send instant, and
+// queued the portion of the in-flight time spent waiting for the receiver to
+// go idle (all ms).
 type Tracer interface {
 	Record(at, sent, queued float64, kind string, from, to int)
 }

@@ -59,11 +59,23 @@ print(f"recorded {len(run['results'])} benchmarks at {run['date']}")
 EOF
 }
 
+# goloc <path>... — non-test Go lines under the paths (bench/ excluded: it is
+# its own module), counted in full and without blank and //-only lines.
+goloc() {
+    find "$@" -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + |
+        awk '{ all++ } !/^[[:space:]]*(\/\/|$)/ { code++ } END { printf "%d lines, %d without blank/comment-only lines\n", all, code }'
+}
+
 fast=0
 [[ "${1:-}" == "-fast" ]] && fast=1
 
 echo "== go build ./..."
 go build ./...
+
+# Informational, gates nothing: the size the ROADMAP tracks.
+echo "== non-test Go line counts"
+echo "internal/node: $(goloc internal/node)"
+echo "root module:   $(goloc .)"
 
 echo "== go vet ./..."
 go vet ./...
