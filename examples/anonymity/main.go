@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hirep"
+	"hirep/internal/node"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
 )
@@ -113,12 +114,9 @@ func main() {
 	if _, _, err := peer.RequestTrust(info, subject.ID, replyOnion); err != nil {
 		log.Fatal(err)
 	}
-	if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
+	report := []node.BatchReport{{Subject: subject.ID, Positive: true}}
+	if _, err := peer.ReportBatch(info, report, replyOnion); err != nil {
 		log.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for agent.Agent().ReportCount() < 1 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
 	}
 	fmt.Printf("    agent state after exchange: %s\n", agent.Agent())
 	fmt.Printf("    the agent knows the peer's nodeID %s (pseudonym; needed to verify reports)\n", peer.ID().Short())

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hirep"
+	"hirep/internal/node"
 )
 
 func main() {
@@ -85,22 +86,21 @@ func main() {
 	fmt.Println("all peers introduced to both agents through onions")
 
 	// Peers 0 and 1 had good transactions with the provider; peer 2 got a
-	// polluted file. Each reports to both agents, signed and onion-routed.
+	// polluted file. Each reports to both agents as a signed, onion-routed
+	// batch of one, and the agent's ack — back through the peer's own onion —
+	// says whether the report landed.
 	outcomes := []bool{true, true, false}
 	for i, p := range peersN {
-		for _, info := range infos {
-			if err := p.ReportTransaction(info, provider.ID, outcomes[i]); err != nil {
+		for j, info := range infos {
+			report := []node.BatchReport{{Subject: provider.ID, Positive: outcomes[i]}}
+			statuses, err := p.ReportBatch(info, report, replyOnions[i])
+			if err != nil {
 				log.Fatal(err)
 			}
+			if statuses[0] != node.StatusStored {
+				log.Fatalf("peer %d report to agent %d acked %v", i, j, statuses[0])
+			}
 		}
-	}
-	// Reports are one-way; give the fleet a moment to absorb them.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if agents[0].Agent().ReportCount() >= 3 && agents[1].Agent().ReportCount() >= 3 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	for i, a := range agents {
 		fmt.Printf("agent %d state: %s\n", i, a.Agent())

@@ -15,7 +15,9 @@ import (
 // sender mints a solution bound to its nodeID and retries. Once admitted, an
 // identity's batches cost the gate one map lookup; exceeding the configured
 // report rate revokes the admission, so sustained flooding costs one solve
-// per AdmissionBurst reports instead of one solve ever.
+// per AdmissionBurst reports instead of one solve ever. The one-way TReport
+// path (handleReport) takes reports only from an identity the gate already
+// admitted, and charges its rate once the report is stored.
 
 // Admission defaults (Options overrides).
 const (
@@ -124,6 +126,14 @@ func (g *admissionGate) check(reporter pkc.NodeID, sol []byte, nreports int) adm
 		delete(g.admitted, victim)
 	}
 	return admissionNewlyOK
+}
+
+// isAdmitted reports whether reporter holds an admission, without charging
+// its rate bucket.
+func (g *admissionGate) isAdmitted(reporter pkc.NodeID) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.admitted[reporter] != nil
 }
 
 // forget revokes reporter's admission, if any. Operational lever (and test

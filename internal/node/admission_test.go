@@ -254,3 +254,58 @@ func TestAdmissionGateEviction(t *testing.T) {
 		t.Fatal("oldest identity survived FIFO eviction")
 	}
 }
+
+// TestOneWayReportNeedsAdmission closes the §13 bypass on the one-way path:
+// a fresh identity registers its key with a trust request, which the gate
+// does not cover, then sends unacknowledged TReports. None may be stored —
+// the gate never admitted the reporter — and each dropped report counts as
+// admission-required.
+func TestOneWayReportNeedsAdmission(t *testing.T) {
+	agentNode, peer, info, replyOnion := batchPair(t, Options{AdmissionPoWBits: 20})
+	subject, _ := pkc.NewIdentity(nil)
+	if _, _, err := peer.RequestTrust(info, subject.ID, replyOnion); err != nil {
+		t.Fatal(err)
+	}
+	if !agentNode.Agent().KnowsKey(peer.ID()) {
+		t.Fatal("the trust request did not register the reporter's key")
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := peer.reportTransaction(info, subject.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until every frame was either dropped at the gate or stored.
+	waitFor(t, func() bool {
+		return metric(t, agentNode, "node_admission_required_total")+int64(agentNode.Agent().ReportCount()) == n
+	})
+	if got := agentNode.Agent().ReportCount(); got != 0 {
+		t.Fatalf("agent stored %d one-way reports from an unadmitted identity", got)
+	}
+	if got := agentNode.AdmittedIdentities(); got != 0 {
+		t.Fatalf("agent admitted %d identities without a solution", got)
+	}
+}
+
+// TestOneWayReportChargesAdmittedRate: once the acked path has admitted an
+// identity, its one-way reports are stored, and each stored one is charged
+// to the identity's rate accounting like a batched report.
+func TestOneWayReportChargesAdmittedRate(t *testing.T) {
+	agentNode, peer, info, replyOnion := admissionPair(t)
+	subject, _ := pkc.NewIdentity(nil)
+	if _, err := peer.ReportBatch(info, []BatchReport{{Subject: subject.ID, Positive: true}}, replyOnion); err != nil {
+		t.Fatal(err)
+	}
+	bounced := metric(t, agentNode, "node_admission_required_total") // the first batch's, before it solved
+	const n = 3
+	for i := 0; i < n; i++ {
+		if err := peer.reportTransaction(info, subject.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 1+n })
+	waitFor(t, func() bool { return agentNode.admission.reportsBy(peer.ID()) == 1+n })
+	if got := metric(t, agentNode, "node_admission_required_total"); got != bounced {
+		t.Fatalf("an admitted identity's one-way reports bounced %d times", got-bounced)
+	}
+}

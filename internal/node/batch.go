@@ -21,7 +21,8 @@ import (
 // with one status per report. The ack is what structurally fixes the
 // silent-drop bug of the fire-and-forget TReport path: a rejected report
 // comes back named, counted by reason on both sides, and retried or surfaced
-// instead of vanishing.
+// instead of vanishing. deliver is the loop every acknowledged report of
+// the node goes through.
 
 // MaxBatchReports bounds the reports carried by one TReportBatch. At ~105
 // wire bytes per signed report the cap keeps a full batch, sealed and
@@ -170,8 +171,8 @@ func decodeBatchAck(r *wire.Decoder, count int) (batchAck, error) {
 // every attempt re-signs each report with a fresh nonce, so a retry is never
 // misread as a replay. Protocol-level rejections are permanent.
 //
-// Unlike ReportTransaction, a nil error means the agent acknowledged the
-// batch — each report's fate is in its status, not assumed.
+// A nil error means the agent acknowledged the batch — each report's fate
+// is in its status, not assumed.
 func (n *Node) ReportBatch(agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) ([]ReportStatus, error) {
 	if len(reports) == 0 {
 		return nil, nil
@@ -223,56 +224,92 @@ func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnio
 	return decodeBatchAck(&r, len(reports))
 }
 
-// ReportBatchOrDefer is the resilient form of ReportBatch: it chunks reports
-// to the node's batch size, reconciles every ack status into the sender's
-// counters — stored reports count as acked, protocol rejects as rejected —
-// and routes retryable outcomes (an unreachable or saturated agent, a store
-// failure, a lost ack) into the durable outbox, where the flusher re-sends
-// them once the agent recovers. Nothing is silently dropped: acked +
-// rejected + deferred always adds up to len(reports).
+// ReportBatchOrDefer is the resilient form of ReportBatch: it sends reports
+// through the node's delivery loop and routes every report without a final
+// ack (an unreachable or saturated agent, a store failure, a lost ack) into
+// the durable outbox, where the flusher re-sends it once the agent recovers.
+// Nothing is silently dropped: acked + rejected + deferred always adds up to
+// len(reports).
 func (n *Node) ReportBatchOrDefer(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) error {
-	id := agent.ID()
-	size := n.batchSize()
-	var firstErr error
-	for len(reports) > 0 {
-		chunk := reports
-		if len(chunk) > size {
-			chunk = chunk[:size]
+	return n.deliver(book, agent, reports, replyOnion, func(i int, st ReportStatus, err error) {
+		if err != nil || !st.final() {
+			n.deferReport(agent, reports[i].Subject, reports[i].Positive)
 		}
-		reports = reports[len(chunk):]
+	})
+}
+
+// errNotSent settles a report the delivery loop kept off the wire: its
+// agent's breaker is not closed, or an earlier chunk's ack showed that every
+// further chunk would bounce.
+var errNotSent = errors.New("node: report not sent")
+
+// deliver is the node's one acknowledged delivery loop (DESIGN.md §11), under
+// both ReportBatchOrDefer and the outbox flusher. It chunks reports to the
+// node's batch size, skips the agent while its breaker is not closed, sends
+// each chunk with ReportBatch, counts the acks, and hands each report's
+// status — or the error that left it without one — to settle by index. An
+// all-saturated or all-admission-required ack stops the loop: every further
+// chunk would bounce the same way. A stored ack opens the one-way fast path
+// to the agent (reportOrDefer); an admission bounce closes it. It returns the
+// first send error.
+func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, settle func(i int, st ReportStatus, err error)) error {
+	id, size := agent.ID(), n.batchSize()
+	self := n.identity() // the identity a stored ack is credited to
+	unsent := func(lo, hi int, err error) {
+		for i := lo; i < hi; i++ {
+			settle(i, 0, err)
+		}
+	}
+	var firstErr error
+	for lo := 0; lo < len(reports); lo += size {
+		hi := min(lo+size, len(reports))
 		if book != nil && book.BreakerState(id) != resilience.BreakerClosed {
-			n.deferBatch(agent, chunk)
+			unsent(lo, hi, errNotSent)
 			continue
 		}
-		statuses, err := n.ReportBatch(agent, chunk, replyOnion)
+		statuses, err := n.ReportBatch(agent, reports[lo:hi], replyOnion)
 		if err != nil {
 			n.noteFailure(book, id)
-			n.deferBatch(agent, chunk)
+			unsent(lo, hi, err)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
 		n.noteSuccess(book, id)
-		n.reconcileAck(agent, chunk, statuses)
-		if allAdmissionRequired(statuses) {
-			// The gate bounced the chunk and ReportBatch could not solve the
-			// demanded difficulty; every further chunk would bounce the same
-			// way. Defer the remainder and let the flusher retry later.
-			n.deferBatch(agent, reports)
-			break
+		for i, st := range statuses {
+			switch {
+			case st == StatusStored:
+				n.cnt.reportsAcked.Inc()
+				n.setOneWay(id, self)
+			case st == StatusAdmissionRequired:
+				n.setOneWay(id, nil)
+			case st == StatusWrongOwner:
+				// The agent routes by a newer placement epoch than ours: the
+				// flusher refreshes the map before re-routing the report.
+				n.markPlacementStale()
+			case st.final():
+				n.cnt.reportsRejected.Inc()
+			}
+			settle(lo+i, st, nil)
 		}
-		if allSaturated(statuses) {
-			// The agent shed the whole chunk before verifying anything: its
-			// admission queue is full, and firing the remaining chunks at it
-			// would only re-defer every report and spin this loop hot against
-			// a saturated peer. Defer the remainder in one step and let the
-			// flusher retry on its backoff cadence.
-			n.deferBatch(agent, reports)
+		if allAdmissionRequired(statuses) || allSaturated(statuses) {
+			// Unadmitted and unable to solve the demanded difficulty, or shed
+			// whole by a full verification queue: firing the remaining chunks
+			// would only bounce each of them and spin against the agent.
+			unsent(hi, len(reports), errNotSent)
 			break
 		}
 	}
 	return firstErr
+}
+
+// final reports whether a status settles its report for good: stored, or a
+// protocol reject no resend can change. Retryable statuses and an admission
+// bounce (ReportBatch already tried to solve; the difficulty exceeds our
+// limit) leave the report to be sent again later.
+func (s ReportStatus) final() bool {
+	return !s.Retryable() && s != StatusAdmissionRequired
 }
 
 // allSaturated reports whether an ack shed its entire (non-empty) batch at
@@ -286,60 +323,8 @@ func allSaturated(statuses []ReportStatus) bool {
 	return len(statuses) > 0
 }
 
-// reconcileAck folds one ack into the sender-side counters, deferring
-// retryable statuses back into the outbox. A wrong-owner status additionally
-// marks the placement map stale: the agent routed by a newer epoch than we
-// hold, and the flusher refreshes before re-routing the deferred report.
-func (n *Node) reconcileAck(agent AgentInfo, chunk []BatchReport, statuses []ReportStatus) {
-	for i, st := range statuses {
-		switch {
-		case st == StatusStored:
-			n.cnt.reportsAcked.Inc()
-		case st.Retryable():
-			if st == StatusWrongOwner {
-				n.markPlacementStale()
-			}
-			n.deferReport(agent, chunk[i].Subject, chunk[i].Positive)
-		case st == StatusAdmissionRequired:
-			// ReportBatch already tried to solve; landing here means the
-			// demanded difficulty exceeds our solve limit (or minting
-			// failed). Defer rather than reject: the outbox retries on its
-			// backoff cadence, and succeeds if the operator raises the limit
-			// or the agent lowers its gate.
-			n.deferReport(agent, chunk[i].Subject, chunk[i].Positive)
-		default:
-			n.cnt.reportsRejected.Inc()
-		}
-	}
-}
-
-// deferBatch queues every report of a chunk for the outbox flusher.
-func (n *Node) deferBatch(agent AgentInfo, chunk []BatchReport) {
-	for _, r := range chunk {
-		n.deferReport(agent, r.Subject, r.Positive)
-	}
-}
-
 // batchSize returns the node's report batch size, fixed at Listen.
 func (n *Node) batchSize() int { return n.opts.ReportBatchSize }
-
-// SetReplyOnion gives the node a standing reply onion of its own, enabling
-// acknowledged, batched outbox flushes: with one attached, the flusher
-// groups deferred reports per agent into TReportBatch frames and retires
-// each entry on its acked status instead of firing single reports blind.
-func (n *Node) SetReplyOnion(o *onion.Onion) {
-	n.mu.Lock()
-	n.ackOnion = o
-	n.mu.Unlock()
-	n.kickFlush()
-}
-
-// replyOnionForFlush returns the attached standing reply onion, if any.
-func (n *Node) replyOnionForFlush() *onion.Onion {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ackOnion
-}
 
 // --- agent side ----------------------------------------------------------
 

@@ -147,7 +147,7 @@ func TestLegacyReportRejectsCounted(t *testing.T) {
 	subject, _ := pkc.NewIdentity(nil)
 
 	// Unknown reporter: never introduced, so the agent holds no key for it.
-	if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
+	if err := peer.reportTransaction(info, subject.ID, true); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return metric(t, agentNode, "node_ingest_rejected_key_total") == 1 })
@@ -259,10 +259,10 @@ func TestReportBatchOrDeferReconciles(t *testing.T) {
 	}
 }
 
-// TestFlushOutboxBatched attaches a standing reply onion and lets the
-// flusher drain deferred reports as one acknowledged batch: the outbox must
-// empty, every entry retiring on its acked status, and the reports must land
-// in the agent's store.
+// TestFlushOutboxBatched lets the flusher drain deferred reports as one
+// acknowledged batch once a request has given the node a reply route: the
+// outbox must empty, every entry retiring on its acked status, and the
+// reports must land in the agent's store.
 func TestFlushOutboxBatched(t *testing.T) {
 	agentNode, peer, info, replyOnion := batchPair(t, Options{})
 	subject, _ := pkc.NewIdentity(nil)
@@ -273,7 +273,10 @@ func TestFlushOutboxBatched(t *testing.T) {
 	if d := peer.OutboxDepth(); d != n {
 		t.Fatalf("outbox depth = %d before flush, want %d", d, n)
 	}
-	peer.SetReplyOnion(replyOnion) // enables the batched flush and kicks it
+	// The request gives the node its reply route, which the flusher waits for.
+	if _, _, err := peer.RequestTrust(info, subject.ID, replyOnion); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return peer.OutboxDepth() == 0 })
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == n })
 	acked, lost := metric(t, peer, "node_reports_acked_total"), peer.Stats().ReportsLost

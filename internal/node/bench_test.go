@@ -83,7 +83,7 @@ func BenchmarkLiveTrustRequest(b *testing.B) {
 }
 
 // BenchmarkLiveReport measures one signed, sealed, onion-routed transaction
-// report (fire-and-forget).
+// report on the unacknowledged fast path (reportTransaction).
 func BenchmarkLiveReport(b *testing.B) {
 	_, peer, info, replyOnion := benchFleet(b)
 	subject, _ := pkc.NewIdentity(nil)
@@ -92,7 +92,7 @@ func BenchmarkLiveReport(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
+		if err := peer.reportTransaction(info, subject.ID, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -133,11 +133,15 @@ func TestEvaluateSubjectAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if err := peer.ReportTransaction(infoA, subject.ID, true); err != nil {
-			t.Fatal(err)
+	for _, positive := range []bool{true, false} {
+		info, reports := infoA, make([]BatchReport, 3)
+		if !positive {
+			info = infoB
 		}
-		if err := peer.ReportTransaction(infoB, subject.ID, false); err != nil {
+		for i := range reports {
+			reports[i] = BatchReport{Subject: subject.ID, Positive: positive}
+		}
+		if _, err := peer.ReportBatch(info, reports, replyOnion); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,6 +78,16 @@ func TestDeferredReportResignedAfterKeyRotation(t *testing.T) {
 		return a.Agent().KnowsKey(newID) && !a.Agent().KnowsKey(oldID)
 	})
 
+	// The rotation dropped the reply route the flusher answers through: one
+	// request over a fresh onion, signed by the new key, gives it back.
+	freshOnion, err := peer.BuildOnion(fetchRoute(t, peer, []*Node{relay}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := peer.RequestTrust(infoA, subject.ID, freshOnion); err != nil {
+		t.Fatal(err)
+	}
+
 	// Close the breaker and drain: delivery must re-sign with the new
 	// identity, and the merged agent must accept it.
 	book.RecordSuccess(infoA.ID())
@@ -135,11 +145,14 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 	peer.AttachBook(book)
 
 	subject, _ := pkc.NewIdentity(nil)
-	if _, _, err := peer.RequestTrust(infoA, subject.ID, replyOnion); err != nil {
+	// Baseline: one acked report opens the one-way path the online phases
+	// measure (reportOrDefer sends one-way only to an agent that acked).
+	baseline := []BatchReport{{Subject: subject.ID, Positive: true}}
+	if err := peer.ReportBatchOrDefer(book, infoA, baseline, replyOnion); err != nil {
 		t.Fatal(err)
 	}
 
-	sent := 0
+	sent := 1
 	const cycles, perPhase = 3, 3
 	for cycle := 0; cycle < cycles; cycle++ {
 		// Online phase: reports flow live through the relay.

@@ -42,7 +42,10 @@ type outRequest struct {
 	self  *pkc.Identity
 }
 
-// newRequest draws the request nonce and writes the common prefix.
+// newRequest draws the request nonce and writes the common prefix. The
+// reply onion becomes the node's reply route — what the outbox flusher's
+// acks come back through — when its Seq is the highest this node has put in
+// a request.
 func (n *Node) newRequest(replyOnion *onion.Onion) (outRequest, error) {
 	q := outRequest{self: n.identity()}
 	var err error
@@ -52,6 +55,9 @@ func (n *Node) newRequest(replyOnion *onion.Onion) (outRequest, error) {
 	q.body.Bytes(q.self.Sign.Public)
 	q.body.Bytes(q.nonce[:])
 	encodeOnion(&q.body, replyOnion)
+	if cur := n.replyRoute.Load(); cur == nil || replyOnion.Seq > cur.Seq {
+		n.replyRoute.CompareAndSwap(cur, replyOnion)
+	}
 	return q, nil
 }
 

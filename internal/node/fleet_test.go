@@ -3,6 +3,7 @@ package node
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,11 +84,10 @@ func TestFullFleetLifecycle(t *testing.T) {
 	if _, _, err := reporter.EvaluateSubject(books[reporter], provider.ID, repOnion); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		for _, a := range books[reporter].Agents() {
-			if err := reporter.ReportTransaction(a, provider.ID, true); err != nil {
-				t.Fatal(err)
-			}
+	twice := []BatchReport{{Subject: provider.ID, Positive: true}, {Subject: provider.ID, Positive: true}}
+	for _, a := range books[reporter].Agents() {
+		if _, err := reporter.ReportBatch(a, twice, repOnion); err != nil {
+			t.Fatal(err)
 		}
 	}
 	waitFor(t, func() bool {
@@ -155,10 +155,12 @@ func TestAgentRestartRecoversStore(t *testing.T) {
 	if _, _, err := peer.RequestTrust(info, subject.ID, peerOnion); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := peer.ReportTransaction(info, subject.ID, i != 0); err != nil {
-			t.Fatal(err)
-		}
+	reports := make([]BatchReport, 5)
+	for i := range reports {
+		reports[i] = BatchReport{Subject: subject.ID, Positive: i != 0}
+	}
+	if _, err := peer.ReportBatch(info, reports, peerOnion); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 5 })
 	wantTrust, ok := agentNode.Agent().TrustValue(subject.ID)
@@ -222,7 +224,7 @@ func TestAgentRestartRecoversStore(t *testing.T) {
 	}
 	// And the revived agent keeps accepting new reports on top of the
 	// recovered state.
-	if err := peer.ReportTransaction(revived.Info(revivedOnion), subject.ID, true); err != nil {
+	if _, err := peer.ReportBatch(revived.Info(revivedOnion), []BatchReport{{Subject: subject.ID, Positive: true}}, peerOnion2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return revived.Agent().ReportCount() == 6 })
@@ -246,7 +248,7 @@ func TestStatsCounters(t *testing.T) {
 	if _, _, err := peer.RequestTrust(info, subject.ID, peerOnion); err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
+	if err := peer.reportTransaction(info, subject.ID, true); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Stats().ReportsStored == 1 })
@@ -271,5 +273,80 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if ps.FramesIn == 0 {
 		t.Fatal("no frames counted")
+	}
+}
+
+// TestGatedFleetTransactions runs the §3.6 loop against agents whose sybil
+// admission gate is armed. The first report to each agent goes through the
+// acknowledged loop, which solves the gate; later ones may ride the one-way
+// path of the admitted identity. Every report must land at every agent, and
+// the peer must have paid the proof of work.
+func TestGatedFleetTransactions(t *testing.T) {
+	fl, err := StartFleet(FleetConfig{Agents: 3, Relays: 2, Peers: 1,
+		Opts:      Options{Timeout: 5 * time.Second},
+		AgentOpts: func(_ int, o *Options) { o.AdmissionPoWBits = 8 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fl.Close() })
+	peer := fl.Peers[0]
+	infos, err := fl.AgentInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := fl.Book(infos, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.AttachBook(book)
+	replyOnion, err := fl.ReplyOnion(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, _ := pkc.NewIdentity(nil)
+	// Two clients share the peer, so the delivery state is read and written
+	// from several goroutines at once.
+	const clients, perClient = 2, 3
+	const rounds = clients * perClient
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				_, perAgent, err := peer.EvaluateSubject(book, subject.ID, replyOnion)
+				if err != nil {
+					t.Errorf("transaction: %v", err)
+					return
+				}
+				// A bad outcome agrees with the uninformed prior and with
+				// every report before it, so no agent loses its place for
+				// poor expertise.
+				peer.CompleteTransaction(book, subject.ID, false, perAgent)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	waitFor(t, func() bool {
+		if peer.OutboxDepth() != 0 {
+			return false
+		}
+		for _, a := range fl.Agents {
+			if a.Agent().ReportCount() != rounds {
+				return false
+			}
+		}
+		return true
+	})
+	if got := metric(t, peer, "node_admission_work_total"); got == 0 {
+		t.Fatal("the peer's reports reached gated agents without any proof of work")
+	}
+	for i, a := range fl.Agents {
+		if got := a.AdmittedIdentities(); got != 1 {
+			t.Fatalf("agent %d admitted %d identities, want 1", i, got)
+		}
 	}
 }

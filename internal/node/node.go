@@ -122,8 +122,8 @@ type Options struct {
 	// overflow evicts the oldest batch, and anti-entropy later heals the gap.
 	HandoffCap int
 	// ReportBatchSize caps the reports this node packs per TReportBatch
-	// frame on the sending side — ReportBatchOrDefer and the batched outbox
-	// flush chunk to it (default 256, capped at MaxBatchReports).
+	// frame on the sending side — ReportBatchOrDefer and the outbox flush
+	// chunk to it (default 256, capped at MaxBatchReports).
 	ReportBatchSize int
 	// VerifyWorkers sizes the agent's report-verification worker pool
 	// (default GOMAXPROCS). Requires Agent to matter.
@@ -235,11 +235,16 @@ type Node struct {
 	// because every frame a relay forwards reads it.
 	timeoutNs atomic.Int64
 
-	// Batched report ingest (batch.go): the agent-side verification pool and
-	// the standing reply onion enabling acknowledged outbox flushes.
+	// Batched report ingest (batch.go): the agent-side verification pool.
 	ingest    *ingestPool
-	ackOnion  *onion.Onion
 	admission *admissionGate // sybil-admission gate (nil = disabled)
+
+	// Report delivery (resilience.go): the reply route the outbox flusher's
+	// acks come back through (newRequest records it), and the agents the
+	// one-way fast path may use, each with the identity it acked.
+	replyRoute atomic.Pointer[onion.Onion]
+	oneWayMu   sync.Mutex
+	oneWay     map[pkc.NodeID]*pkc.Identity
 
 	// Replication plumbing (replication.go): primary-side shipping state and
 	// replica stores held for other primaries.

@@ -85,10 +85,9 @@ func TestEndToEndTrustExchange(t *testing.T) {
 	}
 
 	// Reporter files three positive reports through the agent's onion.
-	for i := 0; i < 3; i++ {
-		if err := reporter.ReportTransaction(agentInfo, subject.ID, true); err != nil {
-			t.Fatal(err)
-		}
+	three := []BatchReport{{Subject: subject.ID, Positive: true}, {Subject: subject.ID, Positive: true}, {Subject: subject.ID, Positive: true}}
+	if _, err := reporter.ReportBatch(agentInfo, three, repOnion); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 3 })
 
@@ -126,10 +125,12 @@ func TestAgentLearnsNegativeReports(t *testing.T) {
 	if _, _, err := peer.RequestTrust(info, subject.ID, peerOnion); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if err := peer.ReportTransaction(info, subject.ID, false); err != nil {
-			t.Fatal(err)
-		}
+	reports := make([]BatchReport, 4)
+	for i := range reports {
+		reports[i] = BatchReport{Subject: subject.ID, Positive: false}
+	}
+	if _, err := peer.ReportBatch(info, reports, peerOnion); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 4 })
 	v, hasData, err := peer.RequestTrust(info, subject.ID, peerOnion)

@@ -650,3 +650,52 @@ func FuzzDecodeHandoff(f *testing.F) {
 		}
 	})
 }
+
+// TestWrongOwnerReportReroutedByFlusher: a client routing by epoch 1 sends a
+// report to the old owner, which acks it wrong-owner, so the report is
+// deferred. The outbox flusher must refresh the map from the placement
+// sources and deliver the report to the epoch-2 owner, instead of re-sending
+// it to the old owner, which would drop it.
+func TestWrongOwnerReportReroutedByFlusher(t *testing.T) {
+	relay := fleet(t, 1, 0)[0]
+	a1, _, desc1 := overlayAgent(t, relay, Options{Group: "g1"})
+	a2, _, desc2 := overlayAgent(t, relay, Options{Group: "g2"})
+	groups := []overlay.Group{{ID: "g1", Descriptor: desc1}, {ID: "g2", Descriptor: desc2}}
+	auth, _ := pkc.NewIdentity(nil)
+	client, err := Listen("127.0.0.1:0", Options{
+		Timeout:             4 * time.Second,
+		PlacementSources:    []string{a1.Addr(), a2.Addr()},
+		OutboxFlushInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+	ro, err := client.BuildOnion(fetchRoute(t, client, []*Node{relay}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adoptAll(t, signedPlacement(t, auth, flatMap(2, 8, groups, 1)), a1, a2)
+	adoptAll(t, signedPlacement(t, auth, flatMap(1, 8, groups, 0)), client)
+
+	subject, _ := pkc.NewIdentity(nil)
+	if err := client.ReportBatchRouted(nil, []BatchReport{{Subject: subject.ID, Positive: true}}, ro); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return client.OutboxDepth() == 0 })
+	if got := a2.Agent().Store().ReportCount(); got != 1 {
+		t.Fatalf("epoch-2 owner holds %d reports, want 1", got)
+	}
+	if got := a1.Agent().Store().ReportCount(); got != 0 {
+		t.Fatalf("old owner holds %d reports, want 0", got)
+	}
+	if m, _ := client.Placement(); m.Epoch != 2 {
+		t.Fatalf("client epoch = %d, want 2", m.Epoch)
+	}
+	if got := metric(t, a1, "node_ingest_rejected_wrong_owner_total"); got != 1 {
+		t.Fatalf("old owner rejected %d wrong-owner reports, want 1: the flusher re-sent to it", got)
+	}
+	if got := metric(t, client, "node_outbox_sent_total"); got != 1 {
+		t.Fatalf("node_outbox_sent_total = %d, want 1", got)
+	}
+}

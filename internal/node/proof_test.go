@@ -45,10 +45,12 @@ func seedReports(t *testing.T, reporter *Node, info AgentInfo, subject pkc.NodeI
 		t.Fatal(err)
 	}
 	before := agentNode.Agent().ReportCount()
-	for i := 0; i < count; i++ {
-		if err := reporter.ReportTransaction(info, subject, true); err != nil {
-			t.Fatal(err)
-		}
+	reports := make([]BatchReport, count)
+	for i := range reports {
+		reports[i] = BatchReport{Subject: subject, Positive: true}
+	}
+	if _, err := reporter.ReportBatch(info, reports, repOnion); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == before+count })
 }

@@ -136,9 +136,10 @@ func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion 
 	return value, hasData, nil
 }
 
-// ReportTransaction sends a signed transaction report about subject to agent
-// through its onion (§3.5.3).
-func (n *Node) ReportTransaction(agent AgentInfo, subject pkc.NodeID, positive bool) error {
+// reportTransaction sends a signed transaction report about subject to agent
+// through its onion as one unacknowledged TReport (§3.5.3): the fast path of
+// CompleteTransaction, taken only under the rule in reportOrDefer.
+func (n *Node) reportTransaction(agent AgentInfo, subject pkc.NodeID, positive bool) error {
 	if n.isClosed() {
 		return ErrClosed
 	}
@@ -216,21 +217,32 @@ func (n *Node) handleReport(sealed []byte) {
 	}
 	var reporter pkc.NodeID
 	copy(reporter[:], idRaw)
+	// Sybil admission (§13): the one-way frame is no way around the gate. The
+	// check is read-only because the frame is unauthenticated until its
+	// signature verifies — charging here would let anyone drain another
+	// identity's rate bucket. The bucket is charged for a stored report.
+	g := n.admission
+	if g != nil && !g.isAdmitted(reporter) {
+		n.cnt.admissionRequired.Inc()
+		return
+	}
 	// Routed overlay: a mis-routed report must not enter this group's store
 	// — the owner would never learn of it and the tally would fork. On this
-	// unacked legacy path the drop is only countable, not correctable; the
-	// batched path answers StatusWrongOwner so the sender re-routes.
+	// unacked path the drop is only countable, not correctable; the batched
+	// path answers StatusWrongOwner so the sender re-routes.
 	if subject, err := agentdir.DecodeSubjectHint(reportWire); err == nil {
 		if write, _ := n.subjectOwnership(subject); !write {
 			n.countIngest(StatusWrongOwner)
 			return
 		}
 	}
-	// Rejections used to be dropped on the floor here; count every outcome
-	// by reason so replayed, mis-keyed, and store-failed reports are visible
-	// in the stats and the metrics registry even on this unacked path.
+	// Every outcome is counted by reason, so replayed, mis-keyed, and
+	// store-failed reports are visible even on this unacked path.
 	_, err := n.agent.SubmitReport(reporter, reportWire)
 	n.countIngest(statusFromSubmitError(err))
+	if err == nil && g != nil && g.check(reporter, nil, 1) == admissionThrottled {
+		n.cnt.admissionThrottled.Inc()
+	}
 }
 
 // encodeOnion serializes an onion into an encoder.

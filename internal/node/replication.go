@@ -126,7 +126,7 @@ type replicator struct {
 // replTarget is one replica's shipping state.
 type replTarget struct {
 	addr  string
-	out   *resilience.Outbox // hinted handoff: bounded, journaled when StoreDir is set
+	out   *resilience.Outbox // hinted handoff: bounded, in memory
 	brk   *resilience.Breaker
 	kick  chan struct{}
 	acked atomic.Uint64 // highest sequence the replica has acknowledged
@@ -139,9 +139,11 @@ type replTarget struct {
 }
 
 // newReplicator builds the shipping state for opts.Replicas. Handoff queues
-// are journaled under StoreDir when set, so batches queued for a down replica
-// survive a primary restart (the replica then reconverges via anti-entropy,
-// since the restart changed the epoch).
+// live in memory only: a restarted primary is a new identity under a new
+// epoch, so a journal of the old incarnation's batches could only be dropped
+// by an unpaired replica or mis-acked against the new sequence numbers. A
+// replica that missed batches across the restart reconverges via
+// anti-entropy.
 func newReplicator(n *Node, id *pkc.Identity) (*replicator, error) {
 	var eb [8]byte
 	if _, err := rand.Read(eb[:]); err != nil {
@@ -153,15 +155,11 @@ func newReplicator(n *Node, id *pkc.Identity) (*replicator, error) {
 		epoch: binary.LittleEndian.Uint64(eb[:]) | 1, // zero means "fresh replica"
 		group: strings.Join(n.opts.Replicas, ","),
 	}
-	for i, addr := range n.opts.Replicas {
-		path := ""
-		if n.opts.StoreDir != "" {
-			path = filepath.Join(n.opts.StoreDir, fmt.Sprintf("handoff-%d.journal", i))
-		}
-		out, err := resilience.OpenOutbox(path, n.opts.HandoffCap)
+	for _, addr := range n.opts.Replicas {
+		out, err := resilience.OpenOutbox("", n.opts.HandoffCap)
 		if err != nil {
 			r.closeOutboxes()
-			return nil, fmt.Errorf("node: open handoff journal: %w", err)
+			return nil, fmt.Errorf("node: open handoff queue: %w", err)
 		}
 		t := &replTarget{
 			addr: addr,

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -206,8 +207,9 @@ func TestChaosReplicationFailover(t *testing.T) {
 		subj := subjects[k%len(subjects)]
 		positive := k%3 != 0
 		before := p.Agent().ReportCount()
-		if err := peer.ReportTransaction(infoP, subj, positive); err != nil {
-			t.Fatalf("report %d: %v", k, err)
+		statuses, err := peer.ReportBatch(infoP, []BatchReport{{Subject: subj, Positive: positive}}, replyOnion)
+		if err != nil || statuses[0] != StatusStored {
+			t.Fatalf("report %d: %v %v", k, statuses, err)
 		}
 		waitFor(t, func() bool { return p.Agent().ReportCount() > before })
 		tl, ok := shadow[subj]
@@ -502,4 +504,48 @@ func TestRestoreFirstFallsThrough(t *testing.T) {
 	if !ok || id != info2.ID() {
 		t.Fatalf("restoreFirst = (%v, %v), want fallthrough to %v", id, ok, info2.ID())
 	}
+}
+
+// TestHandoffQueuesStayInMemory: a primary queues committed batches for a
+// down replica, closes, and reopens on the same store directory as a new
+// identity. No handoff journal may be left in the directory, and once the
+// replica is paired with the new identity it converges to the primary's
+// report count through anti-entropy.
+func TestHandoffQueuesStayInMemory(t *testing.T) {
+	fd := resilience.NewFaultDialer(nil, 11)
+	dir := t.TempDir()
+	r := mkReplNode(t, fd, true, "", nil, 64)
+	fd.BlackHole(r.Addr())
+	p := mkReplNode(t, fd, true, dir, []string{r.Addr()}, 64)
+	reporter, _ := pkc.NewIdentity(nil)
+	subject, _ := pkc.NewIdentity(nil)
+	const reports = 6
+	for i := 0; i < reports; i++ {
+		nonce, err := pkc.NewNonce(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Agent().Store().Append(repstore.Record{
+			Reporter: reporter.ID, Subject: subject.ID, Positive: i%2 == 0, Nonce: nonce,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := p.repl.targets[0].out.Depth(); d == 0 {
+		t.Fatal("nothing queued for the down replica")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if journals, _ := filepath.Glob(filepath.Join(dir, "handoff-*")); len(journals) != 0 {
+		t.Fatalf("handoff journals left in the store directory: %v", journals)
+	}
+
+	fd.Clear(r.Addr())
+	p2 := mkReplNode(t, fd, true, dir, []string{r.Addr()}, 64)
+	if got := p2.Agent().ReportCount(); got != reports {
+		t.Fatalf("reopened primary holds %d reports, want %d", got, reports)
+	}
+	r.AuthorizeReplicaOf(p2.ID())
+	waitFor(t, func() bool { return r.ReplicaReportCount(p2.ID()) == reports })
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // This file wires the node onto internal/resilience: deferral of
-// undeliverable transaction reports into the durable outbox, the background flusher that drains it once
-// the target agent's circuit breaker closes again, and backup-agent failover
-// plus probing (§3.4.3, §3.6).
+// undeliverable transaction reports into the durable outbox, the background
+// flusher that drains it through the acknowledged delivery loop once the
+// target agent's circuit breaker closes again, and backup-agent failover plus
+// probing (§3.4.3, §3.6).
 
 // Probe and flush defaults. Probes must be much cheaper than requests —
 // checking a dead peer is the common case for them — and the flusher's base
@@ -156,22 +157,55 @@ func (n *Node) ProbeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.Node
 	return restored
 }
 
-// reportOrDefer delivers one transaction report, or queues it in the outbox:
-// immediately when the agent's breaker is not closed (sending through an
-// onion cannot observe a dead terminal agent, so breaker state is the only
-// trustworthy health signal), or after a real first-hop send failure.
+// reportOrDefer delivers one transaction report, or queues it in the outbox.
+// The unacknowledged TReport is a fast path, taken only to an agent that has
+// acked a stored batch from this identity (setOneWay): first contact goes
+// through the flusher's acked loop, which solves the agent's admission gate
+// (§13) and follows the placement map (§12). The report is also queued when
+// the agent's breaker is not closed (sending through an onion cannot observe
+// a dead terminal agent, so breaker state is the only trustworthy health
+// signal), and after a real first-hop send failure.
 func (n *Node) reportOrDefer(book *AgentBook, a AgentInfo, subject pkc.NodeID, positive bool) error {
 	id := a.ID()
 	if book != nil && book.BreakerState(id) != resilience.BreakerClosed {
 		n.deferReport(a, subject, positive)
 		return nil
 	}
-	if err := n.ReportTransaction(a, subject, positive); err != nil {
+	if !n.oneWayTo(id) {
+		n.deferReport(a, subject, positive)
+		n.kickFlush()
+		return nil
+	}
+	if err := n.reportTransaction(a, subject, positive); err != nil {
 		n.noteFailure(book, id)
 		n.deferReport(a, subject, positive)
 		return err
 	}
 	return nil
+}
+
+// setOneWay records that agent id acked a stored batch signed by self, or
+// with a nil self forgets the agent.
+func (n *Node) setOneWay(id pkc.NodeID, self *pkc.Identity) {
+	n.oneWayMu.Lock()
+	defer n.oneWayMu.Unlock()
+	if self == nil {
+		delete(n.oneWay, id)
+		return
+	}
+	if n.oneWay == nil {
+		n.oneWay = make(map[pkc.NodeID]*pkc.Identity)
+	}
+	n.oneWay[id] = self
+}
+
+// oneWayTo reports whether agent id has acked a stored batch from the node's
+// current identity. Keying the set by identity keeps an ack that raced a
+// rotation from opening the fast path for the successor.
+func (n *Node) oneWayTo(id pkc.NodeID) bool {
+	n.oneWayMu.Lock()
+	defer n.oneWayMu.Unlock()
+	return n.oneWay[id] == n.identity()
 }
 
 // deferReport queues a report for the outbox flusher. The payload is the
@@ -235,7 +269,7 @@ func (n *Node) flushLoop() {
 		case <-n.flushCh:
 		case <-timer.C:
 		}
-		_, failed := n.flushOutbox()
+		failed := n.flushOutbox()
 		n.updateStoreHealth()
 		if failed > 0 {
 			backoff *= 2
@@ -255,59 +289,20 @@ func (n *Node) flushLoop() {
 	}
 }
 
-// flushOutbox attempts one pass over the queued reports. Entries whose agent
-// breaker is not closed are left queued (counted as blocked so the loop backs
-// off); undecodable entries are dropped as lost. With a standing reply onion
-// attached (SetReplyOnion) the pass runs batched and acknowledged instead of
-// firing single fire-and-forget reports.
-func (n *Node) flushOutbox() (sent, blocked int) {
-	book := n.attachedBook()
-	if ro := n.replyOnionForFlush(); ro != nil {
-		return n.flushOutboxBatched(book, ro)
+// flushOutbox drains one pass of the outbox through the acknowledged
+// delivery loop. It refreshes a placement map a wrong-owner ack marked stale,
+// re-routes every entry to its subject's current owner group (routeDeferred),
+// groups the entries per agent in queue order, and retires each on its own
+// acked status: stored as sent, a protocol reject as rejected. Anything else
+// (saturated agent, store failure, lost ack, wrong owner, open breaker) stays
+// queued and counts as blocked, so the loop backs off; undecodable entries
+// are dropped as lost. The acks come back through the node's reply route;
+// until the node has one, the outbox waits.
+func (n *Node) flushOutbox() (blocked int) {
+	ro := n.replyRoute.Load()
+	if ro == nil {
+		return 0
 	}
-	for _, e := range n.outbox.Pending() {
-		if n.isClosed() {
-			break
-		}
-		info, subject, positive, err := decodeDeferredReport(e.Payload)
-		if err != nil {
-			_ = n.outbox.Ack(e.Seq)
-			n.cnt.reportsLost.Inc()
-			continue
-		}
-		if book != nil && book.BreakerState(info.ID()) != resilience.BreakerClosed {
-			blocked++
-			continue
-		}
-		if err := n.ReportTransaction(info, subject, positive); err != nil {
-			blocked++
-			n.noteFailure(book, info.ID())
-			continue
-		}
-		_ = n.outbox.Ack(e.Seq)
-		sent++
-		n.cnt.outboxSent.Inc()
-	}
-	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
-	return sent, blocked
-}
-
-// flushOutboxBatched drains one pass of the outbox through TReportBatch
-// frames: entries are grouped per agent in queue order, chunked to the
-// node's batch size, and each entry retires on its own acked status —
-// stored retires it as sent, a retryable status (saturated agent, store
-// failure, lost ack, wrong owner) leaves it queued, and an acknowledged
-// protocol reject retires it as rejected, since re-sending an identical
-// reject can never succeed. Unlike the legacy pass, nothing here is assumed
-// delivered: an entry leaves the outbox only on a signed per-report answer.
-//
-// With a placement map adopted, each entry is re-routed to the subject's
-// CURRENT owner group before grouping (routeDeferred) — this is how reports
-// acked wrong-owner mid-rebalance, or deferred against an agent whose shards
-// have since moved, find their way to the group that owns them now. A
-// wrong-owner ack in an earlier pass marks the map stale, and the pass
-// refreshes it from the placement sources before routing anything.
-func (n *Node) flushOutboxBatched(book *AgentBook, ro *onion.Onion) (sent, blocked int) {
 	n.refreshPlacementIfStale()
 	type group struct {
 		info    AgentInfo
@@ -334,70 +329,27 @@ func (n *Node) flushOutboxBatched(book *AgentBook, ro *onion.Onion) (sent, block
 		g.seqs = append(g.seqs, e.Seq)
 		g.reports = append(g.reports, BatchReport{Subject: subject, Positive: positive})
 	}
-	size := n.batchSize()
+	book := n.attachedBook()
 	for _, id := range order {
 		g := groups[id]
 		if n.isClosed() {
 			blocked += len(g.reports)
 			continue
 		}
-		if book != nil && book.BreakerState(id) != resilience.BreakerClosed {
-			blocked += len(g.reports)
-			continue
-		}
-		for lo := 0; lo < len(g.reports); lo += size {
-			hi := lo + size
-			if hi > len(g.reports) {
-				hi = len(g.reports)
+		// A send error reaches settle too, as each report's blocked count.
+		_ = n.deliver(book, g.info, g.reports, ro, func(i int, st ReportStatus, err error) {
+			if err != nil || !st.final() {
+				blocked++
+				return
 			}
-			statuses, err := n.ReportBatch(g.info, g.reports[lo:hi], ro)
-			if err != nil {
-				blocked += len(g.reports) - lo
-				n.noteFailure(book, id)
-				break
+			_ = n.outbox.Ack(g.seqs[i])
+			if st == StatusStored {
+				n.cnt.outboxSent.Inc()
 			}
-			n.noteSuccess(book, id)
-			for i, st := range statuses {
-				switch {
-				case st == StatusStored:
-					_ = n.outbox.Ack(g.seqs[lo+i])
-					sent++
-					n.cnt.outboxSent.Inc()
-					n.cnt.reportsAcked.Inc()
-				case st.Retryable():
-					if st == StatusWrongOwner {
-						n.markPlacementStale()
-					}
-					blocked++
-				case st == StatusAdmissionRequired:
-					// ReportBatch already tried solving; the demanded
-					// difficulty exceeds our solve limit. Keep the entry
-					// queued — the flusher backs off, and the report drains
-					// if the gate softens or the limit is raised.
-					blocked++
-				default:
-					_ = n.outbox.Ack(g.seqs[lo+i])
-					n.cnt.reportsRejected.Inc()
-				}
-			}
-			if allAdmissionRequired(statuses) {
-				// Unadmitted at this agent and unable to solve: every further
-				// chunk this pass would bounce identically.
-				blocked += len(g.reports) - hi
-				break
-			}
-			if allSaturated(statuses) {
-				// The agent shed this whole chunk at admission: its queue is
-				// full, and every further chunk this pass would bounce the
-				// same way. Leave the remainder queued (blocked, so the loop
-				// backs off) instead of hammering a saturated peer.
-				blocked += len(g.reports) - hi
-				break
-			}
-		}
+		})
 	}
 	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
-	return sent, blocked
+	return blocked
 }
 
 // OutboxDepth returns the number of reports currently queued for redelivery.

@@ -15,8 +15,9 @@ import (
 // agents through their onions, and switches the node to the new identity.
 // The previous identity remains able to peel onions and open payloads for a
 // short grace window (old descriptors keep working until peers refresh), but
-// new signatures and reports use the successor. It returns the old and new
-// node IDs.
+// new signatures and reports use the successor; the node's reply route and
+// one-way agents are dropped until a request and an acked batch re-establish
+// them under the successor. It returns the old and new node IDs.
 func (n *Node) RotateIdentity(agents []AgentInfo) (oldID, newID pkc.NodeID, err error) {
 	if n.isClosed() {
 		return pkc.NodeID{}, pkc.NodeID{}, ErrClosed
@@ -35,6 +36,13 @@ func (n *Node) RotateIdentity(agents []AgentInfo) (oldID, newID pkc.NodeID, err 
 	rotated := append([]*pkc.Identity{next}, ids...)
 	n.ids.Store(&rotated)
 	n.mu.Unlock()
+	// Onions signed by the old key no longer verify against the new SP, and
+	// agents have admitted the old nodeID, not the new one: the flusher waits
+	// for a fresh reply route, and every agent is first contact again.
+	n.replyRoute.Store(nil)
+	n.oneWayMu.Lock()
+	n.oneWay = nil
+	n.oneWayMu.Unlock()
 
 	// Announce to every agent that knows the old identity, sealed to the
 	// agent and routed through its onion like any other report.

@@ -26,10 +26,9 @@ func TestLiveKeyRotation(t *testing.T) {
 	if _, _, err := peer.RequestTrust(info, subject.ID, peerOnion); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := peer.ReportTransaction(info, subject.ID, true); err != nil {
-			t.Fatal(err)
-		}
+	three := []BatchReport{{Subject: subject.ID, Positive: true}, {Subject: subject.ID, Positive: true}, {Subject: subject.ID, Positive: true}}
+	if _, err := peer.ReportBatch(info, three, peerOnion); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 3 })
 
@@ -48,8 +47,9 @@ func TestLiveKeyRotation(t *testing.T) {
 	}
 
 	// The peer can immediately report under the new identity without
-	// re-introduction.
-	if err := peer.ReportTransaction(info, subject.ID, false); err != nil {
+	// re-introduction: a one-way report needs no reply onion, and the old
+	// one no longer verifies.
+	if err := peer.reportTransaction(info, subject.ID, false); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return agentNode.Agent().ReportCount() == 4 })

@@ -24,7 +24,7 @@ func metric(t testing.TB, n *Node, name string) int64 {
 // TestCountersAreTheOnlyStore runs one report batch and one §3.6
 // transaction on a loopback fleet, then checks that the registry and the
 // Stats view read the same counters: node_report_batches_total counts the
-// batch, the Stats fields equal their registry names, and FramesIn is the
+// batches, the Stats fields equal their registry names, and FramesIn is the
 // sum of the per-type frame counters. It also binds the counters to a fresh
 // registry and checks that every field has a name of its own.
 func TestCountersAreTheOnlyStore(t *testing.T) {
@@ -61,8 +61,13 @@ func TestCountersAreTheOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer.CompleteTransaction(book, subject.ID, true, perAgent)
-	// Single reports are one-way: wait until each agent has counted its own.
+	// No agent has acked a batch through the delivery loop yet, so each
+	// transaction report is first contact: it goes through the outbox as one
+	// acked batch per agent. Wait until the outbox has drained.
 	waitFor(t, func() bool {
+		if peer.OutboxDepth() != 0 {
+			return false
+		}
 		for i, a := range fl.Agents {
 			want := int64(1)
 			if i == 0 {
@@ -104,8 +109,8 @@ func TestCountersAreTheOnlyStore(t *testing.T) {
 		served += s.TrustServed
 		forwarded += s.OnionsForwarded
 	}
-	if batches != 1 {
-		t.Errorf("node_report_batches_total sums to %d over the fleet, want 1", batches)
+	if want := 1 + int64(len(fl.Agents)); batches != want {
+		t.Errorf("node_report_batches_total sums to %d over the fleet, want %d", batches, want)
 	}
 	if stored != batched+3 || served != 3 || forwarded == 0 {
 		t.Errorf("stored=%d served=%d forwarded=%d, want %d/3/>0", stored, served, forwarded, batched+3)

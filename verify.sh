@@ -115,6 +115,13 @@ done
 echo "== bench module (vet + race tests against this tree)"
 (cd bench && go vet ./... && go test -race ./...)
 
+# The only programs outside the tests that drive the live report path: each
+# must run to completion and exit 0.
+echo "== live examples smoke"
+timeout 60 go run ./examples/livenet >/dev/null
+timeout 60 go run ./examples/anonymity >/dev/null
+timeout 60 go run ./cmd/hirepnode -demo >/dev/null
+
 if [[ $fast -eq 1 ]]; then
     echo "verify: OK (benchmarks skipped)"
     exit 0
