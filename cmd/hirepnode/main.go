@@ -14,25 +14,22 @@
 //
 //	hirepnode -listen 127.0.0.1:7001 -agent -relays 127.0.0.1:7002,127.0.0.1:7003
 //
-// Tune the failure model (DESIGN.md §8) — attempts, backoff, circuit-breaker
-// trip point, durable report outbox, and evaluation quorum:
+// Journal undeliverable reports so they survive a restart, and require two
+// agent answers per evaluation (DESIGN.md §8):
 //
-//	hirepnode -retries 4 -retry-base 100ms -breaker-threshold 5 \
-//	          -breaker-cooldown 10s -outbox /var/lib/hirep/outbox.journal \
-//	          -outbox-cap 2048 -outbox-flush 250ms -quorum 2 -probe-timeout 500ms
+//	hirepnode -outbox /var/lib/hirep/outbox.journal -quorum 2
 //
-// Tune the batched, acknowledged report-ingest pipeline (DESIGN.md §11) —
-// reports packed per batch frame on the sending side, and the verification
-// worker pool plus admission queue on the agent side:
-//
-//	hirepnode -agent -report-batch 256 -verify-workers 4 -verify-queue 128
+// Retries, backoff, breakers, probe deadlines, the outbox's cap and flush
+// cadence (§8), the connection pool and session cap (§9), and the report
+// batch size and verification pool (§11) run at the constants DESIGN.md
+// lists; no flag changes them.
 //
 // Replicate an agent's report store to standby agents (DESIGN.md §10) —
 // committed batches ship live, periodic anti-entropy heals divergence, and a
 // bounded hinted-handoff queue covers replica downtime:
 //
 //	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
-//	          -replicas 127.0.0.1:7004,127.0.0.1:7005 -sync-interval 5s -handoff-cap 2048
+//	          -replicas 127.0.0.1:7004,127.0.0.1:7005
 //
 // On the replica side, replication ingress is an explicit pairing: a standby
 // only accepts state for primaries named in -replica-of, and only serves
@@ -41,12 +38,6 @@
 //
 //	hirepnode -listen 127.0.0.1:7004 -agent -store /var/lib/hirep-replica \
 //	          -replica-of <primary-id-hex> -replica-peers <peer-id-hex>,...
-//
-// Tune the connection-pooled transport (DESIGN.md §9) — pooled connections
-// per peer, multiplexed streams per connection, idle reaping, and the
-// inbound session cap:
-//
-//	hirepnode -pool-size 4 -max-streams 128 -idle-timeout 30s -max-sessions 512
 //
 // Join the routed reputation overlay (DESIGN.md §12) — the subject-ID space
 // is sharded across agent groups by a signed, epoch-versioned placement map.
@@ -66,21 +57,18 @@
 // Gate report admission (DESIGN.md §13) — an agent demands a one-time
 // proof-of-work bound to each new reporter identity before storing its first
 // report, and optional rate accounting revokes admission from identities
-// that flood (they must re-solve). Senders solve and retry automatically:
+// that flood past a burst of 512 reports (they must re-solve). Senders solve
+// and retry automatically:
 //
-//	hirepnode -listen 127.0.0.1:7001 -agent \
-//	          -admission-pow 18 -admission-rate 2.0 -admission-burst 512
+//	hirepnode -listen 127.0.0.1:7001 -agent -admission-pow 18 -admission-rate 2.0
 //
 // Serve verifiable reads (DESIGN.md §14) — an agent retains up to -evidence
 // signed report wires per subject and answers proof requests with
-// self-verifying bundles; -proof-cache memoizes the signed payloads, and
-// -snapshot-ttl bounds trust-snapshot (and cache-entry) freshness. A
-// non-agent node with -proof-cache set becomes an edge cache once pointed at
-// an upstream (node.ConfigureProofEdge), serving verifying bundles with zero
-// agent round trips on a hit:
+// self-verifying bundles; -proof-cache memoizes the bundles and signed trust
+// snapshots it serves, each valid for 60s:
 //
 //	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
-//	          -evidence 256 -proof-cache 1024 -snapshot-ttl 60s
+//	          -evidence 256 -proof-cache 1024
 //
 // Run the self-healing trust plane (DESIGN.md §15) — a background auditor
 // samples subjects across the node's discovered agents, re-verifies their
@@ -90,8 +78,11 @@
 // promoted into vacated slots. Requires -relays for the audit reply route:
 //
 //	hirepnode -listen 127.0.0.1:7007 -relays 127.0.0.1:7002,127.0.0.1:7003 \
-//	          -neighbors 127.0.0.1:7002 \
-//	          -audit-interval 30s -audit-sample 4 -audit-quarantine-threshold 3
+//	          -neighbors 127.0.0.1:7002 -audit-interval 30s
+//
+// Agent-only flags (-store, -replicas, -replica-of, -replica-peers, -group,
+// -store-shards, -handoff-peers, -evidence) on a node without -agent are
+// rejected at startup, exit status 2.
 //
 // Run the full zero-config demonstration on loopback — an agent, a reporter,
 // a requestor, and a relay chain exchanging onion-routed trust traffic:
@@ -110,7 +101,6 @@ import (
 	"hirep/internal/node"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
-	"hirep/internal/resilience"
 )
 
 // bookQuorum is the -quorum flag value, applied to every agent book this
@@ -126,57 +116,31 @@ func main() {
 		neighbors = flag.String("neighbors", "", "comma-separated node addresses for agent-discovery walks and advisory gossip")
 		demo      = flag.Bool("demo", false, "run the loopback demonstration fleet and exit")
 
-		// Resilience knobs (DESIGN.md §8).
-		probeTimeout = flag.Duration("probe-timeout", 0, "liveness-probe deadline (0 = default 750ms)")
-		retries      = flag.Int("retries", 0, "total send/request attempts (0 = default 3; 1 disables retries)")
-		retryBase    = flag.Duration("retry-base", 0, "backoff before the first retry (0 = default 50ms)")
-		brkThreshold = flag.Int("breaker-threshold", 0, "consecutive failures that open an agent's circuit breaker (0 = default 3)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 30s)")
-		outboxPath   = flag.String("outbox", "", "journal file for undeliverable reports (empty = in-memory outbox)")
-		outboxCap    = flag.Int("outbox-cap", 0, "max queued reports before oldest is dropped (0 = default 1024)")
-		outboxFlush  = flag.Duration("outbox-flush", 0, "base cadence of the outbox flusher (0 = default 250ms)")
-		quorum       = flag.Int("quorum", 1, "minimum agent answers for an evaluation to succeed")
+		// Delivery (DESIGN.md §8).
+		outboxPath = flag.String("outbox", "", "journal file for undeliverable reports (empty = in-memory outbox)")
+		quorum     = flag.Int("quorum", 1, "minimum agent answers for an evaluation to succeed")
 
-		// Batched report-ingest knobs (DESIGN.md §11).
-		reportBatch   = flag.Int("report-batch", 0, "max reports packed per batch frame (0 = default 256)")
-		verifyWorkers = flag.Int("verify-workers", 0, "report-verification worker pool size, agents only (0 = default GOMAXPROCS)")
-		verifyQueue   = flag.Int("verify-queue", 0, "batches queued for verification before shedding, agents only (0 = default 128)")
-
-		// Replication knobs (DESIGN.md §10, agents only).
+		// Replication (DESIGN.md §10, agents only).
 		replicas     = flag.String("replicas", "", "comma-separated replica agent addresses to ship committed batches to")
 		replicaOf    = flag.String("replica-of", "", "comma-separated hex node IDs of primaries this node accepts replication state for")
 		replicaPeers = flag.String("replica-peers", "", "comma-separated hex node IDs of fellow replica-group members allowed to read replication state")
-		syncInterval = flag.Duration("sync-interval", 0, "anti-entropy digest interval per replica (0 = default 5s)")
-		handoffCap   = flag.Int("handoff-cap", 0, "max batches queued per down replica before oldest is dropped (0 = default 1024)")
 
-		// Transport knobs (DESIGN.md §9).
-		poolSize    = flag.Int("pool-size", 0, "pooled connections per peer (0 = default 2)")
-		maxStreams  = flag.Int("max-streams", 0, "in-flight streams per pooled connection (0 = default 64)")
-		idleTimeout = flag.Duration("idle-timeout", 0, "idle connection reap timeout (0 = default 60s)")
-		maxSessions = flag.Int("max-sessions", 0, "max concurrently served inbound connections (0 = default 256)")
-
-		// Routed-overlay knobs (DESIGN.md §12).
+		// Routed overlay (DESIGN.md §12).
 		group        = flag.String("group", "", "agent group this node belongs to in the routed overlay (agents only)")
-		storeShards  = flag.Int("store-shards", 0, "report store shard count, power of two (0 = default 16)")
+		storeShards  = flag.Int("store-shards", 0, "report store shard count, power of two, agents only (0 = default 16)")
 		placeSources = flag.String("placement-sources", "", "comma-separated node addresses polled for a newer signed placement map")
 		placeAuth    = flag.String("placement-authority", "", "hex node ID every placement map must be signed by (empty = accept any validly signed newer map on fetch; refuse unsolicited pushes)")
 		handoffPeers = flag.String("handoff-peers", "", "comma-separated hex node IDs allowed to drive shard handoffs against this agent")
 
 		// Admission gate (agents only): per-identity first-report proof-of-work
 		// plus report-rate accounting, pricing sybil floods (DESIGN.md §13).
-		admissionPoW   = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
-		admissionRate  = flag.Float64("admission-rate", 0, "per-identity admitted-report refill rate per second (0 = no rate accounting)")
-		admissionBurst = flag.Int("admission-burst", 0, "per-identity report burst before rate accounting revokes admission (0 = default 2x batch size)")
+		admissionPoW  = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
+		admissionRate = flag.Float64("admission-rate", 0, "per-identity admitted-report refill rate per second, burst 512 (0 = no rate accounting)")
 
-		// Verifiable-read knobs (DESIGN.md §14).
-		evidence    = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
-		proofCache  = flag.Int("proof-cache", 0, "proof payload cache entries (0 = no cache; required for edge-cache serving)")
-		snapshotTTL = flag.Duration("snapshot-ttl", 0, "trust-snapshot validity and proof-cache entry lifetime (0 = default 60s)")
-
-		// Self-healing audit knobs (DESIGN.md §15).
-		auditInterval = flag.Duration("audit-interval", 0, "background audit sweep cadence (0 = auditing off; requires -relays)")
-		auditSample   = flag.Int("audit-sample", 0, "subjects audited per sweep (0 = default 4)")
-		auditQuar     = flag.Int("audit-quarantine-threshold", 0, "suspect strikes before an agent is quarantined (0 = default 3)")
+		// Verifiable reads (DESIGN.md §14) and self-healing audit (§15).
+		evidence      = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
+		proofCache    = flag.Int("proof-cache", 0, "entries in the agent's cache of served proof bundles and signed trust snapshots (0 = no cache)")
+		auditInterval = flag.Duration("audit-interval", 0, "background audit sweep cadence (0 = auditing off; requires -relays and -neighbors)")
 	)
 	flag.Parse()
 
@@ -187,26 +151,6 @@ func main() {
 		}
 		return
 	}
-	if *store != "" && !*agent {
-		fmt.Fprintln(os.Stderr, "hirepnode: -store requires -agent")
-		os.Exit(2)
-	}
-	if *replicas != "" && !*agent {
-		fmt.Fprintln(os.Stderr, "hirepnode: -replicas requires -agent")
-		os.Exit(2)
-	}
-	if (*replicaOf != "" || *replicaPeers != "") && !*agent {
-		fmt.Fprintln(os.Stderr, "hirepnode: -replica-of/-replica-peers require -agent")
-		os.Exit(2)
-	}
-	if (*group != "" || *storeShards != 0 || *handoffPeers != "") && !*agent {
-		fmt.Fprintln(os.Stderr, "hirepnode: -group/-store-shards/-handoff-peers require -agent")
-		os.Exit(2)
-	}
-	if *evidence != 0 && !*agent {
-		fmt.Fprintln(os.Stderr, "hirepnode: -evidence requires -agent")
-		os.Exit(2)
-	}
 	if *auditInterval > 0 && *relays == "" {
 		fmt.Fprintln(os.Stderr, "hirepnode: -audit-interval requires -relays (the audit reply route)")
 		os.Exit(2)
@@ -215,18 +159,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hirepnode: -audit-interval requires -neighbors (agent discovery and advisory gossip)")
 		os.Exit(2)
 	}
-	var replicaAddrs []string
-	for _, a := range strings.Split(*replicas, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			replicaAddrs = append(replicaAddrs, a)
-		}
-	}
+	replicaAddrs := splitList(*replicas)
 	parseIDs := func(flagName, s string) []pkc.NodeID {
 		var out []pkc.NodeID
-		for _, h := range strings.Split(s, ",") {
-			if h = strings.TrimSpace(h); h == "" {
-				continue
-			}
+		for _, h := range splitList(s) {
 			id, err := pkc.ParseNodeID(h)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hirepnode: %s: %v\n", flagName, err)
@@ -235,13 +171,6 @@ func main() {
 			out = append(out, id)
 		}
 		return out
-	}
-
-	var placeSourceAddrs []string
-	for _, a := range strings.Split(*placeSources, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			placeSourceAddrs = append(placeSourceAddrs, a)
-		}
 	}
 	var authority pkc.NodeID
 	if *placeAuth != "" {
@@ -254,44 +183,29 @@ func main() {
 	}
 
 	n, err := node.Listen(*listen, node.Options{
-		Agent:                    *agent,
-		StoreDir:                 *store,
-		Group:                    *group,
-		StoreShards:              *storeShards,
-		PlacementSources:         placeSourceAddrs,
-		PlacementAuthority:       authority,
-		HandoffPeers:             parseIDs("-handoff-peers", *handoffPeers),
-		Replicas:                 replicaAddrs,
-		ReplicaOf:                parseIDs("-replica-of", *replicaOf),
-		ReplicaPeers:             parseIDs("-replica-peers", *replicaPeers),
-		SyncInterval:             *syncInterval,
-		HandoffCap:               *handoffCap,
-		ProbeTimeout:             *probeTimeout,
-		Retry:                    resilience.RetryPolicy{Attempts: *retries, BaseDelay: *retryBase},
-		Breaker:                  resilience.BreakerConfig{Threshold: *brkThreshold, Cooldown: *brkCooldown},
-		OutboxPath:               *outboxPath,
-		OutboxCap:                *outboxCap,
-		OutboxFlushInterval:      *outboxFlush,
-		ReportBatchSize:          *reportBatch,
-		VerifyWorkers:            *verifyWorkers,
-		VerifyQueue:              *verifyQueue,
-		PoolSize:                 *poolSize,
-		MaxStreams:               *maxStreams,
-		IdleTimeout:              *idleTimeout,
-		MaxSessions:              *maxSessions,
-		AdmissionPoWBits:         *admissionPoW,
-		AdmissionRate:            *admissionRate,
-		AdmissionBurst:           *admissionBurst,
-		EvidenceCap:              *evidence,
-		ProofCache:               *proofCache,
-		SnapshotTTL:              *snapshotTTL,
-		AuditInterval:            *auditInterval,
-		AuditSample:              *auditSample,
-		AuditQuarantineThreshold: *auditQuar,
+		Agent:              *agent,
+		StoreDir:           *store,
+		Group:              *group,
+		StoreShards:        *storeShards,
+		PlacementSources:   splitList(*placeSources),
+		PlacementAuthority: authority,
+		HandoffPeers:       parseIDs("-handoff-peers", *handoffPeers),
+		Replicas:           replicaAddrs,
+		ReplicaOf:          parseIDs("-replica-of", *replicaOf),
+		ReplicaPeers:       parseIDs("-replica-peers", *replicaPeers),
+		OutboxPath:         *outboxPath,
+		AdmissionPoWBits:   *admissionPoW,
+		AdmissionRate:      *admissionRate,
+		EvidenceCap:        *evidence,
+		ProofCache:         *proofCache,
+		AuditInterval:      *auditInterval,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		// Any Listen failure exits 2, the status of a bad flag: invalid
+		// options (an agent-only setting without -agent) as well as an
+		// address in use, an unreadable store or outbox journal.
+		fmt.Fprintln(os.Stderr, "hirepnode:", err)
+		os.Exit(2)
 	}
 	bookQuorum = *quorum
 	defer n.Close()
@@ -313,13 +227,7 @@ func main() {
 	}
 	fmt.Printf("hirep node %s (%s) listening on %s\n", n.ID().Short(), role, n.Addr())
 	if *neighbors != "" {
-		var addrs []string
-		for _, a := range strings.Split(*neighbors, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		n.SetNeighbors(addrs)
+		n.SetNeighbors(splitList(*neighbors))
 	}
 	if *agent {
 		// The full ID is what operators paste into a standby's -replica-of
@@ -328,12 +236,7 @@ func main() {
 	}
 
 	if *relays != "" {
-		var relayAddrs []string
-		for _, a := range strings.Split(*relays, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				relayAddrs = append(relayAddrs, a)
-			}
-		}
+		relayAddrs := splitList(*relays)
 		var o *onion.Onion
 		if *agent {
 			// PublishDescriptor caches the descriptor so §3.4.1 agent-list
@@ -394,6 +297,17 @@ func main() {
 	}
 }
 
+// splitList splits a comma-separated flag value, dropping blank items.
+func splitList(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // hirepBookFor discovers agents for a node and fills a fresh trusted-agent
 // book.
 func hirepBookFor(n *node.Node) (*node.AgentBook, error) {
@@ -416,10 +330,6 @@ func hirepBookFor(n *node.Node) (*node.AgentBook, error) {
 func fetchRoute(n *node.Node, addrs []string) ([]onion.Relay, error) {
 	route := make([]onion.Relay, 0, len(addrs))
 	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
 		rel, err := n.FetchAnonKey(a)
 		if err != nil {
 			return nil, fmt.Errorf("handshake with %s: %w", a, err)

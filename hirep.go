@@ -296,9 +296,6 @@ type FaultDialer = resilience.FaultDialer
 // its Dial method as NodeOptions.Dialer.
 func NewFaultDialer(seed int64) *FaultDialer { return resilience.NewFaultDialer(nil, seed) }
 
-// MetricsRegistry is a named set of operational counters and gauges; pass one
-// as NodeOptions.Metrics to observe a live node's resilience behavior.
+// MetricsRegistry is a named set of operational counters and gauges: the
+// type Node.Metrics returns, holding every counter a live node keeps.
 type MetricsRegistry = metrics.Registry
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }

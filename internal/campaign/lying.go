@@ -20,8 +20,6 @@ type LyingAgentSpec struct {
 	// AuditInterval is the background sweep cadence (default 150ms). Sweeping
 	// it yields the time-to-detection vs audit-rate curve of EXPERIMENTS.md.
 	AuditInterval time.Duration
-	// AuditSample is subjects audited per sweep (default 4).
-	AuditSample int
 	// Subjects is the audited subject population (default 4).
 	Subjects int
 	// Reports is the honest evidence seeded per subject (default 6).
@@ -36,9 +34,6 @@ type LyingAgentSpec struct {
 func (s LyingAgentSpec) withDefaults() LyingAgentSpec {
 	if s.AuditInterval <= 0 {
 		s.AuditInterval = 150 * time.Millisecond
-	}
-	if s.AuditSample <= 0 {
-		s.AuditSample = 4
 	}
 	if s.Subjects <= 0 {
 		s.Subjects = 4
@@ -80,7 +75,6 @@ func RunLyingAgent(spec LyingAgentSpec) (LyingAgentScore, error) {
 	spec = spec.withDefaults()
 	opts := node.ChaosOptions(nil)
 	opts.AuditInterval = spec.AuditInterval
-	opts.AuditSample = spec.AuditSample
 	fl, err := node.StartFleet(node.FleetConfig{
 		Agents: 3, Relays: 2, Peers: 2, Opts: opts,
 		AgentOpts: func(_ int, o *node.Options) { o.EvidenceCap = 64 },

@@ -19,7 +19,6 @@ import (
 // path (handleReport) takes reports only from an identity the gate already
 // admitted, and charges its rate once the report is stored.
 
-// Admission defaults (Options overrides).
 const (
 	defaultAdmissionCap        = 4096 // admitted identities remembered
 	defaultAdmissionSolveLimit = 24   // hardest difficulty a sender will solve
@@ -45,24 +44,20 @@ type admittedIdentity struct {
 	reports int64     // reports accepted through the gate for this identity
 }
 
-func newAdmissionGate(bits int, rate float64, burst int, cap int) *admissionGate {
+func newAdmissionGate(bits int, rate float64, burst int) *admissionGate {
 	if bits <= 0 {
 		return nil
 	}
-	if cap <= 0 {
-		cap = defaultAdmissionCap
-	}
-	b := float64(burst)
-	if b <= 0 {
-		b = float64(2 * defaultReportBatchSize)
+	if burst <= 0 {
+		burst = 2 * defaultReportBatchSize
 	}
 	return &admissionGate{
 		bits:     bits,
 		rate:     rate,
-		burst:    b,
-		cap:      cap,
-		admitted: make(map[pkc.NodeID]*admittedIdentity, cap),
-		spent:    pkc.NewReplayCache(2 * cap),
+		burst:    float64(burst),
+		cap:      defaultAdmissionCap,
+		admitted: make(map[pkc.NodeID]*admittedIdentity, defaultAdmissionCap),
+		spent:    pkc.NewReplayCache(2 * defaultAdmissionCap),
 		now:      time.Now,
 	}
 }
@@ -136,8 +131,8 @@ func (g *admissionGate) isAdmitted(reporter pkc.NodeID) bool {
 	return g.admitted[reporter] != nil
 }
 
-// forget revokes reporter's admission, if any. Operational lever (and test
-// hook): a punished identity must present a fresh solution to report again.
+// forget revokes reporter's admission, if any: the identity must present a
+// fresh solution to report again.
 func (g *admissionGate) forget(reporter pkc.NodeID) {
 	g.mu.Lock()
 	delete(g.admitted, reporter)
@@ -161,15 +156,6 @@ func (g *admissionGate) reportsBy(reporter pkc.NodeID) int64 {
 	return 0
 }
 
-// ForgetAdmission revokes an identity's standing admission at this agent so
-// its next batch must carry a fresh proof of work. A no-op when the gate is
-// disabled.
-func (n *Node) ForgetAdmission(reporter pkc.NodeID) {
-	if n.admission != nil {
-		n.admission.forget(reporter)
-	}
-}
-
 // AdmittedIdentities returns the number of identities currently admitted by
 // this agent's gate (0 when disabled).
 func (n *Node) AdmittedIdentities() int {
@@ -186,8 +172,7 @@ func (n *Node) AdmittedIdentities() int {
 // campaign harness measures. Difficulties beyond the solve limit are refused
 // (a malicious agent must not be able to burn a reporter's CPU at will).
 func (n *Node) mintAdmission(bits int) []byte {
-	limit := n.admissionSolveLimit()
-	if bits <= 0 || bits > limit {
+	if bits <= 0 || bits > defaultAdmissionSolveLimit {
 		return nil
 	}
 	sol, attempts, err := pkc.MintAdmission(n.identity().ID, bits, nil)
@@ -197,13 +182,6 @@ func (n *Node) mintAdmission(bits int) []byte {
 	n.cnt.admissionSolved.Inc()
 	n.cnt.admissionWork.Add(int64(attempts))
 	return sol[:]
-}
-
-// admissionSolveLimit returns the hardest difficulty this node will solve.
-func (n *Node) admissionSolveLimit() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.AdmissionSolveLimit
 }
 
 // allAdmissionRequired reports whether an ack bounced its entire (non-empty)

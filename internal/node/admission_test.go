@@ -108,10 +108,7 @@ func TestAdmissionAutoSolveStored(t *testing.T) {
 // mint (no hashes spent) and must surface the admission-required statuses so
 // the caller can defer.
 func TestAdmissionSolveLimitDefers(t *testing.T) {
-	agentNode, peer, info, replyOnion := admissionPair(t)
-	peer.mu.Lock()
-	peer.opts.AdmissionSolveLimit = 4 // below the agent's demanded 8
-	peer.mu.Unlock()
+	agentNode, peer, info, replyOnion := batchPair(t, Options{AdmissionPoWBits: defaultAdmissionSolveLimit + 1})
 	subject, _ := pkc.NewIdentity(nil)
 	statuses, err := peer.ReportBatch(info, []BatchReport{{Subject: subject.ID, Positive: true}}, replyOnion)
 	if err != nil {
@@ -161,7 +158,7 @@ func TestAdmissionMixedBatchAfterAdmit(t *testing.T) {
 // solution that admitted an identity once cannot re-admit it after
 // revocation, while a freshly minted one can.
 func TestAdmissionReplayedSolutionRejected(t *testing.T) {
-	g := newAdmissionGate(8, 0, 64, 16)
+	g := newAdmissionGate(8, 0, 64)
 	id, _ := pkc.NewIdentity(nil)
 	sol, _, err := pkc.MintAdmission(id.ID, 8, nil)
 	if err != nil {
@@ -190,7 +187,7 @@ func TestAdmissionReplayedSolutionRejected(t *testing.T) {
 // identity that outruns its token bucket loses the admission — sustained
 // flooding costs one proof of work per burst, not one ever.
 func TestAdmissionRateRevokes(t *testing.T) {
-	g := newAdmissionGate(8, 1 /* report/sec */, 10, 16)
+	g := newAdmissionGate(8, 1 /* report/sec */, 10)
 	base := time.Now()
 	g.now = func() time.Time { return base }
 	id, _ := pkc.NewIdentity(nil)
@@ -229,10 +226,11 @@ func TestAdmissionRateRevokes(t *testing.T) {
 // TestAdmissionGateEviction pins the FIFO cap: the gate remembers at most cap
 // identities, evicting the oldest, and a disabled gate is nil.
 func TestAdmissionGateEviction(t *testing.T) {
-	if g := newAdmissionGate(0, 0, 0, 0); g != nil {
+	if g := newAdmissionGate(0, 0, 0); g != nil {
 		t.Fatal("difficulty 0 must disable the gate")
 	}
-	g := newAdmissionGate(4, 0, 8, 2)
+	g := newAdmissionGate(4, 0, 8)
+	g.cap = 2
 	var first pkc.NodeID
 	for i := 0; i < 3; i++ {
 		id, _ := pkc.NewIdentity(nil)

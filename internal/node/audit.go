@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"hirep/internal/agentdir"
 	"hirep/internal/audit"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
@@ -26,8 +25,8 @@ import (
 // the offending bundle, so trust in the sender is never required.
 
 const (
-	defaultAuditSample              = 4
-	defaultAuditQuarantineThreshold = 3
+	defaultAuditSample              = 4 // subjects audited per sweep
+	defaultAuditQuarantineThreshold = 3 // suspect strikes before a book quarantines
 	// auditSubjectPoolCap bounds the rotating pool of subjects the sweep
 	// samples from (fed by EvaluateSubject and NoteAuditSubjects).
 	auditSubjectPoolCap = 256
@@ -51,7 +50,6 @@ var ErrNoAuditor = errors.New("node: auditor not started")
 type auditor struct {
 	book       *AgentBook
 	replyOnion *onion.Onion
-	sample     int
 
 	sweepMu sync.Mutex // one sweep at a time (ticker + manual calls)
 
@@ -76,12 +74,10 @@ type AdvisoryRecord struct {
 // offender and gossip a signed advisory to the node's neighbors. With
 // Options.AuditInterval > 0 a background loop sweeps on that cadence;
 // otherwise sweeps run only when AuditSweep is called (tests, operators).
-// The book's quarantine threshold is set from Options.
 func (n *Node) StartAuditor(book *AgentBook, replyOnion *onion.Onion) error {
 	if book == nil || replyOnion == nil {
 		return fmt.Errorf("node: auditor needs a book and a reply onion")
 	}
-	book.SetQuarantineThreshold(n.opts.AuditQuarantineThreshold)
 	n.auditMu.Lock()
 	if n.auditor != nil {
 		n.auditMu.Unlock()
@@ -90,7 +86,6 @@ func (n *Node) StartAuditor(book *AgentBook, replyOnion *onion.Onion) error {
 	n.auditor = &auditor{
 		book:        book,
 		replyOnion:  replyOnion,
-		sample:      n.opts.AuditSample,
 		inPool:      make(map[pkc.NodeID]bool),
 		skew:        audit.NewSkewTable(),
 		slanderSeen: make(map[pkc.NodeID]bool),
@@ -161,7 +156,7 @@ func (a *auditor) nextAuditSubjects(k int) []pkc.NodeID {
 }
 
 // AuditSweep runs one audit pass: probation probes of quarantined agents
-// first, then up to Options.AuditSample sampled subjects, each fetched from
+// first, then up to defaultAuditSample sampled subjects, each fetched from
 // its owning agent (placement-aware when a map is adopted) with retry/backoff
 // under a per-sweep deadline and cross-checked against a second agent.
 // Returns ErrNoAuditor before StartAuditor.
@@ -184,7 +179,7 @@ func (n *Node) AuditSweep() error {
 	}
 	deadline := time.Now().Add(budget)
 	n.auditProbation(a, deadline)
-	for _, subject := range a.nextAuditSubjects(a.sample) {
+	for _, subject := range a.nextAuditSubjects(defaultAuditSample) {
 		if n.isClosed() || !time.Now().Before(deadline) {
 			break
 		}
@@ -536,31 +531,6 @@ func (n *Node) handleAdvisory(sealed []byte) {
 	// Re-gossip once so advisories reach neighbors of neighbors; the digest
 	// dedup above terminates the flood.
 	n.gossipAdvisory(plain)
-}
-
-// SlanderSuspects scans this agent's accepted-report ledger for reporters
-// whose reports skew heavily negative — the §3.6 slander heuristic over live
-// per-reporter stats — and refreshes the node_slander_suspects_total gauge.
-// minReports/minSkew <= 0 use the audit defaults. Returns suspects sorted by
-// skew descending. ErrNotAgent for non-agents.
-func (n *Node) SlanderSuspects(minReports int, minSkew float64) ([]audit.SuspectReporter, error) {
-	if n.agent == nil {
-		return nil, ErrNotAgent
-	}
-	if minReports <= 0 {
-		minReports = slanderMinReports
-	}
-	if minSkew <= 0 {
-		minSkew = slanderMinSkew
-	}
-	t := audit.NewSkewTable()
-	n.agent.Reporters(func(s agentdir.ReporterStat) bool {
-		t.Add(s.Reporter, uint64(s.Negative), uint64(s.Reports))
-		return true
-	})
-	out := t.Suspects(uint64(minReports), minSkew)
-	n.cnt.slanderSuspects.Set(int64(len(out)))
-	return out, nil
 }
 
 // updateSlanderGauge refreshes the slander gauge from the auditor's skew

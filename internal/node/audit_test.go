@@ -20,7 +20,6 @@ import (
 func TestBookQuarantineStateMachine(t *testing.T) {
 	nodes := fleet(t, 3, 2)
 	book, _ := NewAgentBook(3, 0.3, 0.4)
-	book.SetQuarantineThreshold(2)
 	a := liveAgentInfo(t, nodes[0], nodes[2])
 	b := liveAgentInfo(t, nodes[1], nodes[2])
 	book.Add(a)
@@ -52,8 +51,13 @@ func TestBookQuarantineStateMachine(t *testing.T) {
 		t.Fatal("healthy agent rehabilitated again")
 	}
 
-	// Strikes start over after rehabilitation: two fresh ones quarantine.
-	book.MarkSuspect(a.ID())
+	// Strikes start over after rehabilitation: a full threshold of fresh
+	// ones quarantines.
+	for i := 1; i < defaultAuditQuarantineThreshold; i++ {
+		if h, q, _ := book.MarkSuspect(a.ID()); h != Suspect || q {
+			t.Fatalf("strike %d: health %v quarantined %v", i, h, q)
+		}
+	}
 	h, q, wasActive := book.MarkSuspect(a.ID())
 	if h != Quarantined || !q || !wasActive {
 		t.Fatalf("threshold strike: health %v quarantined %v active %v", h, q, wasActive)
@@ -175,7 +179,7 @@ func auditFleet(t *testing.T) (agents []*Node, auditorPeer, observer *Node, rela
 	for i := 0; i < 3; i++ {
 		agents = append(agents, mk(Options{Agent: true, EvidenceCap: 64}))
 	}
-	auditorPeer = mk(Options{AuditSample: 4, AuditQuarantineThreshold: 3})
+	auditorPeer = mk(Options{})
 	observer = mk(Options{})
 	relays = []*Node{mk(Options{}), mk(Options{})}
 	return agents, auditorPeer, observer, relays

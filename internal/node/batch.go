@@ -29,10 +29,9 @@ import (
 // wrapped in its onion envelope, comfortably under wire.MaxFrame.
 const MaxBatchReports = 2048
 
-// Batch-ingest defaults (Options overrides).
 const (
 	defaultReportBatchSize = 256 // reports per batch the sender packs
-	defaultVerifyQueue     = 128 // decoded batches awaiting verification
+	defaultVerifyQueue     = 128 // decoded batches awaiting verification (Options.VerifyQueue)
 )
 
 // ErrBatchTooLarge reports a ReportBatch call exceeding MaxBatchReports.
@@ -253,7 +252,7 @@ var errNotSent = errors.New("node: report not sent")
 // to the agent (reportOrDefer); an admission bounce closes it. It returns the
 // first send error.
 func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, settle func(i int, st ReportStatus, err error)) error {
-	id, size := agent.ID(), n.batchSize()
+	id, size := agent.ID(), defaultReportBatchSize
 	self := n.identity() // the identity a stored ack is credited to
 	unsent := func(lo, hi int, err error) {
 		for i := lo; i < hi; i++ {
@@ -322,9 +321,6 @@ func allSaturated(statuses []ReportStatus) bool {
 	}
 	return len(statuses) > 0
 }
-
-// batchSize returns the node's report batch size, fixed at Listen.
-func (n *Node) batchSize() int { return n.opts.ReportBatchSize }
 
 // --- agent side ----------------------------------------------------------
 

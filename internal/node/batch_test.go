@@ -311,11 +311,10 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = agentNode.Close() })
 	relay := fleet(t, 1, 0)[0]
-	// A tiny batch size makes the report list span several chunks, and an
-	// hour-scale flush interval keeps the outbox flusher from re-sending
+	// An hour-scale flush interval keeps the outbox flusher from re-sending
 	// deferred reports mid-assertion.
 	sender, err := Listen("127.0.0.1:0", Options{
-		Timeout: 4 * time.Second, ReportBatchSize: 2, OutboxFlushInterval: time.Hour,
+		Timeout: 4 * time.Second, OutboxFlushInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,18 +341,18 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 
 	// Three chunks' worth of reports. Chunk 1 is shed with an all-saturated
 	// ack; chunks 2 and 3 must be deferred without touching the wire.
-	reports := make([]BatchReport, 6)
+	reports := make([]BatchReport, 3*defaultReportBatchSize)
 	for i := range reports {
 		reports[i] = BatchReport{Subject: subject.ID, Positive: i%2 == 0}
 	}
 	if err := sender.ReportBatchOrDefer(nil, info, reports, ro); err != nil {
 		t.Fatal(err)
 	}
-	if got := sender.Stats().ReportsDeferred; got != 6 {
-		t.Fatalf("deferred %d reports, want all 6", got)
+	if got := sender.Stats().ReportsDeferred; got != int64(len(reports)) {
+		t.Fatalf("deferred %d reports, want all %d", got, len(reports))
 	}
-	if got := agentNode.Stats().IngestShed; got != 2 {
-		t.Fatalf("agent shed %d reports, want 2: the sender must stop after one all-saturated ack", got)
+	if got := agentNode.Stats().IngestShed; got != defaultReportBatchSize {
+		t.Fatalf("agent shed %d reports, want %d: the sender must stop after one all-saturated ack", got, defaultReportBatchSize)
 	}
 }
 

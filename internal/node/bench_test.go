@@ -206,7 +206,6 @@ func BenchmarkIngestAudited(b *testing.B) {
 	auditorNode, err := Listen("127.0.0.1:0", Options{
 		Timeout:       10 * time.Second,
 		AuditInterval: 150 * time.Millisecond,
-		AuditSample:   2,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -296,12 +295,12 @@ func BenchmarkRoundTripDirect(b *testing.B) {
 // (frames/sec) against BenchmarkRoundTripDirect is the transport's
 // amortized win over dial-per-frame.
 func BenchmarkRoundTripPooled(b *testing.B) {
-	target, err := Listen("127.0.0.1:0", Options{Timeout: 10 * time.Second, MaxStreams: 256})
+	target, err := Listen("127.0.0.1:0", Options{Timeout: 10 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = target.Close() })
-	peer, err := Listen("127.0.0.1:0", Options{Timeout: 10 * time.Second, MaxStreams: 256, PoolSize: 4})
+	peer, err := Listen("127.0.0.1:0", Options{Timeout: 10 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}

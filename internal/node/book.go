@@ -47,10 +47,9 @@ type AgentBook struct {
 	replSeq map[pkc.NodeID]map[pkc.NodeID]uint64
 	// quarantined holds agents pulled from service on verified lying
 	// evidence or accumulated suspect strikes, pending probation probes or
-	// eviction. quarThreshold is the strike count that turns a suspect into
-	// a quarantined agent.
-	quarantined   map[pkc.NodeID]*bookEntry
-	quarThreshold int
+	// eviction; defaultAuditQuarantineThreshold suspect strikes put an agent
+	// there.
+	quarantined map[pkc.NodeID]*bookEntry
 }
 
 type bookEntry struct {
@@ -108,27 +107,15 @@ func NewAgentBook(max int, alpha, threshold float64) (*AgentBook, error) {
 		return nil, fmt.Errorf("node: threshold must be in [0,1), got %v", threshold)
 	}
 	return &AgentBook{
-		max:           max,
-		alpha:         alpha,
-		threshold:     threshold,
-		quorum:        1,
-		entries:       make(map[pkc.NodeID]*bookEntry),
-		banned:        make(map[pkc.NodeID]bool),
-		breakers:      resilience.NewBreakers[pkc.NodeID](resilience.BreakerConfig{}),
-		quarantined:   make(map[pkc.NodeID]*bookEntry),
-		quarThreshold: 3,
+		max:         max,
+		alpha:       alpha,
+		threshold:   threshold,
+		quorum:      1,
+		entries:     make(map[pkc.NodeID]*bookEntry),
+		banned:      make(map[pkc.NodeID]bool),
+		breakers:    resilience.NewBreakers[pkc.NodeID](resilience.BreakerConfig{}),
+		quarantined: make(map[pkc.NodeID]*bookEntry),
 	}, nil
-}
-
-// SetQuarantineThreshold sets the suspect-strike count at which MarkSuspect
-// quarantines an agent (clamped to >= 1).
-func (b *AgentBook) SetQuarantineThreshold(k int) {
-	if k < 1 {
-		k = 1
-	}
-	b.mu.Lock()
-	b.quarThreshold = k
-	b.mu.Unlock()
 }
 
 // SetBreakerConfig applies cfg to every agent's circuit breaker, current and
@@ -472,7 +459,7 @@ func (b *AgentBook) MarkSuspect(id pkc.NodeID) (health AgentHealth, quarantined,
 	}
 	e.health = Suspect
 	e.strikes++
-	if e.strikes >= b.quarThreshold {
+	if e.strikes >= defaultAuditQuarantineThreshold {
 		_, wasActive = b.entries[id]
 		b.quarantineLocked(id, e)
 		return Quarantined, true, wasActive
@@ -620,7 +607,7 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 			var v trust.Value
 			var err error
 			if probe {
-				v, _, err = n.requestTrust(a, subject, replyOnion, 1, n.probeTimeout())
+				v, _, err = n.requestTrust(a, subject, replyOnion, 1, n.opts.ProbeTimeout)
 			} else {
 				v, _, err = n.RequestTrust(a, subject, replyOnion)
 			}

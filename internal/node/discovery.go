@@ -194,7 +194,7 @@ func (n *Node) Ping(addr string) bool {
 	if err != nil {
 		return false
 	}
-	typ, echo, err := n.roundTripTimeout(addr, wire.TPing, nonce[:], n.probeTimeout())
+	typ, echo, err := n.roundTripTimeout(addr, wire.TPing, nonce[:], n.opts.ProbeTimeout)
 	if err != nil || typ != wire.TPong || len(echo) != pkc.NonceSize {
 		return false
 	}

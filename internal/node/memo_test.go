@@ -132,12 +132,12 @@ func TestMemoKeepsRequestVetting(t *testing.T) {
 }
 
 // TestMemoColdWorkScalesWithOnionsNotTransactions runs §3.6 transactions on a
-// fleet sharing one registry: once every onion in use has crossed its route,
-// further transactions add no cold peel and no cold signature check.
+// fleet, summing each memo counter over its nodes: once every onion in use
+// has crossed its route, further transactions add no cold peel and no cold
+// signature check.
 func TestMemoColdWorkScalesWithOnionsNotTransactions(t *testing.T) {
-	reg := metrics.NewRegistry()
 	fl, err := StartFleet(FleetConfig{Agents: 3, Relays: 2, Peers: 1,
-		Opts: Options{Timeout: 5 * time.Second, Metrics: reg}})
+		Opts: Options{Timeout: 5 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestMemoColdWorkScalesWithOnionsNotTransactions(t *testing.T) {
 		}
 	}
 	transact(2)
-	coldPeels, coldSigs := memoCounter(reg, "peel_misses"), memoCounter(reg, "verify_misses")
-	hitPeels := memoCounter(reg, "peel_hits")
+	coldPeels, coldSigs := fleetMemo(fl, "peel_misses"), fleetMemo(fl, "verify_misses")
+	hitPeels := fleetMemo(fl, "peel_hits")
 	// 3 agent onions over 2 relays and one reply onion over 1 relay: 11
 	// layers. The first transaction's 3 replies race through the reply
 	// onion's 2 layers, and each may get there before the first one stored.
@@ -189,15 +189,26 @@ func TestMemoColdWorkScalesWithOnionsNotTransactions(t *testing.T) {
 	}
 	const more = 10
 	transact(more)
-	if got := memoCounter(reg, "peel_misses"); got != coldPeels {
+	if got := fleetMemo(fl, "peel_misses"); got != coldPeels {
 		t.Fatalf("%d more transactions cost %d more cold peels", more, got-coldPeels)
 	}
-	if got := memoCounter(reg, "verify_misses"); got != coldSigs {
+	if got := fleetMemo(fl, "verify_misses"); got != coldSigs {
 		t.Fatalf("%d more transactions cost %d more cold signature checks", more, got-coldSigs)
 	}
 	// Per transaction: 3 requests and 3 reports cross 3 layers each, 3
 	// replies cross 2.
-	if got, want := memoCounter(reg, "peel_hits")-hitPeels, int64(more*(3*3+3*3+3*2)); got != want {
+	if got, want := fleetMemo(fl, "peel_hits")-hitPeels, int64(more*(3*3+3*3+3*2)); got != want {
 		t.Fatalf("%d memoised peels over %d transactions, want %d", got, more, want)
 	}
+}
+
+// fleetMemo sums one onion-memo counter over every node of fl.
+func fleetMemo(fl *Fleet, name string) int64 {
+	var sum int64
+	for _, group := range [][]*Node{fl.Agents, fl.Relays, fl.Peers} {
+		for _, nd := range group {
+			sum += memoCounter(nd.Metrics(), name)
+		}
+	}
+	return sum
 }

@@ -52,10 +52,10 @@ type Options struct {
 	// half-open probe requests — so checking a dead peer is cheap (default
 	// 750ms, capped at Timeout).
 	ProbeTimeout time.Duration
-	// StoreDir, when non-empty and Agent is set, backs the agent's report
-	// state with the durable WAL store in that directory (internal/repstore):
-	// accepted reports survive restarts, and Close flushes a snapshot.
-	// Empty keeps the in-memory store.
+	// StoreDir, when non-empty, backs the agent's report state with the
+	// durable WAL store in that directory (internal/repstore): accepted
+	// reports survive restarts, and Close flushes a snapshot. Empty keeps
+	// the in-memory store. Requires Agent.
 	StoreDir string
 	// Retry shapes the jittered-exponential-backoff retry wrapper around the
 	// node's client-side sends and round trips. Zero fields mean defaults
@@ -69,9 +69,6 @@ type Options struct {
 	// to that file so they survive restarts; empty keeps the outbox in
 	// memory only. The outbox is active either way.
 	OutboxPath string
-	// OutboxCap bounds the outbox (default 1024); when full, the oldest
-	// queued report is evicted and counted as lost.
-	OutboxCap int
 	// OutboxFlushInterval is the base cadence of the background flusher that
 	// retries queued reports (default 250ms, backed off while deliveries
 	// keep failing).
@@ -81,24 +78,10 @@ type Options struct {
 	// connection pool dials through it, so fault injection bites pooled
 	// sessions exactly as it bit one-shot dials.
 	Dialer resilience.Dialer
-	// PoolSize caps pooled session connections per peer (default 2).
-	PoolSize int
-	// MaxStreams bounds in-flight multiplexed streams per pooled connection
-	// — outbound it is the backpressure window, inbound the per-session
-	// handler cap (default 64).
-	MaxStreams int
-	// IdleTimeout reaps pooled connections (and inbound sessions) that carry
-	// no frame for this long (default 60s).
-	IdleTimeout time.Duration
 	// MaxSessions caps concurrently served inbound connections; beyond it
 	// new connections are closed immediately and counted in
 	// node_sessions_shed_total rather than spawning goroutines (default 256).
 	MaxSessions int
-	// Metrics receives every counter and gauge the node keeps. Nil creates a
-	// private registry, readable via Node.Metrics. Nodes sharing one
-	// registry share its counters: each one's Stats then reports the sum
-	// over all of them.
-	Metrics *metrics.Registry
 	// Replicas lists replica-agent addresses this agent ships its committed
 	// report batches to (DESIGN.md §10). Requires Agent.
 	Replicas []string
@@ -108,12 +91,13 @@ type Options struct {
 	// pairing — without an entry here (or a later AuthorizeReplicaOf call)
 	// every replication frame is dropped, however validly signed, so an
 	// attacker cannot mint an identity and poison this agent's combined
-	// tally or fill its disk with replica stores.
+	// tally or fill its disk with replica stores. Requires Agent.
 	ReplicaOf []pkc.NodeID
 	// ReplicaPeers lists fellow replica-group member IDs allowed to read
 	// this node's replication state (RDigest/RFetch — shard exports carry
 	// per-reporter tallies and must stay inside the group). IDs in
 	// ReplicaOf are implicitly allowed. See also AuthorizeReplicaPeer.
+	// Requires Agent.
 	ReplicaPeers []pkc.NodeID
 	// SyncInterval is the cadence of the periodic anti-entropy pass against
 	// each replica (default 5s).
@@ -121,10 +105,6 @@ type Options struct {
 	// HandoffCap bounds each replica's hinted-handoff queue (default 1024);
 	// overflow evicts the oldest batch, and anti-entropy later heals the gap.
 	HandoffCap int
-	// ReportBatchSize caps the reports this node packs per TReportBatch
-	// frame on the sending side — ReportBatchOrDefer and the outbox flush
-	// chunk to it (default 256, capped at MaxBatchReports).
-	ReportBatchSize int
 	// VerifyWorkers sizes the agent's report-verification worker pool
 	// (default GOMAXPROCS). Requires Agent to matter.
 	VerifyWorkers int
@@ -135,11 +115,13 @@ type Options struct {
 	// Group names the agent group this node belongs to in the routed overlay
 	// (DESIGN.md §12). With a Group set and a placement map adopted, the
 	// agent serves only the subjects its group owns and answers wrong-owner
-	// for everything else. Empty leaves the agent unpartitioned.
+	// for everything else. Empty leaves the agent unpartitioned. Requires
+	// Agent.
 	Group string
 	// StoreShards sets the report store's shard count (default 16, power of
 	// two). In a routed overlay it must equal the placement map's shard
 	// count, because rebalance migrates whole store shards between groups.
+	// Requires Agent.
 	StoreShards int
 	// PlacementSources lists node addresses asked for a newer signed
 	// placement map when a wrong-owner answer reveals ours is stale.
@@ -155,28 +137,22 @@ type Options struct {
 	// HandoffPeers lists identities allowed to drive shard handoffs against
 	// this agent — seal shards and pull their exports during a rebalance.
 	// Like ReplicaOf, an offline pairing; see also AuthorizeHandoffPeer.
+	// Requires Agent.
 	HandoffPeers []pkc.NodeID
 	// AdmissionPoWBits, when positive on an agent, arms the sybil-admission
 	// gate (DESIGN.md §13): the first report batch of every identity must
 	// carry a proof-of-work solution with this many leading zero bits bound
 	// to the reporter's nodeID, checked in the ingest path before any
-	// signature work. 0 disables the gate.
+	// signature work. 0 disables the gate; at most pkc.MaxAdmissionBits,
+	// since no sender can mint a harder proof.
 	AdmissionPoWBits int
 	// AdmissionRate is the sustained reports/sec the gate allows per
 	// admitted identity; exceeding it revokes the admission so a flood pays
 	// a fresh proof of work per burst. 0 means unlimited once admitted.
 	AdmissionRate float64
-	// AdmissionBurst is the per-identity token-bucket burst (default
-	// 2×ReportBatchSize). Only meaningful with AdmissionRate set.
+	// AdmissionBurst is the per-identity token-bucket burst (default two
+	// full report batches, 512). Only meaningful with AdmissionRate set.
 	AdmissionBurst int
-	// AdmissionCap bounds the admitted-identity table (default 4096);
-	// overflow evicts the oldest admission, whose identity must re-solve.
-	AdmissionCap int
-	// AdmissionSolveLimit is the hardest difficulty this node will solve
-	// when an agent demands admission (default 24): a malicious agent
-	// cannot burn unbounded sender CPU. Harder demands leave the reports
-	// deferred in the outbox.
-	AdmissionSolveLimit int
 	// EvidenceCap, when positive on an agent, retains up to that many signed
 	// report wires per subject in the report store — the evidence log behind
 	// the verifiable-read subsystem (DESIGN.md §14). 0 keeps tallies only;
@@ -187,19 +163,10 @@ type Options struct {
 	// on a non-agent configured with ConfigureProofEdge it is the edge cache
 	// that serves verifiable reads with zero agent round trips on a hit.
 	ProofCache int
-	// SnapshotTTL bounds trust-snapshot validity and proof-cache entry
-	// lifetime (default 60s) — the only freshness an untrusted cache can
-	// degrade.
-	SnapshotTTL time.Duration
 	// AuditInterval is the cadence of the background audit sweep started by
 	// StartAuditor (DESIGN.md §15). 0 disables the periodic loop; AuditSweep
 	// can still be driven manually.
 	AuditInterval time.Duration
-	// AuditSample caps the subjects audited per sweep (default 4).
-	AuditSample int
-	// AuditQuarantineThreshold is the suspect-strike count at which the
-	// audited book quarantines an agent (default 3).
-	AuditQuarantineThreshold int
 }
 
 // AgentInfo is what a trusted-agent list entry holds about an agent in the
@@ -216,7 +183,7 @@ func (a AgentInfo) ID() pkc.NodeID { return pkc.DeriveNodeID(a.SP) }
 
 // Node is one live hiREP participant.
 type Node struct {
-	opts    Options
+	opts    Options // defaults filled in by Listen; never written after it returns
 	ln      net.Listener
 	agent   *agentdir.Agent
 	ages    *onion.AgeTracker
@@ -334,6 +301,9 @@ func (n *Node) identities() []*pkc.Identity { return *n.ids.Load() }
 
 // Listen starts a node on addr ("127.0.0.1:0" for an ephemeral port).
 func Listen(addr string, opts Options) (*Node, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 5 * time.Second
 	}
@@ -346,15 +316,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 	if opts.OutboxFlushInterval <= 0 {
 		opts.OutboxFlushInterval = defaultFlushInterval
 	}
-	if opts.PoolSize <= 0 {
-		opts.PoolSize = transport.DefaultMaxConnsPerPeer
-	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = transport.DefaultMaxStreams
-	}
-	if opts.IdleTimeout <= 0 {
-		opts.IdleTimeout = transport.DefaultIdleTimeout
-	}
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = defaultMaxSessions
 	}
@@ -364,41 +325,11 @@ func Listen(addr string, opts Options) (*Node, error) {
 	if opts.HandoffCap <= 0 {
 		opts.HandoffCap = defaultHandoffCap
 	}
-	if opts.ReportBatchSize <= 0 {
-		opts.ReportBatchSize = defaultReportBatchSize
-	}
-	if opts.ReportBatchSize > MaxBatchReports {
-		opts.ReportBatchSize = MaxBatchReports
-	}
 	if opts.VerifyWorkers <= 0 {
 		opts.VerifyWorkers = runtime.GOMAXPROCS(0)
 	}
 	if opts.VerifyQueue <= 0 {
 		opts.VerifyQueue = defaultVerifyQueue
-	}
-	if opts.AdmissionSolveLimit <= 0 {
-		opts.AdmissionSolveLimit = defaultAdmissionSolveLimit
-	}
-	if opts.AdmissionSolveLimit > pkc.MaxAdmissionBits {
-		opts.AdmissionSolveLimit = pkc.MaxAdmissionBits
-	}
-	if opts.AdmissionBurst <= 0 {
-		opts.AdmissionBurst = 2 * opts.ReportBatchSize
-	}
-	if opts.SnapshotTTL <= 0 {
-		opts.SnapshotTTL = defaultSnapshotTTL
-	}
-	if opts.AuditSample <= 0 {
-		opts.AuditSample = defaultAuditSample
-	}
-	if opts.AuditQuarantineThreshold <= 0 {
-		opts.AuditQuarantineThreshold = defaultAuditQuarantineThreshold
-	}
-	if len(opts.Replicas) > 0 && !opts.Agent {
-		return nil, fmt.Errorf("node: Replicas requires Agent")
-	}
-	if opts.EvidenceCap > 0 && !opts.Agent {
-		return nil, fmt.Errorf("node: EvidenceCap requires Agent")
 	}
 	id, err := pkc.NewIdentity(nil)
 	if err != nil {
@@ -415,7 +346,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		hs:         make(map[pkc.Nonce]onion.RelayAnswer),
 		pending:    make(map[pkc.ReplyHandle]waiter),
 		dialer:     opts.Dialer,
-		reg:        opts.Metrics,
+		reg:        metrics.NewRegistry(),
 		flushCh:    make(chan struct{}, 1),
 		closeCh:    make(chan struct{}),
 		sessionSem: make(chan struct{}, opts.MaxSessions),
@@ -424,31 +355,22 @@ func Listen(addr string, opts Options) (*Node, error) {
 	n.timeoutNs.Store(int64(opts.Timeout))
 	n.place = newPlacement(opts)
 	if opts.ProofCache > 0 {
-		n.proofCache = newProofCache(opts.ProofCache, opts.SnapshotTTL)
+		n.proofCache = newProofCache(opts.ProofCache, defaultSnapshotTTL)
 	}
 	if n.dialer == nil {
 		n.dialer = resilience.NetDialer("tcp")
 	}
-	if n.reg == nil {
-		n.reg = metrics.NewRegistry()
-	}
 	n.cnt.bind(n.reg)
 	n.memo = onion.NewMemo(n.reg)
 	n.proofs = proof.NewVerifier(n.reg)
-	n.pool = transport.New(transport.Options{
-		Dialer:          n.dialer,
-		MaxConnsPerPeer: opts.PoolSize,
-		MaxStreams:      opts.MaxStreams,
-		IdleTimeout:     opts.IdleTimeout,
-		Metrics:         n.reg,
-	})
+	n.pool = transport.New(transport.Options{Dialer: n.dialer, Metrics: n.reg})
 	// Seed the retry jitter from the node identity so distinct nodes desync
 	// their backoff schedules while one node's runs stay reproducible for a
 	// fixed identity (tests inject identities via the fault dialer seam
 	// instead, so this only needs to vary per node).
 	n.retrier = resilience.NewRetrier(opts.Retry, int64(id.ID[0])<<8|int64(id.ID[1]))
 	n.retrier.OnRetry = func(int, error) { n.cnt.retries.Inc() }
-	n.outbox, err = resilience.OpenOutbox(opts.OutboxPath, opts.OutboxCap)
+	n.outbox, err = resilience.OpenOutbox(opts.OutboxPath, 0)
 	if err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("node: open outbox: %w", err)
@@ -478,7 +400,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 		}
 		n.agent = agentdir.NewWithStore(id, 0, st)
 		n.replicas = newReplicaSet(opts.ReplicaOf, opts.ReplicaPeers)
-		n.admission = newAdmissionGate(opts.AdmissionPoWBits, opts.AdmissionRate, opts.AdmissionBurst, opts.AdmissionCap)
+		n.admission = newAdmissionGate(opts.AdmissionPoWBits, opts.AdmissionRate, opts.AdmissionBurst)
 		n.startIngestPool(opts.VerifyWorkers, opts.VerifyQueue)
 		if n.repl != nil {
 			n.repl.start()
@@ -491,14 +413,39 @@ func Listen(addr string, opts Options) (*Node, error) {
 	return n, nil
 }
 
+// validate rejects the options Listen cannot honour: an agent-only setting
+// on a non-agent, or a proof of work no sender can mint.
+func (o *Options) validate() error {
+	if !o.Agent {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"StoreDir", o.StoreDir != ""},
+			{"Replicas", len(o.Replicas) > 0},
+			{"ReplicaOf", len(o.ReplicaOf) > 0},
+			{"ReplicaPeers", len(o.ReplicaPeers) > 0},
+			{"Group", o.Group != ""},
+			{"StoreShards", o.StoreShards != 0},
+			{"HandoffPeers", len(o.HandoffPeers) > 0},
+			{"EvidenceCap", o.EvidenceCap > 0},
+		} {
+			if f.set {
+				return fmt.Errorf("node: %s requires Agent", f.name)
+			}
+		}
+	}
+	if o.AdmissionPoWBits > pkc.MaxAdmissionBits {
+		return fmt.Errorf("node: AdmissionPoWBits %d exceeds the mintable maximum %d", o.AdmissionPoWBits, pkc.MaxAdmissionBits)
+	}
+	return nil
+}
+
 // ID returns the node's identity.
 func (n *Node) ID() pkc.NodeID { return n.identity().ID }
 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
-
-// SignPublic returns the node's signature public key (SP).
-func (n *Node) SignPublic() ed25519.PublicKey { return n.identity().Sign.Public }
 
 // AnonPublic returns the node's anonymity public key (AP).
 func (n *Node) AnonPublic() *ecdh.PublicKey { return n.identity().Anon.Public }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,6 +208,44 @@ func TestStaleReplyOnionRejected(t *testing.T) {
 	if _, _, err := peer.RequestTrust(info, subject.ID, oldOnion); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("stale onion accepted: %v", err)
 	}
+}
+
+// TestListenRejectsInvalidOptions pins Listen as the one place options are
+// validated: an agent-only setting on a non-agent and a proof of work no
+// sender can mint are errors, not settings quietly ignored or a gate every
+// report bounces off forever.
+func TestListenRejectsInvalidOptions(t *testing.T) {
+	id := pkc.NodeID{1}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"StoreDir", Options{StoreDir: t.TempDir()}},
+		{"Replicas", Options{Replicas: []string{"127.0.0.1:1"}}},
+		{"ReplicaOf", Options{ReplicaOf: []pkc.NodeID{id}}},
+		{"ReplicaPeers", Options{ReplicaPeers: []pkc.NodeID{id}}},
+		{"Group", Options{Group: "g"}},
+		{"StoreShards", Options{StoreShards: 4}},
+		{"HandoffPeers", Options{HandoffPeers: []pkc.NodeID{id}}},
+		{"EvidenceCap", Options{EvidenceCap: 8}},
+		{"AdmissionPoWBits", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nd, err := Listen("127.0.0.1:0", tc.opts)
+			if err == nil {
+				_ = nd.Close()
+				t.Fatal("Listen accepted the setting")
+			}
+			if !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("error %q does not name %s", err, tc.name)
+			}
+		})
+	}
+	nd, err := Listen("127.0.0.1:0", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits})
+	if err != nil {
+		t.Fatalf("the hardest mintable difficulty was refused: %v", err)
+	}
+	_ = nd.Close()
 }
 
 func TestCloseIdempotent(t *testing.T) {

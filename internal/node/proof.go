@@ -29,9 +29,9 @@ const (
 	proofKindWrongOwner = 3 // routing miss: responder's group does not own the subject
 )
 
-// defaultSnapshotTTL bounds a snapshot's validity (and a proof cache entry's
-// lifetime) when Options.SnapshotTTL is unset. The TTL is the only freshness
-// an edge can degrade: it cannot alter a payload, only re-serve one.
+// defaultSnapshotTTL bounds a snapshot's validity and a proof cache entry's
+// lifetime. The TTL is the only freshness an edge can degrade: it cannot
+// alter a payload, only re-serve one.
 const defaultSnapshotTTL = 60 * time.Second
 
 // snapshotClockSkew is how far the client's clock may run ahead of the
@@ -220,21 +220,6 @@ func (n *Node) requestTrustSnapshotOnce(agent AgentInfo, subject pkc.NodeID, rep
 	return ts, nil
 }
 
-// RequestTrustProvenRouted is RequestTrustProven routed by the adopted
-// placement map, exactly like RequestTrustRouted.
-func (n *Node) RequestTrustProvenRouted(subject pkc.NodeID, replyOnion *onion.Onion) (*proof.Bundle, proof.Result, error) {
-	var (
-		b   *proof.Bundle
-		res proof.Result
-	)
-	err := n.askOwner(subject, func(owner AgentInfo) error {
-		var aerr error
-		b, res, aerr = n.RequestTrustProven(owner, subject, replyOnion)
-		return aerr
-	})
-	return b, res, err
-}
-
 // requestProofOnce runs one proof exchange against target and returns the
 // reply's kind and payload bytes. Request body: subject, snapshot flag. Reply
 // body: subject, kind, payload. Exposing raw payload bytes (rather than a
@@ -348,7 +333,7 @@ func (n *Node) serveProofAsAgent(req *proofRequest) {
 	b.Sign(req.self)
 	var payload []byte
 	if req.snapshotOnly {
-		expires := uint64(now.Add(n.snapshotTTL()).Unix())
+		expires := uint64(now.Add(defaultSnapshotTTL).Unix())
 		payload = proof.SnapshotFromBundle(req.self, b, expires).Encode()
 	} else {
 		payload = b.Encode()
@@ -441,11 +426,4 @@ func (n *Node) sendProofResp(req *proofRequest, kind uint64, payload []byte) {
 	e := req.replyBody()
 	e.Bytes(req.subject[:]).U64(kind).Bytes(payload)
 	n.reply(&req.request, &e)
-}
-
-// snapshotTTL returns the configured snapshot/cache TTL.
-func (n *Node) snapshotTTL() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.SnapshotTTL
 }

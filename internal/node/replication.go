@@ -1019,12 +1019,12 @@ type ReplStatus struct {
 	Reports int64
 }
 
-// ReplicationStatus asks agent (through its onion) how caught-up its replica
+// replicationStatus asks agent (through its onion) how caught-up its replica
 // of primary is. promote additionally instructs the agent to reconcile with
 // the surviving replicas before answering, so the returned position reflects
 // the post-pull state. Single attempt; callers own retries. Request body:
 // primary, promote flag. Reply body: primary, epoch, last sequence, reports.
-func (n *Node) ReplicationStatus(agent AgentInfo, primary pkc.NodeID, promote bool, replyOnion *onion.Onion, wait time.Duration) (ReplStatus, error) {
+func (n *Node) replicationStatus(agent AgentInfo, primary pkc.NodeID, promote bool, replyOnion *onion.Onion, wait time.Duration) (ReplStatus, error) {
 	q, err := n.newRequest(replyOnion)
 	if err != nil {
 		return ReplStatus{}, err
@@ -1102,7 +1102,7 @@ func (n *Node) PromoteReplica(book *AgentBook, primary pkc.NodeID, replyOnion *o
 		if probe {
 			n.cnt.breakerHalf.Inc()
 		}
-		status, err := n.ReplicationStatus(info, primary, false, replyOnion, n.probeTimeout())
+		status, err := n.replicationStatus(info, primary, false, replyOnion, n.opts.ProbeTimeout)
 		if err != nil {
 			n.noteFailure(book, id)
 			continue
@@ -1117,7 +1117,7 @@ func (n *Node) PromoteReplica(book *AgentBook, primary pkc.NodeID, replyOnion *o
 	// promotable candidates remain.
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
 	for _, c := range cands {
-		if _, err := n.ReplicationStatus(c.info, primary, true, replyOnion, n.timeout()); err != nil {
+		if _, err := n.replicationStatus(c.info, primary, true, replyOnion, n.timeout()); err != nil {
 			n.noteFailure(book, c.id)
 			continue
 		}

@@ -26,13 +26,6 @@ const (
 	maxFlushInterval     = 5 * time.Second
 )
 
-// probeTimeout returns the current probe deadline (thread-safe).
-func (n *Node) probeTimeout() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.opts.ProbeTimeout
-}
-
 // AttachBook binds book to the node's resilience machinery: the node's
 // breaker config is applied to the book's per-agent breakers, and the outbox
 // flusher consults those breakers so deferred reports are only re-attempted
@@ -145,7 +138,7 @@ func (n *Node) ProbeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.Node
 			n.cnt.breakerHalf.Inc()
 		}
 		// The subject is immaterial — the round trip itself is the probe.
-		if _, _, err := n.requestTrust(info, id, replyOnion, 1, n.probeTimeout()); err != nil {
+		if _, _, err := n.requestTrust(info, id, replyOnion, 1, n.opts.ProbeTimeout); err != nil {
 			n.noteFailure(book, id)
 			continue
 		}

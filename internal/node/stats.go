@@ -202,9 +202,7 @@ type Stats struct {
 	AdmissionWork      int64 // hash attempts spent minting admission proofs
 }
 
-// Stats loads the view from the node's counters. Nodes sharing one registry
-// (Options.Metrics) share its counters, so each reports the sum over all of
-// them.
+// Stats loads the view from this node's own counters.
 func (n *Node) Stats() Stats {
 	c := &n.cnt
 	framesIn := c.framesUnknown.Load()
@@ -228,8 +226,8 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// Metrics returns the node's registry (the one passed in Options.Metrics,
-// or the node's private one), with the store-health gauges refreshed.
+// Metrics returns the node's private registry, with the store-health gauges
+// refreshed.
 func (n *Node) Metrics() *metrics.Registry {
 	n.updateStoreHealth()
 	return n.reg

@@ -27,9 +27,7 @@ const firstFrameTimeout = 5 * time.Second
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	cfg := transport.ServerConfig{
-		MaxStreams:        n.opts.MaxStreams,
 		FirstFrameTimeout: firstFrameTimeout,
-		IdleTimeout:       n.opts.IdleTimeout,
 		WriteTimeout:      n.timeout(), // SetTimeout may run concurrently
 		OnFrame:           n.countFrame,
 		OnReadError:       n.cnt.framesReadErr.Inc,

@@ -72,10 +72,15 @@ fast=0
 echo "== go build ./..."
 go build ./...
 
-# Informational, gates nothing: the size the ROADMAP tracks.
+# Informational, gates nothing: the size the ROADMAP tracks, and the knobs
+# a node exposes (node.Options fields, hirepnode flags).
 echo "== non-test Go line counts"
 echo "internal/node: $(goloc internal/node)"
+echo "cmd/hirepnode: $(goloc cmd/hirepnode)"
 echo "root module:   $(goloc .)"
+echo "node.Options:  $(awk '/^type Options struct/ { in_opts = 1; next } in_opts && /^}/ { exit }
+    in_opts && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n + 0 }' internal/node/node.go) fields"
+echo "hirepnode:     $(grep -cE 'flag\.(Bool|Int|Int64|Uint|Float64|String|Duration)\(' cmd/hirepnode/main.go) flags"
 
 echo "== go vet ./..."
 go vet ./...
