@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hirep/internal/topology"
 	"hirep/internal/trust"
@@ -29,9 +30,10 @@ type Recommendation struct {
 // rank counts.
 func RankAgents(lists [][]Recommendation, n int) map[topology.NodeID]int {
 	ranks := make(map[topology.NodeID]int)
+	var sorted []Recommendation
 	for _, list := range lists {
-		sorted := append([]Recommendation(nil), list...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Weight > sorted[j].Weight })
+		sorted = append(sorted[:0], list...)
+		slices.SortStableFunc(sorted, func(a, b Recommendation) int { return cmp.Compare(b.Weight, a.Weight) })
 		for i, rec := range sorted {
 			rank := n - i
 			if rank < 0 {
@@ -50,19 +52,27 @@ func RankAgents(lists [][]Recommendation, n int) map[topology.NodeID]int {
 // its trusted agents from them randomly"). exclude removes a node (the
 // requestor itself) from consideration.
 func SelectAgents(ranks map[topology.NodeID]int, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
-	ids := make([]topology.NodeID, 0, len(ranks))
-	for id := range ranks {
+	type ranked struct {
+		id   topology.NodeID
+		rank int
+	}
+	cands := make([]ranked, 0, len(ranks))
+	for id, rank := range ranks {
 		if id != exclude {
-			ids = append(ids, id)
+			cands = append(cands, ranked{id, rank})
 		}
 	}
 	// Deterministic base order, then shuffle to randomize ties, then stable
 	// sort by rank so equal-rank order stays random.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	sort.SliceStable(ids, func(i, j int) bool { return ranks[ids[i]] > ranks[ids[j]] })
-	if len(ids) > n {
-		ids = ids[:n]
+	slices.SortFunc(cands, func(a, b ranked) int { return cmp.Compare(a.id, b.id) })
+	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	slices.SortStableFunc(cands, func(a, b ranked) int { return cmp.Compare(b.rank, a.rank) })
+	if len(cands) > n {
+		cands = cands[:n]
+	}
+	ids := make([]topology.NodeID, len(cands))
+	for i, c := range cands {
+		ids[i] = c.id
 	}
 	return ids
 }

@@ -19,15 +19,10 @@ import (
 // onListReq handles an incoming agent-list request at any node.
 func (s *System) onListReq(nw *simnet.Network, m simnet.Message) {
 	p := m.Payload.(listReqPayload)
-	seen := s.seenListReq[p.reqID]
-	if seen == nil {
-		seen = make(map[topology.NodeID]bool)
-		s.seenListReq[p.reqID] = seen
-	}
-	if seen[m.To] {
+	if s.listSeen[m.To] == p.reqID {
 		return // duplicate arrival: tokens die here
 	}
-	seen[m.To] = true
+	s.listSeen[m.To] = p.reqID
 	tokens := p.tokens
 	// Answer if this node has something to offer and a token remains.
 	if tokens > 0 && m.To != p.origin {
@@ -118,7 +113,7 @@ func (s *System) requestAgentLists(id topology.NodeID) [][]Recommendation {
 	p := s.peers[id]
 	// §3.4.1/Figure 4: the requestor distributes the request with its tokens
 	// to its neighbors. Seed the walk by treating the origin as visited.
-	s.seenListReq[reqID] = map[topology.NodeID]bool{id: true}
+	s.listSeen[id] = reqID
 	neighbors := append([]topology.NodeID(nil), s.net.Graph().Neighbors(id)...)
 	p.rng.Shuffle(len(neighbors), func(i, j int) { neighbors[i], neighbors[j] = neighbors[j], neighbors[i] })
 	if len(neighbors) > s.cfg.Tokens {
@@ -140,7 +135,6 @@ func (s *System) requestAgentLists(id topology.NodeID) [][]Recommendation {
 	s.net.Run(0)
 	lists := s.curList.lists
 	s.curList = nil
-	delete(s.seenListReq, reqID)
 	return lists
 }
 

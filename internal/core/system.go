@@ -137,11 +137,15 @@ type System struct {
 	peers  []*peerState
 	agents []*agentState // nil for nodes without agent capability
 
-	seenListReq map[uint64]map[topology.NodeID]bool
-	curTx       *txCollect
-	curList     *listCollect
-	curProbe    *probeCollect
-	nextID      uint64
+	// listSeen holds, per node, the ID of the last agent-list walk that
+	// reached it. A walk drains (Run(0)) before the next one starts, so one
+	// stamp per node tells a revisit from a first arrival.
+	listSeen []uint64
+
+	curTx    *txCollect
+	curList  *listCollect
+	curProbe *probeCollect
+	nextID   uint64
 }
 
 // NewSystem builds a hiREP system over net with ground truth from oracle.
@@ -158,13 +162,13 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 		return nil, fmt.Errorf("core: %d onion relays need more than %d nodes", cfg.OnionRelays, n)
 	}
 	s := &System{
-		net:         net,
-		oracle:      oracle,
-		cfg:         cfg,
-		rng:         rng.Split("hirep"),
-		peers:       make([]*peerState, n),
-		agents:      make([]*agentState, n),
-		seenListReq: make(map[uint64]map[topology.NodeID]bool),
+		net:      net,
+		oracle:   oracle,
+		cfg:      cfg,
+		rng:      rng.Split("hirep"),
+		peers:    make([]*peerState, n),
+		agents:   make([]*agentState, n),
+		listSeen: make([]uint64, n),
 	}
 	s.wrng = s.rng.Split("workload")
 	s.crng = s.rng.Split("churn")

@@ -8,25 +8,50 @@
 // derives independent child generators from a parent seed and a string label,
 // so parallel replicas ("replica 3 of fig6 sweep point 0.4") each get a
 // stable, independent stream regardless of execution order.
+//
+// Every generator draws from math/rand/v2's PCG (128-bit LCG, DXSM output)
+// behind a math/rand.Rand, so the distributions keep math/rand's algorithms
+// while a generator costs 16 bytes of state and one store to seed, not
+// math/rand's 607-word table. The simulator derives one generator per peer,
+// agent and voter, and seeding that table took about a sixth of its CPU.
+// Moving to PCG changed every stream, and so every seeded table, once; the
+// streams are pinned by TestKnownAnswers.
 package xrand
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	randv2 "math/rand/v2"
 )
 
 // RNG is a deterministic random number generator. It is NOT safe for
 // concurrent use; derive one per goroutine with Split.
 type RNG struct {
 	seed int64
+	src  pcgSource
 	r    *rand.Rand
 }
 
 // New returns a generator seeded with seed.
 func New(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	g := &RNG{seed: seed}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
+
+// pcgSource adapts math/rand/v2's PCG to math/rand's Source64, so every
+// distribution built on rand.Rand (Intn, Perm, Shuffle, NormFloat64, Zipf,
+// ...) keeps its algorithm while drawing from 16 bytes of state that one
+// store seeds. The seed fills both halves of the 128-bit state: the low half
+// of an LCG never depends on the high half, so leaving it fixed would give
+// every stream the same low-half sequence. Int63 keeps the top 63 bits.
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Seed(seed int64) { s.pcg.Seed(uint64(seed), uint64(seed)) }
+func (s *pcgSource) Uint64() uint64  { return s.pcg.Uint64() }
+func (s *pcgSource) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
 
 // Seed returns the seed this generator was created with.
 func (g *RNG) Seed() int64 { return g.seed }
@@ -102,18 +127,63 @@ func (g *RNG) Choose(n, k int) []int {
 	if k >= n {
 		return g.Perm(n)
 	}
-	// Partial Fisher-Yates over an index table.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
 	out := make([]int, k)
+	if k*k > n {
+		// Partial Fisher-Yates over an index table.
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		for i := 0; i < k; i++ {
+			j := i + g.r.Intn(n-i)
+			idx[i], idx[j] = idx[j], idx[i]
+			out[i] = idx[i]
+		}
+		return out
+	}
+	// The same Fisher-Yates over a virtual index table: slot j holds j until
+	// a swap moves another value there. Step i reads slots i and j >= i and
+	// never reads slot i again, so only slot j's new value is recorded — at
+	// most k slots, found by a scan that is cheaper than n stores while
+	// k*k <= n.
+	var buf [8]movedSlot
+	moved := buf[:0]
+	if k > len(buf) {
+		moved = make([]movedSlot, 0, k)
+	}
 	for i := 0; i < k; i++ {
 		j := i + g.r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = idx[i]
+		out[i] = slotValue(moved, j)
+		if j == i {
+			continue
+		}
+		v := slotValue(moved, i)
+		if m := findSlot(moved, j); m >= 0 {
+			moved[m].val = v
+		} else {
+			moved = append(moved, movedSlot{slot: j, val: v})
+		}
 	}
 	return out
+}
+
+// movedSlot is one slot of Choose's virtual index table that a swap changed.
+type movedSlot struct{ slot, val int }
+
+func findSlot(moved []movedSlot, slot int) int {
+	for m := range moved {
+		if moved[m].slot == slot {
+			return m
+		}
+	}
+	return -1
+}
+
+func slotValue(moved []movedSlot, slot int) int {
+	if m := findSlot(moved, slot); m >= 0 {
+		return moved[m].val
+	}
+	return slot
 }
 
 // WeightedIndex samples an index proportional to weights[i]. Non-positive

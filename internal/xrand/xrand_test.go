@@ -2,6 +2,8 @@ package xrand
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -202,4 +204,145 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
+}
+
+// TestKnownAnswers pins the first draws of a root generator and of both kinds
+// of child, so that any change to the streams every experiment draws from is
+// a visible decision rather than a side effect.
+func TestKnownAnswers(t *testing.T) {
+	root := New(2006)
+	for _, c := range []struct {
+		name   string
+		g      *RNG
+		uint64 uint64
+		int63  int64
+		intn   int
+	}{
+		{"New(2006)", New(2006), 0x211ac33cfc9ccad7, 0x57c43a3386a409f2, 923},
+		{`Split("x")`, root.Split("x"), 0xa4ca7d906c265175, 0x563cfc623dda0617, 909},
+		{`SplitN("y", 3)`, root.SplitN("y", 3), 0x47c0c1ad6258bacb, 0x5f18b395c52fdc76, 996},
+	} {
+		u, i, n := c.g.Uint64(), c.g.Int63(), c.g.Intn(1000)
+		if u != c.uint64 || i != c.int63 || n != c.intn {
+			t.Errorf("%s: first draws Uint64 %#x, Int63 %#x, Intn(1000) %d; want %#x, %#x, %d",
+				c.name, u, i, n, c.uint64, c.int63, c.intn)
+		}
+	}
+}
+
+// TestNewAllocs: a generator costs a couple of small objects, not a seeded
+// state table — the simulator makes one per peer, agent and voter.
+func TestNewAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { sinkRNG = New(42) }); a > 3 {
+		t.Errorf("New allocates %v times, want <= 3", a)
+	}
+	if b := allocBytes(func() { sinkRNG = New(42) }); b > 256 {
+		t.Errorf("New allocates %d bytes, want <= 256 (math/rand's source alone is 4.9 KB)", b)
+	}
+}
+
+var (
+	sinkRNG  *RNG
+	sinkInts []int
+)
+
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// a thousand calls.
+func allocBytes(f func()) uint64 {
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// chooseDense is Choose's reference: the partial Fisher-Yates over a real
+// index table of n entries.
+func chooseDense(g *RNG, n, k int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := i + g.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out[i] = idx[i]
+	}
+	return out
+}
+
+// TestChooseMatchesDense: Choose draws the same indices, in the same order,
+// from the same stream as the dense reference, for every k < n <= 40.
+func TestChooseMatchesDense(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		for n := 1; n <= 40; n++ {
+			for k := 0; k < n; k++ {
+				got, want := New(seed).Choose(n, k), chooseDense(New(seed), n, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d: Choose(%d, %d) = %v, dense reference %v", seed, n, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestChooseAllocs: a few relays out of a thousand nodes cost the result
+// slice, not an n-entry index table.
+func TestChooseAllocs(t *testing.T) {
+	g := New(43)
+	if a := testing.AllocsPerRun(100, func() { sinkInts = g.Choose(1000, 3) }); a > 2 {
+		t.Errorf("Choose(1000, 3) allocates %v times, want <= 2", a)
+	}
+	if b := allocBytes(func() { sinkInts = g.Choose(1000, 3) }); b > 256 {
+		t.Errorf("Choose(1000, 3) allocates %d bytes, want <= 256 (an index table is 8 KB)", b)
+	}
+}
+
+// TestSplitNStreamsUncorrelated: the simulator gives peer i the stream
+// SplitN("peer", i), so siblings must not move together. It correlates the
+// k-th draw of child n with the k-th draw of child n+d over 4000 children;
+// independent streams keep every coefficient within a few 1/sqrt(4000) ≈
+// 0.016. (math/rand's own source, seeded through its Lehmer LCG from the
+// FNV-derived seeds, read |r| up to 0.6 here.)
+func TestSplitNStreamsUncorrelated(t *testing.T) {
+	const children, draws = 4000, 8
+	root := New(2006).Split("hirep")
+	x := make([][]float64, draws)
+	for k := range x {
+		x[k] = make([]float64, children)
+	}
+	for n := 0; n < children; n++ {
+		g := root.SplitN("peer", n)
+		for k := range x {
+			x[k][n] = g.Float64()
+		}
+	}
+	for _, d := range []int{1, 2, 3, 4, 8, 16, 256} {
+		for k := range x {
+			if r := correlation(x[k][:children-d], x[k][d:]); math.Abs(r) > 0.08 {
+				t.Errorf("draw %d of SplitN children %d apart: correlation %+.3f", k, d, r)
+			}
+		}
+	}
+}
+
+func correlation(a, b []float64) float64 {
+	var ma, mb float64
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+	}
+	ma /= float64(len(a))
+	mb /= float64(len(b))
+	var sab, saa, sbb float64
+	for i := range a {
+		sab += (a[i] - ma) * (b[i] - mb)
+		saa += (a[i] - ma) * (a[i] - ma)
+		sbb += (b[i] - mb) * (b[i] - mb)
+	}
+	return sab / math.Sqrt(saa*sbb)
 }

@@ -44,10 +44,13 @@ for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$", o
     s["ns"].append(ns)
     if a := re.search(r"(\d+) allocs/op", rest):
         s["allocs_op"] = int(a.group(1))
+    if b := re.search(r"(\d+) B/op", rest):
+        s["bytes_op"] = int(b.group(1))
 for name, s in samples.items():
     r = {"ns_op": statistics.median(s["ns"])}
-    if "allocs_op" in s:
-        r["allocs_op"] = s["allocs_op"]
+    for k in ("allocs_op", "bytes_op"):
+        if k in s:
+            r[k] = s[k]
     if len(s["ns"]) > 1:
         r["samples"] = len(s["ns"])
     run["results"][name] = r
@@ -140,20 +143,33 @@ echo "$out"
 # the unit the experiments repeat tens of thousands of times. The flood
 # baseline sends ~1650 messages per poll and must allocate for none of them
 # (DESIGN.md §6): its payloads live in per-node records the System owns.
-echo "== simulated-transaction benchmarks (hiREP tx, voting poll)"
-tx_out=$(go test -run '^$' -bench 'BenchmarkTransaction(Voting|Hirep)$' -benchmem -count=3 . 2>&1)
+# BenchmarkBootstrap builds a 300-node hiREP world and runs every peer's
+# agent-list walk. It must stay at or under 4 MB allocated per op (2.8 MB
+# measured): one math/rand state table per peer and agent stream alone was
+# ~4.4 MB of the 6.4 MB the map-per-walk bootstrap before it allocated.
+echo "== simulated-transaction benchmarks (hiREP tx, voting poll, bootstrap)"
+tx_out=$(go test -run '^$' -bench 'BenchmarkTransaction(Voting|Hirep)$|BenchmarkBootstrap$' -benchmem -count=3 . 2>&1)
 echo "$tx_out"
 out="$out
 $tx_out"
 BENCH_OUT="$tx_out" python3 - <<'EOF'
 import os, re, sys
-allocs = [int(a) for a in re.findall(r"^BenchmarkTransactionVoting\S*\s.*?(\d+) allocs/op", os.environ["BENCH_OUT"], re.M)]
+out = os.environ["BENCH_OUT"]
+allocs = [int(a) for a in re.findall(r"^BenchmarkTransactionVoting\S*\s.*?(\d+) allocs/op", out, re.M)]
 if not allocs:
     print("verify: FAIL — BenchmarkTransactionVoting did not run")
     sys.exit(1)
 print(f"voting poll: {max(allocs)} allocs/op (gate <= 16)")
 if max(allocs) > 16:
     print(f"verify: FAIL — a voting poll allocates {max(allocs)} times; something allocates per message again")
+    sys.exit(1)
+boot = [int(b) for b in re.findall(r"^BenchmarkBootstrap\S*\s.*?(\d+) B/op", out, re.M)]
+if not boot:
+    print("verify: FAIL — BenchmarkBootstrap did not run")
+    sys.exit(1)
+print(f"bootstrap: {max(boot) / 1e6:.2f} MB/op (gate <= 4 MB)")
+if max(boot) > 4_000_000:
+    print(f"verify: FAIL — a 300-node bootstrap allocates {max(boot) / 1e6:.2f} MB/op; per-stream or per-walk state is back")
     sys.exit(1)
 EOF
 
