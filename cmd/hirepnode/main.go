@@ -39,21 +39,6 @@
 //	hirepnode -listen 127.0.0.1:7004 -agent -store /var/lib/hirep-replica \
 //	          -replica-of <primary-id-hex> -replica-peers <peer-id-hex>,...
 //
-// Join the routed reputation overlay (DESIGN.md §12) — the subject-ID space
-// is sharded across agent groups by a signed, epoch-versioned placement map.
-// An agent names its group, pins the map-signing authority, and allowlists
-// the peers that may drive shard handoffs into it during a rebalance;
-// clients name placement sources to refresh a stale map from after a
-// wrong-owner answer:
-//
-//	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
-//	          -group us-east -store-shards 16 \
-//	          -placement-authority <authority-id-hex> \
-//	          -handoff-peers <agent-id-hex>,...
-//
-//	hirepnode -listen 127.0.0.1:7007 \
-//	          -placement-sources 127.0.0.1:7001,127.0.0.1:7002
-//
 // Gate report admission (DESIGN.md §13) — an agent demands a one-time
 // proof-of-work bound to each new reporter identity before storing its first
 // report, and optional rate accounting revokes admission from identities
@@ -80,9 +65,9 @@
 //	hirepnode -listen 127.0.0.1:7007 -relays 127.0.0.1:7002,127.0.0.1:7003 \
 //	          -neighbors 127.0.0.1:7002 -audit-interval 30s
 //
-// Agent-only flags (-store, -replicas, -replica-of, -replica-peers, -group,
-// -store-shards, -handoff-peers, -evidence) on a node without -agent are
-// rejected at startup, exit status 2.
+// Agent-only flags (-store, -replicas, -replica-of, -replica-peers,
+// -evidence, -proof-cache) on a node without -agent are rejected at startup,
+// exit status 2.
 //
 // Run the full zero-config demonstration on loopback — an agent, a reporter,
 // a requestor, and a relay chain exchanging onion-routed trust traffic:
@@ -125,13 +110,6 @@ func main() {
 		replicaOf    = flag.String("replica-of", "", "comma-separated hex node IDs of primaries this node accepts replication state for")
 		replicaPeers = flag.String("replica-peers", "", "comma-separated hex node IDs of fellow replica-group members allowed to read replication state")
 
-		// Routed overlay (DESIGN.md §12).
-		group        = flag.String("group", "", "agent group this node belongs to in the routed overlay (agents only)")
-		storeShards  = flag.Int("store-shards", 0, "report store shard count, power of two, agents only (0 = default 16)")
-		placeSources = flag.String("placement-sources", "", "comma-separated node addresses polled for a newer signed placement map")
-		placeAuth    = flag.String("placement-authority", "", "hex node ID every placement map must be signed by (empty = accept any validly signed newer map on fetch; refuse unsolicited pushes)")
-		handoffPeers = flag.String("handoff-peers", "", "comma-separated hex node IDs allowed to drive shard handoffs against this agent")
-
 		// Admission gate (agents only): per-identity first-report proof-of-work
 		// plus report-rate accounting, pricing sybil floods (DESIGN.md §13).
 		admissionPoW  = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
@@ -139,7 +117,7 @@ func main() {
 
 		// Verifiable reads (DESIGN.md §14) and self-healing audit (§15).
 		evidence      = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
-		proofCache    = flag.Int("proof-cache", 0, "entries in the agent's cache of served proof bundles and signed trust snapshots (0 = no cache)")
+		proofCache    = flag.Int("proof-cache", 0, "entries in the agent's cache of served proof bundles and signed trust snapshots, agents only (0 = no cache)")
 		auditInterval = flag.Duration("audit-interval", 0, "background audit sweep cadence (0 = auditing off; requires -relays and -neighbors)")
 	)
 	flag.Parse()
@@ -172,33 +150,19 @@ func main() {
 		}
 		return out
 	}
-	var authority pkc.NodeID
-	if *placeAuth != "" {
-		id, err := pkc.ParseNodeID(strings.TrimSpace(*placeAuth))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hirepnode: -placement-authority: %v\n", err)
-			os.Exit(2)
-		}
-		authority = id
-	}
 
 	n, err := node.Listen(*listen, node.Options{
-		Agent:              *agent,
-		StoreDir:           *store,
-		Group:              *group,
-		StoreShards:        *storeShards,
-		PlacementSources:   splitList(*placeSources),
-		PlacementAuthority: authority,
-		HandoffPeers:       parseIDs("-handoff-peers", *handoffPeers),
-		Replicas:           replicaAddrs,
-		ReplicaOf:          parseIDs("-replica-of", *replicaOf),
-		ReplicaPeers:       parseIDs("-replica-peers", *replicaPeers),
-		OutboxPath:         *outboxPath,
-		AdmissionPoWBits:   *admissionPoW,
-		AdmissionRate:      *admissionRate,
-		EvidenceCap:        *evidence,
-		ProofCache:         *proofCache,
-		AuditInterval:      *auditInterval,
+		Agent:            *agent,
+		StoreDir:         *store,
+		Replicas:         replicaAddrs,
+		ReplicaOf:        parseIDs("-replica-of", *replicaOf),
+		ReplicaPeers:     parseIDs("-replica-peers", *replicaPeers),
+		OutboxPath:       *outboxPath,
+		AdmissionPoWBits: *admissionPoW,
+		AdmissionRate:    *admissionRate,
+		EvidenceCap:      *evidence,
+		ProofCache:       *proofCache,
+		AuditInterval:    *auditInterval,
 	})
 	if err != nil {
 		// Any Listen failure exits 2, the status of a bad flag: invalid
@@ -217,9 +181,6 @@ func main() {
 		}
 		if len(replicaAddrs) > 0 {
 			role += fmt.Sprintf(", replicating to %d agent(s)", len(replicaAddrs))
-		}
-		if *group != "" {
-			role += ", overlay group " + *group
 		}
 		if *evidence > 0 {
 			role += fmt.Sprintf(", retaining %d report wires/subject", *evidence)

@@ -464,11 +464,3 @@ func DecodeNonceHint(wire []byte) (pkc.Nonce, error) {
 	_, _, nonce, _, _, err := parseReportWire(wire)
 	return nonce, err
 }
-
-// DecodeSubjectHint extracts the subject from a signed report without
-// verifying it; the overlay routing layer uses it to check shard ownership
-// before spending any signature work on a mis-routed report.
-func DecodeSubjectHint(wire []byte) (pkc.NodeID, error) {
-	subject, _, _, _, _, err := parseReportWire(wire)
-	return subject, err
-}

@@ -156,9 +156,9 @@ func (g *admissionGate) reportsBy(reporter pkc.NodeID) int64 {
 	return 0
 }
 
-// AdmittedIdentities returns the number of identities currently admitted by
+// admittedIdentities returns the number of identities currently admitted by
 // this agent's gate (0 when disabled).
-func (n *Node) AdmittedIdentities() int {
+func (n *Node) admittedIdentities() int {
 	if n.admission == nil {
 		return 0
 	}

@@ -44,7 +44,7 @@ func TestAdmissionBounceNotStored(t *testing.T) {
 	if got := agentNode.Agent().ReportCount(); got != 0 {
 		t.Fatalf("agent stored %d reports from an unadmitted identity", got)
 	}
-	if got := agentNode.AdmittedIdentities(); got != 0 {
+	if got := agentNode.admittedIdentities(); got != 0 {
 		t.Fatalf("agent admitted %d identities without a solution", got)
 	}
 	if got := metric(t, agentNode, "node_admission_required_total"); got != int64(len(reports)) {
@@ -80,7 +80,7 @@ func TestAdmissionAutoSolveStored(t *testing.T) {
 	if got := agentNode.Agent().ReportCount(); got != n {
 		t.Fatalf("agent stored %d reports, want %d", got, n)
 	}
-	if got := agentNode.AdmittedIdentities(); got != 1 {
+	if got := agentNode.admittedIdentities(); got != 1 {
 		t.Fatalf("agent admitted %d identities, want 1", got)
 	}
 	solved, work := metric(t, peer, "node_admission_solved_total"), peer.Stats().AdmissionWork
@@ -280,7 +280,7 @@ func TestOneWayReportNeedsAdmission(t *testing.T) {
 	if got := agentNode.Agent().ReportCount(); got != 0 {
 		t.Fatalf("agent stored %d one-way reports from an unadmitted identity", got)
 	}
-	if got := agentNode.AdmittedIdentities(); got != 0 {
+	if got := agentNode.admittedIdentities(); got != 0 {
 		t.Fatalf("agent admitted %d identities without a solution", got)
 	}
 }

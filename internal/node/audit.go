@@ -157,7 +157,7 @@ func (a *auditor) nextAuditSubjects(k int) []pkc.NodeID {
 
 // AuditSweep runs one audit pass: probation probes of quarantined agents
 // first, then up to defaultAuditSample sampled subjects, each fetched from
-// its owning agent (placement-aware when a map is adopted) with retry/backoff
+// its serving agent with retry/backoff
 // under a per-sweep deadline and cross-checked against a second agent.
 // Returns ErrNoAuditor before StartAuditor.
 func (n *Node) AuditSweep() error {
@@ -290,20 +290,14 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	n.rehabilitateIfSuspect(a.book, second.ID())
 }
 
-// auditTargets resolves which agent serves subject (the placement map's
-// owning group when one is adopted, else a stable hash across the book) and
-// a second, distinct book agent for the cross-check.
+// auditTargets resolves which agent serves subject (a stable hash across the
+// book) and a second, distinct book agent for the cross-check.
 func (n *Node) auditTargets(book *AgentBook, subject pkc.NodeID) (primary AgentInfo, second *AgentInfo, ok bool) {
 	agents := book.Agents()
 	if len(agents) == 0 {
 		return AgentInfo{}, nil, false
 	}
 	primary = agents[int(subject[0])%len(agents)]
-	if m, _ := n.Placement(); m != nil {
-		if info, err := n.groupInfo(m, m.ReadOwner(subject)); err == nil {
-			primary = info
-		}
-	}
 	for i := range agents {
 		if agents[i].ID() != primary.ID() {
 			second = &agents[i]
@@ -336,8 +330,8 @@ func (n *Node) auditFetch(target AgentInfo, subject pkc.NodeID, replyOnion *onio
 }
 
 // noteAuditUnreachable feeds a failed audit exchange into the agent's breaker
-// — only for agents the book actually tracks, so auditing a placement-routed
-// agent outside the book never plants breaker state for a stranger.
+// — only while the book still tracks it as healthy or suspect, so an agent
+// evicted mid-sweep never gets breaker state back.
 func (n *Node) noteAuditUnreachable(book *AgentBook, id pkc.NodeID) {
 	switch book.Health(id) {
 	case Healthy, Suspect:

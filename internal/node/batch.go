@@ -9,7 +9,6 @@ import (
 	"hirep/internal/agentdir"
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
-	"hirep/internal/repstore"
 	"hirep/internal/resilience"
 	"hirep/internal/wire"
 )
@@ -51,7 +50,6 @@ const (
 	StatusMalformed                       // report wire undecodable
 	StatusStoreFailed                     // verified, but the store append failed (retryable)
 	StatusSaturated                       // shed by admission control before verification (retryable)
-	StatusWrongOwner                      // subject outside this agent group's shards (retryable elsewhere)
 	// StatusAdmissionRequired bounces a whole batch from an identity the
 	// agent's sybil-admission gate (DESIGN.md §13) has not admitted: the
 	// batch must carry a proof-of-work solution bound to the reporter's
@@ -59,15 +57,14 @@ const (
 	// final either: ReportBatch mints a solution and retries, and the ack
 	// carries the demanded difficulty.
 	StatusAdmissionRequired
+
+	numStatuses = int(StatusAdmissionRequired) + 1 // one past the last defined status
 )
 
 // Retryable reports whether the status names a condition worth re-sending
-// the identical report for. StatusWrongOwner is retryable in a specific
-// sense: not at this agent — the overlay map says another group owns the
-// subject — but through the outbox, whose flusher re-routes each deferred
-// report by the then-current placement map.
+// the identical report for.
 func (s ReportStatus) Retryable() bool {
-	return s == StatusStoreFailed || s == StatusSaturated || s == StatusWrongOwner
+	return s == StatusStoreFailed || s == StatusSaturated
 }
 
 func (s ReportStatus) String() string {
@@ -84,8 +81,6 @@ func (s ReportStatus) String() string {
 		return "store-failed"
 	case StatusSaturated:
 		return "saturated"
-	case StatusWrongOwner:
-		return "wrong-owner"
 	case StatusAdmissionRequired:
 		return "admission-required"
 	default:
@@ -148,7 +143,9 @@ func encodeBatchAck(e *wire.Encoder, statuses []ReportStatus, bits int) {
 }
 
 // decodeBatchAck parses an ack reply body, which must carry exactly count
-// statuses.
+// defined statuses. An undefined status byte is refused rather than read:
+// it is neither retryable nor an admission bounce, so it would settle as a
+// final reject and retire its report from the outbox unstored.
 func decodeBatchAck(r *wire.Decoder, count int) (batchAck, error) {
 	raw := r.Bytes()
 	bits := r.U64()
@@ -157,6 +154,9 @@ func decodeBatchAck(r *wire.Decoder, count int) (batchAck, error) {
 	}
 	statuses := make([]ReportStatus, len(raw))
 	for i, v := range raw {
+		if int(v) >= numStatuses {
+			return batchAck{}, ErrBadAgent
+		}
 		statuses[i] = ReportStatus(v)
 	}
 	return batchAck{statuses: statuses, bits: int(bits)}, nil
@@ -283,10 +283,6 @@ func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, 
 				n.setOneWay(id, self)
 			case st == StatusAdmissionRequired:
 				n.setOneWay(id, nil)
-			case st == StatusWrongOwner:
-				// The agent routes by a newer placement epoch than ours: the
-				// flusher refreshes the map before re-routing the report.
-				n.markPlacementStale()
 			case st.final():
 				n.cnt.reportsRejected.Inc()
 			}
@@ -444,34 +440,14 @@ func uniformStatuses(n int, st ReportStatus) []ReportStatus {
 	return statuses
 }
 
-// processReportBatch is the worker body: filter out reports this group does
-// not own (cheap subject peek, before any signature work), batch-verify and
-// commit the rest, count every outcome by reason, and return the ack.
+// processReportBatch is the worker body: batch-verify and commit the
+// reports, count every outcome by reason, and return the ack.
 func (n *Node) processReportBatch(job ingestJob) {
 	statuses := make([]ReportStatus, len(job.reports))
-	owned := make([][]byte, 0, len(job.reports))
-	idx := make([]int, 0, len(job.reports))
-	for i, rw := range job.reports {
-		subject, err := agentdir.DecodeSubjectHint(rw)
-		if err != nil {
-			statuses[i] = StatusMalformed
-			n.countIngest(statuses[i])
-			continue
-		}
-		if write, _ := n.subjectOwnership(subject); !write {
-			statuses[i] = StatusWrongOwner
-			n.countIngest(statuses[i])
-			continue
-		}
-		owned = append(owned, rw)
-		idx = append(idx, i)
-	}
-	if len(owned) > 0 {
-		_, errs := n.agent.SubmitReportBatch(job.req.id, owned)
-		for j, err := range errs {
-			statuses[idx[j]] = statusFromSubmitError(err)
-			n.countIngest(statuses[idx[j]])
-		}
+	_, errs := n.agent.SubmitReportBatch(job.req.id, job.reports)
+	for i, err := range errs {
+		statuses[i] = statusFromSubmitError(err)
+		n.countIngest(statuses[i])
 	}
 	n.cnt.reportBatches.Inc()
 	n.sendBatchAck(job, statuses, 0)
@@ -493,12 +469,6 @@ func statusFromSubmitError(err error) ReportStatus {
 	switch {
 	case err == nil:
 		return StatusStored
-	case errors.Is(err, repstore.ErrShardSealed):
-		// The shard was sealed for handoff after this batch passed the
-		// admission-time ownership check: the report is NOT in the sealed
-		// export, so it must not ack stored. Wrong-owner sends it through the
-		// outbox, which re-routes it to the new owner by the refreshed map.
-		return StatusWrongOwner
 	case errors.Is(err, agentdir.ErrReplayedReport):
 		return StatusReplay
 	case errors.Is(err, agentdir.ErrUnknownReporter),

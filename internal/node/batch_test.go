@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -55,6 +56,29 @@ func sendWires(t *testing.T, peer *Node, info AgentInfo, wires [][]byte, replyOn
 		t.Fatal(err)
 	}
 	return ack
+}
+
+// TestBatchAckRejectsUndefinedStatus crafts acks carrying a status byte past
+// the last defined one. Read as a status it would be neither retryable nor an
+// admission bounce, so the delivery loop would settle it as a final reject
+// and retire the report from the outbox unstored: the ack must be refused as
+// a bad answer instead, leaving the report to be delivered again.
+func TestBatchAckRejectsUndefinedStatus(t *testing.T) {
+	decode := func(raw []byte) (batchAck, error) {
+		var e wire.Encoder
+		e.Bytes(raw).U64(0)
+		return decodeBatchAck(wire.NewDecoder(e.Encode()), len(raw))
+	}
+	for _, v := range []byte{byte(StatusAdmissionRequired) + 1, 0xff} {
+		if ack, err := decode([]byte{byte(StatusStored), v}); !errors.Is(err, ErrBadAgent) {
+			t.Fatalf("status byte %d: ack %v accepted (err %v), want ErrBadAgent", v, ack.statuses, err)
+		}
+	}
+	for st := StatusStored; st <= StatusAdmissionRequired; st++ {
+		if ack, err := decode([]byte{byte(st)}); err != nil || ack.statuses[0] != st {
+			t.Fatalf("defined status %v: %v, %v", st, ack.statuses, err)
+		}
+	}
 }
 
 // TestReportBatchLive drives a full batch/ack exchange over real loopback

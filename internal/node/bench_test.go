@@ -1,17 +1,10 @@
 package node
 
 import (
-	"crypto/rand"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"hirep/internal/agentdir"
 	"hirep/internal/onion"
-	"hirep/internal/overlay"
 	"hirep/internal/pkc"
 	"hirep/internal/resilience"
 	"hirep/internal/transport"
@@ -355,219 +348,4 @@ func BenchmarkRelayHandshake(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIngestSharded measures aggregate acknowledged, verified-durable
-// ingest through the routed overlay, at one verification worker per agent so
-// the per-group ingest ceiling is explicit: with the subject space split
-// across two groups, aggregate reports/sec must scale toward 2x one group
-// (verify.sh gates the ratio at >= 1.7x). Each sub-benchmark drives every
-// group with a window of in-flight 256-report batches, all subjects
-// pre-routed to their owning group; ns/op is per round of one batch per
-// group, so reports/sec divides by 256 x groups.
-func BenchmarkIngestSharded(b *testing.B) {
-	for _, groups := range []int{1, 2} {
-		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			benchIngestSharded(b, groups)
-		})
-	}
-}
-
-func benchIngestSharded(b *testing.B, ngroups int) {
-	const (
-		size   = 256 // reports per batch frame
-		shards = 8   // placement + store shard count
-		window = 4   // in-flight batches per group
-	)
-	// The fleet shares one process here, but each group in a real deployment
-	// is its own node with its own OS threads: a group blocked in its store's
-	// commit fsync never stalls another group's verification. With GOMAXPROCS
-	// clamped to the container's core count, that blocked M idles the only P
-	// until sysmon retakes it — longer than the fsync itself — serializing
-	// the fleet. Granting spare Ps (same fixed count for every sub-benchmark)
-	// restores the per-node thread model; it adds no CPU, only the freedom
-	// for independent commit waits to overlap.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.NumCPU())))
-	mk := func(opts Options) *Node {
-		if opts.Timeout <= 0 {
-			opts.Timeout = 10 * time.Second
-		}
-		n, err := Listen("127.0.0.1:0", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = n.Close() })
-		return n
-	}
-	// Per-group front end: every group gets its own relay and its own
-	// reporter node, as in a deployed fleet where each group faces its own
-	// slice of the client population. A single shared relay or reporter
-	// would itself become the fleet's bottleneck and hide the scaling under
-	// test.
-	agents := make([]*Node, ngroups)
-	infos := make([]AgentInfo, ngroups)
-	groups := make([]overlay.Group, ngroups)
-	peers := make([]*Node, ngroups)
-	pos := make([]*onion.Onion, ngroups)
-	for g := range agents {
-		relay := mk(Options{})
-		peers[g] = mk(Options{})
-		prel, err := peers[g].FetchAnonKey(relay.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pos[g], err = peers[g].BuildOnion([]relayAlias{prel})
-		if err != nil {
-			b.Fatal(err)
-		}
-		agents[g] = mk(Options{
-			Agent: true, VerifyWorkers: 1, StoreShards: shards,
-			StoreDir: b.TempDir(), Group: fmt.Sprintf("g%d", g),
-		})
-		rel, err := agents[g].FetchAnonKey(relay.Addr())
-		if err != nil {
-			b.Fatal(err)
-		}
-		o, err := agents[g].BuildOnion([]relayAlias{rel})
-		if err != nil {
-			b.Fatal(err)
-		}
-		infos[g] = agents[g].Info(o)
-		groups[g] = overlay.Group{ID: fmt.Sprintf("g%d", g), Descriptor: EncodeInfo(infos[g])}
-	}
-	auth, _ := pkc.NewIdentity(nil)
-	m, err := overlay.Plan(1, shards, groups)
-	if err != nil {
-		b.Fatal(err)
-	}
-	signed, err := overlay.Encode(auth, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, a := range agents {
-		if err := a.SetPlacement(signed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range peers {
-		if err := p.SetPlacement(signed); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// One standing batch per group, every subject owned by that group.
-	batches := make([][]BatchReport, ngroups)
-	for g := range batches {
-		batches[g] = make([]BatchReport, 0, size)
-		for len(batches[g]) < size {
-			var id pkc.NodeID
-			if _, err := rand.Read(id[:]); err != nil {
-				b.Fatal(err)
-			}
-			if m.Owner(id) == g {
-				batches[g] = append(batches[g], BatchReport{Subject: id, Positive: len(batches[g])%2 == 0})
-			}
-		}
-	}
-	// Warm: register each reporter's key and open its session at its agent.
-	for g := range agents {
-		if _, err := peers[g].ReportBatch(infos[g], batches[g][:1], pos[g]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Pre-build every TReportBatch frame (sign each report with a fresh
-	// nonce, seal to the agent's anonymity key). The gate measures the
-	// fleet's ingest capacity — onion transit, batch verification, durable
-	// append, signed ack — not the reporters' signing throughput, and a real
-	// fleet's load comes from many reporters whose signing runs on other
-	// machines. On this one-core fleet-in-a-process, leaving load generation
-	// in the timed section would charge both sub-benchmarks for it and mask
-	// the scaling under test.
-	prepared := make([][]preparedBatch, ngroups)
-	for g := range prepared {
-		prepared[g] = make([]preparedBatch, b.N)
-		for i := range prepared[g] {
-			prepared[g][i] = prepareBatchFrame(b, peers[g], infos[g], batches[g], pos[g])
-		}
-	}
-
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	errc := make(chan error, ngroups*window)
-	for g := 0; g < ngroups; g++ {
-		next := new(atomic.Int64)
-		for w := 0; w < window; w++ {
-			wg.Add(1)
-			go func(g int, next *atomic.Int64) {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(b.N) {
-						return
-					}
-					statuses, err := peers[g].sendBatchFrame(infos[g], prepared[g][i], 10*time.Second)
-					if err != nil {
-						errc <- err
-						return
-					}
-					for _, st := range statuses {
-						if st != StatusStored {
-							errc <- fmt.Errorf("report acked %v", st)
-							return
-						}
-					}
-				}
-			}(g, next)
-		}
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		b.Fatal(err)
-	default:
-	}
-	b.ReportMetric(float64(b.N)*size*float64(ngroups)/b.Elapsed().Seconds(), "reports/sec")
-}
-
-// preparedBatch is one pre-signed, pre-sealed TReportBatch frame.
-type preparedBatch struct {
-	sealedRequest
-	count int
-}
-
-// prepareBatchFrame builds what reportBatchOnce would have built inline: a
-// fresh batch nonce, every report signed under its own nonce, the whole
-// frame sealed to the agent. Sending it later is replay-safe because every
-// frame carries nonces never sent before.
-func prepareBatchFrame(b *testing.B, n *Node, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) preparedBatch {
-	b.Helper()
-	q, err := n.newRequest(replyOnion)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wires := make([][]byte, len(reports))
-	for i, r := range reports {
-		rn, err := pkc.NewNonce(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wires[i] = agentdir.SignReport(q.self, r.Subject, r.Positive, rn)
-	}
-	encodeBatchBody(&q.body, wires, nil)
-	sealed, err := q.seal(agent.AP)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return preparedBatch{sealedRequest: sealed, count: len(reports)}
-}
-
-// sendBatchFrame runs the send/ack half of reportBatchOnce for a prepared
-// frame.
-func (n *Node) sendBatchFrame(agent AgentInfo, pb preparedBatch, wait time.Duration) ([]ReportStatus, error) {
-	r, err := n.sendAndAwait(agent, wire.TReportBatch, pb.sealedRequest, wait)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := decodeBatchAck(&r, pb.count)
-	return ack.statuses, err
 }

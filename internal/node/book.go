@@ -43,7 +43,7 @@ type AgentBook struct {
 	breakers  *resilience.Breakers[pkc.NodeID]
 	// replSeq caches replication positions learned from status probes:
 	// backup → primary → highest acknowledged sequence. Stateful promotion
-	// (promoteBackup, PromoteReplica) prefers the most-caught-up backup.
+	// (promoteBackup, promoteReplica) prefers the most-caught-up backup.
 	replSeq map[pkc.NodeID]map[pkc.NodeID]uint64
 	// quarantined holds agents pulled from service on verified lying
 	// evidence or accumulated suspect strikes, pending probation probes or

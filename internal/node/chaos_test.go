@@ -20,7 +20,7 @@ import (
 //     backup is promoted in its place (§3.4.3, §3.6);
 //   - the outcome report owed to the dead agent is deferred into the durable
 //     outbox instead of being lost;
-//   - after the agent is revived, ProbeBackups closes its breaker and
+//   - after the agent is revived, probeBackups closes its breaker and
 //     restores it, and the outbox flusher drains the deferred report into the
 //     revived agent's store.
 func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
@@ -145,11 +145,11 @@ func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
 	// Revive a0 and probe the backups: once the breaker cooldown elapses the
 	// probe succeeds, the breaker closes, a0 is restored to the book, and the
 	// flusher drains the deferred report into a0's store.
-	if err := fl.Revive(a0); err != nil {
+	if err := fl.revive(a0); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		for _, id := range peer.ProbeBackups(book, replyOnion) {
+		for _, id := range peer.probeBackups(book, replyOnion) {
 			if id == info0.ID() {
 				return true
 			}

@@ -185,7 +185,7 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 			if book.BreakerState(infoA.ID()) == resilience.BreakerClosed && book.Len() == 1 {
 				return true
 			}
-			for _, id := range peer.ProbeBackups(book, replyOnion) {
+			for _, id := range peer.probeBackups(book, replyOnion) {
 				if id == infoA.ID() {
 					return true
 				}

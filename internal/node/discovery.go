@@ -184,12 +184,12 @@ func (n *Node) DiscoverAgents(tokens, ttl int, wait time.Duration) ([]AgentInfo,
 	return infos, nil
 }
 
-// Ping probes a node's liveness with an echo round trip (the §3.4.3 backup
+// ping probes a node's liveness with an echo round trip (the §3.4.3 backup
 // probe: "the peer first probes all back up agents"). It reports whether the
 // target answered with the matching payload within the node's probe timeout —
 // a deliberately short deadline, distinct from the request timeout, because a
 // probe's common case is a dead peer and it is never retried.
-func (n *Node) Ping(addr string) bool {
+func (n *Node) ping(addr string) bool {
 	nonce, err := pkc.NewNonce(nil)
 	if err != nil {
 		return false

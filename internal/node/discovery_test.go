@@ -200,7 +200,7 @@ func TestDiscoveryIntoAgentBook(t *testing.T) {
 
 func TestPing(t *testing.T) {
 	nodes := fleet(t, 2, 0)
-	if !nodes[0].Ping(nodes[1].Addr()) {
+	if !nodes[0].ping(nodes[1].Addr()) {
 		t.Fatal("live node did not answer ping")
 	}
 	dead, err := Listen("127.0.0.1:0", Options{Timeout: 500 * time.Millisecond})
@@ -210,7 +210,7 @@ func TestPing(t *testing.T) {
 	addr := dead.Addr()
 	_ = dead.Close()
 	nodes[0].SetTimeout(500 * time.Millisecond)
-	if nodes[0].Ping(addr) {
+	if nodes[0].ping(addr) {
 		t.Fatal("closed node answered ping")
 	}
 }

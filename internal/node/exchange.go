@@ -159,8 +159,8 @@ func (n *Node) handleReply(box []byte) {
 
 // open opens a reply box under the waiter's key and vets what is inside: it
 // must echo the request nonce, and its outer signature must verify AND be by
-// exactly the key the request was addressed to — an edge answers under its
-// own key, and a third party's valid signature is not an answer.
+// exactly the key the request was addressed to — a third party's valid
+// signature is not an answer.
 func (w *waiter) open(box []byte) (wire.Decoder, bool) {
 	plain, err := w.key.Open(box)
 	if err != nil {
@@ -198,13 +198,13 @@ func decodeReply(plain []byte) (replyEnvelope, error) {
 
 // retry runs once under the node's retry policy (attempts <= 0 uses the
 // policy's budget; probes pass 1), handing it the per-attempt wait.
-// Protocol-level verdicts — a closed node, an answer failing verification, a
-// wrong-owner redirect — are permanent and never retried; transient failures
-// (an unreachable entry relay, a lost reply) are, with a fresh nonce each.
+// Protocol-level verdicts — a closed node, an answer failing verification —
+// are permanent and never retried; transient failures (an unreachable entry
+// relay, a lost reply) are, with a fresh nonce each.
 func (n *Node) retry(attempts int, once func(wait time.Duration) error) error {
 	return n.retrier.DoMax(attempts, func(_ int, perAttempt time.Duration) error {
 		err := once(n.attemptBudget(perAttempt))
-		if errors.Is(err, ErrClosed) || errors.Is(err, ErrBadAgent) || errors.Is(err, ErrWrongOwner) {
+		if errors.Is(err, ErrClosed) || errors.Is(err, ErrBadAgent) {
 			return resilience.Permanent(err)
 		}
 		return err

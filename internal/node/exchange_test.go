@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -237,7 +238,7 @@ func TestExchangeReplayedReplyDropped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the agent's reply does not open under the request's reply key: %v", k.name, err)
 		}
-		oldWay, err := pkc.Seal(peer.AnonPublic(), plain, nil)
+		oldWay, err := pkc.Seal(peer.anonPublic(), plain, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +294,7 @@ func TestSendAndAwaitOneBudget(t *testing.T) {
 	}
 	defer peer.Close()
 	sink := fleet(t, 1, 0)[0] // not an agent: the request is never answered
-	o, err := onion.BuildExit(peer.identity(), onion.Relay{Addr: sink.Addr(), AP: sink.AnonPublic()}, 1, nil)
+	o, err := onion.BuildExit(peer.identity(), onion.Relay{Addr: sink.Addr(), AP: sink.anonPublic()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestSendAndAwaitOneBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := q.seal(sink.AnonPublic())
+	sealed, err := q.seal(sink.anonPublic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestReplyWithoutWaiterDropped(t *testing.T) {
 	}
 	tampered := append([]byte(nil), genuine...)
 	tampered[len(tampered)-1] ^= 1
-	oldWay, err := pkc.Seal(peer.AnonPublic(), e.Encode(), nil)
+	oldWay, err := pkc.Seal(peer.anonPublic(), e.Encode(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // envelope, signature), and — because no fuzzer forges a GCM tag — as the
 // envelope inside a box that did open, then the batch-ack body with its
 // demanded admission difficulty. Nothing may panic and accepted values must
-// be in range.
+// be in range, every accepted status a defined one.
 func FuzzDecodeReply(f *testing.F) {
 	self, err := pkc.NewIdentity(nil)
 	if err != nil {
@@ -458,6 +459,9 @@ func FuzzDecodeReply(f *testing.F) {
 		if a, err := decodeBatchAck(body, 1); err == nil {
 			if len(a.statuses) != 1 || a.bits < 0 || a.bits > 256 {
 				t.Fatalf("accepted ack with %d statuses, difficulty %d", len(a.statuses), a.bits)
+			}
+			if st := a.statuses[0]; strings.HasPrefix(st.String(), "ReportStatus(") {
+				t.Fatalf("accepted undefined status %d", uint8(st))
 			}
 		}
 	}

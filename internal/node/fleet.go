@@ -211,8 +211,8 @@ func (f *Fleet) BlackHole(nd *Node) error {
 	return nil
 }
 
-// Revive clears every fault rule against nd.
-func (f *Fleet) Revive(nd *Node) error {
+// revive clears every fault rule against nd.
+func (f *Fleet) revive(nd *Node) error {
 	if f.Faults == nil {
 		return fmt.Errorf("node: fleet has no fault dialer")
 	}

@@ -345,7 +345,7 @@ func TestGatedFleetTransactions(t *testing.T) {
 		t.Fatal("the peer's reports reached gated agents without any proof of work")
 	}
 	for i, a := range fl.Agents {
-		if got := a.AdmittedIdentities(); got != 1 {
+		if got := a.admittedIdentities(); got != 1 {
 			t.Fatalf("agent %d admitted %d identities, want 1", i, got)
 		}
 	}

@@ -27,7 +27,7 @@ func TestMemoDoesNotOutliveGraceWindow(t *testing.T) {
 	}
 	defer nd.Close()
 	builder, _ := pkc.NewIdentity(nil)
-	o, err := onion.BuildExit(builder, onion.Relay{Addr: nd.Addr(), AP: nd.AnonPublic()}, 1, nil)
+	o, err := onion.BuildExit(builder, onion.Relay{Addr: nd.Addr(), AP: nd.anonPublic()}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMemoKeepsRequestVetting(t *testing.T) {
 			q.body.Bytes(self.Sign.Public).Bytes(q.nonce[:])
 			encodeOnion(&q.body, replyOnion)
 		}
-		sealed, err := q.seal(agentNode.AnonPublic())
+		sealed, err := q.seal(agentNode.anonPublic())
 		if err != nil {
 			t.Fatal(err)
 		}

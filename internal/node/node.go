@@ -48,7 +48,7 @@ type Options struct {
 	Agent bool
 	// Timeout bounds dials and request waits (default 5s).
 	Timeout time.Duration
-	// ProbeTimeout bounds liveness probes — Ping round trips and breaker
+	// ProbeTimeout bounds liveness probes — ping round trips and breaker
 	// half-open probe requests — so checking a dead peer is cheap (default
 	// 750ms, capped at Timeout).
 	ProbeTimeout time.Duration
@@ -88,16 +88,15 @@ type Options struct {
 	// ReplicaOf lists the primary agent IDs this node replicates FOR:
 	// RReplicate/RRepair frames (and on-demand replica store creation) are
 	// accepted only from these identities. Replication is an offline
-	// pairing — without an entry here (or a later AuthorizeReplicaOf call)
-	// every replication frame is dropped, however validly signed, so an
-	// attacker cannot mint an identity and poison this agent's combined
-	// tally or fill its disk with replica stores. Requires Agent.
+	// pairing — without an entry here every replication frame is dropped,
+	// however validly signed, so an attacker cannot mint an identity and
+	// poison this agent's combined tally or fill its disk with replica
+	// stores. Requires Agent.
 	ReplicaOf []pkc.NodeID
 	// ReplicaPeers lists fellow replica-group member IDs allowed to read
 	// this node's replication state (RDigest/RFetch — shard exports carry
 	// per-reporter tallies and must stay inside the group). IDs in
-	// ReplicaOf are implicitly allowed. See also AuthorizeReplicaPeer.
-	// Requires Agent.
+	// ReplicaOf are implicitly allowed. Requires Agent.
 	ReplicaPeers []pkc.NodeID
 	// SyncInterval is the cadence of the periodic anti-entropy pass against
 	// each replica (default 5s).
@@ -112,33 +111,6 @@ type Options struct {
 	// pool (default 128 batches); a batch arriving at a full queue is shed
 	// with an all-saturated ack instead of queueing unboundedly.
 	VerifyQueue int
-	// Group names the agent group this node belongs to in the routed overlay
-	// (DESIGN.md §12). With a Group set and a placement map adopted, the
-	// agent serves only the subjects its group owns and answers wrong-owner
-	// for everything else. Empty leaves the agent unpartitioned. Requires
-	// Agent.
-	Group string
-	// StoreShards sets the report store's shard count (default 16, power of
-	// two). In a routed overlay it must equal the placement map's shard
-	// count, because rebalance migrates whole store shards between groups.
-	// Requires Agent.
-	StoreShards int
-	// PlacementSources lists node addresses asked for a newer signed
-	// placement map when a wrong-owner answer reveals ours is stale.
-	PlacementSources []string
-	// PlacementAuthority pins the identity every placement map must be
-	// signed by. The zero value accepts any validly signed map with a newer
-	// epoch from the solicited paths — SetPlacement and fetches from
-	// PlacementSources — but refuses unsolicited TPlacement pushes
-	// entirely: without a pinned authority, any connected peer could push
-	// a map at the maximum epoch and permanently capture the routing.
-	// Production fleets set it.
-	PlacementAuthority pkc.NodeID
-	// HandoffPeers lists identities allowed to drive shard handoffs against
-	// this agent — seal shards and pull their exports during a rebalance.
-	// Like ReplicaOf, an offline pairing; see also AuthorizeHandoffPeer.
-	// Requires Agent.
-	HandoffPeers []pkc.NodeID
 	// AdmissionPoWBits, when positive on an agent, arms the sybil-admission
 	// gate (DESIGN.md §13): the first report batch of every identity must
 	// carry a proof-of-work solution with this many leading zero bits bound
@@ -158,10 +130,9 @@ type Options struct {
 	// the verifiable-read subsystem (DESIGN.md §14). 0 keeps tallies only;
 	// proof bundles then verify Partial rather than Matching. Requires Agent.
 	EvidenceCap int
-	// ProofCache, when positive, bounds the node's proof payload cache
-	// (entries, FIFO). On an agent it memoizes assembled bundles/snapshots;
-	// on a non-agent configured with ConfigureProofEdge it is the edge cache
-	// that serves verifiable reads with zero agent round trips on a hit.
+	// ProofCache, when positive, bounds the agent's proof payload cache
+	// (entries, FIFO), which memoizes assembled bundles and snapshots.
+	// Requires Agent.
 	ProofCache int
 	// AuditInterval is the cadence of the background audit sweep started by
 	// StartAuditor (DESIGN.md §15). 0 disables the periodic loop; AuditSweep
@@ -218,17 +189,11 @@ type Node struct {
 	repl     *replicator
 	replicas *replicaSet
 
-	// Routed-overlay placement state (overlay.go): the adopted signed shard
-	// map, this node's group membership, and in-progress handoff seals.
-	place *placement
-
-	// Verifiable-read plumbing (proof.go): the payload cache, the
-	// edge-forwarding config, and the audit harness's tamper hook.
-	proofCache   *proofCache
-	proofMu      sync.Mutex
-	proofTamper  func(*proof.Bundle)
-	edgeUpstream AgentInfo
-	edgeOnion    *onion.Onion
+	// Verifiable-read plumbing (proof.go): the payload cache and the audit
+	// harness's tamper hook.
+	proofCache  *proofCache
+	proofMu     sync.Mutex
+	proofTamper func(*proof.Bundle)
 
 	// Transport plumbing (transport.go): the outbound connection pool and
 	// the inbound session gate.
@@ -353,7 +318,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 	}
 	n.ids.Store(&[]*pkc.Identity{id})
 	n.timeoutNs.Store(int64(opts.Timeout))
-	n.place = newPlacement(opts)
 	if opts.ProofCache > 0 {
 		n.proofCache = newProofCache(opts.ProofCache, defaultSnapshotTTL)
 	}
@@ -389,7 +353,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 			}
 			hook = n.repl.onCommit
 		}
-		st, err := repstore.Open(opts.StoreDir, repstore.Options{OnCommit: hook, Shards: opts.StoreShards, EvidenceCap: opts.EvidenceCap})
+		st, err := repstore.Open(opts.StoreDir, repstore.Options{OnCommit: hook, EvidenceCap: opts.EvidenceCap})
 		if err != nil {
 			ln.Close()
 			n.outbox.Close()
@@ -425,10 +389,8 @@ func (o *Options) validate() error {
 			{"Replicas", len(o.Replicas) > 0},
 			{"ReplicaOf", len(o.ReplicaOf) > 0},
 			{"ReplicaPeers", len(o.ReplicaPeers) > 0},
-			{"Group", o.Group != ""},
-			{"StoreShards", o.StoreShards != 0},
-			{"HandoffPeers", len(o.HandoffPeers) > 0},
 			{"EvidenceCap", o.EvidenceCap > 0},
+			{"ProofCache", o.ProofCache > 0},
 		} {
 			if f.set {
 				return fmt.Errorf("node: %s requires Agent", f.name)
@@ -447,8 +409,8 @@ func (n *Node) ID() pkc.NodeID { return n.identity().ID }
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// AnonPublic returns the node's anonymity public key (AP).
-func (n *Node) AnonPublic() *ecdh.PublicKey { return n.identity().Anon.Public }
+// anonPublic returns the node's anonymity public key (AP).
+func (n *Node) anonPublic() *ecdh.PublicKey { return n.identity().Anon.Public }
 
 // Agent returns the node's agent state (nil for non-agents), for inspection.
 func (n *Node) Agent() *agentdir.Agent { return n.agent }
@@ -520,12 +482,6 @@ func (n *Node) handle(typ wire.MsgType, payload []byte, r transport.Responder) {
 		n.handleRepair(r, payload)
 	case wire.RFetch:
 		n.handleFetch(r, payload)
-	case wire.TPlacementReq:
-		n.handlePlacementReq(r, payload)
-	case wire.TPlacement:
-		n.handlePlacementPush(payload)
-	case wire.RHandoff:
-		n.handleHandoff(r, payload)
 	}
 }
 

@@ -224,10 +224,8 @@ func TestListenRejectsInvalidOptions(t *testing.T) {
 		{"Replicas", Options{Replicas: []string{"127.0.0.1:1"}}},
 		{"ReplicaOf", Options{ReplicaOf: []pkc.NodeID{id}}},
 		{"ReplicaPeers", Options{ReplicaPeers: []pkc.NodeID{id}}},
-		{"Group", Options{Group: "g"}},
-		{"StoreShards", Options{StoreShards: 4}},
-		{"HandoffPeers", Options{HandoffPeers: []pkc.NodeID{id}}},
 		{"EvidenceCap", Options{EvidenceCap: 8}},
+		{"ProofCache", Options{ProofCache: 8}},
 		{"AdmissionPoWBits", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits + 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,22 +16,18 @@ import (
 // DESIGN.md §14) over the live protocol. A TProofReq is the same sealed
 // exchange as a trust request (exchange.go), but the answer is a
 // self-verifying proof bundle (or a compact signed trust snapshot) instead of
-// a bare tally. Because the bundle's integrity rests on the issuing agent's
-// signature rather than on who served it, the same frames can be answered by
-// an untrusted edge cache: a node configured with ConfigureProofEdge serves
-// cached payload bytes without touching any agent, and the client's
-// verification catches any alteration.
+// a bare tally. The bundle's integrity rests on the issuing agent's
+// signature rather than on the path that carried it, so the client's
+// verification catches any alteration on the way.
 
 // Proof response kinds carried in the reply body.
 const (
-	proofKindBundle     = 1 // payload is an encoded proof.Bundle
-	proofKindSnapshot   = 2 // payload is an encoded proof.TrustSnapshot
-	proofKindWrongOwner = 3 // routing miss: responder's group does not own the subject
+	proofKindBundle   = 1 // payload is an encoded proof.Bundle
+	proofKindSnapshot = 2 // payload is an encoded proof.TrustSnapshot
 )
 
 // defaultSnapshotTTL bounds a snapshot's validity and a proof cache entry's
-// lifetime. The TTL is the only freshness an edge can degrade: it cannot
-// alter a payload, only re-serve one.
+// lifetime.
 const defaultSnapshotTTL = 60 * time.Second
 
 // snapshotClockSkew is how far the client's clock may run ahead of the
@@ -113,38 +109,14 @@ func (n *Node) SetProofTamper(fn func(*proof.Bundle)) {
 	n.proofMu.Unlock()
 }
 
-// ConfigureProofEdge turns this (non-agent) node into a proof edge cache:
-// proof requests it cannot answer from cache are forwarded to upstream —
-// or, when upstream is the zero AgentInfo and a placement map is adopted, to
-// the subject's owning group — through replyOnion, and the payloads cached
-// for ProofCache-bounded re-serving. Requires Options.ProofCache > 0.
-func (n *Node) ConfigureProofEdge(upstream AgentInfo, replyOnion *onion.Onion) error {
-	if n.proofCache == nil {
-		return fmt.Errorf("node: proof edge requires Options.ProofCache > 0")
-	}
-	n.proofMu.Lock()
-	n.edgeUpstream = upstream
-	n.edgeOnion = replyOnion
-	n.proofMu.Unlock()
-	return nil
-}
-
-// proofEdgeConfig returns the configured upstream and forwarding onion.
-func (n *Node) proofEdgeConfig() (AgentInfo, *onion.Onion) {
-	n.proofMu.Lock()
-	defer n.proofMu.Unlock()
-	return n.edgeUpstream, n.edgeOnion
-}
-
 // --- client side -----------------------------------------------------------
 
-// RequestTrustProven asks agent (or an edge cache standing in front of one)
-// for a proof bundle about subject, verifies it, and returns both the bundle
-// and the verdict. A non-nil error means no authenticated bundle was obtained
+// RequestTrustProven asks agent for a proof bundle about subject, verifies
+// it, and returns both the bundle and the verdict. A non-nil error means no authenticated bundle was obtained
 // (transport failure, or a response failing verification — ErrBadAgent). With
 // a nil error the Result classifies the issuing agent's own signed statement:
 // Matching, Partial, or provably Lying — the caller holds the evidence either
-// way and need not trust the serving path.
+// way and need not trust the path that carried it.
 func (n *Node) RequestTrustProven(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (*proof.Bundle, proof.Result, error) {
 	var (
 		b   *proof.Bundle
@@ -177,16 +149,16 @@ func (n *Node) requestTrustProvenOnce(agent AgentInfo, subject pkc.NodeID, reply
 	}
 	res, err := n.proofs.Verify(b)
 	if err != nil {
-		// Unauthenticated: nothing is pinned on anyone — a cache or relay
-		// corrupted it, or the responder forged it. Either way, bad answer.
+		// Unauthenticated: nothing is pinned on anyone — the responder
+		// corrupted or forged it. Either way, bad answer.
 		return nil, proof.Result{}, fmt.Errorf("%w: %v", ErrBadAgent, err)
 	}
 	n.countProofVerdict(res.Verdict)
 	return b, res, nil
 }
 
-// RequestTrustSnapshot asks agent (or an edge) for a compact signed trust
-// snapshot of subject and verifies its signature and TTL. The snapshot's
+// RequestTrustSnapshot asks agent for a compact signed trust snapshot of
+// subject and verifies its signature and TTL. The snapshot's
 // tally is taken on the issuing agent's signature — the classic trust model,
 // but portable and cacheable.
 func (n *Node) RequestTrustSnapshot(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion) (*proof.TrustSnapshot, error) {
@@ -222,9 +194,7 @@ func (n *Node) requestTrustSnapshotOnce(agent AgentInfo, subject pkc.NodeID, rep
 
 // requestProofOnce runs one proof exchange against target and returns the
 // reply's kind and payload bytes. Request body: subject, snapshot flag. Reply
-// body: subject, kind, payload. Exposing raw payload bytes (rather than a
-// decoded bundle) is what lets the edge cache and re-serve exactly what it
-// received.
+// body: subject, kind, payload.
 func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, snapshotOnly bool, wait time.Duration) (uint64, []byte, error) {
 	q, err := n.newRequest(replyOnion)
 	if err != nil {
@@ -240,9 +210,6 @@ func (n *Node) requestProofOnce(target AgentInfo, subject pkc.NodeID, replyOnion
 	payload := r.Bytes()
 	if r.Finish() != nil || !bytes.Equal(subjRaw, subject[:]) {
 		return 0, nil, ErrBadAgent
-	}
-	if kind == proofKindWrongOwner {
-		return 0, nil, ErrWrongOwner
 	}
 	return kind, payload, nil
 }
@@ -267,12 +234,11 @@ type proofRequest struct {
 	snapshotOnly bool
 }
 
-// handleProofReq serves a proof request arriving through this node's onion:
-// as an agent, by assembling (or re-serving a cached) signed bundle or
-// snapshot; as a configured edge, from the payload cache with a forward
-// upstream on miss. A node that is neither drops the frame.
+// handleProofReq serves a proof request arriving through this agent's onion
+// by assembling (or re-serving a cached) signed bundle or snapshot. A
+// non-agent drops the frame.
 func (n *Node) handleProofReq(sealed []byte) {
-	if n.agent == nil && n.proofCache == nil {
+	if n.agent == nil {
 		return
 	}
 	req, err := n.openRequest(sealed)
@@ -284,29 +250,18 @@ func (n *Node) handleProofReq(sealed []byte) {
 	if !ok || req.body.Finish() != nil {
 		return
 	}
-	pr := &proofRequest{request: req, subject: subject, snapshotOnly: snapshotOnly}
-	if n.agent == nil {
-		n.serveProofAsEdge(pr)
-		return
-	}
 	// §3.5.2 key learning, exactly like a trust request.
 	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
 	}
-	n.serveProofAsAgent(pr)
+	n.serveProof(&proofRequest{request: req, subject: subject, snapshotOnly: snapshotOnly})
 }
 
-// serveProofAsAgent answers a proof request from this agent's own store:
-// routed-overlay ownership is enforced exactly like a trust request, cached
+// serveProof answers a proof request from this agent's own store: cached
 // payloads are re-served within their TTL, and fresh ones are assembled under
 // the store's current WAL epoch (with the tamper hook applied between
 // assembly and signing, for the audit harness's lying agent).
-func (n *Node) serveProofAsAgent(req *proofRequest) {
-	if _, read := n.subjectOwnership(req.subject); !read {
-		n.cnt.placementRedirects.Inc()
-		n.sendProofResp(req, proofKindWrongOwner, nil)
-		return
-	}
+func (n *Node) serveProof(req *proofRequest) {
 	kind := uint64(proofKindBundle)
 	if req.snapshotOnly {
 		kind = proofKindSnapshot
@@ -345,80 +300,6 @@ func (n *Node) serveProofAsAgent(req *proofRequest) {
 	}
 	n.cnt.proofsServed.Inc()
 	n.sendProofResp(req, kind, payload)
-}
-
-// serveProofAsEdge answers from the payload cache, forwarding upstream on a
-// miss. The edge signs the outer response under its own identity — which is
-// the key the requestor addressed — while the payload bytes stay exactly as
-// the issuing agent signed them, so the requestor's proof.Verify binds the
-// content to the agent no matter how many edges relayed it.
-func (n *Node) serveProofAsEdge(req *proofRequest) {
-	kind := uint64(proofKindBundle)
-	if req.snapshotOnly {
-		kind = proofKindSnapshot
-	}
-	now := time.Now()
-	key := proofCacheKey(req.subject, kind)
-	if payload, ok := n.proofCache.get(key, now); ok {
-		// Cache hit: served entirely from this edge, zero agent round trips.
-		n.cnt.proofCacheHits.Inc()
-		n.cnt.proofsServed.Inc()
-		n.sendProofResp(req, kind, payload)
-		return
-	}
-	n.cnt.proofCacheMisses.Inc()
-	upstream, fwdOnion := n.proofEdgeConfig()
-	if fwdOnion == nil {
-		return // not configured as an edge
-	}
-	if n.isClosed() {
-		return
-	}
-	// The upstream round trip takes a full request timeout; run it off the
-	// session handler so a cold cache cannot stall unrelated inbound frames.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		target := upstream
-		if target.SP == nil {
-			// No pinned upstream: route by the placement map, like any client.
-			m, _ := n.Placement()
-			if m == nil {
-				return
-			}
-			info, err := n.groupInfo(m, m.ReadOwner(req.subject))
-			if err != nil {
-				return
-			}
-			target = info
-		}
-		k, payload, err := n.requestProofOnce(target, req.subject, fwdOnion, req.snapshotOnly, n.timeout())
-		if err != nil || k != kind {
-			return
-		}
-		// A fetched snapshot was issued upstream some round trips ago, so its
-		// embedded Expires lands before now+TTL: cap the cache entry at the
-		// payload's own validity, or the tail of the window would serve
-		// already-expired snapshots as cache hits that every client then
-		// fails (permanently) to verify. A payload with no validity left —
-		// or one that does not even decode — is forwarded but never cached.
-		fetched := time.Now()
-		expires := fetched.Add(n.proofCache.ttl)
-		cacheable := true
-		if kind == proofKindSnapshot {
-			ts, derr := proof.DecodeTrustSnapshot(payload)
-			if derr != nil {
-				cacheable = false
-			} else if embedded := time.Unix(int64(ts.Expires), 0); embedded.Before(expires) {
-				expires = embedded
-			}
-		}
-		if cacheable && expires.After(fetched) {
-			n.proofCache.put(key, payload, expires)
-		}
-		n.cnt.proofsServed.Inc()
-		n.sendProofResp(req, kind, payload)
-	}()
 }
 
 // sendProofResp answers one proof request.

@@ -11,10 +11,8 @@ import (
 )
 
 // proofFleet starts a live loopback topology for proof tests: one evidence-
-// retaining agent, one requestor, one edge (non-agent with a proof cache),
-// and two relays. Only the agent retains evidence; the edge's role is
-// configured per test.
-func proofFleet(t *testing.T) (agent, requestor, edge *Node, relays []*Node) {
+// retaining agent, one requestor, and two relays.
+func proofFleet(t *testing.T) (agent, requestor *Node, relays []*Node) {
 	t.Helper()
 	mk := func(opts Options) *Node {
 		opts.Timeout = 5 * time.Second
@@ -27,9 +25,8 @@ func proofFleet(t *testing.T) (agent, requestor, edge *Node, relays []*Node) {
 	}
 	agent = mk(Options{Agent: true, EvidenceCap: 64})
 	requestor = mk(Options{})
-	edge = mk(Options{ProofCache: 16})
 	relays = []*Node{mk(Options{}), mk(Options{})}
-	return agent, requestor, edge, relays
+	return agent, requestor, relays
 }
 
 // seedReports files count positive reports about subject with the agent over
@@ -61,7 +58,7 @@ func seedReports(t *testing.T, reporter *Node, info AgentInfo, subject pkc.NodeI
 // provably-lying verdict attributed to the agent's key — with the verdict
 // visible in both sides' counters.
 func TestProofEndToEndAudit(t *testing.T) {
-	agentNode, requestor, _, relays := proofFleet(t)
+	agentNode, requestor, relays := proofFleet(t)
 	agentOnion, err := agentNode.BuildOnion(fetchRoute(t, agentNode, relays[:1]))
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +108,7 @@ func TestProofEndToEndAudit(t *testing.T) {
 }
 
 func TestProofSnapshotEndToEnd(t *testing.T) {
-	agentNode, requestor, _, relays := proofFleet(t)
+	agentNode, requestor, relays := proofFleet(t)
 	agentOnion, err := agentNode.BuildOnion(fetchRoute(t, agentNode, relays[:1]))
 	if err != nil {
 		t.Fatal(err)
@@ -136,92 +133,6 @@ func TestProofSnapshotEndToEnd(t *testing.T) {
 	}
 	if ts.Expires <= uint64(time.Now().Add(-time.Second).Unix()) {
 		t.Fatal("snapshot already expired at issue")
-	}
-}
-
-// TestProofEdgeCacheZeroAgentRoundTrips pins the edge-cache serving claim: a
-// requestor pointed at a non-agent edge gets a verifying bundle, and once the
-// edge holds the payload, repeat reads touch the agent zero times — its
-// ProofsServed counter stays flat while the edge's cache-hit counter climbs.
-func TestProofEdgeCacheZeroAgentRoundTrips(t *testing.T) {
-	agentNode, requestor, edge, relays := proofFleet(t)
-	agentOnion, err := agentNode.BuildOnion(fetchRoute(t, agentNode, relays[:1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentInfo := agentNode.Info(agentOnion)
-	subject, _ := pkc.NewIdentity(nil)
-	seedReports(t, requestor, agentInfo, subject.ID, 5, agentNode)
-
-	// The edge publishes its own onion and forwards misses to the agent
-	// through a reply onion of its own.
-	edgeOnion, err := edge.BuildOnion(fetchRoute(t, edge, relays[1:2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edgeFwd, err := edge.BuildOnion(fetchRoute(t, edge, relays[:1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edge.ConfigureProofEdge(agentInfo, edgeFwd); err != nil {
-		t.Fatal(err)
-	}
-	edgeInfo := edge.Info(edgeOnion)
-
-	reqOnion, err := requestor.BuildOnion(fetchRoute(t, requestor, relays[1:2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold cache: the edge forwards to the agent once.
-	b, res, err := requestor.RequestTrustProven(edgeInfo, subject.ID, reqOnion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != proof.Matching || b.Pos != 5 {
-		t.Fatalf("through edge: verdict %v, tally %d", res.Verdict, b.Pos)
-	}
-	// The bundle stays attributed to the AGENT even though the edge served it.
-	if b.AgentID() != agentNode.ID() {
-		t.Fatal("edge-served bundle not attributed to the issuing agent")
-	}
-	servedAfterCold := metric(t, agentNode, "node_proofs_served_total")
-	if servedAfterCold == 0 {
-		t.Fatal("cold read did not reach the agent")
-	}
-
-	// Warm cache: repeat reads are served entirely by the edge.
-	const repeats = 3
-	for i := 0; i < repeats; i++ {
-		b, res, err = requestor.RequestTrustProven(edgeInfo, subject.ID, reqOnion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != proof.Matching || b.Pos != 5 {
-			t.Fatalf("warm read %d: verdict %v, tally %d", i, res.Verdict, b.Pos)
-		}
-	}
-	if served := metric(t, agentNode, "node_proofs_served_total"); served != servedAfterCold {
-		t.Fatalf("warm reads reached the agent: ProofsServed %d -> %d", servedAfterCold, served)
-	}
-	hits, served := edge.Stats().ProofCacheHits, metric(t, edge, "node_proofs_served_total")
-	if hits < repeats || served < repeats {
-		t.Fatalf("edge counters: hits=%d served=%d, want >= %d", hits, served, repeats)
-	}
-
-	// Snapshots ride the same cache, keyed separately from bundles.
-	ts, err := requestor.RequestTrustSnapshot(edgeInfo, subject.ID, reqOnion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Pos != 5 || ts.AgentID() != agentNode.ID() {
-		t.Fatalf("snapshot via edge: %d positives from %v", ts.Pos, ts.AgentID())
-	}
-	servedSnap := metric(t, agentNode, "node_proofs_served_total")
-	if _, err := requestor.RequestTrustSnapshot(edgeInfo, subject.ID, reqOnion); err != nil {
-		t.Fatal(err)
-	}
-	if served := metric(t, agentNode, "node_proofs_served_total"); served != servedSnap {
-		t.Fatal("warm snapshot read reached the agent")
 	}
 }
 
@@ -274,8 +185,7 @@ func TestProofAgentMemoizesAssembly(t *testing.T) {
 // TestProofCachePutSemantics pins the two cache-entry contracts callers rely
 // on: an overwrite refreshes the key's eviction-order slot (a re-fetched hot
 // entry must not be evicted as "oldest"), and the explicit expires wins over
-// any notion of insertion-time TTL — the edge path caps it at the snapshot's
-// embedded validity.
+// any notion of insertion-time TTL.
 func TestProofCachePutSemantics(t *testing.T) {
 	now := time.Now()
 	c := newProofCache(2, time.Minute)
@@ -311,10 +221,11 @@ func sigMemoMisses(n *Node) int64 { return n.reg.Snapshot()["sig_memo_misses_tot
 // and again through the requestor's verifier: the second read re-checks at
 // most one evidence signature, a report filed in between costs exactly one,
 // and a warm memo changes no verdict — a wire the agent forged among
-// memoised ones is still Lying (and re-examined on every read), a wire an
-// edge corrupted is still ErrBadAgent with nothing pinned on the agent.
+// memoised ones is still Lying (and re-examined on every read), a wire a
+// cache corrupted after signing is still ErrBadAgent with nothing pinned on
+// the agent.
 func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
-	agentNode, requestor, edge, relays := proofFleet(t)
+	agentNode, requestor, relays := proofFleet(t)
 	agentOnion, err := agentNode.BuildOnion(fetchRoute(t, agentNode, relays[:1]))
 	if err != nil {
 		t.Fatal(err)
@@ -366,38 +277,35 @@ func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
 		t.Fatalf("node_proofs_lying_total = %d, want 2", got)
 	}
 
-	// An edge corrupts the same wire in its cached copy of the honest bundle:
-	// the attestation no longer covers the bytes, so nothing is pinned.
-	edgeOnion, err := edge.BuildOnion(fetchRoute(t, edge, relays[1:2]))
+	// A cache re-serves the honest bundle, then a copy with the same wire
+	// corrupted after signing: the attestation no longer covers the bytes,
+	// so nothing is pinned. The cache is a second agent's payload cache,
+	// seeded with the first agent's bundle.
+	b, _, err := requestor.RequestTrustProven(info, subject.ID, reqOnion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeFwd, err := edge.BuildOnion(fetchRoute(t, edge, relays[:1]))
+	cacheNode, err := Listen("127.0.0.1:0", Options{Agent: true, ProofCache: 16, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := edge.ConfigureProofEdge(info, edgeFwd); err != nil {
+	t.Cleanup(func() { _ = cacheNode.Close() })
+	cacheOnion, err := cacheNode.BuildOnion(fetchRoute(t, cacheNode, relays[:1]))
+	if err != nil {
 		t.Fatal(err)
 	}
-	edgeInfo := edge.Info(edgeOnion)
-	if res, cost, err := read(edgeInfo); err != nil || res.Verdict != proof.Matching || cost != 0 {
-		t.Fatalf("through the edge: %+v, %d signature checks, %v; want Matching at 0", res, cost, err)
-	}
+	cacheInfo := cacheNode.Info(cacheOnion)
 	key := proofCacheKey(subject.ID, proofKindBundle)
-	payload, ok := edge.proofCache.get(key, time.Now())
-	if !ok {
-		t.Fatal("edge did not cache the bundle")
-	}
-	b, err := proof.DecodeBundle(payload)
-	if err != nil {
-		t.Fatal(err)
+	cacheNode.proofCache.put(key, b.Encode(), time.Now().Add(time.Minute))
+	if res, cost, err := read(cacheInfo); err != nil || res.Verdict != proof.Matching || cost != 0 {
+		t.Fatalf("re-served from a cache: %+v, %d signature checks, %v; want Matching at 0", res, cost, err)
 	}
 	flipWire(b)
-	edge.proofCache.put(key, b.Encode(), time.Now().Add(time.Minute))
-	if _, _, err := read(edgeInfo); !errors.Is(err, ErrBadAgent) {
-		t.Fatalf("edge-corrupted bundle: err = %v, want ErrBadAgent", err)
+	cacheNode.proofCache.put(key, b.Encode(), time.Now().Add(time.Minute))
+	if _, _, err := read(cacheInfo); !errors.Is(err, ErrBadAgent) {
+		t.Fatalf("cache-corrupted bundle: err = %v, want ErrBadAgent", err)
 	}
 	if got := metric(t, requestor, "node_proofs_lying_total"); got != 2 {
-		t.Fatalf("edge corruption was pinned on the agent: node_proofs_lying_total = %d", got)
+		t.Fatalf("cache corruption was pinned on the agent: node_proofs_lying_total = %d", got)
 	}
 }

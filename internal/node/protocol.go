@@ -109,7 +109,7 @@ func (n *Node) requestTrust(agent AgentInfo, subject pkc.NodeID, replyOnion *oni
 }
 
 // requestTrustOnce runs one trust exchange. Request body: subject. Reply
-// body: subject, value, hasData, wrong-owner flag.
+// body: subject, value, hasData.
 func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (trust.Value, bool, error) {
 	q, err := n.newRequest(replyOnion)
 	if err != nil {
@@ -123,15 +123,8 @@ func (n *Node) requestTrustOnce(agent AgentInfo, subject pkc.NodeID, replyOnion 
 	subjRaw := r.Bytes()
 	value := trust.Value(math.Float64frombits(r.U64()))
 	hasData := r.Bool()
-	wrongOwner := r.Bool()
 	if r.Finish() != nil || !bytes.Equal(subjRaw, subject[:]) || !value.Valid() {
 		return 0, false, ErrBadAgent
-	}
-	if wrongOwner {
-		// The agent's group does not own this subject under its placement
-		// epoch: a routing miss, not an answer. The routed caller refreshes
-		// its map and re-asks the owner.
-		return 0, false, ErrWrongOwner
 	}
 	return value, hasData, nil
 }
@@ -180,23 +173,13 @@ func (n *Node) handleTrustReq(sealed []byte) {
 	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
 	}
-	// Routed overlay (DESIGN.md §12): a subject outside this group's shards
-	// gets a signed wrong-owner answer instead of a tally — this agent may
-	// hold a partial (or no) view of it, and serving that would be worse
-	// than redirecting the requestor to the owner.
 	value, hasData := trust.Value(0.5), false // uninformed prior, flagged to the requestor
-	_, owned := n.subjectOwnership(subject)
-	if owned {
-		if v, ok := n.agent.TrustValue(subject); ok {
-			value, hasData = v, true
-		}
-		n.cnt.trustServed.Inc()
-	} else {
-		// A redirect, not a served value.
-		n.cnt.placementRedirects.Inc()
+	if v, ok := n.agent.TrustValue(subject); ok {
+		value, hasData = v, true
 	}
+	n.cnt.trustServed.Inc()
 	e := req.replyBody()
-	e.Bytes(subject[:]).U64(math.Float64bits(float64(value))).Bool(hasData).Bool(!owned)
+	e.Bytes(subject[:]).U64(math.Float64bits(float64(value))).Bool(hasData)
 	n.reply(&req, &e)
 }
 
@@ -225,16 +208,6 @@ func (n *Node) handleReport(sealed []byte) {
 	if g != nil && !g.isAdmitted(reporter) {
 		n.cnt.admissionRequired.Inc()
 		return
-	}
-	// Routed overlay: a mis-routed report must not enter this group's store
-	// — the owner would never learn of it and the tally would fork. On this
-	// unacked path the drop is only countable, not correctable; the batched
-	// path answers StatusWrongOwner so the sender re-routes.
-	if subject, err := agentdir.DecodeSubjectHint(reportWire); err == nil {
-		if write, _ := n.subjectOwnership(subject); !write {
-			n.countIngest(StatusWrongOwner)
-			return
-		}
 	}
 	// Every outcome is counted by reason, so replayed, mis-keyed, and
 	// store-failed reports are visible even on this unacked path.

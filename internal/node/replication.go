@@ -486,10 +486,10 @@ func newReplicaSet(primaries, peers []pkc.NodeID) *replicaSet {
 	return rs
 }
 
-// AuthorizeReplicaOf allows ids to replicate their agent state into this
+// authorizeReplicaOf allows ids to replicate their agent state into this
 // node (in addition to Options.ReplicaOf). Identities are minted at Listen,
 // so a fleet wires these pairings after its nodes are up.
-func (n *Node) AuthorizeReplicaOf(ids ...pkc.NodeID) {
+func (n *Node) authorizeReplicaOf(ids ...pkc.NodeID) {
 	if n.replicas == nil {
 		return
 	}
@@ -500,10 +500,10 @@ func (n *Node) AuthorizeReplicaOf(ids ...pkc.NodeID) {
 	}
 }
 
-// AuthorizeReplicaPeer allows ids — fellow members of a replica group — to
+// authorizeReplicaPeer allows ids — fellow members of a replica group — to
 // read this node's replication state (digests and shard fetches), in
 // addition to Options.ReplicaPeers.
-func (n *Node) AuthorizeReplicaPeer(ids ...pkc.NodeID) {
+func (n *Node) authorizeReplicaPeer(ids ...pkc.NodeID) {
 	if n.replicas == nil {
 		return
 	}
@@ -595,9 +595,9 @@ func (n *Node) closeReplicaStores() error {
 	return err
 }
 
-// ReplicaReportCount returns how many reports this node's replica of primary
+// replicaReportCount returns how many reports this node's replica of primary
 // holds (0 when it holds none), for tests and monitoring.
-func (n *Node) ReplicaReportCount(primary pkc.NodeID) int {
+func (n *Node) replicaReportCount(primary pkc.NodeID) int {
 	st, err := n.replicaState(primary, 0, false)
 	if err != nil || st == nil {
 		return 0
@@ -1078,12 +1078,12 @@ func (n *Node) handleReplStatusReq(sealed []byte) {
 	n.reply(&req, &e)
 }
 
-// PromoteReplica performs stateful backup promotion for a dead primary
+// promoteReplica performs stateful backup promotion for a dead primary
 // (§3.4.3 extended by DESIGN.md §10): probe every backup's replication
 // status for primary, cache positions in book, then promote the
 // most-caught-up healthy backup — after instructing it to reconcile with the
 // surviving replicas, so it serves the primary's tallies immediately.
-func (n *Node) PromoteReplica(book *AgentBook, primary pkc.NodeID, replyOnion *onion.Onion) (pkc.NodeID, bool) {
+func (n *Node) promoteReplica(book *AgentBook, primary pkc.NodeID, replyOnion *onion.Onion) (pkc.NodeID, bool) {
 	type candidate struct {
 		id   pkc.NodeID
 		info AgentInfo

@@ -39,8 +39,8 @@ func TestReplicationShipsBatches(t *testing.T) {
 	r1 := mkReplNode(t, nil, true, "", nil, 64)
 	r2 := mkReplNode(t, nil, true, t.TempDir(), nil, 64)
 	p := mkReplNode(t, nil, true, t.TempDir(), []string{r1.Addr(), r2.Addr()}, 64)
-	r1.AuthorizeReplicaOf(p.ID())
-	r2.AuthorizeReplicaOf(p.ID())
+	r1.authorizeReplicaOf(p.ID())
+	r2.authorizeReplicaOf(p.ID())
 
 	reporter, _ := pkc.NewIdentity(nil)
 	subject, _ := pkc.NewIdentity(nil)
@@ -57,7 +57,7 @@ func TestReplicationShipsBatches(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool {
-		return r1.ReplicaReportCount(p.ID()) == reports && r2.ReplicaReportCount(p.ID()) == reports
+		return r1.replicaReportCount(p.ID()) == reports && r2.replicaReportCount(p.ID()) == reports
 	})
 
 	// The replicas serve the primary's tallies through their combined view:
@@ -154,10 +154,10 @@ func TestChaosReplicationFailover(t *testing.T) {
 
 	// The offline pairing: each standby accepts state for this primary and
 	// lets the other group member pull shards at promotion time.
-	r1.AuthorizeReplicaOf(p.ID())
-	r2.AuthorizeReplicaOf(p.ID())
-	r1.AuthorizeReplicaPeer(r2.ID())
-	r2.AuthorizeReplicaPeer(r1.ID())
+	r1.authorizeReplicaOf(p.ID())
+	r2.authorizeReplicaOf(p.ID())
+	r1.authorizeReplicaPeer(r2.ID())
+	r2.authorizeReplicaPeer(r1.ID())
 
 	infoFor := func(a *Node) AgentInfo {
 		o, err := a.BuildOnion(fetchRoute(t, a, []*Node{relay}))
@@ -232,18 +232,18 @@ func TestChaosReplicationFailover(t *testing.T) {
 	for k := 0; k < 18; k++ {
 		report(k)
 	}
-	waitFor(t, func() bool { return r1.ReplicaReportCount(p.ID()) == total })
+	waitFor(t, func() bool { return r1.replicaReportCount(p.ID()) == total })
 	if got := p.Metrics().Snapshot()["node_repl_handoff_dropped_total"]; got == 0 {
 		t.Fatal("handoff queue never overflowed — the divergence phase tested nothing")
 	}
-	if got := r2.ReplicaReportCount(p.ID()); got != 0 {
+	if got := r2.replicaReportCount(p.ID()); got != 0 {
 		t.Fatalf("black-holed replica applied %d reports", got)
 	}
 
 	// Phase 2: revive r2. The next periodic pass finds the sequence gap,
 	// streams full shards, and seals — r2 converges without any WAL replay.
 	fd.Clear(r2.Addr())
-	waitFor(t, func() bool { return r2.ReplicaReportCount(p.ID()) == total })
+	waitFor(t, func() bool { return r2.replicaReportCount(p.ID()) == total })
 	// The primary bumps its repair counters only after the sealing round trip
 	// returns, which is after r2 already shows the converged state: wait on
 	// them rather than reading them once.
@@ -268,7 +268,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 	fd.Clear(r1.Addr())
 	fd.Clear(p.Addr())
 	waitFor(t, func() bool {
-		return r1.ReplicaReportCount(p.ID()) == total && r2.ReplicaReportCount(p.ID()) == total
+		return r1.replicaReportCount(p.ID()) == total && r2.replicaReportCount(p.ID()) == total
 	})
 
 	// Phase 4: kill the primary for good and promote. The probe must pick a
@@ -278,9 +278,9 @@ func TestChaosReplicationFailover(t *testing.T) {
 	if !book.Demote(infoP.ID()) {
 		t.Fatal("demote failed")
 	}
-	promoted, ok := peer.PromoteReplica(book, infoP.ID(), replyOnion)
+	promoted, ok := peer.promoteReplica(book, infoP.ID(), replyOnion)
 	if !ok {
-		t.Fatal("PromoteReplica found no candidate")
+		t.Fatal("promoteReplica found no candidate")
 	}
 	if promoted != info1.ID() && promoted != info2.ID() {
 		t.Fatalf("promoted unknown node %v", promoted)
@@ -299,7 +299,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 	if promoted == info2.ID() {
 		promotedInfo, promotedNode = info2, r2
 	}
-	if got := promotedNode.ReplicaReportCount(p.ID()); got != total {
+	if got := promotedNode.replicaReportCount(p.ID()); got != total {
 		t.Fatalf("promoted replica holds %d reports, want %d (acknowledged)", got, total)
 	}
 	for subj, tl := range shadow {
@@ -384,7 +384,7 @@ func TestRepairReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := primary.ID
-	r.AuthorizeReplicaOf(pid)
+	r.authorizeReplicaOf(pid)
 
 	sentinel := func(challenge []byte, syncSeq uint64) []byte {
 		var sp wire.Encoder
@@ -442,7 +442,7 @@ func TestRepairReplayRejected(t *testing.T) {
 func TestIdleReplicationQuiesces(t *testing.T) {
 	r1 := mkReplNode(t, nil, true, "", nil, 64)
 	p := mkReplNode(t, nil, true, "", []string{r1.Addr()}, 64)
-	r1.AuthorizeReplicaOf(p.ID())
+	r1.authorizeReplicaOf(p.ID())
 
 	reporter, _ := pkc.NewIdentity(nil)
 	subject, _ := pkc.NewIdentity(nil)
@@ -458,7 +458,7 @@ func TestIdleReplicationQuiesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return r1.ReplicaReportCount(p.ID()) == reports })
+	waitFor(t, func() bool { return r1.replicaReportCount(p.ID()) == reports })
 
 	// Let the cold-target comparison (and any in-flight tick) finish, then
 	// measure across several idle sync intervals.
@@ -546,6 +546,6 @@ func TestHandoffQueuesStayInMemory(t *testing.T) {
 	if got := p2.Agent().ReportCount(); got != reports {
 		t.Fatalf("reopened primary holds %d reports, want %d", got, reports)
 	}
-	r.AuthorizeReplicaOf(p2.ID())
-	waitFor(t, func() bool { return r.ReplicaReportCount(p2.ID()) == reports })
+	r.authorizeReplicaOf(p2.ID())
+	waitFor(t, func() bool { return r.replicaReportCount(p2.ID()) == reports })
 }

@@ -80,7 +80,7 @@ func (n *Node) noteFailure(book *AgentBook, id pkc.NodeID) {
 // promoteBackup restores the healthiest backup in place of the demoted agent.
 // Among backups whose breaker is closed it prefers the one with the highest
 // cached replication position for the demoted primary (fed by
-// PromoteReplica's status probes); with no cached positions every candidate
+// promoteReplica's status probes); with no cached positions every candidate
 // scores zero and the most recently demoted healthy backup wins, the
 // pre-replication behavior. Candidates are tried in that order until one
 // restores — a single candidate lost to a concurrent probe must not abandon
@@ -118,12 +118,12 @@ func restoreFirst(book *AgentBook, cands []pkc.NodeID) (pkc.NodeID, bool) {
 	return pkc.NodeID{}, false
 }
 
-// ProbeBackups probes every backup agent with one short trust request (§3.4.3:
+// probeBackups probes every backup agent with one short trust request (§3.4.3:
 // "the peer first probes all back up agents") and restores responsive ones to
 // the book. Each probe respects the backup's breaker — an open breaker inside
 // its cooldown is skipped; one past cooldown gets the half-open slot. The
 // restored agents' IDs are returned.
-func (n *Node) ProbeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.NodeID {
+func (n *Node) probeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.NodeID {
 	var restored []pkc.NodeID
 	for _, id := range book.Backups() {
 		info, ok := book.BackupInfo(id)
@@ -154,10 +154,10 @@ func (n *Node) ProbeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.Node
 // The unacknowledged TReport is a fast path, taken only to an agent that has
 // acked a stored batch from this identity (setOneWay): first contact goes
 // through the flusher's acked loop, which solves the agent's admission gate
-// (§13) and follows the placement map (§12). The report is also queued when
-// the agent's breaker is not closed (sending through an onion cannot observe
-// a dead terminal agent, so breaker state is the only trustworthy health
-// signal), and after a real first-hop send failure.
+// (§13). The report is also queued when the agent's breaker is not closed
+// (sending through an onion cannot observe a dead terminal agent, so breaker
+// state is the only trustworthy health signal), and after a real first-hop
+// send failure.
 func (n *Node) reportOrDefer(book *AgentBook, a AgentInfo, subject pkc.NodeID, positive bool) error {
 	id := a.ID()
 	if book != nil && book.BreakerState(id) != resilience.BreakerClosed {
@@ -283,20 +283,17 @@ func (n *Node) flushLoop() {
 }
 
 // flushOutbox drains one pass of the outbox through the acknowledged
-// delivery loop. It refreshes a placement map a wrong-owner ack marked stale,
-// re-routes every entry to its subject's current owner group (routeDeferred),
-// groups the entries per agent in queue order, and retires each on its own
-// acked status: stored as sent, a protocol reject as rejected. Anything else
-// (saturated agent, store failure, lost ack, wrong owner, open breaker) stays
-// queued and counts as blocked, so the loop backs off; undecodable entries
-// are dropped as lost. The acks come back through the node's reply route;
+// delivery loop. It groups the entries per agent in queue order and retires
+// each on its own acked status: stored as sent, a protocol reject as
+// rejected. Anything else (saturated agent, store failure, lost ack, open
+// breaker) stays queued and counts as blocked, so the loop backs off;
+// undecodable entries are dropped as lost. The acks come back through the node's reply route;
 // until the node has one, the outbox waits.
 func (n *Node) flushOutbox() (blocked int) {
 	ro := n.replyRoute.Load()
 	if ro == nil {
 		return 0
 	}
-	n.refreshPlacementIfStale()
 	type group struct {
 		info    AgentInfo
 		seqs    []uint64
@@ -311,7 +308,6 @@ func (n *Node) flushOutbox() (blocked int) {
 			n.cnt.reportsLost.Inc()
 			continue
 		}
-		info = n.routeDeferred(info, subject)
 		id := info.ID()
 		g := groups[id]
 		if g == nil {

@@ -55,15 +55,6 @@ type counters struct {
 	replAntiEntropy    *metrics.Counter
 	replUnauthorized   *metrics.Counter
 
-	// Routed overlay (DESIGN.md §12): placement-map adoption, wrong-owner
-	// redirects, and shard-handoff progress during rebalances.
-	placementAdopted    *metrics.Counter
-	placementRejected   *metrics.Counter
-	placementRedirects  *metrics.Counter
-	handoffSealed       *metrics.Counter
-	handoffPulled       *metrics.Counter
-	handoffUnauthorized *metrics.Counter
-
 	// Sybil-admission gate (DESIGN.md §13): agent-side bounce/admit/replay/
 	// throttle counts and sender-side proof-of-work cost.
 	admissionRequired  *metrics.Counter
@@ -134,7 +125,6 @@ func (c *counters) bind(r *metrics.Registry) {
 		StatusMalformed:   r.Counter("node_ingest_rejected_malformed_total"),
 		StatusStoreFailed: r.Counter("node_ingest_store_failed_total"),
 		StatusSaturated:   r.Counter("node_ingest_shed_total"),
-		StatusWrongOwner:  r.Counter("node_ingest_rejected_wrong_owner_total"),
 	}
 	c.reportsAcked = r.Counter("node_reports_acked_total")
 	c.reportsRejected = r.Counter("node_reports_rejected_total")
@@ -147,12 +137,6 @@ func (c *counters) bind(r *metrics.Registry) {
 	c.replShardsRepaired = r.Counter("node_repl_shards_repaired_total")
 	c.replAntiEntropy = r.Counter("node_repl_antientropy_total")
 	c.replUnauthorized = r.Counter("node_repl_unauthorized_total")
-	c.placementAdopted = r.Counter("node_placement_adopted_total")
-	c.placementRejected = r.Counter("node_placement_rejected_total")
-	c.placementRedirects = r.Counter("node_placement_redirects_total")
-	c.handoffSealed = r.Counter("node_handoff_sealed_total")
-	c.handoffPulled = r.Counter("node_handoff_pulled_total")
-	c.handoffUnauthorized = r.Counter("node_handoff_unauthorized_total")
 	c.admissionRequired = r.Counter("node_admission_required_total")
 	c.admissionAdmitted = r.Counter("node_admission_admitted_total")
 	c.admissionReplayed = r.Counter("node_admission_replayed_total")
@@ -196,7 +180,7 @@ type Stats struct {
 	ReportsDeferred    int64 // reports queued in the outbox instead of sent
 	ReportsLost        int64 // reports dropped (outbox eviction or corruption)
 	ProofCacheHits     int64 // proof payloads served straight from cache
-	ProofCacheMisses   int64 // proof requests that had to assemble or forward
+	ProofCacheMisses   int64 // proof requests that had to assemble
 	AuditSweeps        int64 // audit sweeps completed
 	AdvisoriesAccepted int64 // received advisories that passed full re-verification
 	AdmissionWork      int64 // hash attempts spent minting admission proofs

@@ -65,7 +65,7 @@ func TestConnFloodShedsSessions(t *testing.T) {
 	deadline = time.Now().Add(3 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {
-		if peer.Ping(n.Addr()) {
+		if peer.ping(n.Addr()) {
 			recovered = true
 			break
 		}
@@ -110,7 +110,7 @@ func TestFrameAccounting(t *testing.T) {
 	defer peer.Close()
 
 	for i := 0; i < 3; i++ {
-		if !peer.Ping(n.Addr()) {
+		if !peer.ping(n.Addr()) {
 			t.Fatalf("ping %d failed", i)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPooledNodesReuseConnections(t *testing.T) {
 
 	const pings = 20
 	for i := 0; i < pings; i++ {
-		if !peer.Ping(n.Addr()) {
+		if !peer.ping(n.Addr()) {
 			t.Fatalf("ping %d failed", i)
 		}
 	}

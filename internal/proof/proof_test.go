@@ -373,10 +373,11 @@ func TestUncertifiedMergePartial(t *testing.T) {
 	}
 }
 
-// TestShardTransferPreservesProof pins the rebalance story: after a subject's
-// shard is exported from one agent's store and merged into another's (the
-// DESIGN.md §12 handoff), the receiving agent assembles a bundle that still
-// verifies Matching — evidence and lineage travel with the tally.
+// TestShardTransferPreservesProof pins the replica catch-up story: after a
+// subject's shard is exported from one agent's store and imported into a
+// fresh one (ImportShard, the anti-entropy path), the receiving agent
+// assembles a bundle that still verifies Matching — evidence and lineage
+// travel with the tally.
 func TestShardTransferPreservesProof(t *testing.T) {
 	oldAgent, newAgent := ident(t), ident(t)
 	src, _ := repstore.Open("", repstore.Options{Shards: 4, EvidenceCap: 64})
@@ -403,17 +404,17 @@ func TestShardTransferPreservesProof(t *testing.T) {
 	dst, _ := repstore.Open("", repstore.Options{Shards: 4, EvidenceCap: 64})
 	defer dst.Close()
 	for i := 0; i < dst.ShardCount(); i++ {
-		if err := dst.MergeShard(i, 1, src.ExportShard(i)); err != nil {
+		if err := dst.ImportShard(i, src.ExportShard(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b := Assemble(dst, newAgent, next.ID, dst.WALEpoch())
 	if b.Partial || len(b.Evidence) != 3 || len(b.Lineage) != 1 {
-		t.Fatalf("post-handoff bundle: partial=%v evs=%d lineage=%d", b.Partial, len(b.Evidence), len(b.Lineage))
+		t.Fatalf("post-import bundle: partial=%v evs=%d lineage=%d", b.Partial, len(b.Evidence), len(b.Lineage))
 	}
 	res := mustVerdict(t, b, Matching, "")
 	if res.Pos != 2 || res.Neg != 1 {
-		t.Fatalf("post-handoff recomputed %d/%d", res.Pos, res.Neg)
+		t.Fatalf("post-import recomputed %d/%d", res.Pos, res.Neg)
 	}
 	if b.AgentID() != newAgent.ID {
 		t.Fatal("bundle not attributed to the receiving agent")

@@ -284,8 +284,8 @@ func TestEvidenceMergeAndLineage(t *testing.T) {
 }
 
 // TestEvidenceShardExportMerge pins evidence and lineage riding shard
-// replication: exports carry them as trailing sections, imports and merges
-// fold them in, and the shard digest ignores them entirely (anti-entropy
+// replication: exports carry them as trailing sections, imports fold them
+// in, and the shard digest ignores them entirely (anti-entropy
 // compares tallies, never retention policy).
 func TestEvidenceShardExportMerge(t *testing.T) {
 	src, err := Open("", Options{Shards: 4, EvidenceCap: 8})
@@ -344,23 +344,6 @@ func TestEvidenceShardExportMerge(t *testing.T) {
 		t.Fatalf("import dropped lineage: %v", links)
 	} else if !links[0].Certified() || string(links[0].Wire) != "wire551" {
 		t.Fatalf("import dropped lineage certificate: %+v", links[0])
-	}
-
-	// MergeShard folds additively: merging the same export into a store that
-	// already holds reports unions the evidence.
-	dst2, err := Open("", Options{Shards: 4, EvidenceCap: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst2.Close()
-	if err := dst2.Append(evRecord(20, subject)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst2.MergeShard(shard, 1, src.ExportShard(shard)); err != nil {
-		t.Fatal(err)
-	}
-	if pos, neg, evs, _, _ := dst2.SubjectProof(subject); pos+neg != 6 || len(evs) != 6 {
-		t.Fatalf("shard merge: tally %d, %d evs, want 6/6", pos+neg, len(evs))
 	}
 
 	// An evidence-off receiver applies the tally half and drops the wires.

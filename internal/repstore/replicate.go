@@ -85,7 +85,7 @@ func (s *Store) shardDigest(i int) ShardDigest {
 
 // ExportShard serializes one shard — version header plus canonical body,
 // plus the trailing lineage/evidence sections when the store holds any — for
-// an anti-entropy repair or handoff transfer.
+// an anti-entropy repair or a replica catch-up.
 func (s *Store) ExportShard(i int) []byte {
 	if i < 0 || i >= len(s.shards) {
 		return nil
@@ -148,47 +148,6 @@ func encodeShardLocked(sh *shard) ([]byte, []pkc.NodeID) {
 	return body, subjects
 }
 
-// SealShard marks shard i sealed for a handoff: every subsequent Append (or
-// Merge) touching it fails with ErrShardSealed until UnsealAll. Acquiring
-// applyMu exclusively makes the seal a hard cut, not a hint: any mutation
-// already past its own seal check holds applyMu for read across commit and
-// apply, so SealShard blocks until it is fully applied — after SealShard
-// returns, ExportShard is guaranteed to contain every report the store ever
-// acknowledged for that shard, with no in-flight append able to land behind
-// the export.
-func (s *Store) SealShard(i int) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("repstore: seal shard %d of %d", i, len(s.shards))
-	}
-	s.applyMu.Lock()
-	s.shards[i].sealed = true
-	s.applyMu.Unlock()
-	return nil
-}
-
-// UnsealAll lifts every shard seal — called when a new placement epoch is
-// adopted, closing the migration windows the seals belonged to.
-func (s *Store) UnsealAll() {
-	s.applyMu.Lock()
-	for i := range s.shards {
-		s.shards[i].sealed = false
-	}
-	s.applyMu.Unlock()
-}
-
-// ShardSealed reports whether shard i is currently sealed.
-func (s *Store) ShardSealed(i int) bool {
-	if i < 0 || i >= len(s.shards) {
-		return false
-	}
-	s.applyMu.RLock()
-	defer s.applyMu.RUnlock()
-	return s.shards[i].sealed
-}
-
 // ImportShard replaces shard i's contents with a peer's ExportShard payload,
 // adopting the exported version. Every subject in the payload must actually
 // belong to shard i under this store's shard count — a mismatched or hostile
@@ -231,80 +190,6 @@ func (s *Store) ImportShard(i int, data []byte) error {
 	sh.digValid = false
 	sh.mu.Unlock()
 	s.reports.Add(newTotal - oldTotal)
-	return nil
-}
-
-// MergeShard folds a peer's ExportShard payload additively into shard i:
-// every exported tally is added on top of the local state instead of
-// replacing it. This is the shard-handoff primitive (DESIGN.md §12) — during
-// a migration's dual-ownership window the old and new owners accept disjoint
-// report sets (every report is acknowledged by exactly one group), so adding
-// the old owner's sealed export onto the new owner's fresh tallies yields
-// exactly the union. epoch names the placement epoch the handoff runs under:
-// the store records each completed (epoch, shard) merge and refuses a second
-// one with ErrAlreadyMerged, so a re-driven pull (a crashed driver re-run, an
-// operator retry after a partial failure) cannot double-count the shard. Like
-// ImportShard this is an in-memory repair, so a WAL-backed store must
-// Snapshot() afterwards to make the merged state — and its merge marker —
-// durable together.
-func (s *Store) MergeShard(i int, epoch uint64, data []byte) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("repstore: merge shard %d of %d", i, len(s.shards))
-	}
-	if len(data) < 8 {
-		return fmt.Errorf("%w: short shard export", ErrCorruptRecord)
-	}
-	incoming, links, err := s.decodeShardBody(i, data[8:])
-	if err != nil {
-		return err
-	}
-	added := int64(0)
-	for _, st := range incoming {
-		added += int64(st.pos + st.neg)
-		s.normalizeEvidence(st)
-	}
-	s.addLineage(links)
-	s.applyMu.RLock()
-	defer s.applyMu.RUnlock()
-	// Mark before applying (nothing after the decode can fail), under its own
-	// lock so two concurrent merges of the same export cannot both pass.
-	mark := mergeMark{epoch: epoch, shard: uint32(i)}
-	s.mergedMu.Lock()
-	if s.merged[mark] {
-		s.mergedMu.Unlock()
-		return fmt.Errorf("%w: shard %d, epoch %d", ErrAlreadyMerged, i, epoch)
-	}
-	s.merged[mark] = true
-	s.mergedMu.Unlock()
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	for subject, in := range incoming {
-		st := sh.subjects[subject]
-		if st == nil {
-			sh.subjects[subject] = in
-			continue
-		}
-		st.pos += in.pos
-		st.neg += in.neg
-		for rep, rt := range in.reporters {
-			cur := st.reporters[rep]
-			cur.pos += rt.pos
-			cur.neg += rt.neg
-			st.reporters[rep] = cur
-		}
-		if len(in.ev) > 0 || in.evTrunc {
-			st.ev = append(st.ev, in.ev...)
-			st.evTrunc = st.evTrunc || in.evTrunc
-			st.trimEvidence(s.opts.EvidenceCap)
-		}
-	}
-	sh.version++
-	sh.digValid = false
-	sh.mu.Unlock()
-	s.reports.Add(added)
 	return nil
 }
 

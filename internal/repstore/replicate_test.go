@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hirep/internal/pkc"
 )
@@ -448,118 +447,14 @@ func BenchmarkRepstoreIngestReplicated(b *testing.B) {
 	}
 }
 
-// TestMergeShardFoldsDisjointState checks the shard-handoff primitive: the
-// new owner's fresh reports plus the old owner's sealed export must merge to
-// exactly the union, per reporter, including subjects present on both sides.
-func TestMergeShardFoldsDisjointState(t *testing.T) {
-	old, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	niu, err := Open("", Options{Shards: 4}) // the new owner
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer niu.Close()
-
-	// Shared subject: reporter 1 told the old owner, reporter 2 told the new
-	// one (disjoint report sets, as dual ownership guarantees). Plus one
-	// subject only the old owner knows.
-	shared, lone := nid(100), nid(101)
-	for shardIndexOf(old, shared) != shardIndexOf(old, lone) {
-		lone = nid(int(lone[0]) + 256) // keep both in one shard for a single merge
-	}
-	shard := int(shardIndexOf(old, shared))
-	mustAppend := func(s *Store, rec Record) {
-		t.Helper()
-		if err := s.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAppend(old, Record{Reporter: nid(1), Subject: shared, Positive: true, Nonce: nnc(1)})
-	mustAppend(old, Record{Reporter: nid(1), Subject: shared, Positive: false, Nonce: nnc(2)})
-	mustAppend(old, Record{Reporter: nid(3), Subject: lone, Positive: true, Nonce: nnc(3)})
-	mustAppend(niu, Record{Reporter: nid(2), Subject: shared, Positive: true, Nonce: nnc(4)})
-
-	const epoch = 2
-	if err := niu.MergeShard(shard, epoch, old.ExportShard(shard)); err != nil {
-		t.Fatal(err)
-	}
-	if pos, neg, ok := niu.Tally(shared); !ok || pos != 2 || neg != 1 {
-		t.Fatalf("shared tally after merge = (%d,%d,%v), want (2,1,true)", pos, neg, ok)
-	}
-	if pos, neg, ok := niu.Tally(lone); !ok || pos != 1 || neg != 0 {
-		t.Fatalf("lone tally after merge = (%d,%d,%v), want (1,0,true)", pos, neg, ok)
-	}
-	if got, want := niu.ReportCount(), 4; got != want {
-		t.Fatalf("ReportCount after merge = %d, want %d", got, want)
-	}
-	if got, want := niu.DistinctReporters(shared), 2; got != want {
-		t.Fatalf("DistinctReporters(shared) = %d, want %d", got, want)
-	}
-
-	// Exactly-once: a re-driven pull re-merging the same (epoch, shard) is
-	// refused and must not double a single tally.
-	if err := niu.MergeShard(shard, epoch, old.ExportShard(shard)); !errors.Is(err, ErrAlreadyMerged) {
-		t.Fatalf("second merge of the same epoch: %v, want ErrAlreadyMerged", err)
-	}
-	if pos, neg, ok := niu.Tally(shared); !ok || pos != 2 || neg != 1 {
-		t.Fatalf("shared tally after refused re-merge = (%d,%d,%v), want unchanged (2,1,true)", pos, neg, ok)
-	}
-	// A later epoch's handoff of the same shard is a different migration and
-	// merges normally.
-	if err := niu.MergeShard(shard, epoch+1, old.ExportShard(shard)); err != nil {
-		t.Fatalf("merge under a later epoch: %v", err)
-	}
-}
-
-// TestMergeShardRejectsMisrouted mirrors the ImportShard guard: an export
-// whose subjects do not route to the named shard must not touch state.
-func TestMergeShardRejectsMisrouted(t *testing.T) {
-	src, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	subj := nid(7)
-	if err := src.Append(Record{Reporter: nid(1), Subject: subj, Positive: true, Nonce: nnc(1)}); err != nil {
-		t.Fatal(err)
-	}
-	right := int(shardIndexOf(src, subj))
-	wrong := (right + 1) % 4
-	if err := dst.MergeShard(wrong, 1, src.ExportShard(right)); err == nil {
-		t.Fatal("misrouted merge accepted")
-	}
-	if dst.ReportCount() != 0 {
-		t.Fatal("misrouted merge mutated state")
-	}
-	if err := dst.MergeShard(-1, 1, src.ExportShard(right)); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	if err := dst.MergeShard(right, 1, []byte{1, 2}); err == nil {
-		t.Fatal("truncated export accepted")
-	}
-	// A refused merge must not burn its (epoch, shard) marker: the retry with
-	// a good export still goes through.
-	if err := dst.MergeShard(right, 1, src.ExportShard(right)); err != nil {
-		t.Fatalf("merge after refused attempts: %v", err)
-	}
-}
-
 // shardIndexOf exposes the routing function to tests in this package.
 func shardIndexOf(s *Store, subject pkc.NodeID) uint64 { return s.shardIndex(subject) }
 
 // TestDigestsExportUnderConcurrentAppend hammers the replication read
-// surface — Digests, ExportShard, and MergeShard's decode path — while
-// writers mutate the store, under the race detector. Rebalance calls exactly
-// these on a live primary, so they must be safe against concurrent Append
-// (and the digest CRC cache must not serve torn values).
+// surface — Digests, ExportShard, and ImportShard's decode path — while
+// writers mutate the store, under the race detector. Anti-entropy calls
+// exactly these on a live primary, so they must be safe against concurrent
+// Append (and the digest CRC cache must not serve torn values).
 func TestDigestsExportUnderConcurrentAppend(t *testing.T) {
 	s, err := Open("", Options{Shards: 8})
 	if err != nil {
@@ -620,176 +515,5 @@ func TestDigestsExportUnderConcurrentAppend(t *testing.T) {
 	}
 	if miss := digestsMismatch(s.Digests(), sink.Digests()); miss != nil {
 		t.Fatalf("digests differ at %v after quiesced import", miss)
-	}
-}
-
-// TestSealShardRefusesWritesUntilUnseal covers the seal surface itself:
-// a sealed shard refuses Append and Merge with ErrShardSealed, other shards
-// keep ingesting, and UnsealAll (a new placement epoch closing the window)
-// restores writes.
-func TestSealShardRefusesWritesUntilUnseal(t *testing.T) {
-	s, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	subj := nid(9)
-	shard := int(shardIndexOf(s, subj))
-	other := nid(10)
-	for i := 11; int(shardIndexOf(s, other)) == shard; i++ {
-		other = nid(i)
-	}
-	if err := s.Append(Record{Reporter: nid(1), Subject: subj, Positive: true, Nonce: nnc(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SealShard(shard); err != nil {
-		t.Fatal(err)
-	}
-	if !s.ShardSealed(shard) {
-		t.Fatal("shard not reported sealed")
-	}
-	if err := s.Append(Record{Reporter: nid(1), Subject: subj, Positive: true, Nonce: nnc(2)}); !errors.Is(err, ErrShardSealed) {
-		t.Fatalf("append to sealed shard: %v, want ErrShardSealed", err)
-	}
-	// A key-rotation merge into or out of the sealed shard would fork the
-	// tally between old and new owner; it is refused too.
-	if err := s.Merge(subj, other); !errors.Is(err, ErrShardSealed) {
-		t.Fatalf("merge out of sealed shard: %v, want ErrShardSealed", err)
-	}
-	if err := s.Merge(other, subj); !errors.Is(err, ErrShardSealed) {
-		t.Fatalf("merge into sealed shard: %v, want ErrShardSealed", err)
-	}
-	if err := s.Append(Record{Reporter: nid(1), Subject: other, Positive: true, Nonce: nnc(3)}); err != nil {
-		t.Fatalf("append to an unsealed shard during a seal: %v", err)
-	}
-	if err := s.SealShard(-1); err == nil {
-		t.Fatal("out-of-range seal accepted")
-	}
-	s.UnsealAll()
-	if s.ShardSealed(shard) {
-		t.Fatal("shard still sealed after UnsealAll")
-	}
-	if err := s.Append(Record{Reporter: nid(1), Subject: subj, Positive: true, Nonce: nnc(4)}); err != nil {
-		t.Fatalf("append after unseal: %v", err)
-	}
-}
-
-// TestSealShardCutsExportExactly races concurrent appends against a seal
-// (run it under -race): after SealShard returns, an export of the shard must
-// contain every append that returned nil — no acknowledged write may land
-// behind the export. This is the boundary the handoff protocol's zero-loss
-// guarantee rests on: an append either completes before the seal's drain and
-// is inside the export, or fails with ErrShardSealed and is never
-// acknowledged as stored.
-func TestSealShardCutsExportExactly(t *testing.T) {
-	s, err := Open("", Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var subjects []pkc.NodeID
-	for i := 0; len(subjects) < 64; i++ {
-		if id := nid(i); shardIndexOf(s, id) == 0 {
-			subjects = append(subjects, id)
-		}
-	}
-	const writers = 4
-	var (
-		stored   atomic.Int64
-		nonceSeq atomic.Int64
-		wg       sync.WaitGroup
-	)
-	start := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			for k := 0; ; k++ {
-				rec := Record{
-					Reporter: nid(1000 + w),
-					Subject:  subjects[k%len(subjects)],
-					Positive: true,
-					Nonce:    nnc(int(nonceSeq.Add(1))),
-				}
-				if err := s.Append(rec); err != nil {
-					if !errors.Is(err, ErrShardSealed) {
-						t.Error(err)
-					}
-					return
-				}
-				stored.Add(1)
-			}
-		}(w)
-	}
-	close(start)
-	time.Sleep(2 * time.Millisecond) // let the writers get in flight
-	if err := s.SealShard(0); err != nil {
-		t.Fatal(err)
-	}
-	export := s.ExportShard(0) // cut immediately, while writers are still failing out
-	wg.Wait()
-	sink, err := Open("", Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	if err := sink.MergeShard(0, 1, export); err != nil {
-		t.Fatal(err)
-	}
-	if int64(sink.ReportCount()) != stored.Load() {
-		t.Fatalf("export holds %d reports, but %d appends were acknowledged", sink.ReportCount(), stored.Load())
-	}
-}
-
-// TestMergeMarkerSurvivesReopen pins the exactly-once guard across a restart:
-// a durable store that merged a handoff export and snapshotted refuses the
-// same (epoch, shard) merge after reopen — the crashed-driver re-run the
-// marker exists for — while a later epoch's handoff still merges.
-func TestMergeMarkerSurvivesReopen(t *testing.T) {
-	src, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	subj := nid(5)
-	if err := src.Append(Record{Reporter: nid(1), Subject: subj, Positive: true, Nonce: nnc(1)}); err != nil {
-		t.Fatal(err)
-	}
-	shard := int(shardIndexOf(src, subj))
-	export := src.ExportShard(shard)
-
-	const epoch = 7
-	dir := t.TempDir()
-	dst, err := Open(dir, Options{Shards: 4, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.MergeShard(shard, epoch, export); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, Options{Shards: 4, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if pos, neg, ok := re.Tally(subj); !ok || pos != 1 || neg != 0 {
-		t.Fatalf("merged tally after reopen = (%d,%d,%v), want (1,0,true)", pos, neg, ok)
-	}
-	if err := re.MergeShard(shard, epoch, export); !errors.Is(err, ErrAlreadyMerged) {
-		t.Fatalf("re-merge after reopen: %v, want ErrAlreadyMerged", err)
-	}
-	if pos, _, _ := re.Tally(subj); pos != 1 {
-		t.Fatalf("refused re-merge doubled the tally to %d", pos)
-	}
-	if err := re.MergeShard(shard, epoch+1, export); err != nil {
-		t.Fatalf("later-epoch merge after reopen: %v", err)
 	}
 }

@@ -47,8 +47,6 @@ var (
 	ErrCorruptSnapshot   = errors.New("repstore: corrupt snapshot")
 	ErrRecordTooLarge    = errors.New("repstore: record exceeds frame limit")
 	ErrShortFrame        = errors.New("repstore: truncated frame")
-	ErrShardSealed       = errors.New("repstore: shard sealed for handoff")
-	ErrAlreadyMerged     = errors.New("repstore: shard export already merged at this epoch")
 	errUnknownRecordKind = errors.New("repstore: unknown record kind")
 )
 
@@ -141,11 +139,6 @@ type shard struct {
 	version  uint64
 	digCRC   uint32
 	digValid bool
-	// sealed refuses Append/Merge for the shard during a handoff. Guarded by
-	// the store's applyMu, not this mutex: SealShard writes it holding applyMu
-	// exclusively, mutators read it under their applyMu read-hold — which is
-	// what makes the seal a hard cut (see SealShard).
-	sealed bool
 }
 
 // Store is the reputation storage engine. Safe for concurrent use.
@@ -174,13 +167,6 @@ type Store struct {
 	compactErrMu    sync.Mutex
 	compactErr      error
 
-	// merged records which (placement epoch, shard) handoff exports have been
-	// folded in by MergeShard, making a re-run of the same pull idempotent
-	// instead of double-counting every tally. Persisted in the snapshot so the
-	// guarantee survives a restart of a durable store.
-	mergedMu sync.Mutex
-	merged   map[mergeMark]bool
-
 	// lineage records every identity Merge the store has applied, old → new,
 	// for auditors: a proof bundle spanning a §3.5 key rotation carries
 	// evidence signed over the old subject ID, and the verifier needs the
@@ -193,12 +179,6 @@ type Store struct {
 	dir       string // "" for memory-only
 	wal       *wal   // nil for memory-only
 	recovered []pkc.Nonce
-}
-
-// mergeMark identifies one completed shard-handoff merge.
-type mergeMark struct {
-	epoch uint64
-	shard uint32
 }
 
 // lineageVal is the lineage table's record for one rotated-away identity:
@@ -227,7 +207,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		n <<= 1
 	}
 	s := &Store{opts: opts, mask: uint64(n - 1), shards: make([]shard, n), dir: dir,
-		merged: make(map[mergeMark]bool), lineage: make(map[pkc.NodeID]lineageVal)}
+		lineage: make(map[pkc.NodeID]lineageVal)}
 	for i := range s.shards {
 		s.shards[i].subjects = make(map[pkc.NodeID]*subjectState)
 	}
@@ -337,10 +317,7 @@ func (s *Store) shardIndex(subject pkc.NodeID) uint64 {
 
 // Append ingests one report. With a WAL it returns only after the record's
 // group-commit batch is durable and applied; the in-memory view never shows
-// records the log does not hold. A shard sealed for handoff (SealShard)
-// refuses the append with ErrShardSealed — checked under the same applyMu
-// read-hold that covers the commit, so an append can never succeed after the
-// seal's drain and therefore never lands outside the sealed export.
+// records the log does not hold.
 func (s *Store) Append(r Record) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -358,10 +335,6 @@ func (s *Store) Append(r Record) error {
 		op.rec.Wire = append([]byte(nil), r.Wire...)
 	}
 	s.applyMu.RLock()
-	if s.shards[s.shardIndex(r.Subject)].sealed {
-		s.applyMu.RUnlock()
-		return ErrShardSealed
-	}
 	var err error
 	if s.wal == nil {
 		s.applyOp(op)
@@ -379,11 +352,9 @@ func (s *Store) Append(r Record) error {
 
 // Merge folds the state recorded about oldID into newID — the durable half
 // of a §3.5 key rotation ("map and replace an old nodeid to a new nodeid").
-// The operation is logged, so replay reproduces it in order. A merge touching
-// a sealed shard is refused: moving tallies into or out of a shard whose
-// export has (or is about to be) cut would fork the count between the old and
-// new owner. The recorded lineage link is uncertified — a proof bundle
-// cannot ship it (see MergeCertified).
+// The operation is logged, so replay reproduces it in order. The recorded
+// lineage link is uncertified — a proof bundle cannot ship it (see
+// MergeCertified).
 func (s *Store) Merge(oldID, newID pkc.NodeID) error {
 	return s.merge(walOp{kind: kindMerge, oldID: oldID, newID: newID})
 }
@@ -414,10 +385,6 @@ func (s *Store) merge(op walOp) error {
 		return ErrClosed
 	}
 	s.applyMu.RLock()
-	if s.shards[s.shardIndex(op.oldID)].sealed || s.shards[s.shardIndex(op.newID)].sealed {
-		s.applyMu.RUnlock()
-		return ErrShardSealed
-	}
 	var err error
 	if s.wal == nil {
 		s.applyOp(op)

@@ -3,6 +3,7 @@ package repstore
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -466,7 +467,7 @@ func TestAutoCompaction(t *testing.T) {
 func TestCorruptSnapshotRejected(t *testing.T) {
 	for name, damage := range map[string]func(buf []byte){
 		"flipped byte": func(buf []byte) { buf[len(buf)-1] ^= 0xFF },
-		// HRSNAP05 is the only format: an older magic over an otherwise
+		// HRSNAP06 is the only format: an older magic over an otherwise
 		// intact file is refused, not loaded under guessed layout rules.
 		"old magic": func(buf []byte) { copy(buf, "HRSNAP04") },
 	} {
@@ -493,6 +494,47 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 				t.Fatalf("damaged snapshot opened: %v", err)
 			}
 		})
+	}
+}
+
+// TestPreviousSnapshotLayoutRefused writes a snapshot in the layout before
+// the shard-merge markers were dropped — magic HRSNAP05, a marker
+// section between the tallies and the lineage section, valid CRC — and
+// checks Open refuses it. Read under the current layout the marker count
+// would be taken for the lineage section and every later section misread.
+func TestPreviousSnapshotLayoutRefused(t *testing.T) {
+	le := binary.LittleEndian
+	body := le.AppendUint32(nil, 1) // one subject
+	subject, reporter := nid(2), nid(1)
+	body = append(body, subject[:]...)
+	body = le.AppendUint64(body, 1) // pos
+	body = le.AppendUint64(body, 0) // neg
+	body = le.AppendUint32(body, 1) // one reporter
+	body = append(body, reporter[:]...)
+	body = le.AppendUint32(body, 1)
+	body = le.AppendUint32(body, 0)
+	body = le.AppendUint32(body, 1) // one merge marker: epoch, shard
+	body = le.AppendUint64(body, 3)
+	body = le.AppendUint32(body, 0)
+	body = appendLineageSection(body, nil)
+	body = appendEvidenceSection(body, nil, nil)
+	const epoch = 0
+	hdr := le.AppendUint64(nil, epoch)
+	crc := crc32.Update(crc32.Checksum(hdr, crcTable), crcTable, body)
+	buf := append([]byte("HRSNAP05"), hdr...)
+	buf = le.AppendUint32(buf, uint32(len(body)))
+	buf = le.AppendUint32(buf, crc)
+	buf = append(buf, body...)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrCorruptSnapshot) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("previous-layout snapshot opened: %v", err)
 	}
 }
 

@@ -19,21 +19,13 @@ import (
 //	subject[20] | u64 pos | u64 neg | u32 reporter count |
 //	  (reporter[20] | u32 pos | u32 neg)*
 //
-// then the handoff merge markers:
-//
-//	u32 marker count | (u64 placement epoch | u32 shard)*
-//
-// The markers travel with the tallies because they guard the tallies: a
-// marker without its merged data (or vice versa) would either lose a shard to
-// a refused re-pull or double-count it on a re-run, so both become durable in
-// the same atomic rename.
-//
-// The verifiable-read state (DESIGN.md §14) follows the markers: the
+// The verifiable-read state (DESIGN.md §14) follows the tallies: the
 // merge-lineage section — each link with its key-update certificate, so a
 // bundle spanning a §3.5 rotation stays provable after compaction — then the
-// evidence section (layouts in evidence.go). Both fold into the snapshot for
-// the same reason the markers do — evidence torn from the tally it backs
-// would turn honest bundles partial (or worse, unverifiable) after a restart.
+// evidence section (layouts in evidence.go). Both fold into the snapshot
+// with the tallies in one atomic rename: evidence torn from the tally it
+// backs would turn honest bundles partial (or worse, unverifiable) after a
+// restart.
 //
 // epoch is the snapshot's WAL replay floor: the snapshot contains every
 // record from WAL epochs below it, so recovery replays only epoch files at
@@ -47,7 +39,7 @@ import (
 // the expected crash artifact).
 const (
 	snapName     = "snapshot"
-	snapMagic    = "HRSNAP05"
+	snapMagic    = "HRSNAP06"
 	snapMagicLen = 8
 )
 
@@ -124,13 +116,6 @@ func (s *Store) encodeState() []byte {
 			}
 		}
 	}
-	s.mergedMu.Lock()
-	body = put32(body, uint32(len(s.merged)))
-	for mark := range s.merged {
-		body = put64(body, mark.epoch)
-		body = put32(body, mark.shard)
-	}
-	s.mergedMu.Unlock()
 	body = appendLineageSection(body, s.LineageLinks())
 	var subjects []pkc.NodeID
 	for i := range s.shards {
@@ -212,14 +197,6 @@ func (s *Store) decodeState(body []byte) error {
 		}
 		s.shardFor(subject).subjects[subject] = st
 		total += int64(pos + neg)
-	}
-	nmark := d.u32()
-	for i := uint32(0); i < nmark; i++ {
-		mark := mergeMark{epoch: d.u64(), shard: d.u32()}
-		if d.err != nil {
-			return d.err
-		}
-		s.merged[mark] = true
 	}
 	s.addLineage(decodeLineageSection(&d))
 	decodeEvidenceSection(&d, func(subject pkc.NodeID, evs []evrec, truncated bool) bool {

@@ -82,29 +82,9 @@ const (
 	// TReport, rejected reports are visible to the sender instead of
 	// vanishing.
 	TReportBatch
-	// TPlacementReq / TPlacement exchange the overlay's signed placement map
-	// (DESIGN.md §12): the request carries the asker's current epoch, the
-	// response the full signed map. TPlacement also travels unsolicited —
-	// an operator (or rebalance driver) pushes a new epoch to each node,
-	// which adopts it if it is newer and signed by the node's pinned
-	// placement authority; a node with no authority configured refuses
-	// pushes outright (any valid keypair could sign one). Placement is
-	// infrastructure metadata, like the replication frames: it names groups
-	// and descriptors, never who reports on whom, so it travels as a direct
-	// frame rather than through onions.
-	TPlacementReq
-	TPlacement
-	// RHandoff / RHandoffResp drive a shard migration between agent groups
-	// (the rebalance protocol, DESIGN.md §12): the new owner first seals the
-	// shard at the old primary — which then rejects further writes for it
-	// with a wrong-owner hint — and then pulls the sealed shard's export.
-	// Signed and allowlisted exactly like the intra-group replication frames.
-	RHandoff
-	RHandoffResp
-	// TProofReq asks an agent — or an untrusted edge cache — for a subject's
-	// reputation as evidence rather than as a bare tally (DESIGN.md §14); the
-	// reply carries a self-verifying proof bundle or a compact signed trust
-	// snapshot.
+	// TProofReq asks an agent for a subject's reputation as evidence rather
+	// than as a bare tally (DESIGN.md §14); the reply carries a
+	// self-verifying proof bundle or a compact signed trust snapshot.
 	TProofReq
 	// TAdvisory is the onion-inner gossip frame of the audit subsystem
 	// (DESIGN.md §15): a signed, self-contained audit advisory accusing an
@@ -169,14 +149,6 @@ func (t MsgType) String() string {
 		return "repl-status-req"
 	case TReportBatch:
 		return "report-batch"
-	case TPlacementReq:
-		return "placement-req"
-	case TPlacement:
-		return "placement"
-	case RHandoff:
-		return "shard-handoff"
-	case RHandoffResp:
-		return "shard-handoff-resp"
 	case TProofReq:
 		return "proof-req"
 	case TAdvisory:
