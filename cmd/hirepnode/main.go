@@ -31,13 +31,15 @@
 //	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
 //	          -replicas 127.0.0.1:7004,127.0.0.1:7005
 //
-// On the replica side, replication ingress is an explicit pairing: a standby
-// only accepts state for primaries named in -replica-of, and only serves
-// digests/shard fetches to the group members named there or in -replica-peers
-// (hex node IDs, as printed at startup):
+// On the replica side, replication is an explicit pairing: a standby only
+// accepts state from, and only shows its digests to, the primaries named in
+// -replica-of (hex node IDs, as printed at startup). It serves the replicated
+// tallies alongside its own, from startup on when its store is durable, so a
+// peer whose breaker trips on the dead primary promotes the standby from its
+// backup cache and keeps getting the primary's answers:
 //
 //	hirepnode -listen 127.0.0.1:7004 -agent -store /var/lib/hirep-replica \
-//	          -replica-of <primary-id-hex> -replica-peers <peer-id-hex>,...
+//	          -replica-of <primary-id-hex>
 //
 // Gate report admission (DESIGN.md §13) — an agent demands a one-time
 // proof-of-work bound to each new reporter identity before storing its first
@@ -65,9 +67,8 @@
 //	hirepnode -listen 127.0.0.1:7007 -relays 127.0.0.1:7002,127.0.0.1:7003 \
 //	          -neighbors 127.0.0.1:7002 -audit-interval 30s
 //
-// Agent-only flags (-store, -replicas, -replica-of, -replica-peers,
-// -evidence, -proof-cache) on a node without -agent are rejected at startup,
-// exit status 2.
+// Agent-only flags (-store, -replicas, -replica-of, -evidence, -proof-cache)
+// on a node without -agent are rejected at startup, exit status 2.
 //
 // Run the full zero-config demonstration on loopback — an agent, a reporter,
 // a requestor, and a relay chain exchanging onion-routed trust traffic:
@@ -106,9 +107,8 @@ func main() {
 		quorum     = flag.Int("quorum", 1, "minimum agent answers for an evaluation to succeed")
 
 		// Replication (DESIGN.md §10, agents only).
-		replicas     = flag.String("replicas", "", "comma-separated replica agent addresses to ship committed batches to")
-		replicaOf    = flag.String("replica-of", "", "comma-separated hex node IDs of primaries this node accepts replication state for")
-		replicaPeers = flag.String("replica-peers", "", "comma-separated hex node IDs of fellow replica-group members allowed to read replication state")
+		replicas  = flag.String("replicas", "", "comma-separated replica agent addresses to ship committed batches to")
+		replicaOf = flag.String("replica-of", "", "comma-separated hex node IDs of primaries this node accepts replication state for")
 
 		// Admission gate (agents only): per-identity first-report proof-of-work
 		// plus report-rate accounting, pricing sybil floods (DESIGN.md §13).
@@ -138,25 +138,21 @@ func main() {
 		os.Exit(2)
 	}
 	replicaAddrs := splitList(*replicas)
-	parseIDs := func(flagName, s string) []pkc.NodeID {
-		var out []pkc.NodeID
-		for _, h := range splitList(s) {
-			id, err := pkc.ParseNodeID(h)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hirepnode: %s: %v\n", flagName, err)
-				os.Exit(2)
-			}
-			out = append(out, id)
+	var primaries []pkc.NodeID
+	for _, h := range splitList(*replicaOf) {
+		id, err := pkc.ParseNodeID(h)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hirepnode: -replica-of: %v\n", err)
+			os.Exit(2)
 		}
-		return out
+		primaries = append(primaries, id)
 	}
 
 	n, err := node.Listen(*listen, node.Options{
 		Agent:            *agent,
 		StoreDir:         *store,
 		Replicas:         replicaAddrs,
-		ReplicaOf:        parseIDs("-replica-of", *replicaOf),
-		ReplicaPeers:     parseIDs("-replica-peers", *replicaPeers),
+		ReplicaOf:        primaries,
 		OutboxPath:       *outboxPath,
 		AdmissionPoWBits: *admissionPoW,
 		AdmissionRate:    *admissionRate,
@@ -192,7 +188,7 @@ func main() {
 	}
 	if *agent {
 		// The full ID is what operators paste into a standby's -replica-of
-		// (and fellow standbys' -replica-peers) to pair the replica group.
+		// to pair it with this primary.
 		fmt.Printf("  node id %s\n", n.ID())
 	}
 

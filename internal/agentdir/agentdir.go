@@ -400,20 +400,6 @@ func (a *Agent) AttachSource(key string, st *repstore.Store) {
 	a.sources[key] = st
 }
 
-// DetachSource removes a replica store registered with AttachSource.
-func (a *Agent) DetachSource(key string) {
-	a.srcMu.Lock()
-	defer a.srcMu.Unlock()
-	delete(a.sources, key)
-}
-
-// SourceCount returns how many replica stores are attached.
-func (a *Agent) SourceCount() int {
-	a.srcMu.RLock()
-	defer a.srcMu.RUnlock()
-	return len(a.sources)
-}
-
 // CombinedTally sums the subject's raw counts across the agent's own store
 // and every attached replica source. ok is false when no store holds any
 // report about the subject.

@@ -349,9 +349,7 @@ func (n *Node) markSuspect(book *AgentBook, id pkc.NodeID) {
 	}
 	n.cnt.agentsQuarantined.Inc()
 	if wasActive {
-		if _, ok := n.promoteBackup(book, id); ok {
-			n.cnt.failovers.Inc()
-		}
+		n.promoteBackup(book)
 	}
 }
 
@@ -417,9 +415,7 @@ func (n *Node) applyLyingEvidence(book *AgentBook, accused pkc.NodeID, bundleDig
 	}
 	n.cnt.agentsQuarantined.Inc()
 	if wasActive {
-		if _, ok := n.promoteBackup(book, accused); ok {
-			n.cnt.failovers.Inc()
-		}
+		n.promoteBackup(book)
 	}
 }
 

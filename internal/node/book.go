@@ -41,10 +41,6 @@ type AgentBook struct {
 	backups   []*bookEntry // most recently demoted first
 	banned    map[pkc.NodeID]bool
 	breakers  *resilience.Breakers[pkc.NodeID]
-	// replSeq caches replication positions learned from status probes:
-	// backup → primary → highest acknowledged sequence. Stateful promotion
-	// (promoteBackup, promoteReplica) prefers the most-caught-up backup.
-	replSeq map[pkc.NodeID]map[pkc.NodeID]uint64
 	// quarantined holds agents pulled from service on verified lying
 	// evidence or accumulated suspect strikes, pending probation probes or
 	// eviction; defaultAuditQuarantineThreshold suspect strikes put an agent
@@ -325,32 +321,6 @@ func (b *AgentBook) AddBackup(info AgentInfo) bool {
 	return true
 }
 
-// NoteReplicaSeq caches a backup's replication position for one primary,
-// learned from a TReplStatus probe.
-func (b *AgentBook) NoteReplicaSeq(backup, primary pkc.NodeID, seq uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.replSeq == nil {
-		b.replSeq = make(map[pkc.NodeID]map[pkc.NodeID]uint64)
-	}
-	m := b.replSeq[backup]
-	if m == nil {
-		m = make(map[pkc.NodeID]uint64)
-		b.replSeq[backup] = m
-	}
-	if seq > m[primary] {
-		m[primary] = seq
-	}
-}
-
-// ReplicaSeq returns the cached replication position of backup for primary
-// (0 when never probed).
-func (b *AgentBook) ReplicaSeq(backup, primary pkc.NodeID) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.replSeq[backup][primary]
-}
-
 // BackupInfo returns the descriptor of a backup-cache agent.
 func (b *AgentBook) BackupInfo(id pkc.NodeID) (AgentInfo, bool) {
 	b.mu.Lock()
@@ -392,19 +362,14 @@ func (b *AgentBook) Backups() []pkc.NodeID {
 	return out
 }
 
-// clearStateLocked drops every per-agent cache keyed by id — breaker position
-// and replica-seq entries (both as backup and as primary) — so an agent that
-// fully leaves the book and is later re-added (rehabilitated or re-keyed)
-// does not inherit stale failure state. Called with b.mu held, and only when
-// id leaves the book entirely: demotion INTO the backup cache keeps breaker
+// clearStateLocked drops id's breaker position so an agent that fully
+// leaves the book and is later re-added (rehabilitated or re-keyed) does not
+// inherit stale failure state. Called with b.mu held, and only when id
+// leaves the book entirely: demotion INTO the backup cache keeps breaker
 // state on purpose, because promotion must not re-select an agent that is
 // known dead.
 func (b *AgentBook) clearStateLocked(id pkc.NodeID) {
 	b.breakers.Forget(id)
-	delete(b.replSeq, id)
-	for _, m := range b.replSeq {
-		delete(m, id)
-	}
 }
 
 // findLocked returns id's entry wherever it lives (active, backup, or

@@ -38,9 +38,6 @@ func exchangeKinds() []exchangeKind {
 			rn, _ := pkc.NewNonce(nil)
 			encodeBatchBody(&q.body, [][]byte{agentdir.SignReport(q.self, subject, true, rn)}, nil)
 		}},
-		{"replication status", wire.TReplStatusReq, func(q *outRequest) {
-			q.body.Bytes(subject[:]).Bool(false)
-		}},
 	}
 }
 

@@ -86,18 +86,15 @@ type Options struct {
 	// report batches to (DESIGN.md §10). Requires Agent.
 	Replicas []string
 	// ReplicaOf lists the primary agent IDs this node replicates FOR:
-	// RReplicate/RRepair frames (and on-demand replica store creation) are
-	// accepted only from these identities. Replication is an offline
-	// pairing — without an entry here every replication frame is dropped,
-	// however validly signed, so an attacker cannot mint an identity and
-	// poison this agent's combined tally or fill its disk with replica
-	// stores. Requires Agent.
+	// RReplicate/RRepair/RDigest frames (and on-demand replica store
+	// creation) are accepted only from these identities. Replication is an
+	// offline pairing — without an entry here every replication frame is
+	// dropped, however validly signed, so an attacker cannot mint an
+	// identity and poison this agent's combined tally, read its digests, or
+	// fill its disk with replica stores. With StoreDir set, Listen reopens
+	// each listed primary's replica store so it serves at once. Requires
+	// Agent.
 	ReplicaOf []pkc.NodeID
-	// ReplicaPeers lists fellow replica-group member IDs allowed to read
-	// this node's replication state (RDigest/RFetch — shard exports carry
-	// per-reporter tallies and must stay inside the group). IDs in
-	// ReplicaOf are implicitly allowed. Requires Agent.
-	ReplicaPeers []pkc.NodeID
 	// SyncInterval is the cadence of the periodic anti-entropy pass against
 	// each replica (default 5s).
 	SyncInterval time.Duration
@@ -363,7 +360,18 @@ func Listen(addr string, opts Options) (*Node, error) {
 			return nil, fmt.Errorf("node: open report store: %w", err)
 		}
 		n.agent = agentdir.NewWithStore(id, 0, st)
-		n.replicas = newReplicaSet(opts.ReplicaOf, opts.ReplicaPeers)
+		n.replicas = newReplicaSet(opts.ReplicaOf)
+		// A durable replica serves what it already holds for each primary
+		// from the start: the primary it stands in for may be dead, and then
+		// no frame would ever come to reopen the store.
+		if opts.StoreDir != "" {
+			for _, primary := range opts.ReplicaOf {
+				if _, err := n.replicaState(primary, true); err != nil {
+					_ = n.Close()
+					return nil, fmt.Errorf("node: reopen replica store: %w", err)
+				}
+			}
+		}
 		n.admission = newAdmissionGate(opts.AdmissionPoWBits, opts.AdmissionRate, opts.AdmissionBurst)
 		n.startIngestPool(opts.VerifyWorkers, opts.VerifyQueue)
 		if n.repl != nil {
@@ -388,7 +396,6 @@ func (o *Options) validate() error {
 			{"StoreDir", o.StoreDir != ""},
 			{"Replicas", len(o.Replicas) > 0},
 			{"ReplicaOf", len(o.ReplicaOf) > 0},
-			{"ReplicaPeers", len(o.ReplicaPeers) > 0},
 			{"EvidenceCap", o.EvidenceCap > 0},
 			{"ProofCache", o.ProofCache > 0},
 		} {
@@ -480,8 +487,6 @@ func (n *Node) handle(typ wire.MsgType, payload []byte, r transport.Responder) {
 		n.handleDigest(r, payload)
 	case wire.RRepair:
 		n.handleRepair(r, payload)
-	case wire.RFetch:
-		n.handleFetch(r, payload)
 	}
 }
 
@@ -554,8 +559,6 @@ func (n *Node) handleOnion(payload []byte) {
 		n.handleReport(inner)
 	case wire.TKeyUpdate:
 		n.handleKeyUpdate(inner)
-	case wire.TReplStatusReq:
-		n.handleReplStatusReq(inner)
 	case wire.TReportBatch:
 		n.handleReportBatch(inner)
 	case wire.TProofReq:

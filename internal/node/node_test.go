@@ -223,7 +223,6 @@ func TestListenRejectsInvalidOptions(t *testing.T) {
 		{"StoreDir", Options{StoreDir: t.TempDir()}},
 		{"Replicas", Options{Replicas: []string{"127.0.0.1:1"}}},
 		{"ReplicaOf", Options{ReplicaOf: []pkc.NodeID{id}}},
-		{"ReplicaPeers", Options{ReplicaPeers: []pkc.NodeID{id}}},
 		{"EvidenceCap", Options{EvidenceCap: 8}},
 		{"ProofCache", Options{ProofCache: 8}},
 		{"AdmissionPoWBits", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits + 1}},

@@ -1,19 +1,15 @@
 package node
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hirep/internal/onion"
 	"hirep/internal/pkc"
 	"hirep/internal/repstore"
 	"hirep/internal/resilience"
@@ -24,11 +20,11 @@ import (
 // This file implements agent-state replication (DESIGN.md §10): a primary
 // agent ships every committed repstore batch to its replica agents over the
 // pooled transport, sequenced per process epoch, with periodic anti-entropy
-// (per-shard CRC/version digests, full shard streams for mismatches) so a
+// (per-shard CRC digests, full shard streams for mismatches) so a
 // diverged replica or cold standby converges without replaying the primary's
 // disk. Replica state plugs into the serving path through
-// agentdir.Agent.AttachSource, so a promoted standby answers trust requests
-// with the dead primary's tallies.
+// agentdir.Agent.AttachSource, so a standby the breaker promotes answers
+// trust requests with the dead primary's tallies.
 
 // Replication defaults.
 const (
@@ -46,7 +42,6 @@ const (
 	replSigBatch  = 1
 	replSigDigest = 2
 	replSigRepair = 3
-	replSigFetch  = 4
 )
 
 // replSigPrefix domain-separates replication signatures from every other
@@ -95,15 +90,6 @@ func replUnwrap(payload []byte) (sender pkc.NodeID, signedPart []byte, ok bool) 
 	return pkc.DeriveNodeID(sp), part, true
 }
 
-// splitGroup parses the comma-joined replica address list shipped in
-// replication frames.
-func splitGroup(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
 // --- primary side --------------------------------------------------------
 
 // replicator is the primary-side shipping machinery: one hinted-handoff
@@ -112,7 +98,6 @@ type replicator struct {
 	n     *Node
 	self  *pkc.Identity // identity captured at Listen; frames are signed with it
 	epoch uint64        // random per process start; replicas detect restarts by it
-	group string        // comma-joined replica addresses, shipped for promotion pulls
 
 	// mu orders sequence assignment with outbox enqueue: OnCommit delivers
 	// batches in commit order (single-flight flush), and taking mu across
@@ -153,7 +138,6 @@ func newReplicator(n *Node, id *pkc.Identity) (*replicator, error) {
 		n:     n,
 		self:  id,
 		epoch: binary.LittleEndian.Uint64(eb[:]) | 1, // zero means "fresh replica"
-		group: strings.Join(n.opts.Replicas, ","),
 	}
 	for _, addr := range n.opts.Replicas {
 		out, err := resilience.OpenOutbox("", n.opts.HandoffCap)
@@ -311,9 +295,7 @@ type replAck struct {
 
 func (r *replicator) sendBatch(addr string, seq uint64, batch []byte) (replAck, error) {
 	var sp wire.Encoder
-	sp.U64(replSigBatch).U64(r.epoch).U64(seq)
-	sp.U64(uint64(r.n.agent.Store().ShardCount()))
-	sp.String(r.group).Bytes(batch)
+	sp.U64(replSigBatch).U64(r.epoch).U64(seq).Bytes(batch)
 	typ, resp, err := r.n.roundTripTimeout(addr, wire.RReplicate, replWrap(r.self, sp.Encode()), r.n.timeout())
 	if err != nil {
 		return replAck{}, err
@@ -337,8 +319,8 @@ func (r *replicator) sendBatch(addr string, seq uint64, batch []byte) (replAck, 
 //     frame of this round must echo.
 //  2. Fast path: if the replica reports our (epoch, acked) position, is not
 //     diverged, and every shard CRC matches, the round ends here — no sync
-//     point, no sentinel, no replica snapshot. Digest CRCs are cached per
-//     shard version, so this comparison is cheap on both sides.
+//     point, no sentinel, no replica snapshot. Digest CRCs are cached until
+//     the shard next changes, so this comparison is cheap on both sides.
 //  3. Otherwise, under the store's sync point (no mutation in flight, every
 //     committed batch tapped), capture the sequence point S and export every
 //     mismatched shard. The exports correspond to exactly the batches
@@ -349,7 +331,7 @@ func (r *replicator) sendBatch(addr string, seq uint64, batch []byte) (replAck, 
 // Handoff entries at or below S are subsumed by the repair and acked.
 func (r *replicator) antiEntropy(t *replTarget) error {
 	st := r.n.agent.Store()
-	theirs, err := r.n.replDigests(t.addr, r.self, r.self.ID)
+	theirs, err := r.replDigests(t.addr)
 	if err != nil {
 		return err
 	}
@@ -359,11 +341,6 @@ func (r *replicator) antiEntropy(t *replTarget) error {
 			t.dirty.Store(false)
 			return nil
 		}
-	}
-	if len(theirs.challenge) != pkc.NonceSize {
-		// The replica issued no challenge: it does not recognize us as its
-		// primary (not in its ReplicaOf set) — repairs would be rejected.
-		return fmt.Errorf("node: replica %s issued no repair challenge: %w", t.addr, ErrBadMessage)
 	}
 	var s uint64
 	exports := make(map[int][]byte)
@@ -414,9 +391,7 @@ func digestsEqual(a, b []repstore.ShardDigest) bool {
 
 func (r *replicator) sendRepair(addr string, shard, syncSeq uint64, challenge, export []byte) error {
 	var sp wire.Encoder
-	sp.U64(replSigRepair).U64(r.epoch).U64(syncSeq)
-	sp.U64(uint64(r.n.agent.Store().ShardCount()))
-	sp.U64(shard).Bytes(challenge).String(r.group).Bytes(export)
+	sp.U64(replSigRepair).U64(r.epoch).U64(syncSeq).U64(shard).Bytes(challenge).Bytes(export)
 	typ, _, err := r.n.roundTripTimeout(addr, wire.RRepair, replWrap(r.self, sp.Encode()), r.n.timeout())
 	if err != nil {
 		return err
@@ -435,28 +410,19 @@ func (r *replicator) updateDepthGauge() {
 	r.n.cnt.replHandoffDepth.Set(int64(total))
 }
 
-// position returns the primary's own replication position for status probes.
-func (r *replicator) position() (epoch, seq uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch, r.seq
-}
-
 // --- replica side --------------------------------------------------------
 
 // replicaSet holds the replica stores this agent maintains for other
-// primaries, keyed by primary nodeID, plus the authorization sets that gate
+// primaries, keyed by primary nodeID, plus the authorization set that gates
 // every replication frame: replication is an offline pairing, not an open
-// protocol, so a frame from an unconfigured identity is dropped no matter how
-// well it verifies. primaries are the IDs this node replicates FOR
-// (RReplicate/RRepair ingress, store creation); peers are fellow
-// replica-group members additionally allowed to read state (RDigest/RFetch,
-// promotion-time pulls).
+// protocol, so a frame from an identity outside primaries (the IDs this node
+// replicates FOR) is dropped no matter how well it verifies. A primary
+// reads digests only of its own replica — shard exports carry per-reporter
+// tallies, so nobody else reads them at all.
 type replicaSet struct {
 	mu        sync.Mutex
 	m         map[pkc.NodeID]*replState
 	primaries map[pkc.NodeID]bool
-	peers     map[pkc.NodeID]bool
 	rounds    map[pkc.NodeID]*repairRound
 }
 
@@ -470,18 +436,14 @@ type repairRound struct {
 	imports   int
 }
 
-func newReplicaSet(primaries, peers []pkc.NodeID) *replicaSet {
+func newReplicaSet(primaries []pkc.NodeID) *replicaSet {
 	rs := &replicaSet{
 		m:         make(map[pkc.NodeID]*replState),
 		primaries: make(map[pkc.NodeID]bool),
-		peers:     make(map[pkc.NodeID]bool),
 		rounds:    make(map[pkc.NodeID]*repairRound),
 	}
 	for _, id := range primaries {
 		rs.primaries[id] = true
-	}
-	for _, id := range peers {
-		rs.peers[id] = true
 	}
 	return rs
 }
@@ -500,21 +462,8 @@ func (n *Node) authorizeReplicaOf(ids ...pkc.NodeID) {
 	}
 }
 
-// authorizeReplicaPeer allows ids — fellow members of a replica group — to
-// read this node's replication state (digests and shard fetches), in
-// addition to Options.ReplicaPeers.
-func (n *Node) authorizeReplicaPeer(ids ...pkc.NodeID) {
-	if n.replicas == nil {
-		return
-	}
-	n.replicas.mu.Lock()
-	defer n.replicas.mu.Unlock()
-	for _, id := range ids {
-		n.replicas.peers[id] = true
-	}
-}
-
-// allowedPrimary reports whether id may mutate replica state on this node.
+// allowedPrimary reports whether id may mutate or read replica state on this
+// node.
 func (n *Node) allowedPrimary(id pkc.NodeID) bool {
 	if n.replicas == nil {
 		return false
@@ -522,19 +471,6 @@ func (n *Node) allowedPrimary(id pkc.NodeID) bool {
 	n.replicas.mu.Lock()
 	defer n.replicas.mu.Unlock()
 	return n.replicas.primaries[id]
-}
-
-// allowedReader reports whether id may read replication state from this
-// node: configured primaries and group peers qualify, anyone else — however
-// validly self-signed — does not (shard exports carry per-reporter tallies,
-// which must never leak outside the group).
-func (n *Node) allowedReader(id pkc.NodeID) bool {
-	if n.replicas == nil {
-		return false
-	}
-	n.replicas.mu.Lock()
-	defer n.replicas.mu.Unlock()
-	return n.replicas.primaries[id] || n.replicas.peers[id]
 }
 
 // replState is one primary's replica: its store plus the applied position.
@@ -547,13 +483,12 @@ type replState struct {
 	epoch    uint64
 	lastSeq  uint64
 	diverged bool
-	group    []string
 }
 
 // replicaState returns (creating on demand when create is set) the replica
 // state for primary. New stores live under StoreDir/replica/<primaryID> when
 // the node is durable and attach to the agent as a serving source.
-func (n *Node) replicaState(primary pkc.NodeID, shardCount int, create bool) (*replState, error) {
+func (n *Node) replicaState(primary pkc.NodeID, create bool) (*replState, error) {
 	if n.replicas == nil {
 		return nil, ErrNotAgent
 	}
@@ -569,7 +504,7 @@ func (n *Node) replicaState(primary pkc.NodeID, shardCount int, create bool) (*r
 	if n.opts.StoreDir != "" {
 		dir = filepath.Join(n.opts.StoreDir, "replica", primary.String())
 	}
-	store, err := repstore.Open(dir, repstore.Options{Shards: shardCount})
+	store, err := repstore.Open(dir, repstore.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -598,7 +533,7 @@ func (n *Node) closeReplicaStores() error {
 // replicaReportCount returns how many reports this node's replica of primary
 // holds (0 when it holds none), for tests and monitoring.
 func (n *Node) replicaReportCount(primary pkc.NodeID) int {
-	st, err := n.replicaState(primary, 0, false)
+	st, err := n.replicaState(primary, false)
 	if err != nil || st == nil {
 		return 0
 	}
@@ -626,18 +561,15 @@ func (n *Node) handleReplicate(r transport.Responder, payload []byte) {
 	}
 	epoch := d.U64()
 	seq := d.U64()
-	shardCount := d.U64()
-	group := d.String()
 	batch := d.Bytes()
-	if d.Finish() != nil || epoch == 0 || shardCount == 0 || shardCount > 1<<16 {
+	if d.Finish() != nil || epoch == 0 {
 		return
 	}
-	st, err := n.replicaState(sender, int(shardCount), true)
+	st, err := n.replicaState(sender, true)
 	if err != nil {
 		return
 	}
 	st.mu.Lock()
-	st.group = splitGroup(group)
 	switch {
 	case st.epoch == 0 && st.lastSeq == 0 && st.store.ReportCount() == 0:
 		// A genuinely fresh replica adopts the primary's incarnation. A
@@ -693,24 +625,21 @@ func (n *Node) handleRepair(r transport.Responder, payload []byte) {
 	}
 	epoch := d.U64()
 	syncSeq := d.U64()
-	shardCount := d.U64()
 	shardIndex := d.U64()
 	challenge := d.Bytes()
-	group := d.String()
 	export := d.Bytes()
-	if d.Finish() != nil || epoch == 0 || shardCount == 0 || shardCount > 1<<16 {
+	if d.Finish() != nil || epoch == 0 {
 		return
 	}
 	if !n.matchRepairRound(sender, challenge) {
 		n.cnt.replUnauthorized.Inc()
 		return
 	}
-	st, err := n.replicaState(sender, int(shardCount), true)
+	st, err := n.replicaState(sender, true)
 	if err != nil {
 		return
 	}
 	st.mu.Lock()
-	st.group = splitGroup(group)
 	if shardIndex == repairSentinel {
 		imports := n.finishRepairRound(sender) // one seal per round: replay-proof
 		// Seal: state now equals the primary's sync point.
@@ -788,125 +717,59 @@ func (n *Node) finishRepairRound(primary pkc.NodeID) int {
 	return round.imports
 }
 
-// handleDigest serves this node's per-shard digests for a primary's state —
-// its own store when primary is itself, or its replica of that primary.
-// Digests (and the shard exports they lead to) are visible only to the
-// configured replica group: the requester's derived nodeID must be an
-// authorized primary or group peer. When the requester IS the primary asking
-// about its own state, the response additionally carries a fresh challenge
-// that opens an anti-entropy round — RRepair frames must echo it.
+// handleDigest serves a primary the per-shard digests of this node's replica
+// of it, with a fresh challenge that opens an anti-entropy round — RRepair
+// frames must echo it. The requester's derived nodeID is the primary: only
+// an authorized primary is answered, and only about its own replica.
 func (n *Node) handleDigest(r transport.Responder, payload []byte) {
 	sender, part, ok := replUnwrap(payload)
 	if !ok || n.replicas == nil {
 		return
 	}
-	if !n.allowedReader(sender) {
+	if !n.allowedPrimary(sender) {
 		n.cnt.replUnauthorized.Inc()
 		return
 	}
 	d := wire.NewDecoder(part)
-	if d.U64() != replSigDigest {
+	if d.U64() != replSigDigest || d.Finish() != nil {
 		return
 	}
-	primaryRaw := d.Bytes()
-	if d.Finish() != nil || len(primaryRaw) != pkc.NodeIDSize {
+	challenge, err := n.openRepairRound(sender)
+	if err != nil {
 		return
 	}
-	var primary pkc.NodeID
-	copy(primary[:], primaryRaw)
-	var challenge []byte
-	if sender == primary && n.allowedPrimary(sender) {
-		c, err := n.openRepairRound(primary)
-		if err != nil {
-			return
-		}
-		challenge = c[:]
+	var epoch, lastSeq uint64
+	var diverged bool
+	var digests []repstore.ShardDigest
+	if st, _ := n.replicaState(sender, false); st != nil {
+		st.mu.Lock()
+		epoch, lastSeq, diverged = st.epoch, st.lastSeq, st.diverged
+		st.mu.Unlock()
+		digests = st.store.Digests()
 	}
-	epoch, lastSeq, diverged, store := n.resolveReplSource(primary)
 	var e wire.Encoder
-	e.U64(epoch).U64(lastSeq).Bool(diverged).Bytes(challenge)
-	if store == nil {
-		e.U64(0)
-	} else {
-		digests := store.Digests()
-		e.U64(uint64(len(digests)))
-		for _, dg := range digests {
-			e.U64(uint64(dg.CRC)).U64(dg.Version)
-		}
+	e.U64(epoch).U64(lastSeq).Bool(diverged).Bytes(challenge[:]).U64(uint64(len(digests)))
+	for _, dg := range digests {
+		e.U64(uint64(dg.CRC))
 	}
 	_ = r.Respond(wire.RDigestResp, e.Encode())
 }
-
-// handleFetch serves one shard export for a primary's state (promotion-time
-// pull between surviving replicas). Exports include per-reporter tallies, so
-// they are served only to the configured replica group — to anyone else they
-// would dismantle the reporter anonymity the onion path exists for.
-func (n *Node) handleFetch(r transport.Responder, payload []byte) {
-	sender, part, ok := replUnwrap(payload)
-	if !ok || n.replicas == nil {
-		return
-	}
-	if !n.allowedReader(sender) {
-		n.cnt.replUnauthorized.Inc()
-		return
-	}
-	d := wire.NewDecoder(part)
-	if d.U64() != replSigFetch {
-		return
-	}
-	primaryRaw := d.Bytes()
-	shardIndex := d.U64()
-	if d.Finish() != nil || len(primaryRaw) != pkc.NodeIDSize {
-		return
-	}
-	var primary pkc.NodeID
-	copy(primary[:], primaryRaw)
-	epoch, lastSeq, _, store := n.resolveReplSource(primary)
-	if store == nil || shardIndex >= uint64(store.ShardCount()) {
-		return
-	}
-	var e wire.Encoder
-	e.U64(epoch).U64(lastSeq).Bytes(store.ExportShard(int(shardIndex)))
-	_ = r.Respond(wire.RFetchResp, e.Encode())
-}
-
-// resolveReplSource maps a primary nodeID onto the store this node holds for
-// it: the agent's own store when asked about itself, else its replica store.
-// A nil store means "this node knows nothing about that primary".
-func (n *Node) resolveReplSource(primary pkc.NodeID) (epoch, lastSeq uint64, diverged bool, store *repstore.Store) {
-	if n.agent != nil && primary == n.agent.ID() {
-		if n.repl != nil {
-			epoch, lastSeq = n.repl.position()
-		}
-		return epoch, lastSeq, false, n.agent.Store()
-	}
-	st, err := n.replicaState(primary, 0, false)
-	if err != nil || st == nil {
-		return 0, 0, false, nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.epoch, st.lastSeq, st.diverged, st.store
-}
-
-// --- digest / fetch clients ----------------------------------------------
 
 // digestResp is a decoded RDigestResp.
 type digestResp struct {
 	epoch, lastSeq uint64
 	diverged       bool
-	challenge      []byte // repair-round challenge; empty unless the replica recognizes the requester as its primary
+	challenge      []byte // repair-round challenge every RRepair frame must echo
 	digests        []repstore.ShardDigest
 }
 
-// replDigests asks addr for its per-shard digests of primary's state,
-// signing the request as `as` — the replicator's pinned identity when the
-// primary itself asks (the replica authorizes exactly that ID), the node's
-// current identity for peer pulls.
-func (n *Node) replDigests(addr string, as *pkc.Identity, primary pkc.NodeID) (digestResp, error) {
+// replDigests asks the replica at addr for its per-shard digests of this
+// primary's state, signed with the replicator's pinned identity (the replica
+// authorizes exactly that ID).
+func (r *replicator) replDigests(addr string) (digestResp, error) {
 	var sp wire.Encoder
-	sp.U64(replSigDigest).Bytes(primary[:])
-	typ, resp, err := n.roundTripTimeout(addr, wire.RDigest, replWrap(as, sp.Encode()), n.timeout())
+	sp.U64(replSigDigest)
+	typ, resp, err := r.n.roundTripTimeout(addr, wire.RDigest, replWrap(r.self, sp.Encode()), r.n.timeout())
 	if err != nil {
 		return digestResp{}, err
 	}
@@ -918,214 +781,15 @@ func (n *Node) replDigests(addr string, as *pkc.Identity, primary pkc.NodeID) (d
 	out.diverged = d.Bool()
 	out.challenge = append([]byte(nil), d.Bytes()...)
 	cnt := d.U64()
-	if d.Err() != nil || cnt > 1<<16 {
+	if d.Err() != nil || len(out.challenge) != pkc.NonceSize || cnt > 1<<16 {
 		return digestResp{}, ErrBadMessage
 	}
 	out.digests = make([]repstore.ShardDigest, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		crc := d.U64()
-		version := d.U64()
-		out.digests = append(out.digests, repstore.ShardDigest{CRC: uint32(crc), Version: version})
+		out.digests = append(out.digests, repstore.ShardDigest{CRC: uint32(d.U64())})
 	}
 	if err := d.Finish(); err != nil {
 		return digestResp{}, err
 	}
 	return out, nil
-}
-
-// replFetch pulls one shard export of primary's state from addr.
-func (n *Node) replFetch(addr string, primary pkc.NodeID, shard uint64) (digestResp, []byte, error) {
-	var sp wire.Encoder
-	sp.U64(replSigFetch).Bytes(primary[:]).U64(shard)
-	typ, resp, err := n.roundTripTimeout(addr, wire.RFetch, replWrap(n.identity(), sp.Encode()), n.timeout())
-	if err != nil {
-		return digestResp{}, nil, err
-	}
-	if typ != wire.RFetchResp {
-		return digestResp{}, nil, ErrBadMessage
-	}
-	d := wire.NewDecoder(resp)
-	pos := digestResp{epoch: d.U64(), lastSeq: d.U64()}
-	export := d.Bytes()
-	if err := d.Finish(); err != nil {
-		return digestResp{}, nil, err
-	}
-	return pos, export, nil
-}
-
-// pullFromSurvivors reconciles this node's replica of primary with the other
-// surviving replicas (the primary itself is gone): for every shard where a
-// survivor's content differs AND its version is ahead, pull and import the
-// survivor's copy. Returns the number of shards pulled.
-func (n *Node) pullFromSurvivors(primary pkc.NodeID) int {
-	st, err := n.replicaState(primary, 0, false)
-	if err != nil || st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	group := append([]string(nil), st.group...)
-	st.mu.Unlock()
-	self := n.Addr()
-	pulled := 0
-	for _, addr := range group {
-		if addr == "" || addr == self {
-			continue
-		}
-		resp, err := n.replDigests(addr, n.identity(), primary)
-		if err != nil {
-			continue
-		}
-		st.mu.Lock()
-		mine := st.store.Digests()
-		var want []int
-		for i, dg := range mine {
-			if i < len(resp.digests) && resp.digests[i].CRC != dg.CRC && resp.digests[i].Version > dg.Version {
-				want = append(want, i)
-			}
-		}
-		st.mu.Unlock()
-		for _, i := range want {
-			_, export, err := n.replFetch(addr, primary, uint64(i))
-			if err != nil {
-				continue
-			}
-			st.mu.Lock()
-			if st.store.ImportShard(i, export) == nil {
-				pulled++
-			}
-			st.mu.Unlock()
-		}
-		st.mu.Lock()
-		if resp.epoch == st.epoch && resp.lastSeq > st.lastSeq {
-			st.lastSeq = resp.lastSeq
-		}
-		st.mu.Unlock()
-	}
-	if pulled > 0 {
-		_ = st.store.Snapshot()
-	}
-	n.cnt.replPulled.Add(int64(pulled))
-	return pulled
-}
-
-// --- replication-status probe (onion-inner) ------------------------------
-
-// ReplStatus is a backup agent's replication position for one primary, the
-// signal stateful promotion picks the most-caught-up standby by.
-type ReplStatus struct {
-	Primary pkc.NodeID
-	Epoch   uint64
-	LastSeq uint64
-	Reports int64
-}
-
-// replicationStatus asks agent (through its onion) how caught-up its replica
-// of primary is. promote additionally instructs the agent to reconcile with
-// the surviving replicas before answering, so the returned position reflects
-// the post-pull state. Single attempt; callers own retries. Request body:
-// primary, promote flag. Reply body: primary, epoch, last sequence, reports.
-func (n *Node) replicationStatus(agent AgentInfo, primary pkc.NodeID, promote bool, replyOnion *onion.Onion, wait time.Duration) (ReplStatus, error) {
-	q, err := n.newRequest(replyOnion)
-	if err != nil {
-		return ReplStatus{}, err
-	}
-	q.body.Bytes(primary[:]).Bool(promote)
-	r, err := n.exchange(agent, wire.TReplStatusReq, &q, wait)
-	if err != nil {
-		return ReplStatus{}, err
-	}
-	st := ReplStatus{Primary: primary}
-	primaryRaw := r.Bytes()
-	st.Epoch = r.U64()
-	st.LastSeq = r.U64()
-	st.Reports = int64(r.U64())
-	if r.Finish() != nil || !bytes.Equal(primaryRaw, primary[:]) {
-		return ReplStatus{}, ErrBadAgent
-	}
-	return st, nil
-}
-
-// handleReplStatusReq answers a replication-status probe arriving through
-// this agent's onion. A promote request pulls from survivors first, so the
-// response position (and subsequent trust answers) reflect the reconciled
-// state.
-func (n *Node) handleReplStatusReq(sealed []byte) {
-	if n.agent == nil {
-		return
-	}
-	req, err := n.openRequest(sealed)
-	if err != nil {
-		return
-	}
-	primary, ok := decodeNodeID(&req.body)
-	promote := req.body.Bool()
-	if !ok || req.body.Finish() != nil {
-		return
-	}
-	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
-		return
-	}
-	if promote {
-		n.pullFromSurvivors(primary)
-	}
-	epoch, lastSeq, _, store := n.resolveReplSource(primary)
-	var reports int64
-	if store != nil {
-		reports = int64(store.ReportCount())
-	}
-	e := req.replyBody()
-	e.Bytes(primary[:]).U64(epoch).U64(lastSeq).U64(uint64(reports))
-	n.reply(&req, &e)
-}
-
-// promoteReplica performs stateful backup promotion for a dead primary
-// (§3.4.3 extended by DESIGN.md §10): probe every backup's replication
-// status for primary, cache positions in book, then promote the
-// most-caught-up healthy backup — after instructing it to reconcile with the
-// surviving replicas, so it serves the primary's tallies immediately.
-func (n *Node) promoteReplica(book *AgentBook, primary pkc.NodeID, replyOnion *onion.Onion) (pkc.NodeID, bool) {
-	type candidate struct {
-		id   pkc.NodeID
-		info AgentInfo
-		seq  uint64
-	}
-	var cands []candidate
-	for _, id := range book.Backups() {
-		info, ok := book.BackupInfo(id)
-		if !ok {
-			continue
-		}
-		allow, probe := book.Allow(id)
-		if !allow {
-			continue
-		}
-		if probe {
-			n.cnt.breakerHalf.Inc()
-		}
-		status, err := n.replicationStatus(info, primary, false, replyOnion, n.opts.ProbeTimeout)
-		if err != nil {
-			n.noteFailure(book, id)
-			continue
-		}
-		n.noteSuccess(book, id)
-		book.NoteReplicaSeq(id, primary, status.LastSeq)
-		cands = append(cands, candidate{id: id, info: info, seq: status.LastSeq})
-	}
-	// Most-caught-up first; the stable sort keeps recency order among ties.
-	// A candidate that fails its reconcile instruction — or vanished from
-	// the backup cache since probing — must not abandon the failover while
-	// promotable candidates remain.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
-	for _, c := range cands {
-		if _, err := n.replicationStatus(c.info, primary, true, replyOnion, n.timeout()); err != nil {
-			n.noteFailure(book, c.id)
-			continue
-		}
-		if !book.Restore(c.id) {
-			continue
-		}
-		n.cnt.failovers.Inc()
-		return c.id, true
-	}
-	return pkc.NodeID{}, false
 }

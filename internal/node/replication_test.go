@@ -1,7 +1,9 @@
 package node
 
 import (
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -32,6 +34,24 @@ func mkReplNode(t *testing.T, fd *resilience.FaultDialer, agent bool, dir string
 	return nd
 }
 
+// appendReports stores n reports about subject straight into p's report
+// store, alternating positive and negative, from one fresh reporter.
+func appendReports(t *testing.T, p *Node, subject pkc.NodeID, n int) {
+	t.Helper()
+	reporter, _ := pkc.NewIdentity(nil)
+	for i := 0; i < n; i++ {
+		nonce, err := pkc.NewNonce(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Agent().Store().Append(repstore.Record{
+			Reporter: reporter.ID, Subject: subject, Positive: i%2 == 0, Nonce: nonce,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestReplicationShipsBatches: a primary with two replicas appends reports;
 // every committed batch must arrive, apply in order, and become servable
 // through the replicas' combined tally.
@@ -42,20 +62,9 @@ func TestReplicationShipsBatches(t *testing.T) {
 	r1.authorizeReplicaOf(p.ID())
 	r2.authorizeReplicaOf(p.ID())
 
-	reporter, _ := pkc.NewIdentity(nil)
-	subject, _ := pkc.NewIdentity(nil)
+	subject := pkc.NodeID{1}
 	const reports = 10
-	for i := 0; i < reports; i++ {
-		nonce, err := pkc.NewNonce(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Agent().Store().Append(repstore.Record{
-			Reporter: reporter.ID, Subject: subject.ID, Positive: i%2 == 0, Nonce: nonce,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendReports(t, p, subject, reports)
 	waitFor(t, func() bool {
 		return r1.replicaReportCount(p.ID()) == reports && r2.replicaReportCount(p.ID()) == reports
 	})
@@ -63,7 +72,7 @@ func TestReplicationShipsBatches(t *testing.T) {
 	// The replicas serve the primary's tallies through their combined view:
 	// 5 positive / 5 negative → (5+1)/(10+2) = 0.5.
 	for _, r := range []*Node{r1, r2} {
-		v, ok := r.Agent().TrustValue(subject.ID)
+		v, ok := r.Agent().TrustValue(subject)
 		if !ok {
 			t.Fatal("replica has no combined opinion of the subject")
 		}
@@ -87,10 +96,10 @@ func TestReplicationShipsBatches(t *testing.T) {
 	})
 }
 
-// TestPromoteBackupPrefersCaughtUpReplica pins the stateful half of §3.4.3:
-// with cached replication positions in the book, failover must promote the
-// most-caught-up backup, not the most recently demoted one.
-func TestPromoteBackupPrefersCaughtUpReplica(t *testing.T) {
+// TestPromoteBackupPrefersMostRecentlyDemoted pins §3.4.3's replacement
+// rule: failover promotes the most recently demoted backup whose breaker is
+// closed, and skips one whose breaker is open.
+func TestPromoteBackupPrefersMostRecentlyDemoted(t *testing.T) {
 	nodes := fleet(t, 4, 3)
 	relay := nodes[3]
 	b1, b2, peer := nodes[0], nodes[1], nodes[2]
@@ -103,33 +112,36 @@ func TestPromoteBackupPrefersCaughtUpReplica(t *testing.T) {
 		return a.Info(o)
 	}
 	info1, info2 := infoFor(b1), infoFor(b2)
-	primary, _ := pkc.NewIdentity(nil)
 
 	book, err := NewAgentBook(3, 0.3, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	book.SetBreakerConfig(resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour})
 	if !book.AddBackup(info1) || !book.AddBackup(info2) {
 		t.Fatal("AddBackup failed")
 	}
-
-	// No cached positions: every candidate scores zero and the first backup in
-	// recency order wins — the pre-replication behavior.
-	id, ok := peer.promoteBackup(book, primary.ID)
-	if !ok || id != info1.ID() {
-		t.Fatalf("default promotion picked %v, want first backup %v", id, info1.ID())
+	promote := func(want pkc.NodeID) {
+		t.Helper()
+		if id, ok := peer.promoteBackup(book); !ok || id != want {
+			t.Fatalf("promoted (%v, %v), want %v", id, ok, want)
+		}
 	}
-	if !book.Demote(id) {
+
+	promote(info1.ID()) // first in line
+	// Demoted while healthy, b1 is back at the head of the cache.
+	if !book.Demote(info1.ID()) {
 		t.Fatal("demote failed")
 	}
-
-	// With positions cached (b2 is further ahead on the demoted primary's
-	// stream), promotion must pick b2 even though b1 is first in line.
-	book.NoteReplicaSeq(info1.ID(), primary.ID, 3)
-	book.NoteReplicaSeq(info2.ID(), primary.ID, 7)
-	id, ok = peer.promoteBackup(book, primary.ID)
-	if !ok || id != info2.ID() {
-		t.Fatalf("stateful promotion picked %v, want most-caught-up %v", id, info2.ID())
+	promote(info1.ID())
+	// Demoted with its breaker open, b1 must be passed over.
+	book.RecordFailure(info1.ID())
+	if !book.Demote(info1.ID()) {
+		t.Fatal("demote failed")
+	}
+	promote(info2.ID())
+	if got := metric(t, peer, "node_failover_total"); got != 3 {
+		t.Fatalf("node_failover_total = %d, want 3", got)
 	}
 }
 
@@ -139,8 +151,9 @@ func TestPromoteBackupPrefersCaughtUpReplica(t *testing.T) {
 // handoff queue overflows and the replica must later converge via
 // anti-entropy, not replay. Mid-traffic the replication path takes drops and
 // the primary takes delays. Then the primary is killed outright and a replica
-// is promoted — and must answer trust requests with tallies equal to an
-// independently maintained shadow model: zero acknowledged reports lost.
+// is promoted by the peer's own breaker — and must answer trust requests
+// with tallies equal to an independently maintained shadow model: zero
+// acknowledged reports lost.
 func TestChaosReplicationFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos test")
@@ -152,12 +165,9 @@ func TestChaosReplicationFailover(t *testing.T) {
 	peer := mkReplNode(t, fd, false, "", nil, 4)
 	relay := mkReplNode(t, fd, false, "", nil, 4)
 
-	// The offline pairing: each standby accepts state for this primary and
-	// lets the other group member pull shards at promotion time.
+	// The offline pairing: each standby accepts state for this primary.
 	r1.authorizeReplicaOf(p.ID())
 	r2.authorizeReplicaOf(p.ID())
-	r1.authorizeReplicaPeer(r2.ID())
-	r2.authorizeReplicaPeer(r1.ID())
 
 	infoFor := func(a *Node) AgentInfo {
 		o, err := a.BuildOnion(fetchRoute(t, a, []*Node{relay}))
@@ -271,22 +281,22 @@ func TestChaosReplicationFailover(t *testing.T) {
 		return r1.replicaReportCount(p.ID()) == total && r2.replicaReportCount(p.ID()) == total
 	})
 
-	// Phase 4: kill the primary for good and promote. The probe must pick a
-	// fully caught-up replica, reconcile it against the survivor, and cache
-	// the observed positions in the book.
+	// Phase 4: kill the primary for good. The peer keeps evaluating; its
+	// breaker on the primary trips, demotes it, and promotes a standby from
+	// the backup cache — the production failover path, no direct call.
 	fd.BlackHole(p.Addr())
-	if !book.Demote(infoP.ID()) {
-		t.Fatal("demote failed")
+	var promoted pkc.NodeID
+	for i := 0; i < 5 && promoted == (pkc.NodeID{}); i++ {
+		_, _, _ = peer.EvaluateSubject(book, subjects[0], replyOnion)
+		if active := book.Agents(); len(active) == 1 && active[0].ID() != infoP.ID() {
+			promoted = active[0].ID()
+		}
 	}
-	promoted, ok := peer.promoteReplica(book, infoP.ID(), replyOnion)
-	if !ok {
-		t.Fatal("promoteReplica found no candidate")
+	if promoted == (pkc.NodeID{}) {
+		t.Fatalf("the breaker never replaced the dead primary; active book %v", book.Agents())
 	}
-	if promoted != info1.ID() && promoted != info2.ID() {
-		t.Fatalf("promoted unknown node %v", promoted)
-	}
-	if book.ReplicaSeq(promoted, infoP.ID()) == 0 {
-		t.Fatal("promotion did not cache the replica's position")
+	if promoted != info1.ID() {
+		t.Fatalf("promoted %v, want the first healthy backup %v", promoted, info1.ID())
 	}
 	if peer.Metrics().Snapshot()["node_failover_total"] < 1 {
 		t.Fatal("failover counter not bumped")
@@ -294,16 +304,11 @@ func TestChaosReplicationFailover(t *testing.T) {
 
 	// The promoted replica answers trust requests with exactly the shadow
 	// model's tallies — the acknowledged history survived the primary.
-	promotedInfo := info1
-	promotedNode := r1
-	if promoted == info2.ID() {
-		promotedInfo, promotedNode = info2, r2
-	}
-	if got := promotedNode.replicaReportCount(p.ID()); got != total {
+	if got := r1.replicaReportCount(p.ID()); got != total {
 		t.Fatalf("promoted replica holds %d reports, want %d (acknowledged)", got, total)
 	}
 	for subj, tl := range shadow {
-		v, hasData, err := peer.RequestTrust(promotedInfo, subj, replyOnion)
+		v, hasData, err := peer.RequestTrust(info1, subj, replyOnion)
 		if err != nil {
 			t.Fatalf("trust from promoted replica: %v", err)
 		}
@@ -328,8 +333,7 @@ func TestChaosReplicationFailover(t *testing.T) {
 // TestReplicationUnauthorizedRejected pins the ingress gate (replication is
 // an offline pairing, not an open protocol): replication frames are
 // self-certifying, so a valid signature alone must not let a stranger create
-// replica state on an agent, poison its combined tally, or read the
-// per-reporter tallies inside digests and shard exports.
+// replica state on an agent, poison its combined tally, or read its digests.
 func TestReplicationUnauthorizedRejected(t *testing.T) {
 	r := mkReplNode(t, nil, true, "", nil, 64)
 	x := mkReplNode(t, nil, false, "", nil, 64) // transport client for the forged frames
@@ -342,7 +346,7 @@ func TestReplicationUnauthorizedRejected(t *testing.T) {
 	// Forged RReplicate: pre-gate, this created a replica store for the
 	// attacker's identity and attached it to the agent's serving path.
 	var sp wire.Encoder
-	sp.U64(replSigBatch).U64(1).U64(1).U64(4).String("").Bytes(nil)
+	sp.U64(replSigBatch).U64(1).U64(1).Bytes(nil)
 	if _, _, err := x.roundTripTimeout(r.Addr(), wire.RReplicate, replWrap(forged, sp.Encode()), 250*time.Millisecond); err == nil {
 		t.Fatal("unauthorized RReplicate was acknowledged")
 	}
@@ -353,21 +357,15 @@ func TestReplicationUnauthorizedRejected(t *testing.T) {
 		t.Fatalf("unauthorized frame created %d replica store(s)", stores)
 	}
 
-	// Forged RDigest / RFetch about the victim's own store: must not leak
-	// shard digests or reporter-level tallies outside the replica group.
-	selfID := r.ID()
+	// Forged RDigest: a stranger must not read digests or open a repair
+	// round.
 	var dq wire.Encoder
-	dq.U64(replSigDigest).Bytes(selfID[:])
+	dq.U64(replSigDigest)
 	if _, _, err := x.roundTripTimeout(r.Addr(), wire.RDigest, replWrap(forged, dq.Encode()), 250*time.Millisecond); err == nil {
 		t.Fatal("unauthorized RDigest was answered")
 	}
-	var fq wire.Encoder
-	fq.U64(replSigFetch).Bytes(selfID[:]).U64(0)
-	if _, _, err := x.roundTripTimeout(r.Addr(), wire.RFetch, replWrap(forged, fq.Encode()), 250*time.Millisecond); err == nil {
-		t.Fatal("unauthorized RFetch was answered")
-	}
-	if got := r.Metrics().Snapshot()["node_repl_unauthorized_total"]; got < 3 {
-		t.Fatalf("unauthorized counter = %d, want >= 3", got)
+	if got := r.Metrics().Snapshot()["node_repl_unauthorized_total"]; got < 2 {
+		t.Fatalf("unauthorized counter = %d, want >= 2", got)
 	}
 }
 
@@ -388,8 +386,7 @@ func TestRepairReplayRejected(t *testing.T) {
 
 	sentinel := func(challenge []byte, syncSeq uint64) []byte {
 		var sp wire.Encoder
-		sp.U64(replSigRepair).U64(7).U64(syncSeq)
-		sp.U64(2).U64(repairSentinel).Bytes(challenge).String("").Bytes(nil)
+		sp.U64(replSigRepair).U64(7).U64(syncSeq).U64(repairSentinel).Bytes(challenge).Bytes(nil)
 		return replWrap(primary, sp.Encode())
 	}
 
@@ -400,7 +397,7 @@ func TestRepairReplayRejected(t *testing.T) {
 
 	// Open a round: the primary's digest request earns a challenge.
 	var dq wire.Encoder
-	dq.U64(replSigDigest).Bytes(pid[:])
+	dq.U64(replSigDigest)
 	typ, resp, err := x.roundTripTimeout(r.Addr(), wire.RDigest, replWrap(primary, dq.Encode()), time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +418,14 @@ func TestRepairReplayRejected(t *testing.T) {
 	if err != nil || typ != wire.RRepairAck {
 		t.Fatalf("fresh repair round rejected: type=%v err=%v", typ, err)
 	}
-	if _, lastSeq, _, _ := r.resolveReplSource(pid); lastSeq != 3 {
+	st, _ := r.replicaState(pid, false)
+	if st == nil {
+		t.Fatal("sealed round left no replica state")
+	}
+	st.mu.Lock()
+	lastSeq := st.lastSeq
+	st.mu.Unlock()
+	if lastSeq != 3 {
 		t.Fatalf("sealed lastSeq = %d, want 3", lastSeq)
 	}
 
@@ -444,20 +448,8 @@ func TestIdleReplicationQuiesces(t *testing.T) {
 	p := mkReplNode(t, nil, true, "", []string{r1.Addr()}, 64)
 	r1.authorizeReplicaOf(p.ID())
 
-	reporter, _ := pkc.NewIdentity(nil)
-	subject, _ := pkc.NewIdentity(nil)
 	const reports = 5
-	for i := 0; i < reports; i++ {
-		nonce, err := pkc.NewNonce(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Agent().Store().Append(repstore.Record{
-			Reporter: reporter.ID, Subject: subject.ID, Positive: true, Nonce: nonce,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendReports(t, p, pkc.NodeID{1}, reports)
 	waitFor(t, func() bool { return r1.replicaReportCount(p.ID()) == reports })
 
 	// Let the cold-target comparison (and any in-flight tick) finish, then
@@ -517,20 +509,8 @@ func TestHandoffQueuesStayInMemory(t *testing.T) {
 	r := mkReplNode(t, fd, true, "", nil, 64)
 	fd.BlackHole(r.Addr())
 	p := mkReplNode(t, fd, true, dir, []string{r.Addr()}, 64)
-	reporter, _ := pkc.NewIdentity(nil)
-	subject, _ := pkc.NewIdentity(nil)
 	const reports = 6
-	for i := 0; i < reports; i++ {
-		nonce, err := pkc.NewNonce(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Agent().Store().Append(repstore.Record{
-			Reporter: reporter.ID, Subject: subject.ID, Positive: i%2 == 0, Nonce: nonce,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendReports(t, p, pkc.NodeID{1}, reports)
 	if d := p.repl.targets[0].out.Depth(); d == 0 {
 		t.Fatal("nothing queued for the down replica")
 	}
@@ -548,4 +528,59 @@ func TestHandoffQueuesStayInMemory(t *testing.T) {
 	}
 	r.authorizeReplicaOf(p2.ID())
 	waitFor(t, func() bool { return r.replicaReportCount(p2.ID()) == reports })
+}
+
+// TestRestartedReplicaServesFromDisk: a durable replica that restarts after
+// its primary died serves the replicated tallies at once. Its store must not
+// wait to be reopened by a frame the dead primary will never send.
+func TestRestartedReplicaServesFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	r := mkReplNode(t, nil, true, dir, nil, 64)
+	p := mkReplNode(t, nil, true, "", []string{r.Addr()}, 64)
+	primary := p.ID()
+	r.authorizeReplicaOf(primary)
+	subject := pkc.NodeID{1}
+	const reports = 6
+	appendReports(t, p, subject, reports)
+	waitFor(t, func() bool { return r.replicaReportCount(primary) == reports })
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := ChaosOptions(nil)
+	opts.Agent = true
+	opts.StoreDir = dir
+	opts.ReplicaOf = []pkc.NodeID{primary}
+	r2, err := Listen("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r2.Close() })
+	if got := r2.replicaReportCount(primary); got != reports {
+		t.Fatalf("restarted replica holds %d reports, want %d", got, reports)
+	}
+	if _, ok := r2.Agent().TrustValue(subject); !ok {
+		t.Fatal("restarted replica has no opinion of the replicated subject")
+	}
+
+	// A replica store that cannot be reopened fails Listen rather than
+	// leaving the replica silently empty.
+	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "replica", primary.String(), "snapshot")
+	if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r3, err := Listen("127.0.0.1:0", opts)
+	if err == nil {
+		_ = r3.Close()
+		t.Fatal("Listen reopened a corrupt replica store")
+	}
+	if !errors.Is(err, repstore.ErrCorruptSnapshot) {
+		t.Fatalf("Listen error = %v, want the replica store's ErrCorruptSnapshot", err)
+	}
 }

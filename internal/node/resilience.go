@@ -1,7 +1,6 @@
 package node
 
 import (
-	"sort"
 	"time"
 
 	"hirep/internal/onion"
@@ -72,37 +71,25 @@ func (n *Node) noteFailure(book *AgentBook, id pkc.NodeID) {
 	if !book.Demote(id) {
 		return // already out of the active book (e.g. a failed backup probe)
 	}
-	if _, ok := n.promoteBackup(book, id); ok {
-		n.cnt.failovers.Inc()
-	}
+	n.promoteBackup(book)
 }
 
-// promoteBackup restores the healthiest backup in place of the demoted agent.
-// Among backups whose breaker is closed it prefers the one with the highest
-// cached replication position for the demoted primary (fed by
-// promoteReplica's status probes); with no cached positions every candidate
-// scores zero and the most recently demoted healthy backup wins, the
-// pre-replication behavior. Candidates are tried in that order until one
-// restores — a single candidate lost to a concurrent probe must not abandon
-// the failover.
-func (n *Node) promoteBackup(book *AgentBook, demoted pkc.NodeID) (pkc.NodeID, bool) {
-	return restoreFirst(book, promotionOrder(book, demoted))
-}
-
-// promotionOrder lists the backups whose breaker is closed, ordered by
-// cached replication position for the demoted primary (highest first; the
-// stable sort keeps the book's recency order among ties).
-func promotionOrder(book *AgentBook, demoted pkc.NodeID) []pkc.NodeID {
-	var out []pkc.NodeID
+// promoteBackup fills a vacated active slot from the backup cache and counts
+// the failover: the most recently demoted backup whose breaker is closed
+// wins. Candidates are tried in that order until one restores — a single
+// candidate lost to a concurrent probe must not abandon the failover.
+func (n *Node) promoteBackup(book *AgentBook) (pkc.NodeID, bool) {
+	var cands []pkc.NodeID
 	for _, id := range book.Backups() {
 		if book.BreakerState(id) == resilience.BreakerClosed {
-			out = append(out, id)
+			cands = append(cands, id)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return book.ReplicaSeq(out[i], demoted) > book.ReplicaSeq(out[j], demoted)
-	})
-	return out
+	id, ok := restoreFirst(book, cands)
+	if ok {
+		n.cnt.failovers.Inc()
+	}
+	return id, ok
 }
 
 // restoreFirst promotes the first candidate the book still holds as a

@@ -48,7 +48,6 @@ type counters struct {
 	replBatches        *metrics.Counter
 	replShipped        *metrics.Counter
 	replApplied        *metrics.Counter
-	replPulled         *metrics.Counter
 	replHandoffDepth   *metrics.Gauge
 	replHandoffDropped *metrics.Counter
 	replShardsRepaired *metrics.Counter
@@ -131,7 +130,6 @@ func (c *counters) bind(r *metrics.Registry) {
 	c.replBatches = r.Counter("node_repl_batches_total")
 	c.replShipped = r.Counter("node_repl_shipped_total")
 	c.replApplied = r.Counter("node_repl_applied_total")
-	c.replPulled = r.Counter("node_repl_pulled_total")
 	c.replHandoffDepth = r.Gauge("node_repl_handoff_depth")
 	c.replHandoffDropped = r.Counter("node_repl_handoff_dropped_total")
 	c.replShardsRepaired = r.Counter("node_repl_shards_repaired_total")

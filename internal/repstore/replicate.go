@@ -18,8 +18,7 @@ import (
 //
 // Shard export layout (one shard, canonical order):
 //
-//	u64le version | u32le subject count | per subject, ascending by subject
-//	bytes:
+//	u32le subject count | per subject, ascending by subject bytes:
 //	  subject[20] | u64 pos | u64 neg | u32 reporter count |
 //	    (reporter[20] | u32 pos | u32 neg)*  — ascending by reporter bytes
 //
@@ -39,13 +38,9 @@ import (
 
 // ShardDigest summarizes one shard for anti-entropy comparison. CRC is the
 // CRC32C of the shard's canonical encoding and is the ground truth for
-// "same state". Version counts the ops applied to the shard since Open (or
-// the version adopted by the last ImportShard); it is a session-local
-// tiebreaker for pull-repair direction, not a durability invariant — a
-// restart resets it while the content survives.
+// "same state".
 type ShardDigest struct {
-	CRC     uint32
-	Version uint64
+	CRC uint32
 }
 
 // ShardCount returns the number of shards (a power of two fixed at Open).
@@ -68,7 +63,7 @@ func (s *Store) shardDigest(i int) ShardDigest {
 	sh := &s.shards[i]
 	sh.mu.RLock()
 	if sh.digValid {
-		d := ShardDigest{CRC: sh.digCRC, Version: sh.version}
+		d := ShardDigest{CRC: sh.digCRC}
 		sh.mu.RUnlock()
 		return d
 	}
@@ -80,12 +75,12 @@ func (s *Store) shardDigest(i int) ShardDigest {
 		sh.digCRC = crc32.Checksum(body, crcTable)
 		sh.digValid = true
 	}
-	return ShardDigest{CRC: sh.digCRC, Version: sh.version}
+	return ShardDigest{CRC: sh.digCRC}
 }
 
-// ExportShard serializes one shard — version header plus canonical body,
-// plus the trailing lineage/evidence sections when the store holds any — for
-// an anti-entropy repair or a replica catch-up.
+// ExportShard serializes one shard — its canonical body, plus the trailing
+// lineage/evidence sections when the store holds any — for an anti-entropy
+// repair or a replica catch-up.
 func (s *Store) ExportShard(i int) []byte {
 	if i < 0 || i >= len(s.shards) {
 		return nil
@@ -94,10 +89,7 @@ func (s *Store) ExportShard(i int) []byte {
 	sh := &s.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	body, subjects := encodeShardLocked(sh)
-	out := make([]byte, 0, 8+len(body))
-	out = binary.LittleEndian.AppendUint64(out, sh.version)
-	out = append(out, body...)
+	out, subjects := encodeShardLocked(sh)
 	hasEv := false
 	for _, st := range sh.subjects {
 		if len(st.ev) > 0 || st.evTrunc {
@@ -148,8 +140,8 @@ func encodeShardLocked(sh *shard) ([]byte, []pkc.NodeID) {
 	return body, subjects
 }
 
-// ImportShard replaces shard i's contents with a peer's ExportShard payload,
-// adopting the exported version. Every subject in the payload must actually
+// ImportShard replaces shard i's contents with a peer's ExportShard payload.
+// Every subject in the payload must actually
 // belong to shard i under this store's shard count — a mismatched or hostile
 // export is rejected without touching state. The import is an in-memory
 // repair: a WAL-backed store must Snapshot() after a repair round to make the
@@ -161,11 +153,7 @@ func (s *Store) ImportShard(i int, data []byte) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("repstore: import shard %d of %d", i, len(s.shards))
 	}
-	if len(data) < 8 {
-		return fmt.Errorf("%w: short shard export", ErrCorruptRecord)
-	}
-	version := binary.LittleEndian.Uint64(data[:8])
-	subjects, links, err := s.decodeShardBody(i, data[8:])
+	subjects, links, err := s.decodeShardBody(i, data)
 	if err != nil {
 		return err
 	}
@@ -186,7 +174,6 @@ func (s *Store) ImportShard(i int, data []byte) error {
 		oldTotal += int64(st.pos + st.neg)
 	}
 	sh.subjects = subjects
-	sh.version = version
 	sh.digValid = false
 	sh.mu.Unlock()
 	s.reports.Add(newTotal - oldTotal)
@@ -204,8 +191,8 @@ func (s *Store) decodeShardBody(i int, body []byte) (map[pkc.NodeID]*subjectStat
 	for n := uint32(0); n < count; n++ {
 		var subject pkc.NodeID
 		copy(subject[:], d.take(pkc.NodeIDSize))
-		pos := int(d.u64())
-		neg := int(d.u64())
+		pos := d.tally()
+		neg := d.tally()
 		nrep := d.u32()
 		hint := int(nrep)
 		if hint > 1024 {

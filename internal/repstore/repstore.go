@@ -128,15 +128,12 @@ type subjectState struct {
 	evTrunc   bool
 }
 
-// shard is one lock domain of the subject table. version counts the ops
-// applied to the shard since Open (merges bump both involved shards), giving
-// anti-entropy a cheap monotonic progress marker next to the content CRC.
-// digCRC caches the canonical-encoding CRC while digValid holds; every
-// mutation clears digValid, so steady-state digest reads cost nothing.
+// shard is one lock domain of the subject table. digCRC caches the
+// canonical-encoding CRC while digValid holds; every mutation clears
+// digValid, so steady-state digest reads cost nothing.
 type shard struct {
 	mu       sync.RWMutex
 	subjects map[pkc.NodeID]*subjectState
-	version  uint64
 	digCRC   uint32
 	digValid bool
 }
@@ -445,7 +442,6 @@ func (s *Store) applyOp(op walOp) {
 			st.ev = append(st.ev, evrec{reporter: r.Reporter, sp: r.SP, wire: r.Wire})
 			st.trimEvidence(s.opts.EvidenceCap)
 		}
-		sh.version++
 		sh.digValid = false
 		sh.mu.Unlock()
 		s.reports.Add(1)
@@ -481,18 +477,12 @@ func (s *Store) applyMerge(op walOp) {
 		defer sj.mu.Unlock()
 		defer si.mu.Unlock()
 	}
-	// Bump before the no-op early return so version stays a pure function of
-	// the op stream (replicas apply the same stream, land on the same count).
-	si.version++
-	si.digValid = false
-	if i != j {
-		sj.version++
-		sj.digValid = false
-	}
 	src := si.subjects[oldID]
 	if src == nil {
 		return
 	}
+	si.digValid = false
+	sj.digValid = false
 	delete(si.subjects, oldID)
 	dst := sj.subjects[newID]
 	if dst == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -175,8 +176,8 @@ func (s *Store) decodeState(body []byte) error {
 	for i := uint32(0); i < count; i++ {
 		var subject pkc.NodeID
 		copy(subject[:], d.take(pkc.NodeIDSize))
-		pos := int(d.u64())
-		neg := int(d.u64())
+		pos := d.tally()
+		neg := d.tally()
 		nrep := d.u32()
 		hint := int(nrep)
 		if hint > 1024 { // cap the pre-allocation; a hostile count still has to survive take()
@@ -222,7 +223,8 @@ func (s *Store) decodeState(body []byte) error {
 	return nil
 }
 
-// snapReader is a bounds-checked cursor over the snapshot body.
+// snapReader is a bounds-checked cursor over the snapshot body. The first
+// error sticks: every later read returns zero values.
 type snapReader struct {
 	buf []byte
 	off int
@@ -230,7 +232,10 @@ type snapReader struct {
 }
 
 func (d *snapReader) take(n int) []byte {
-	if d.err != nil || len(d.buf)-d.off < n {
+	if d.err != nil {
+		return nil
+	}
+	if len(d.buf)-d.off < n {
 		d.err = ErrCorruptSnapshot
 		return nil
 	}
@@ -253,4 +258,15 @@ func (d *snapReader) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// tally reads a subject's u64 report count. A count past the int range is
+// corrupt: converted, it would turn into a negative tally.
+func (d *snapReader) tally() int {
+	v := d.u64()
+	if v > math.MaxInt {
+		d.err = ErrCorruptRecord
+		return 0
+	}
+	return int(v)
 }

@@ -26,8 +26,8 @@ const (
 	TKeyConfirm
 	// TOnion carries an onion blob plus an opaque end-to-end payload.
 	TOnion
-	// Inner payload types carried through onions. TTrustReq, TReplStatusReq,
-	// TReportBatch and TProofReq are the requests of the one sealed exchange
+	// Inner payload types carried through onions. TTrustReq, TReportBatch
+	// and TProofReq are the requests of the one sealed exchange
 	// (DESIGN.md §5.1); TReply is the answer to all of them, matched to its
 	// request by nonce. TReport is the unacknowledged single report.
 	TTrustReq
@@ -56,7 +56,7 @@ const (
 	// has diverged and needs repair).
 	RReplicate
 	RReplicateAck
-	// RDigest / RDigestResp exchange per-shard CRC/version digests for
+	// RDigest / RDigestResp exchange per-shard CRC digests for
 	// anti-entropy comparison.
 	RDigest
 	RDigestResp
@@ -65,16 +65,6 @@ const (
 	// sequence point. RRepairAck confirms application.
 	RRepair
 	RRepairAck
-	// RFetch / RFetchResp let a promoted replica pull a shard from a
-	// surviving replica (promotion-time anti-entropy when the primary is
-	// gone).
-	RFetch
-	RFetchResp
-	// TReplStatusReq asks a backup agent how caught-up its replica of a given
-	// primary is — the probe stateful promotion (§3.4.3) rests on. It can
-	// carry a promote flag, instructing the replica to reconcile with
-	// surviving replicas before serving.
-	TReplStatusReq
 	// TReportBatch carries the batched, acknowledged report-ingest pipeline
 	// (DESIGN.md §11): many signed transaction reports plus the sender's
 	// admission proof-of-work solution (DESIGN.md §13, possibly empty) in one
@@ -141,12 +131,6 @@ func (t MsgType) String() string {
 		return "repl-repair"
 	case RRepairAck:
 		return "repl-repair-ack"
-	case RFetch:
-		return "repl-fetch"
-	case RFetchResp:
-		return "repl-fetch-resp"
-	case TReplStatusReq:
-		return "repl-status-req"
 	case TReportBatch:
 		return "report-batch"
 	case TProofReq:
