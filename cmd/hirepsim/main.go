@@ -61,51 +61,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var mtr *metrics.Sim
 	if *metricsF {
 		mtr = metrics.NewSim()
 		p.Metrics = mtr
 	}
 
-	type runner func(sim.Params) (sim.ExpResult, error)
-	all := []struct {
-		name string
-		run  runner
-	}{
-		{"table1", func(p sim.Params) (sim.ExpResult, error) {
-			return sim.ExpResult{Name: "table1", Table: sim.Table1(p)}, nil
-		}},
-		{"fig5", sim.Fig5},
-		{"fig6", sim.Fig6},
-		{"fig7", sim.Fig7},
-		{"fig8", sim.Fig8},
-		{"overhead", sim.Overhead},
-		{"attacks", sim.Attacks},
-		{"churn", sim.Churn},
-		{"models", sim.Models},
-		{"latency", sim.Latency},
-		{"bytes", sim.BytesView},
-		{"tokens", sim.Tokens},
-		{"loss", sim.Loss},
-	}
-
-	selected := strings.Split(*exp, ",")
-	want := func(name string) bool {
-		for _, s := range selected {
-			if s == "all" || s == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	ranAny := false
 	begin := time.Now()
-	for _, e := range all {
-		if !want(e.name) {
-			continue
-		}
-		ranAny = true
+	for _, e := range selected {
 		start := time.Now()
 		res, err := e.run(p)
 		if err != nil {
@@ -121,10 +89,6 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %s]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-	if !ranAny {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; want fig5|fig6|fig7|fig8|table1|overhead|attacks|churn|models|latency|bytes|tokens|loss|all\n", *exp)
-		os.Exit(2)
-	}
 	if mtr != nil {
 		mtr.Summary().Render(os.Stdout)
 		fmt.Println()
@@ -139,6 +103,58 @@ func main() {
 	} else {
 		fmt.Printf("%s: %.2f s (-metrics adds events and events/s)\n", *exp, wall)
 	}
+}
+
+type experiment struct {
+	name string
+	run  func(sim.Params) (sim.ExpResult, error)
+}
+
+// experiments is every experiment, in the order -exp all runs them.
+var experiments = []experiment{
+	{"table1", func(p sim.Params) (sim.ExpResult, error) {
+		return sim.ExpResult{Name: "table1", Table: sim.Table1(p)}, nil
+	}},
+	{"fig5", sim.Fig5},
+	{"fig6", sim.Fig6},
+	{"fig7", sim.Fig7},
+	{"fig8", sim.Fig8},
+	{"overhead", sim.Overhead},
+	{"attacks", sim.Attacks},
+	{"churn", sim.Churn},
+	{"models", sim.Models},
+	{"latency", sim.Latency},
+	{"bytes", sim.BytesView},
+	{"tokens", sim.Tokens},
+	{"loss", sim.Loss},
+}
+
+// selectExperiments resolves -exp, a comma-separated list of experiment
+// names or "all", to the experiments it names in run order. Every name must
+// be known, so a typo fails before anything runs.
+func selectExperiments(spec string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		known := name == "all"
+		for _, e := range experiments {
+			known = known || e.name == name
+		}
+		if !known {
+			names := make([]string, len(experiments))
+			for i, e := range experiments {
+				names[i] = e.name
+			}
+			return nil, fmt.Errorf("unknown experiment %q; want a comma-separated list of %s, or all", name, strings.Join(names, "|"))
+		}
+		want[name] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // writeCSV stores one experiment's table under dir.

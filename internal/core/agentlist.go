@@ -29,22 +29,7 @@ type Recommendation struct {
 // cannot lower the agent's rank in honest lists, because only the maximum
 // rank counts.
 func RankAgents(lists [][]Recommendation, n int) map[topology.NodeID]int {
-	ranks := make(map[topology.NodeID]int)
-	var sorted []Recommendation
-	for _, list := range lists {
-		sorted = append(sorted[:0], list...)
-		slices.SortStableFunc(sorted, func(a, b Recommendation) int { return cmp.Compare(b.Weight, a.Weight) })
-		for i, rec := range sorted {
-			rank := n - i
-			if rank < 0 {
-				rank = 0
-			}
-			if rank > ranks[rec.Agent] {
-				ranks[rec.Agent] = rank
-			}
-		}
-	}
-	return ranks
+	return new(ranker).rank(lists, n)
 }
 
 // SelectAgents picks up to n agents by descending rank, breaking ties
@@ -52,36 +37,73 @@ func RankAgents(lists [][]Recommendation, n int) map[topology.NodeID]int {
 // its trusted agents from them randomly"). exclude removes a node (the
 // requestor itself) from consideration.
 func SelectAgents(ranks map[topology.NodeID]int, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
-	type ranked struct {
-		id   topology.NodeID
-		rank int
+	return new(ranker).selectAgents(ranks, n, exclude, rng)
+}
+
+// ranker is RankAgents and SelectAgents over scratch its owner keeps: the
+// map and slice they return belong to the ranker and are valid until its
+// next call.
+type ranker struct {
+	ranks  map[topology.NodeID]int
+	sorted []Recommendation
+	cands  []rankedAgent
+	picked []topology.NodeID
+}
+
+type rankedAgent struct {
+	id   topology.NodeID
+	rank int
+}
+
+func (r *ranker) rank(lists [][]Recommendation, n int) map[topology.NodeID]int {
+	if r.ranks == nil {
+		r.ranks = make(map[topology.NodeID]int)
 	}
-	cands := make([]ranked, 0, len(ranks))
-	for id, rank := range ranks {
-		if id != exclude {
-			cands = append(cands, ranked{id, rank})
+	clear(r.ranks)
+	for _, list := range lists {
+		r.sorted = append(r.sorted[:0], list...)
+		slices.SortStableFunc(r.sorted, func(a, b Recommendation) int { return cmp.Compare(b.Weight, a.Weight) })
+		for i, rec := range r.sorted {
+			rank := n - i
+			if rank < 0 {
+				rank = 0
+			}
+			if rank > r.ranks[rec.Agent] {
+				r.ranks[rec.Agent] = rank
+			}
 		}
 	}
+	return r.ranks
+}
+
+func (r *ranker) selectAgents(ranks map[topology.NodeID]int, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
+	cands := r.cands[:0]
+	for id, rank := range ranks {
+		if id != exclude {
+			cands = append(cands, rankedAgent{id, rank})
+		}
+	}
+	r.cands = cands
 	// Deterministic base order, then shuffle to randomize ties, then stable
 	// sort by rank so equal-rank order stays random.
-	slices.SortFunc(cands, func(a, b ranked) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(cands, func(a, b rankedAgent) int { return cmp.Compare(a.id, b.id) })
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	slices.SortStableFunc(cands, func(a, b ranked) int { return cmp.Compare(b.rank, a.rank) })
+	slices.SortStableFunc(cands, func(a, b rankedAgent) int { return cmp.Compare(b.rank, a.rank) })
 	if len(cands) > n {
 		cands = cands[:n]
 	}
-	ids := make([]topology.NodeID, len(cands))
-	for i, c := range cands {
-		ids[i] = c.id
+	r.picked = r.picked[:0]
+	for _, c := range cands {
+		r.picked = append(r.picked, c.id)
 	}
-	return ids
+	return r.picked
 }
 
 // agentEntry is one row of a peer's trusted-agent list.
 type agentEntry struct {
 	agent     topology.NodeID
-	expertise *trust.Expertise
-	route     []topology.NodeID // the agent's onion relays (agent last hop excluded)
+	expertise trust.Expertise
+	path      []topology.NodeID // the agent's published onion path, agent last; read-only
 }
 
 // agentList is a peer's trusted-agent list plus the backup-agent cache of
@@ -90,10 +112,17 @@ type agentList struct {
 	entries []*agentEntry
 	backups []*agentEntry
 	maxBack int
+	fresh   trust.Expertise // a new entry's expertise
 }
 
-func newAgentList(maxBackups int) *agentList {
-	return &agentList{maxBack: maxBackups}
+// newAgentList returns an empty list for a peer that keeps size trusted
+// agents and as many backups, updating expertise with smoothing factor alpha.
+func newAgentList(size int, alpha float64) *agentList {
+	exp, err := trust.NewExpertise(alpha)
+	if err != nil {
+		panic(err) // alpha validated by Config.Validate
+	}
+	return &agentList{entries: make([]*agentEntry, 0, size), maxBack: size, fresh: *exp}
 }
 
 // has reports whether agent is already a trusted agent.
@@ -108,15 +137,11 @@ func (l *agentList) has(agent topology.NodeID) bool {
 
 // add appends a fresh entry with initial expertise 1 (§3.4.3). It is a no-op
 // when the agent is already present.
-func (l *agentList) add(agent topology.NodeID, route []topology.NodeID, alpha float64) {
+func (l *agentList) add(agent topology.NodeID, path []topology.NodeID) {
 	if l.has(agent) {
 		return
 	}
-	exp, err := trust.NewExpertise(alpha)
-	if err != nil {
-		panic(err) // alpha validated by Config.Validate
-	}
-	l.entries = append(l.entries, &agentEntry{agent: agent, expertise: exp, route: route})
+	l.entries = append(l.entries, &agentEntry{agent: agent, expertise: l.fresh, path: path})
 }
 
 // backupEps is the floor below which an EWMA expertise counts as
@@ -134,10 +159,11 @@ func (l *agentList) remove(agent topology.NodeID, toBackup bool) {
 		}
 		l.entries = append(l.entries[:i], l.entries[i+1:]...)
 		if toBackup && e.expertise.Value() > backupEps {
-			l.backups = append([]*agentEntry{e}, l.backups...)
-			if len(l.backups) > l.maxBack {
-				l.backups = l.backups[:l.maxBack]
+			if len(l.backups) < l.maxBack {
+				l.backups = append(l.backups, nil)
 			}
+			copy(l.backups[1:], l.backups)
+			l.backups[0] = e
 		}
 		return
 	}
@@ -158,13 +184,13 @@ func (l *agentList) restore(agent topology.NodeID) bool {
 	return false
 }
 
-// weights returns the list as recommendations for sharing with other peers.
-func (l *agentList) weights() []Recommendation {
-	out := make([]Recommendation, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = Recommendation{Agent: e.agent, Weight: e.expertise.Value()}
+// appendWeights appends the list as recommendations for sharing with other
+// peers.
+func (l *agentList) appendWeights(dst []Recommendation) []Recommendation {
+	for _, e := range l.entries {
+		dst = append(dst, Recommendation{Agent: e.agent, Weight: e.expertise.Value()})
 	}
-	return out
+	return dst
 }
 
 // find returns the entry for agent, or nil.

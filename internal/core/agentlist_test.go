@@ -132,10 +132,10 @@ func TestSelectAgentsTieRandomized(t *testing.T) {
 }
 
 func TestAgentListAddRemove(t *testing.T) {
-	l := newAgentList(5)
-	l.add(1, nil, 0.3)
-	l.add(1, nil, 0.3) // duplicate no-op
-	l.add(2, nil, 0.3)
+	l := newAgentList(5, 0.3)
+	l.add(1, nil)
+	l.add(1, nil) // duplicate no-op
+	l.add(2, nil)
 	if len(l.entries) != 2 {
 		t.Fatalf("%d entries", len(l.entries))
 	}
@@ -153,9 +153,9 @@ func TestAgentListAddRemove(t *testing.T) {
 }
 
 func TestAgentListBackupMostRecentFirst(t *testing.T) {
-	l := newAgentList(2)
+	l := newAgentList(2, 0.3)
 	for _, id := range []topology.NodeID{1, 2, 3} {
-		l.add(id, nil, 0.3)
+		l.add(id, nil)
 	}
 	l.remove(1, true)
 	l.remove(2, true)
@@ -167,8 +167,8 @@ func TestAgentListBackupMostRecentFirst(t *testing.T) {
 }
 
 func TestAgentListZeroExpertiseNotBackedUp(t *testing.T) {
-	l := newAgentList(5)
-	l.add(1, nil, 0.5)
+	l := newAgentList(5, 0.5)
+	l.add(1, nil)
 	e := l.find(1)
 	for i := 0; i < 64; i++ {
 		e.expertise.Update(false)
@@ -184,8 +184,8 @@ func TestAgentListZeroExpertiseNotBackedUp(t *testing.T) {
 }
 
 func TestAgentListRestore(t *testing.T) {
-	l := newAgentList(5)
-	l.add(1, nil, 0.3)
+	l := newAgentList(5, 0.3)
+	l.add(1, nil)
 	l.remove(1, true)
 	if !l.restore(1) {
 		t.Fatal("restore failed")
@@ -199,9 +199,9 @@ func TestAgentListRestore(t *testing.T) {
 }
 
 func TestAgentListWeights(t *testing.T) {
-	l := newAgentList(5)
-	l.add(4, nil, 0.3)
-	w := l.weights()
+	l := newAgentList(5, 0.3)
+	l.add(4, nil)
+	w := l.appendWeights(nil)
 	if len(w) != 1 || w[0].Agent != 4 || w[0].Weight != 1 {
 		t.Fatalf("weights %v (initial expertise must be 1)", w)
 	}

@@ -16,32 +16,57 @@ import (
 // most once; revisits drop the tokens, which is the token budget doing its
 // job of bounding traffic.
 
+// listCollect is the System's record of the agent-list walk in flight: the
+// records its messages point to, the lists collected at the requestor and the
+// scratch that ranks them. Everything in it is valid until the walk drains;
+// the next walk overwrites it.
+type listCollect struct {
+	id uint64
+	// reqs holds two request records per node. A node forwards at most once
+	// per walk (listSeen) and sends one of only two token splits, base+1 and
+	// base, so each split is one record shared by the messages carrying it.
+	reqs []listReqPayload
+	// resps holds one response record per node: a node answers at most once
+	// per walk. Their recs are slices of the recs arena.
+	resps   []listRespPayload
+	recs    []Recommendation
+	lists   [][]Recommendation
+	targets []topology.NodeID
+	rank    ranker
+}
+
+func newListCollect(n int) listCollect {
+	return listCollect{reqs: make([]listReqPayload, 2*n), resps: make([]listRespPayload, n)}
+}
+
 // onListReq handles an incoming agent-list request at any node.
 func (s *System) onListReq(nw *simnet.Network, m simnet.Message) {
-	p := m.Payload.(listReqPayload)
+	p := m.Payload.(*listReqPayload)
 	if s.listSeen[m.To] == p.reqID {
 		return // duplicate arrival: tokens die here
 	}
 	s.listSeen[m.To] = p.reqID
+	w := &s.walk
 	tokens := p.tokens
 	// Answer if this node has something to offer and a token remains.
 	if tokens > 0 && m.To != p.origin {
-		var recs []Recommendation
+		start := len(w.recs)
 		if s.peers[m.To].poisoner {
 			// §4.2.1 attack: fabricate a list promoting colluding malicious
 			// agents at maximum weight.
-			recs = s.poisonedRecommendations()
+			w.recs = s.appendPoisoned(w.recs)
 		} else {
-			recs = s.peers[m.To].list.weights()
+			w.recs = s.peers[m.To].list.appendWeights(w.recs)
 		}
-		if len(recs) == 0 && s.agents[m.To] != nil {
+		if len(w.recs) == start && s.agents[m.To] != nil {
 			// §3.4.1: "The node can return its own nodeid if it has no
 			// trusted agent list" — self-nomination with initial weight 1.
-			recs = []Recommendation{{Agent: m.To, Weight: 1}}
+			w.recs = append(w.recs, Recommendation{Agent: m.To, Weight: 1})
 		}
-		if len(recs) > 0 {
-			nw.SendKindBytes(m.To, p.origin, kindAgentListRespID,
-				listRespPayload{reqID: p.reqID, recs: recs}, listRespSize(len(recs)))
+		if n := len(w.recs) - start; n > 0 {
+			resp := &w.resps[m.To]
+			*resp = listRespPayload{reqID: p.reqID, recs: w.recs[start:len(w.recs):len(w.recs)]}
+			nw.SendKindBytes(m.To, p.origin, kindAgentListRespID, resp, listRespSize(n))
 			tokens--
 		}
 	}
@@ -49,54 +74,59 @@ func (s *System) onListReq(nw *simnet.Network, m simnet.Message) {
 		return
 	}
 	// Forward the remaining tokens, split across neighbors except the sender.
-	var targets []topology.NodeID
+	targets := w.targets[:0]
 	for _, nb := range s.net.Graph().Neighbors(m.To) {
 		if nb != m.From {
 			targets = append(targets, nb)
 		}
 	}
+	w.targets = targets
+	s.spreadWalk(m.To, targets, p.origin, p.reqID, tokens, p.ttl-1)
+}
+
+// spreadWalk forwards a walk from node from: targets are shuffled with from's
+// stream and cut to at most tokens, and the tokens are split across them, the
+// first tokens%len(targets) carrying one more. Every target so carries at
+// least one token.
+func (s *System) spreadWalk(from topology.NodeID, targets []topology.NodeID, origin topology.NodeID, reqID uint64, tokens, ttl int) {
 	if len(targets) == 0 {
 		return
 	}
-	rng := s.peers[m.To].rng
-	rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+	s.peers[from].rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 	if len(targets) > tokens {
 		targets = targets[:tokens]
 	}
-	base := tokens / len(targets)
-	extra := tokens % len(targets)
+	base, extra := tokens/len(targets), tokens%len(targets)
+	more, less := &s.walk.reqs[2*from], &s.walk.reqs[2*from+1]
+	*more = listReqPayload{origin: origin, reqID: reqID, tokens: base + 1, ttl: ttl}
+	*less = listReqPayload{origin: origin, reqID: reqID, tokens: base, ttl: ttl}
 	for i, tgt := range targets {
-		t := base
+		rec := less
 		if i < extra {
-			t++
+			rec = more
 		}
-		if t == 0 {
-			continue
-		}
-		nw.SendKindBytes(m.To, tgt, kindAgentListReqID, listReqPayload{
-			origin: p.origin, reqID: p.reqID, tokens: t, ttl: p.ttl - 1,
-		}, listReqSize())
+		s.net.SendKindBytes(from, tgt, kindAgentListReqID, rec, listReqSize())
 	}
 }
 
-// poisonedRecommendations fabricates a list of colluding malicious agents at
+// appendPoisoned appends a fabricated list of colluding malicious agents at
 // maximum weight (attackers know their cohort).
-func (s *System) poisonedRecommendations() []Recommendation {
-	var recs []Recommendation
+func (s *System) appendPoisoned(dst []Recommendation) []Recommendation {
+	n := 0
 	for i, a := range s.agents {
 		if a != nil && !a.honest {
-			recs = append(recs, Recommendation{Agent: topology.NodeID(i), Weight: 1})
-			if len(recs) >= s.cfg.TrustedAgents {
+			dst = append(dst, Recommendation{Agent: topology.NodeID(i), Weight: 1})
+			if n++; n >= s.cfg.TrustedAgents {
 				break
 			}
 		}
 	}
-	return recs
+	return dst
 }
 
 // onListResp collects an agent-list response at the requestor.
 func (s *System) onListResp(m simnet.Message) {
-	p := m.Payload.(listRespPayload)
+	p := m.Payload.(*listRespPayload)
 	if s.curList == nil || s.curList.id != p.reqID {
 		return // stale response from an earlier walk
 	}
@@ -104,38 +134,23 @@ func (s *System) onListResp(m simnet.Message) {
 }
 
 // requestAgentLists runs one synchronous agent-list walk for peer id and
-// returns the collected recommendation lists. It drives the simulator until
-// the walk completes.
+// returns the collected recommendation lists, valid until the next walk. It
+// drives the simulator until the walk completes.
 func (s *System) requestAgentLists(id topology.NodeID) [][]Recommendation {
+	s.mustBeDrained()
 	s.nextID++
-	reqID := s.nextID
-	s.curList = &listCollect{id: reqID}
-	p := s.peers[id]
+	w := &s.walk
+	w.id = s.nextID
+	w.recs, w.lists = w.recs[:0], w.lists[:0]
+	s.curList = w
 	// §3.4.1/Figure 4: the requestor distributes the request with its tokens
 	// to its neighbors. Seed the walk by treating the origin as visited.
-	s.listSeen[id] = reqID
-	neighbors := append([]topology.NodeID(nil), s.net.Graph().Neighbors(id)...)
-	p.rng.Shuffle(len(neighbors), func(i, j int) { neighbors[i], neighbors[j] = neighbors[j], neighbors[i] })
-	if len(neighbors) > s.cfg.Tokens {
-		neighbors = neighbors[:s.cfg.Tokens]
-	}
-	if len(neighbors) > 0 {
-		base := s.cfg.Tokens / len(neighbors)
-		extra := s.cfg.Tokens % len(neighbors)
-		for i, nb := range neighbors {
-			t := base
-			if i < extra {
-				t++
-			}
-			s.net.SendKindBytes(id, nb, kindAgentListReqID, listReqPayload{
-				origin: id, reqID: reqID, tokens: t, ttl: s.cfg.TTL,
-			}, listReqSize())
-		}
-	}
+	s.listSeen[id] = w.id
+	w.targets = append(w.targets[:0], s.net.Graph().Neighbors(id)...)
+	s.spreadWalk(id, w.targets, id, w.id, s.cfg.Tokens, s.cfg.TTL)
 	s.net.Run(0)
-	lists := s.curList.lists
 	s.curList = nil
-	return lists
+	return w.lists
 }
 
 // acquireAgents runs a list walk for peer id, ranks the recommendations
@@ -143,7 +158,8 @@ func (s *System) requestAgentLists(id topology.NodeID) [][]Recommendation {
 func (s *System) acquireAgents(id topology.NodeID) int {
 	p := s.peers[id]
 	lists := s.requestAgentLists(id)
-	ranks := RankAgents(lists, s.cfg.TrustedAgents)
+	r := &s.walk.rank
+	ranks := r.rank(lists, s.cfg.TrustedAgents)
 	// Never select a node that is not actually agent-capable: the walk only
 	// nominates agents, but recommendations age.
 	want := s.cfg.TrustedAgents - len(p.list.entries)
@@ -151,14 +167,14 @@ func (s *System) acquireAgents(id topology.NodeID) int {
 		return 0
 	}
 	added := 0
-	for _, agent := range SelectAgents(ranks, len(ranks), id, p.rng) {
+	for _, agent := range r.selectAgents(ranks, len(ranks), id, p.rng) {
 		if added >= want {
 			break
 		}
 		if s.agents[agent] == nil || p.list.has(agent) || p.banned[agent] {
 			continue
 		}
-		p.list.add(agent, s.relaysOf(agent), s.cfg.Alpha)
+		p.list.add(agent, s.peers[agent].path)
 		added++
 	}
 	return added
@@ -179,18 +195,11 @@ func (s *System) Bootstrap() int64 {
 
 // maintMessages sums the maintenance message counters.
 func maintMessages(nw *simnet.Network) int64 {
-	var total int64
-	for _, k := range MaintenanceKinds() {
-		total += nw.Count(k)
-	}
-	return total
+	return nw.CountKind(kindAgentListReqID) + nw.CountKind(kindAgentListRespID) +
+		nw.CountKind(kindProbeID) + nw.CountKind(kindProbeAckID)
 }
 
 // trafficMessages sums the trust-distribution message counters.
 func trafficMessages(nw *simnet.Network) int64 {
-	var total int64
-	for _, k := range TrafficKinds() {
-		total += nw.Count(k)
-	}
-	return total
+	return nw.CountKind(kindTrustReqID) + nw.CountKind(kindTrustRespID) + nw.CountKind(kindReportID)
 }

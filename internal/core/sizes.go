@@ -37,14 +37,14 @@ func onionWireSize(layers int) int {
 // onions embedded in requests have o layers).
 func (s *System) payloadSize(inner any) int {
 	switch p := inner.(type) {
-	case trustReqPayload:
+	case *trustReqPayload:
 		// SP + AP + subject list + nonce + embedded reply onion, sealed.
 		return sizeKey*2 + sizeNodeID*len(p.candidates) + sizeNonce +
 			onionWireSize(s.cfg.OnionRelays) + 6*sizeField + sizeSeal
-	case trustRespPayload:
+	case *trustRespPayload:
 		// signed (values + nonce + flag) + SP + signature, sealed.
 		return 8*len(p.estimates) + sizeNonce + 1 + sizeKey + sizeSig + 5*sizeField + sizeSeal
-	case reportPayload:
+	case *reportPayload:
 		// reporter id + signed report wire (subject+outcome+nonce+sig), sealed.
 		return sizeNodeID + (sizeNodeID + 1 + sizeNonce + sizeSig) + 2*sizeField + sizeSeal
 	default:

@@ -13,6 +13,11 @@ import (
 // the hops still to visit; the final element is the true destination. Every
 // hop is one simulator message, which is how onion forwarding enters the
 // traffic counts exactly as in §4.1's 2c(o_i+o_j) analysis.
+//
+// An envelope has exactly one message in flight: a relay advances rest in
+// place and re-sends the same pointer, and the final hop returns the record to
+// the System's free list. rest aliases a published path, which is never
+// written after NewSystem.
 type onionEnvelope struct {
 	rest  []topology.NodeID
 	inner any
@@ -21,7 +26,8 @@ type onionEnvelope struct {
 	payloadSize int
 }
 
-// Protocol payloads.
+// Protocol payloads. They travel as pointers into records the System owns
+// and are read-only once sent (DESIGN.md §6, "Payload ownership").
 type (
 	listReqPayload struct {
 		origin topology.NodeID
@@ -48,13 +54,6 @@ type (
 		reporter topology.NodeID
 		subject  topology.NodeID
 		positive bool
-	}
-	probePayload struct {
-		origin topology.NodeID
-		agent  topology.NodeID
-	}
-	probeAckPayload struct {
-		agent topology.NodeID
 	}
 )
 
@@ -92,9 +91,12 @@ func (a *agentState) down() bool { return a.offline || a.killed }
 
 // peerState is the general-peer role of a node (every node has one).
 type peerState struct {
-	id       topology.NodeID
-	list     *agentList
-	route    []topology.NodeID // the peer's own onion relays
+	id   topology.NodeID
+	list *agentList
+	// path is the peer's published onion: its relays, then the peer itself.
+	// Senders to the peer and the peer's own reply onion alias it, so it is
+	// never written after NewSystem.
+	path     []topology.NodeID
 	rng      *xrand.RNG
 	poisoner bool // answers list requests with fabricated recommendations (§4.2.1)
 	// banned remembers agents removed for poor expertise so recommendations
@@ -105,24 +107,11 @@ type peerState struct {
 
 // txCollect gathers one in-flight transaction's responses.
 type txCollect struct {
-	id         uint64
-	requestor  topology.NodeID
-	candidates []topology.NodeID
-	expect     int
-	responses  map[topology.NodeID][]trust.Value
-	lastResp   simnet.Time
-	start      simnet.Time
-}
-
-// listCollect gathers one in-flight agent-list request's responses.
-type listCollect struct {
-	id    uint64
-	lists [][]Recommendation
-}
-
-// probeCollect gathers probe acknowledgements.
-type probeCollect struct {
-	acks map[topology.NodeID]bool
+	id        uint64
+	requestor topology.NodeID
+	responses map[topology.NodeID][]trust.Value
+	lastResp  simnet.Time
+	start     simnet.Time
 }
 
 // System is a complete hiREP deployment over a simulated network.
@@ -142,10 +131,27 @@ type System struct {
 	// stamp per node tells a revisit from a first arrival.
 	listSeen []uint64
 
-	curTx    *txCollect
-	curList  *listCollect
-	curProbe *probeCollect
-	nextID   uint64
+	// curTx and curList point at tx and walk while a transaction or an
+	// agent-list walk is in flight.
+	curTx   *txCollect
+	curList *listCollect
+	nextID  uint64
+
+	// Records and scratch the System owns (DESIGN.md §6, "Payload
+	// ownership"). Every transaction and walk drains the network before it
+	// returns, so the next one may overwrite them.
+	envFree  []*onionEnvelope
+	tx       txCollect
+	trustReq trustReqPayload
+	report   reportPayload
+	resps    []trustRespPayload // this transaction's trust responses
+	ests     []trust.Value      // their estimates, len(candidates) each
+	aggs     []trust.Aggregate
+	toRemove []topology.NodeID
+	toBackup []topology.NodeID
+	acks     map[topology.NodeID]bool // live backups answering this refill's probes
+	backups  []*agentEntry
+	walk     listCollect
 }
 
 // NewSystem builds a hiREP system over net with ground truth from oracle.
@@ -169,6 +175,9 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 		peers:    make([]*peerState, n),
 		agents:   make([]*agentState, n),
 		listSeen: make([]uint64, n),
+		tx:       txCollect{responses: make(map[topology.NodeID][]trust.Value)},
+		acks:     make(map[topology.NodeID]bool),
+		walk:     newListCollect(n),
 	}
 	s.wrng = s.rng.Split("workload")
 	s.crng = s.rng.Split("churn")
@@ -177,12 +186,12 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 		id := topology.NodeID(i)
 		s.peers[i] = &peerState{
 			id:       id,
-			list:     newAgentList(cfg.TrustedAgents),
+			list:     newAgentList(cfg.TrustedAgents, cfg.Alpha),
 			rng:      s.rng.SplitN("peer", i),
 			poisoner: cfg.PoisonFrac > 0 && roleRNG.Bool(cfg.PoisonFrac),
 			banned:   make(map[topology.NodeID]bool),
 		}
-		s.peers[i].route = s.pickRelays(id, s.peers[i].rng)
+		s.peers[i].path = s.pickPath(id, s.peers[i].rng)
 		if roleRNG.Bool(cfg.AgentFrac) {
 			s.agents[i] = &agentState{
 				honest:      !roleRNG.Bool(cfg.MaliciousFrac),
@@ -203,24 +212,24 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 		}
 	}
 	for i := range s.peers {
-		id := topology.NodeID(i)
-		net.SetHandler(id, func(nw *simnet.Network, m simnet.Message) { s.dispatch(nw, m) })
+		net.SetHandler(topology.NodeID(i), s.dispatch)
 	}
 	return s, nil
 }
 
-// pickRelays draws OnionRelays distinct relays != self.
-func (s *System) pickRelays(self topology.NodeID, rng *xrand.RNG) []topology.NodeID {
+// pickPath draws OnionRelays distinct relays != self and returns them
+// followed by self: the onion path that reaches self.
+func (s *System) pickPath(self topology.NodeID, rng *xrand.RNG) []topology.NodeID {
 	n := s.net.Graph().N()
-	route := make([]topology.NodeID, 0, s.cfg.OnionRelays)
+	path := make([]topology.NodeID, 0, s.cfg.OnionRelays+1)
 	for _, idx := range rng.Choose(n-1, s.cfg.OnionRelays) {
 		id := topology.NodeID(idx)
 		if id >= self {
 			id++ // skip self while keeping the draw uniform over others
 		}
-		route = append(route, id)
+		path = append(path, id)
 	}
-	return route
+	return append(path, self)
 }
 
 // AgentCount returns how many nodes have agent capability.
@@ -323,46 +332,58 @@ func (s *System) Dispatch(nw *simnet.Network, m simnet.Message) { s.dispatch(nw,
 // dispatch routes a delivered message to its protocol handler, unwrapping
 // onion envelopes.
 func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {
-	if env, ok := m.Payload.(onionEnvelope); ok {
+	if env, ok := m.Payload.(*onionEnvelope); ok {
 		if len(env.rest) > 0 {
+			size := onionHopSize(len(env.rest), env.payloadSize)
 			next := env.rest[0]
-			fwd := onionEnvelope{rest: env.rest[1:], inner: env.inner, payloadSize: env.payloadSize}
-			nw.SendKindBytes(m.To, next, m.KindID, fwd, onionHopSize(len(env.rest), env.payloadSize))
+			env.rest = env.rest[1:]
+			nw.SendKindBytes(m.To, next, m.KindID, env, size)
 			return
 		}
 		m.Payload = env.inner
+		*env = onionEnvelope{} // a stale reference to a freed record fails loudly
+		s.envFree = append(s.envFree, env)
 	}
-	switch m.Kind {
-	case KindAgentListReq:
+	switch m.KindID {
+	case kindAgentListReqID:
 		s.onListReq(nw, m)
-	case KindAgentListResp:
+	case kindAgentListRespID:
 		s.onListResp(m)
-	case KindTrustReq:
+	case kindTrustReqID:
 		s.onTrustReq(nw, m)
-	case KindTrustResp:
+	case kindTrustRespID:
 		s.onTrustResp(nw, m)
-	case KindReport:
+	case kindReportID:
 		s.onReport(m)
-	case KindProbe:
+	case kindProbeID:
 		s.onProbe(nw, m)
-	case KindProbeAck:
+	case kindProbeAckID:
 		s.onProbeAck(m)
 	}
 }
 
 // onionSend launches a message along path (every element a hop, the last the
-// destination). Each hop is one counted message.
+// destination). Each hop is one counted message. A hop the loss model drops
+// leaves its envelope to the garbage collector.
 func (s *System) onionSend(from topology.NodeID, kind simnet.Kind, path []topology.NodeID, inner any) {
 	if len(path) == 0 {
 		panic("core: empty onion path")
 	}
+	var env *onionEnvelope
+	if k := len(s.envFree); k > 0 {
+		env, s.envFree = s.envFree[k-1], s.envFree[:k-1]
+	} else {
+		env = new(onionEnvelope)
+	}
 	ps := s.payloadSize(inner)
-	env := onionEnvelope{rest: path[1:], inner: inner, payloadSize: ps}
+	*env = onionEnvelope{rest: path[1:], inner: inner, payloadSize: ps}
 	s.net.SendKindBytes(from, path[0], kind, env, onionHopSize(len(path), ps))
 }
 
-// relaysOf returns a copy of dst's published onion relays (excluding dst);
-// senders append dst to form the full delivery path.
-func (s *System) relaysOf(dst topology.NodeID) []topology.NodeID {
-	return append([]topology.NodeID(nil), s.peers[dst].route...)
+// mustBeDrained panics unless the network is idle: the System's records are
+// reusable only once no message still refers to them.
+func (s *System) mustBeDrained() {
+	if s.net.Pending() != 0 {
+		panic("core: transaction or agent-list walk started with events pending")
+	}
 }

@@ -77,11 +77,12 @@ func TestNewSystemRoleAssignment(t *testing.T) {
 func TestOnionRoutesExcludeSelf(t *testing.T) {
 	sys := buildSystem(t, 100, DefaultConfig(), 2)
 	for _, p := range sys.peers {
-		if len(p.route) != sys.cfg.OnionRelays {
-			t.Fatalf("peer %d has %d relays", p.id, len(p.route))
+		relays := p.path[:len(p.path)-1]
+		if len(relays) != sys.cfg.OnionRelays || p.path[len(relays)] != p.id {
+			t.Fatalf("peer %d has path %v, want %d relays then itself", p.id, p.path, sys.cfg.OnionRelays)
 		}
 		seen := map[topology.NodeID]bool{}
-		for _, r := range p.route {
+		for _, r := range relays {
 			if r == p.id {
 				t.Fatalf("peer %d routes through itself", p.id)
 			}

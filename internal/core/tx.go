@@ -53,16 +53,19 @@ func (s *System) onTrustReq(nw *simnet.Network, m simnet.Message) {
 	if a == nil || a.down() {
 		return // not an agent (stale list entry) or offline this transaction
 	}
-	p := m.Payload.(trustReqPayload)
-	ests := make([]trust.Value, len(p.candidates))
-	for i, c := range p.candidates {
-		ests[i] = s.evaluate(a, c)
+	p := m.Payload.(*trustReqPayload)
+	start := len(s.ests)
+	for _, c := range p.candidates {
+		s.ests = append(s.ests, s.evaluate(a, c))
 	}
 	// Respond through the requestor's onion using a fresh envelope, the
-	// "{SP_p(T), SP_e, Onion_e}" reply of §3.5.2.
-	s.onionSend(m.To, kindTrustRespID, p.replyRoute, trustRespPayload{
-		txID: p.txID, agent: m.To, estimates: ests,
+	// "{SP_p(T), SP_e, Onion_e}" reply of §3.5.2. A record the arena has
+	// already handed out stays valid when the arena grows: it keeps the old
+	// backing array, and nothing writes it again this transaction.
+	s.resps = append(s.resps, trustRespPayload{
+		txID: p.txID, agent: m.To, estimates: s.ests[start:len(s.ests):len(s.ests)],
 	})
+	s.onionSend(m.To, kindTrustRespID, p.replyRoute, &s.resps[len(s.resps)-1])
 }
 
 // evaluate produces an agent's trust estimate for subject. Honest agents use
@@ -137,7 +140,7 @@ func (a *agentState) credibility(reporter topology.NodeID) float64 {
 
 // onTrustResp collects an agent's response at the requestor.
 func (s *System) onTrustResp(nw *simnet.Network, m simnet.Message) {
-	p := m.Payload.(trustRespPayload)
+	p := m.Payload.(*trustRespPayload)
 	if s.curTx == nil || s.curTx.id != p.txID || m.To != s.curTx.requestor {
 		return
 	}
@@ -154,7 +157,7 @@ func (s *System) onReport(m simnet.Message) {
 	if a == nil || a.down() {
 		return
 	}
-	p := m.Payload.(reportPayload)
+	p := m.Payload.(*reportPayload)
 	a.record(p.reporter, p.subject, p.positive)
 }
 
@@ -213,29 +216,27 @@ func (s *System) ReportEstimateOf(agent, subject topology.NodeID) (trust.Value, 
 	return s.reportEstimate(a, subject)
 }
 
-// onProbe answers a backup-agent liveness probe.
+// onProbe answers a backup-agent liveness probe. Probes and their acks go
+// direct, not through onions, so the sender is all either needs to carry.
 func (s *System) onProbe(nw *simnet.Network, m simnet.Message) {
 	a := s.agents[m.To]
 	if a == nil || a.down() {
 		return
 	}
-	p := m.Payload.(probePayload)
-	nw.SendKindBytes(m.To, p.origin, kindProbeAckID, probeAckPayload{agent: m.To}, probeSize())
+	nw.SendKindBytes(m.To, m.From, kindProbeAckID, nil, probeSize())
 }
 
-// onProbeAck records a live backup agent.
+// onProbeAck records a live backup agent. Probes go out only in refill,
+// which drains the network before it reads acks.
 func (s *System) onProbeAck(m simnet.Message) {
-	if s.curProbe == nil {
-		return
-	}
-	p := m.Payload.(probeAckPayload)
-	s.curProbe.acks[p.agent] = true
+	s.acks[m.From] = true
 }
 
 // RunTransaction executes one complete transaction for requestor over the
 // given provider candidates and returns its result. The simulator is driven
 // to quiescence, so results are final when this returns.
 func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology.NodeID) TxResult {
+	s.mustBeDrained()
 	p := s.peers[requestor]
 	trustBefore := trafficMessages(s.net)
 	maintBefore := maintMessages(s.net)
@@ -250,24 +251,18 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	}
 
 	s.nextID++
-	tx := &txCollect{
-		id:         s.nextID,
-		requestor:  requestor,
-		candidates: candidates,
-		expect:     len(p.list.entries),
-		responses:  make(map[topology.NodeID][]trust.Value),
-		start:      s.net.Now(),
-	}
+	tx := &s.tx
+	clear(tx.responses)
+	tx.id, tx.requestor, tx.lastResp, tx.start = s.nextID, requestor, 0, s.net.Now()
 	s.curTx = tx
+	s.resps, s.ests = s.resps[:0], s.ests[:0]
 
 	// §3.5.1: send the trust value request to every trusted agent through
 	// the agent's onion; carry the requestor's own onion for the reply path.
-	replyRoute := append(append([]topology.NodeID(nil), p.route...), requestor)
+	// Every agent gets the same request, so one record serves them all.
+	s.trustReq = trustReqPayload{txID: tx.id, requestor: requestor, candidates: candidates, replyRoute: p.path}
 	for _, e := range p.list.entries {
-		path := append(append([]topology.NodeID(nil), e.route...), e.agent)
-		s.onionSend(requestor, kindTrustReqID, path, trustReqPayload{
-			txID: tx.id, requestor: requestor, candidates: candidates, replyRoute: replyRoute,
-		})
+		s.onionSend(requestor, kindTrustReqID, e.path, &s.trustReq)
 	}
 	s.net.Run(0)
 
@@ -281,7 +276,8 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	}
 	// The list is walked in its own order, not the response map's, so the
 	// float sums are the same on every run.
-	aggs := make([]trust.Aggregate, len(candidates))
+	aggs := append(s.aggs[:0], make([]trust.Aggregate, len(candidates))...)
+	s.aggs = aggs
 	for _, e := range p.list.entries {
 		ests, responded := tx.responses[e.agent]
 		if !responded {
@@ -324,8 +320,7 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	// §3.4.3 maintenance: update expertise of responders on the chosen
 	// provider's observed outcome; handle non-responders as offline; drop
 	// agents below the removal threshold.
-	var toRemove []topology.NodeID
-	var toBackup []topology.NodeID
+	toRemove, toBackup := s.toRemove[:0], s.toBackup[:0]
 	for _, e := range p.list.entries {
 		ests, responded := tx.responses[e.agent]
 		if !responded {
@@ -342,6 +337,7 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 			p.banned[e.agent] = true // never re-select a known-poor agent (§4.2.2)
 		}
 	}
+	s.toRemove, s.toBackup = toRemove, toBackup
 	for _, id := range toBackup {
 		p.list.remove(id, true)
 	}
@@ -362,11 +358,9 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	if s.cfg.LyingReporters && !s.oracle.Trustworthy(int(requestor)) {
 		reported = !res.Outcome
 	}
+	s.report = reportPayload{reporter: requestor, subject: res.Chosen, positive: reported}
 	for _, e := range p.list.entries {
-		path := append(append([]topology.NodeID(nil), e.route...), e.agent)
-		s.onionSend(requestor, kindReportID, path, reportPayload{
-			reporter: requestor, subject: res.Chosen, positive: reported,
-		})
+		s.onionSend(requestor, kindReportID, e.path, &s.report)
 	}
 	s.net.Run(0)
 
@@ -380,23 +374,23 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 func (s *System) refill(id topology.NodeID) {
 	p := s.peers[id]
 	if len(p.list.backups) > 0 {
-		s.curProbe = &probeCollect{acks: make(map[topology.NodeID]bool)}
+		clear(s.acks)
 		for _, b := range p.list.backups {
-			s.net.SendKindBytes(id, b.agent, kindProbeID, probePayload{origin: id, agent: b.agent}, probeSize())
+			s.net.SendKindBytes(id, b.agent, kindProbeID, nil, probeSize())
 		}
 		s.net.Run(0)
 		// Most recently demoted first, the cache's own order: which live
 		// backups rejoin a nearly full list must not depend on map order.
 		// restore edits the cache, so walk a copy.
-		for _, b := range append([]*agentEntry(nil), p.list.backups...) {
+		s.backups = append(s.backups[:0], p.list.backups...)
+		for _, b := range s.backups {
 			if len(p.list.entries) >= s.cfg.TrustedAgents {
 				break
 			}
-			if s.curProbe.acks[b.agent] {
+			if s.acks[b.agent] {
 				p.list.restore(b.agent)
 			}
 		}
-		s.curProbe = nil
 	}
 	if len(p.list.entries) < s.cfg.TrustedAgents {
 		s.acquireAgents(id)
