@@ -24,22 +24,10 @@
 // batch size and verification pool (§11) run at the constants DESIGN.md
 // lists; no flag changes them.
 //
-// Replicate an agent's report store to standby agents (DESIGN.md §10) —
-// committed batches ship live, periodic anti-entropy heals divergence, and a
-// bounded hinted-handoff queue covers replica downtime:
-//
-//	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
-//	          -replicas 127.0.0.1:7004,127.0.0.1:7005
-//
-// On the replica side, replication is an explicit pairing: a standby only
-// accepts state from, and only shows its digests to, the primaries named in
-// -replica-of (hex node IDs, as printed at startup). It serves the replicated
-// tallies alongside its own, from startup on when its store is durable, so a
-// peer whose breaker trips on the dead primary promotes the standby from its
-// backup cache and keeps getting the primary's answers:
-//
-//	hirepnode -listen 127.0.0.1:7004 -agent -store /var/lib/hirep-replica \
-//	          -replica-of <primary-id-hex>
+// An agent whose machine or disk is lost for good costs its peers no
+// acknowledged report: each peer reports every transaction to all of its
+// agents (§3.6), and a peer's breaker demotes the dead agent and promotes a
+// standby from its backup cache (§3.4.3, DESIGN.md §10).
 //
 // Gate report admission (DESIGN.md §13) — an agent demands a one-time
 // proof-of-work bound to each new reporter identity before storing its first
@@ -67,7 +55,7 @@
 //	hirepnode -listen 127.0.0.1:7007 -relays 127.0.0.1:7002,127.0.0.1:7003 \
 //	          -neighbors 127.0.0.1:7002 -audit-interval 30s
 //
-// Agent-only flags (-store, -replicas, -replica-of, -evidence, -proof-cache)
+// Agent-only flags (-store, -evidence, -proof-cache)
 // on a node without -agent are rejected at startup, exit status 2.
 //
 // Run the full zero-config demonstration on loopback — an agent, a reporter,
@@ -106,10 +94,6 @@ func main() {
 		outboxPath = flag.String("outbox", "", "journal file for undeliverable reports (empty = in-memory outbox)")
 		quorum     = flag.Int("quorum", 1, "minimum agent answers for an evaluation to succeed")
 
-		// Replication (DESIGN.md §10, agents only).
-		replicas  = flag.String("replicas", "", "comma-separated replica agent addresses to ship committed batches to")
-		replicaOf = flag.String("replica-of", "", "comma-separated hex node IDs of primaries this node accepts replication state for")
-
 		// Admission gate (agents only): per-identity first-report proof-of-work
 		// plus report-rate accounting, pricing sybil floods (DESIGN.md §13).
 		admissionPoW  = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
@@ -137,22 +121,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hirepnode: -audit-interval requires -neighbors (agent discovery and advisory gossip)")
 		os.Exit(2)
 	}
-	replicaAddrs := splitList(*replicas)
-	var primaries []pkc.NodeID
-	for _, h := range splitList(*replicaOf) {
-		id, err := pkc.ParseNodeID(h)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hirepnode: -replica-of: %v\n", err)
-			os.Exit(2)
-		}
-		primaries = append(primaries, id)
-	}
-
 	n, err := node.Listen(*listen, node.Options{
 		Agent:            *agent,
 		StoreDir:         *store,
-		Replicas:         replicaAddrs,
-		ReplicaOf:        primaries,
 		OutboxPath:       *outboxPath,
 		AdmissionPoWBits: *admissionPoW,
 		AdmissionRate:    *admissionRate,
@@ -175,9 +146,6 @@ func main() {
 		if *store != "" {
 			role = "reputation agent, durable store in " + *store
 		}
-		if len(replicaAddrs) > 0 {
-			role += fmt.Sprintf(", replicating to %d agent(s)", len(replicaAddrs))
-		}
 		if *evidence > 0 {
 			role += fmt.Sprintf(", retaining %d report wires/subject", *evidence)
 		}
@@ -185,11 +153,6 @@ func main() {
 	fmt.Printf("hirep node %s (%s) listening on %s\n", n.ID().Short(), role, n.Addr())
 	if *neighbors != "" {
 		n.SetNeighbors(splitList(*neighbors))
-	}
-	if *agent {
-		// The full ID is what operators paste into a standby's -replica-of
-		// to pair it with this primary.
-		fmt.Printf("  node id %s\n", n.ID())
 	}
 
 	if *relays != "" {
@@ -405,7 +368,7 @@ func runDemo() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("    aggregate trust value: %.3f (%d agent(s) answered)\n", float64(v), len(perAgent))
+	fmt.Printf("    aggregate trust value: %.3f (%d agent(s) with an opinion)\n", float64(v), len(perAgent))
 	fmt.Println("\ndemo complete: voter anonymity via onions, authenticity via signatures, no CA")
 	return nil
 }

@@ -101,13 +101,6 @@ type Agent struct {
 	store   *repstore.Store
 	replays *pkc.ReplayCache
 
-	// sources are replica stores attached by the node's replication layer:
-	// state this agent holds on behalf of other (primary) agents. Served
-	// tallies combine the agent's own store with every source, so a promoted
-	// standby answers with the dead primary's history (DESIGN.md §10).
-	srcMu   sync.RWMutex
-	sources map[string]*repstore.Store
-
 	// byReporter counts accepted reports per reporter — the evidence base for
 	// the node's per-identity admission rate accounting and the campaign
 	// harness's attacker-cost scoring (DESIGN.md §13). byReporterNeg tracks
@@ -389,40 +382,12 @@ func (a *Agent) ApplyKeyUpdate(wire []byte) (pkc.KeyUpdate, error) {
 	return upd, nil
 }
 
-// AttachSource registers a replica store under key; its tallies merge into
-// every served trust value. Re-attaching a key replaces the store.
-func (a *Agent) AttachSource(key string, st *repstore.Store) {
-	a.srcMu.Lock()
-	defer a.srcMu.Unlock()
-	if a.sources == nil {
-		a.sources = make(map[string]*repstore.Store)
-	}
-	a.sources[key] = st
-}
-
-// CombinedTally sums the subject's raw counts across the agent's own store
-// and every attached replica source. ok is false when no store holds any
-// report about the subject.
-func (a *Agent) CombinedTally(subject pkc.NodeID) (pos, neg int, ok bool) {
-	pos, neg, ok = a.store.Tally(subject)
-	a.srcMu.RLock()
-	defer a.srcMu.RUnlock()
-	for _, st := range a.sources {
-		if p, n, has := st.Tally(subject); has {
-			pos += p
-			neg += n
-			ok = true
-		}
-	}
-	return pos, neg, ok
-}
-
 // TrustValue computes the agent's estimate for subject from stored reports:
-// the Laplace-smoothed positive fraction (p+1)/(p+n+2) over the combined
-// tally (own store plus attached replica sources). ok is false when the
-// agent has no report about the subject and therefore no opinion.
+// the Laplace-smoothed positive fraction (p+1)/(p+n+2) over the agent's own
+// tally. ok is false when the agent has no report about the subject and
+// therefore no opinion.
 func (a *Agent) TrustValue(subject pkc.NodeID) (trust.Value, bool) {
-	pos, neg, ok := a.CombinedTally(subject)
+	pos, neg, ok := a.store.Tally(subject)
 	if !ok {
 		return 0, false
 	}

@@ -277,7 +277,7 @@ func (n *Node) auditSubject(a *auditor, subject pkc.NodeID, deadline time.Time) 
 	// Two Matching bundles for the same subject that recompute different
 	// tallies: each is internally consistent, but at most one reflects the
 	// group's report stream. Which one is wrong is not provable from here —
-	// report propagation lags, replication gaps — so both take a suspect
+	// report propagation lags, a report still in an outbox — so both take a suspect
 	// strike, never an advisory.
 	if res.Pos != res2.Pos || res.Neg != res2.Neg {
 		n.cnt.auditDiverged.Inc()

@@ -506,7 +506,7 @@ func (b *AgentBook) QuarantinedInfo(id pkc.NodeID) (AgentInfo, bool) {
 }
 
 // Evict removes id from everywhere (active book, backups, quarantine), bans
-// it, and clears its cached breaker/replica state. It reports whether the
+// it, and clears its cached breaker state. It reports whether the
 // agent was tracked.
 func (b *AgentBook) Evict(id pkc.NodeID) bool {
 	b.mu.Lock()
@@ -539,6 +539,11 @@ func (b *AgentBook) Evict(id pkc.NodeID) bool {
 //   - Every asked agent's outcome feeds its breaker. A failure that trips a
 //     breaker open demotes the agent and promotes the healthiest backup in
 //     its place (§3.4.3, §3.6) — the book heals as a side effect of use.
+//   - An agent with no reports about the subject abstains: it counts toward
+//     quorum (it answered), but it is left out of the aggregate and out of
+//     the per-agent map, so CompleteTransaction never scores its prior as a
+//     prediction. When every answering agent abstains, the aggregate is the
+//     uninformed prior, 0.5.
 //   - The evaluation succeeds (nil error) when at least book.Quorum() agents
 //     answer; below quorum the partial per-agent map and best-effort
 //     aggregate are still returned alongside the error.
@@ -551,10 +556,11 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 	// sample pool (DESIGN.md §15) so sweeps audit what the node actually uses.
 	n.NoteAuditSubjects(subject)
 	type answer struct {
-		id    pkc.NodeID
-		v     trust.Value
-		ok    bool
-		asked bool
+		id      pkc.NodeID
+		v       trust.Value
+		hasData bool
+		ok      bool
+		asked   bool
 	}
 	ch := make(chan answer, len(agents))
 	for _, a := range agents {
@@ -570,17 +576,19 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 		}
 		go func(probe bool) {
 			var v trust.Value
+			var hasData bool
 			var err error
 			if probe {
-				v, _, err = n.requestTrust(a, subject, replyOnion, 1, n.opts.ProbeTimeout)
+				v, hasData, err = n.requestTrust(a, subject, replyOnion, 1, n.opts.ProbeTimeout)
 			} else {
-				v, _, err = n.RequestTrust(a, subject, replyOnion)
+				v, hasData, err = n.RequestTrust(a, subject, replyOnion)
 			}
-			ch <- answer{id: id, v: v, ok: err == nil, asked: true}
+			ch <- answer{id: id, v: v, hasData: hasData, ok: err == nil, asked: true}
 		}(probe)
 	}
 	perAgent := make(map[pkc.NodeID]trust.Value)
 	var agg trust.Aggregate
+	answered := 0
 	for range agents {
 		ans := <-ch
 		if !ans.asked {
@@ -591,23 +599,32 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 			continue
 		}
 		n.noteSuccess(book, ans.id)
+		answered++
+		if !ans.hasData {
+			continue // an abstention: no opinion to aggregate or score
+		}
 		perAgent[ans.id] = ans.v
 		w, _ := book.Expertise(ans.id)
 		agg.Add(ans.v, w)
 	}
 	v, ok := agg.Value()
-	if !ok {
+	switch {
+	case ok:
+	case answered > 0 && agg.N() == 0:
+		v = 0.5 // every answering agent abstained
+	default:
 		v = trust.Value(math.NaN())
 	}
-	if q := book.Quorum(); len(perAgent) < q {
-		return v, perAgent, fmt.Errorf("node: quorum not met: %d of %d agents answered, need %d", len(perAgent), len(agents), q)
+	if q := book.Quorum(); answered < q {
+		return v, perAgent, fmt.Errorf("node: quorum not met: %d of %d agents answered, need %d", answered, len(agents), q)
 	}
 	return v, perAgent, nil
 }
 
-// CompleteTransaction finishes a live transaction: it updates every
-// answering agent's expertise against the observed outcome and reports the
-// outcome to all trusted agents (§3.6). Unanswering agents are NOT demoted
+// CompleteTransaction finishes a live transaction: it updates the expertise
+// of every agent in perAgent (the agents that gave an opinion; abstainers
+// are not in it) against the observed outcome and reports the outcome to
+// all trusted agents (§3.6). Unanswering agents are NOT demoted
 // here — their circuit breakers (fed by EvaluateSubject) decide that, so one
 // dropped packet no longer costs an agent its slot. Reports that cannot be
 // delivered — the agent's breaker is not closed, or the send fails — are

@@ -213,3 +213,51 @@ func TestEvaluateSubjectDemotesUnresponsive(t *testing.T) {
 		t.Fatal("unresponsive agent not in backup cache")
 	}
 }
+
+// TestAbstentionIsNotAWrongAnswer: an agent with no reports about a subject
+// abstains. Its answer counts toward quorum but is neither aggregated nor
+// scored, so back-to-back transactions on a fresh subject cost no agent its
+// expertise. Scored as a prediction of a bad outcome, the 0.5 prior would
+// take both agents' expertise 1 → 0.70 → 0.49 → 0.34, below the 0.4
+// threshold, and the fourth evaluation would find an empty book.
+func TestAbstentionIsNotAWrongAnswer(t *testing.T) {
+	fl, err := StartFleet(FleetConfig{Agents: 2, Relays: 1, Peers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fl.Close() })
+	peer := fl.Peers[0]
+	infos, err := fl.AgentInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := fl.Book(infos, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.AttachBook(book)
+	replyOnion, err := fl.ReplyOnion(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, _ := pkc.NewIdentity(nil)
+
+	for round := 0; round < 3; round++ {
+		v, perAgent, err := peer.EvaluateSubject(book, subject.ID, replyOnion)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if round == 0 && (len(perAgent) != 0 || v != 0.5) {
+			t.Fatalf("fresh subject: aggregate %v over %d opinions, want the 0.5 prior over none", v, len(perAgent))
+		}
+		if removed := peer.CompleteTransaction(book, subject.ID, true, perAgent); len(removed) != 0 {
+			t.Fatalf("round %d removed %v", round, removed)
+		}
+	}
+	if book.Len() != 2 {
+		t.Fatalf("book holds %d agents after three good transactions, want 2", book.Len())
+	}
+	if _, _, err := peer.EvaluateSubject(book, subject.ID, replyOnion); err != nil {
+		t.Fatalf("fourth evaluation: %v", err)
+	}
+}

@@ -54,6 +54,12 @@ func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every agent holds one report about the subject, so each has an opinion
+	// to give: an agent without one abstains and is left out of perAgent.
+	for _, a := range fl.Agents {
+		appendReports(t, a, subject.ID, 1)
+	}
+
 	// Baseline: all three agents answer (and register the peer's key, which
 	// the deferred report needs later).
 	_, perAgent, err := peer.EvaluateSubject(book, subject.ID, replyOnion)
@@ -133,13 +139,14 @@ func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
 	if s := peer.Stats(); s.ReportsDeferred < 1 {
 		t.Fatalf("ReportsDeferred = %d", s.ReportsDeferred)
 	}
-	// The three healthy agents each got the report live.
+	// The three healthy agents each got the report live, on top of the one
+	// seeded report.
 	waitFor(t, func() bool {
-		return a1.Agent().ReportCount() >= 1 && a2.Agent().ReportCount() >= 1 &&
-			standby.Agent().ReportCount() >= 1
+		return a1.Agent().ReportCount() >= 2 && a2.Agent().ReportCount() >= 2 &&
+			standby.Agent().ReportCount() >= 2
 	})
-	if got := a0.Agent().ReportCount(); got != 0 {
-		t.Fatalf("black-holed agent stored %d reports", got)
+	if got := a0.Agent().ReportCount(); got != 1 {
+		t.Fatalf("black-holed agent stored %d reports beyond the seeded one", got-1)
 	}
 
 	// Revive a0 and probe the backups: once the breaker cooldown elapses the
@@ -163,7 +170,7 @@ func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
 		t.Fatalf("book size %d after restore, want 4", book.Len())
 	}
 	waitFor(t, func() bool { return peer.OutboxDepth() == 0 })
-	waitFor(t, func() bool { return a0.Agent().ReportCount() >= 1 })
+	waitFor(t, func() bool { return a0.Agent().ReportCount() >= 2 })
 	snap = peer.Metrics().Snapshot()
 	if snap["node_outbox_sent_total"] < 1 {
 		t.Fatalf("outbox-sent counter %d", snap["node_outbox_sent_total"])

@@ -15,9 +15,9 @@ import (
 // report parameters, and delivery signs fresh with whatever identity the node
 // holds at flush time.
 func TestDeferredReportResignedAfterKeyRotation(t *testing.T) {
-	a := mkReplNode(t, nil, true, "", nil, 64)
-	relay := mkReplNode(t, nil, false, "", nil, 64)
-	peer := mkReplNode(t, nil, false, "", nil, 64)
+	a := mkNode(t, nil, true, "")
+	relay := mkNode(t, nil, false, "")
+	peer := mkNode(t, nil, false, "")
 
 	o, err := a.BuildOnion(fetchRoute(t, a, []*Node{relay}))
 	if err != nil {
@@ -120,9 +120,9 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 		t.Skip("live churn test")
 	}
 	fd := resilience.NewFaultDialer(nil, 7)
-	a := mkReplNode(t, fd, true, t.TempDir(), nil, 64)
-	relay := mkReplNode(t, fd, false, "", nil, 64)
-	peer := mkReplNode(t, fd, false, "", nil, 64)
+	a := mkNode(t, fd, true, t.TempDir())
+	relay := mkNode(t, fd, false, "")
+	peer := mkNode(t, fd, false, "")
 
 	o, err := a.BuildOnion(fetchRoute(t, a, []*Node{relay}))
 	if err != nil {

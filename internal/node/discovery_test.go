@@ -190,7 +190,11 @@ func TestDiscoveryIntoAgentBook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both agents hold a report about the subject, so both have an opinion
+	// to give rather than an abstention.
 	subject, _ := pkc.NewIdentity(nil)
+	appendReports(t, fresh[1], subject.ID, 1)
+	appendReports(t, fresh[3], subject.ID, 1)
 	if _, perAgent, err := peer.EvaluateSubject(book, subject.ID, replyOnion); err != nil {
 		t.Fatal(err)
 	} else if len(perAgent) < 2 {

@@ -16,8 +16,8 @@ import (
 
 // This file is the one sealed onion exchange of the live protocol
 // (§3.5.1–§3.5.2, DESIGN.md §5.1). Every question a node asks an agent — a
-// trust value, a proof bundle or snapshot, a report batch's fate, a replica's
-// position — is the same two frames:
+// trust value, a proof bundle or snapshot, a report batch's fate — is the
+// same two frames:
 //
 //	request  = Seal_AP(target)( SP_p, nonce, reply onion, body… )
 //	reply    = handle ‖ AEAD_k( signed{ nonce, body… }, SP_target, sig )
@@ -29,8 +29,8 @@ import (
 // the reply travels back through the requestor's onion as wire.TReply, is
 // matched to its request by handle before any cryptography, and is accepted
 // only if it is signed by exactly the key the request was addressed to. The
-// callers in protocol.go, proof.go, batch.go and replication.go supply
-// nothing but their body fields.
+// callers in protocol.go, proof.go and batch.go supply nothing but their
+// body fields.
 
 // outRequest is one request under construction: the common prefix is
 // written and body is open for the caller's fields. self is the identity the

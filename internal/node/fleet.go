@@ -10,7 +10,7 @@ import (
 
 // This file is the shared live-fleet harness: agents + relays + peers on real
 // loopback TCP behind one optional fault-injection dialer. It was factored
-// out of the chaos/churn/replication tests so the adversarial campaign
+// out of the chaos/churn/failover tests so the adversarial campaign
 // driver's live backend (internal/campaign, DESIGN.md §13) runs attacks
 // against exactly the topology the resilience tests exercise. The API returns
 // errors instead of taking a testing.T — tests wrap it, the campaign CLI
@@ -50,7 +50,7 @@ type FleetConfig struct {
 	Opts Options
 
 	// AgentOpts, when non-nil, tweaks agent i's options before Listen — store
-	// dirs, replica sets, admission difficulty.
+	// dirs, admission difficulty.
 	AgentOpts func(i int, opts *Options)
 }
 

@@ -82,25 +82,6 @@ type Options struct {
 	// new connections are closed immediately and counted in
 	// node_sessions_shed_total rather than spawning goroutines (default 256).
 	MaxSessions int
-	// Replicas lists replica-agent addresses this agent ships its committed
-	// report batches to (DESIGN.md §10). Requires Agent.
-	Replicas []string
-	// ReplicaOf lists the primary agent IDs this node replicates FOR:
-	// RReplicate/RRepair/RDigest frames (and on-demand replica store
-	// creation) are accepted only from these identities. Replication is an
-	// offline pairing — without an entry here every replication frame is
-	// dropped, however validly signed, so an attacker cannot mint an
-	// identity and poison this agent's combined tally, read its digests, or
-	// fill its disk with replica stores. With StoreDir set, Listen reopens
-	// each listed primary's replica store so it serves at once. Requires
-	// Agent.
-	ReplicaOf []pkc.NodeID
-	// SyncInterval is the cadence of the periodic anti-entropy pass against
-	// each replica (default 5s).
-	SyncInterval time.Duration
-	// HandoffCap bounds each replica's hinted-handoff queue (default 1024);
-	// overflow evicts the oldest batch, and anti-entropy later heals the gap.
-	HandoffCap int
 	// VerifyWorkers sizes the agent's report-verification worker pool
 	// (default GOMAXPROCS). Requires Agent to matter.
 	VerifyWorkers int
@@ -180,11 +161,6 @@ type Node struct {
 	replyRoute atomic.Pointer[onion.Onion]
 	oneWayMu   sync.Mutex
 	oneWay     map[pkc.NodeID]*pkc.Identity
-
-	// Replication plumbing (replication.go): primary-side shipping state and
-	// replica stores held for other primaries.
-	repl     *replicator
-	replicas *replicaSet
 
 	// Verifiable-read plumbing (proof.go): the payload cache and the audit
 	// harness's tamper hook.
@@ -281,12 +257,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = defaultMaxSessions
 	}
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = defaultSyncInterval
-	}
-	if opts.HandoffCap <= 0 {
-		opts.HandoffCap = defaultHandoffCap
-	}
 	if opts.VerifyWorkers <= 0 {
 		opts.VerifyWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -338,45 +308,15 @@ func Listen(addr string, opts Options) (*Node, error) {
 	}
 	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
 	if opts.Agent {
-		// The replicator exists before the store opens so the store's commit
-		// tap can feed it; senders start only after everything else is wired.
-		var hook func([]byte)
-		if len(opts.Replicas) > 0 {
-			n.repl, err = newReplicator(n, id)
-			if err != nil {
-				ln.Close()
-				n.outbox.Close()
-				return nil, err
-			}
-			hook = n.repl.onCommit
-		}
-		st, err := repstore.Open(opts.StoreDir, repstore.Options{OnCommit: hook, EvidenceCap: opts.EvidenceCap})
+		st, err := repstore.Open(opts.StoreDir, repstore.Options{EvidenceCap: opts.EvidenceCap})
 		if err != nil {
 			ln.Close()
 			n.outbox.Close()
-			if n.repl != nil {
-				n.repl.closeOutboxes()
-			}
 			return nil, fmt.Errorf("node: open report store: %w", err)
 		}
 		n.agent = agentdir.NewWithStore(id, 0, st)
-		n.replicas = newReplicaSet(opts.ReplicaOf)
-		// A durable replica serves what it already holds for each primary
-		// from the start: the primary it stands in for may be dead, and then
-		// no frame would ever come to reopen the store.
-		if opts.StoreDir != "" {
-			for _, primary := range opts.ReplicaOf {
-				if _, err := n.replicaState(primary, true); err != nil {
-					_ = n.Close()
-					return nil, fmt.Errorf("node: reopen replica store: %w", err)
-				}
-			}
-		}
 		n.admission = newAdmissionGate(opts.AdmissionPoWBits, opts.AdmissionRate, opts.AdmissionBurst)
 		n.startIngestPool(opts.VerifyWorkers, opts.VerifyQueue)
-		if n.repl != nil {
-			n.repl.start()
-		}
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -394,8 +334,6 @@ func (o *Options) validate() error {
 			set  bool
 		}{
 			{"StoreDir", o.StoreDir != ""},
-			{"Replicas", len(o.Replicas) > 0},
-			{"ReplicaOf", len(o.ReplicaOf) > 0},
 			{"EvidenceCap", o.EvidenceCap > 0},
 			{"ProofCache", o.ProofCache > 0},
 		} {
@@ -433,9 +371,6 @@ func (n *Node) Close() error {
 	close(n.closeCh)
 	err := n.ln.Close()
 	n.outboxWG.Wait()
-	if n.repl != nil {
-		n.repl.wg.Wait() // sender loops exit on closeCh
-	}
 	_ = n.pool.Close() // drains in-flight outbound requests
 	n.closeSessions()  // inbound sessions would otherwise linger to idle timeout
 	n.wg.Wait()
@@ -449,12 +384,6 @@ func (n *Node) Close() error {
 		if serr := n.agent.Close(); err == nil {
 			err = serr
 		}
-	}
-	if n.repl != nil {
-		n.repl.closeOutboxes()
-	}
-	if rerr := n.closeReplicaStores(); err == nil {
-		err = rerr
 	}
 	return err
 }
@@ -481,12 +410,6 @@ func (n *Node) handle(typ wire.MsgType, payload []byte, r transport.Responder) {
 	case wire.TPing:
 		// §3.4.3 backup probe: echo the payload so the prober can match it.
 		_ = r.Respond(wire.TPong, payload)
-	case wire.RReplicate:
-		n.handleReplicate(r, payload)
-	case wire.RDigest:
-		n.handleDigest(r, payload)
-	case wire.RRepair:
-		n.handleRepair(r, payload)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
+	"hirep/internal/repstore"
+	"hirep/internal/resilience"
 )
 
 // fleet starts n live nodes on loopback; the first nAgents are agents.
@@ -23,6 +25,40 @@ func fleet(t *testing.T, n, nAgents int) []*Node {
 		nodes[i] = nd
 	}
 	return nodes
+}
+
+// mkNode builds a node on the shared chaos-grade fleet options
+// (ChaosOptions, fleet.go), durable when dir is set.
+func mkNode(t *testing.T, fd *resilience.FaultDialer, agent bool, dir string) *Node {
+	t.Helper()
+	opts := ChaosOptions(fd)
+	opts.Agent = agent
+	opts.StoreDir = dir
+	nd, err := Listen("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nd.Close() })
+	return nd
+}
+
+// appendReports stores n reports about subject straight into p's report
+// store, alternating positive and negative (positive first), from one fresh
+// reporter.
+func appendReports(t *testing.T, p *Node, subject pkc.NodeID, n int) {
+	t.Helper()
+	reporter, _ := pkc.NewIdentity(nil)
+	for i := 0; i < n; i++ {
+		nonce, err := pkc.NewNonce(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Agent().Store().Append(repstore.Record{
+			Reporter: reporter.ID, Subject: subject, Positive: i%2 == 0, Nonce: nonce,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // fetchRoute runs the Figure 3 handshake against each relay node.
@@ -215,14 +251,11 @@ func TestStaleReplyOnionRejected(t *testing.T) {
 // sender can mint are errors, not settings quietly ignored or a gate every
 // report bounces off forever.
 func TestListenRejectsInvalidOptions(t *testing.T) {
-	id := pkc.NodeID{1}
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"StoreDir", Options{StoreDir: t.TempDir()}},
-		{"Replicas", Options{Replicas: []string{"127.0.0.1:1"}}},
-		{"ReplicaOf", Options{ReplicaOf: []pkc.NodeID{id}}},
 		{"EvidenceCap", Options{EvidenceCap: 8}},
 		{"ProofCache", Options{ProofCache: 8}},
 		{"AdmissionPoWBits", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits + 1}},

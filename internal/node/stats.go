@@ -44,16 +44,6 @@ type counters struct {
 	reportsAcked    *metrics.Counter
 	reportsRejected *metrics.Counter
 
-	// Replication (DESIGN.md §10).
-	replBatches        *metrics.Counter
-	replShipped        *metrics.Counter
-	replApplied        *metrics.Counter
-	replHandoffDepth   *metrics.Gauge
-	replHandoffDropped *metrics.Counter
-	replShardsRepaired *metrics.Counter
-	replAntiEntropy    *metrics.Counter
-	replUnauthorized   *metrics.Counter
-
 	// Sybil-admission gate (DESIGN.md §13): agent-side bounce/admit/replay/
 	// throttle counts and sender-side proof-of-work cost.
 	admissionRequired  *metrics.Counter
@@ -127,14 +117,6 @@ func (c *counters) bind(r *metrics.Registry) {
 	}
 	c.reportsAcked = r.Counter("node_reports_acked_total")
 	c.reportsRejected = r.Counter("node_reports_rejected_total")
-	c.replBatches = r.Counter("node_repl_batches_total")
-	c.replShipped = r.Counter("node_repl_shipped_total")
-	c.replApplied = r.Counter("node_repl_applied_total")
-	c.replHandoffDepth = r.Gauge("node_repl_handoff_depth")
-	c.replHandoffDropped = r.Counter("node_repl_handoff_dropped_total")
-	c.replShardsRepaired = r.Counter("node_repl_shards_repaired_total")
-	c.replAntiEntropy = r.Counter("node_repl_antientropy_total")
-	c.replUnauthorized = r.Counter("node_repl_unauthorized_total")
 	c.admissionRequired = r.Counter("node_admission_required_total")
 	c.admissionAdmitted = r.Counter("node_admission_admitted_total")
 	c.admissionReplayed = r.Counter("node_admission_replayed_total")

@@ -30,7 +30,7 @@ import (
 
 // SigDomain is the domain-separation prefix of every signature this package
 // produces, so a proof attestation can never be replayed as (or collide
-// with) a report, key update, replication frame, or any future signed blob.
+// with) a report, key update, or any future signed blob.
 const SigDomain = "hirep/proof/v1"
 
 var (

@@ -373,54 +373,6 @@ func TestUncertifiedMergePartial(t *testing.T) {
 	}
 }
 
-// TestShardTransferPreservesProof pins the replica catch-up story: after a
-// subject's shard is exported from one agent's store and imported into a
-// fresh one (ImportShard, the anti-entropy path), the receiving agent
-// assembles a bundle that still verifies Matching — evidence and lineage
-// travel with the tally.
-func TestShardTransferPreservesProof(t *testing.T) {
-	oldAgent, newAgent := ident(t), ident(t)
-	src, _ := repstore.Open("", repstore.Options{Shards: 4, EvidenceCap: 64})
-	a := agentdir.NewWithStore(oldAgent, 0, src)
-	defer a.Close()
-	subject := ident(t)
-	r := ident(t)
-	for _, id := range []*pkc.Identity{subject, r} {
-		if err := a.RegisterKey(id.ID, id.Sign.Public); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit(t, a, r, subject.ID, true)
-	submit(t, a, r, subject.ID, true)
-	next, upd, err := subject.Rotate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ApplyKeyUpdate(upd); err != nil {
-		t.Fatal(err)
-	}
-	submit(t, a, r, next.ID, false)
-
-	dst, _ := repstore.Open("", repstore.Options{Shards: 4, EvidenceCap: 64})
-	defer dst.Close()
-	for i := 0; i < dst.ShardCount(); i++ {
-		if err := dst.ImportShard(i, src.ExportShard(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := Assemble(dst, newAgent, next.ID, dst.WALEpoch())
-	if b.Partial || len(b.Evidence) != 3 || len(b.Lineage) != 1 {
-		t.Fatalf("post-import bundle: partial=%v evs=%d lineage=%d", b.Partial, len(b.Evidence), len(b.Lineage))
-	}
-	res := mustVerdict(t, b, Matching, "")
-	if res.Pos != 2 || res.Neg != 1 {
-		t.Fatalf("post-import recomputed %d/%d", res.Pos, res.Neg)
-	}
-	if b.AgentID() != newAgent.ID {
-		t.Fatal("bundle not attributed to the receiving agent")
-	}
-}
-
 func TestTrustSnapshot(t *testing.T) {
 	agentID := ident(t)
 	subject := ident(t).ID

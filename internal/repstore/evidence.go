@@ -10,9 +10,9 @@ import (
 // This file is the store's verifiable-read surface (DESIGN.md §14): the
 // evidence log accessors a proof assembler consumes, the merge-lineage table
 // auditors need to follow §3.5 key rotations, and the shared iterator/stat
-// API that replaces ad-hoc Range walks.
+// API.
 //
-// Evidence section layout (shared by the snapshot body and shard exports):
+// Evidence section layout (in the snapshot body):
 //
 //	u32 subject count | per subject:
 //	  subject[20] | u8 flags (bit0: truncated) | u32 evidence count |
@@ -26,10 +26,6 @@ import (
 // where key/wire are the rotated-away identity's signing key and the signed
 // key-update certificate authorizing the succession (both empty for an
 // uncertified link recorded by a bare Merge).
-//
-// In canonical encodings (shard exports) subjects and links are sorted
-// ascending by ID bytes; the snapshot body is not canonical and writes them
-// in map order like the rest of its sections.
 
 const evFlagTruncated byte = 1
 
@@ -102,7 +98,7 @@ func (s *Store) LineageLinks() []LineageLink {
 	return out
 }
 
-// addLineage folds links (from a snapshot, shard export, or merge) into the
+// addLineage folds links (from a snapshot or merge) into the
 // table. Links are only ever added — forgetting one would orphan evidence —
 // and a certified record is never downgraded by an uncertified copy of the
 // same succession arriving later.
@@ -119,17 +115,6 @@ func (s *Store) addLineage(links []LineageLink) {
 		s.lineage[l.Old] = lineageVal{newID: l.New, sp: l.OldSP, wire: l.Wire}
 	}
 	s.lineMu.Unlock()
-}
-
-// normalizeEvidence applies this store's retention policy to a decoded
-// subject state: strips the evidence when the log is off here (the tallies
-// are still adopted), trims to the cap otherwise.
-func (s *Store) normalizeEvidence(st *subjectState) {
-	if s.opts.EvidenceCap <= 0 {
-		st.ev = nil
-		return
-	}
-	st.trimEvidence(s.opts.EvidenceCap)
 }
 
 // SubjectStat is one subject's summary row for the iterator surface: the
@@ -278,8 +263,7 @@ func decodeEvidenceSection(d *snapReader, attach func(subject pkc.NodeID, evs []
 	}
 }
 
-// appendLineageSection serializes lineage links (already sorted for canonical
-// encodings), certificates included.
+// appendLineageSection serializes lineage links, certificates included.
 func appendLineageSection(body []byte, links []LineageLink) []byte {
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(links)))
 	for _, l := range links {

@@ -283,85 +283,8 @@ func TestEvidenceMergeAndLineage(t *testing.T) {
 	}
 }
 
-// TestEvidenceShardExportMerge pins evidence and lineage riding shard
-// replication: exports carry them as trailing sections, imports fold them
-// in, and the shard digest ignores them entirely (anti-entropy
-// compares tallies, never retention policy).
-func TestEvidenceShardExportMerge(t *testing.T) {
-	src, err := Open("", Options{Shards: 4, EvidenceCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	subject := nid(550)
-	for i := 0; i < 5; i++ {
-		if err := src.Append(evRecord(i, subject)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.MergeCertified(nid(551), subject, []byte("sp551"), []byte("wire551")); err != nil {
-		t.Fatal(err)
-	}
-	shard := int(src.shardIndex(subject))
-
-	// Digest parity: a store with identical tallies but no evidence must
-	// digest identically, or mixed-retention replica groups would repair
-	// forever.
-	bare, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	for i := 0; i < 5; i++ {
-		r := evRecord(i, subject)
-		r.SP, r.Wire = nil, nil
-		if err := bare.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bare.Merge(nid(551), subject); err != nil {
-		t.Fatal(err)
-	}
-	sd := src.shardDigest(shard)
-	bd := bare.shardDigest(shard)
-	if sd.CRC != bd.CRC {
-		t.Fatalf("evidence changed the shard digest: %x vs %x", sd.CRC, bd.CRC)
-	}
-
-	// Import into a fresh evidence-enabled store: everything travels.
-	dst, err := Open("", Options{Shards: 4, EvidenceCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if err := dst.ImportShard(shard, src.ExportShard(shard)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, evs, trunc, ok := dst.SubjectProof(subject); !ok || len(evs) != 5 || trunc {
-		t.Fatalf("import dropped evidence: %d evs, trunc=%v", len(evs), trunc)
-	}
-	if links := dst.LineageLinks(); len(links) != 1 {
-		t.Fatalf("import dropped lineage: %v", links)
-	} else if !links[0].Certified() || string(links[0].Wire) != "wire551" {
-		t.Fatalf("import dropped lineage certificate: %+v", links[0])
-	}
-
-	// An evidence-off receiver applies the tally half and drops the wires.
-	dstOff, err := Open("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dstOff.Close()
-	if err := dstOff.ImportShard(shard, src.ExportShard(shard)); err != nil {
-		t.Fatal(err)
-	}
-	if pos, neg, evs, _, ok := dstOff.SubjectProof(subject); !ok || pos+neg != 5 || len(evs) != 0 {
-		t.Fatalf("evidence-off import: tally %d, %d evs", pos+neg, len(evs))
-	}
-}
-
-// TestSubjectsIterator pins the shared iterator/stat surface that Range and
-// the proof path ride on.
+// TestSubjectsIterator pins the shared iterator/stat surface the proof path
+// rides on.
 func TestSubjectsIterator(t *testing.T) {
 	s, err := Open("", Options{Shards: 4, EvidenceCap: 4})
 	if err != nil {

@@ -2,7 +2,6 @@ package repstore
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"hirep/internal/pkc"
@@ -57,78 +56,6 @@ func FuzzScanFrames(f *testing.F) {
 		ops2, goodLen2 := scanFrames(data[:goodLen])
 		if goodLen2 != goodLen || len(ops2) != len(ops) {
 			t.Fatalf("rescan diverged: %d/%d ops, %d/%d bytes", len(ops2), len(ops), goodLen2, goodLen)
-		}
-	})
-}
-
-// FuzzImportShard hardens the anti-entropy import, the one decoder that takes
-// a whole shard from the network: it must never panic; a rejected export
-// must leave the store untouched; and an accepted one must hold no negative
-// tally and re-export to a payload a fresh store imports to the same digest.
-func FuzzImportShard(f *testing.F) {
-	const shards = 4
-	open := func(t testing.TB) *Store {
-		s, err := Open("", Options{Shards: shards, EvidenceCap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// Seeds: every shard of a tallies-only store, then of one holding
-	// evidence and a certified lineage link.
-	src := open(f)
-	defer src.Close()
-	for i := 0; i < 24; i++ {
-		r := evRecord(i, nid(600+i%6))
-		r.SP, r.Wire = nil, nil
-		if err := src.Append(r); err != nil {
-			f.Fatal(err)
-		}
-	}
-	for i := 0; i < shards; i++ {
-		f.Add(uint8(i), src.ExportShard(i))
-	}
-	for i := 0; i < 6; i++ {
-		if err := src.Append(evRecord(100+i, nid(600+i))); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := src.MergeCertified(nid(605), nid(600), []byte("sp605"), []byte("wire605")); err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < shards; i++ {
-		f.Add(uint8(i), src.ExportShard(i))
-	}
-	f.Add(uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, shard uint8, data []byte) {
-		i := int(shard % shards)
-		s := open(t)
-		defer s.Close()
-		for k := 0; k < 8; k++ {
-			if err := s.Append(evRecord(k, nid(700+k%4))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		digests, count := s.Digests(), s.ReportCount()
-		if err := s.ImportShard(i, data); err != nil {
-			if !slices.Equal(s.Digests(), digests) || s.ReportCount() != count {
-				t.Fatalf("rejected import (%v) changed the store", err)
-			}
-			return
-		}
-		s.Subjects(func(st SubjectStat) bool {
-			if st.Pos < 0 || st.Neg < 0 {
-				t.Fatalf("subject %x imported with tally %d/%d", st.Subject[:4], st.Pos, st.Neg)
-			}
-			return true
-		})
-		fresh := open(t)
-		defer fresh.Close()
-		if err := fresh.ImportShard(i, s.ExportShard(i)); err != nil {
-			t.Fatalf("re-export does not import: %v", err)
-		}
-		if got, want := fresh.Digests()[i], s.Digests()[i]; got != want {
-			t.Fatalf("re-imported digest %x, want %x", got.CRC, want.CRC)
 		}
 	})
 }

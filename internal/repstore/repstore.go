@@ -69,17 +69,6 @@ type Options struct {
 	// so a proof bundle built from it is honestly labeled partial. 0 (the
 	// default) retains nothing — tallies only, the pre-§14 behavior.
 	EvidenceCap int
-	// OnCommit, when set, is invoked with every committed batch of framed
-	// operations (the WAL frame encoding, parseable by ApplyBatch) after the
-	// batch is durable and applied. For a WAL-backed store a batch is one
-	// group commit, delivered in commit order from a single goroutine at a
-	// time; for a memory store each Append/Merge delivers its own one-op
-	// batch, concurrently with other mutators. The callback owns the byte
-	// slice. This is the replication tap: a primary hands these batches to
-	// its shipping loop. Recovery replay does NOT fire it — a restarted
-	// primary re-converges replicas via anti-entropy, not by re-shipping its
-	// disk.
-	OnCommit func(batch []byte)
 }
 
 const defaultCompactAfter = 4 << 20
@@ -128,14 +117,10 @@ type subjectState struct {
 	evTrunc   bool
 }
 
-// shard is one lock domain of the subject table. digCRC caches the
-// canonical-encoding CRC while digValid holds; every mutation clears
-// digValid, so steady-state digest reads cost nothing.
+// shard is one lock domain of the subject table.
 type shard struct {
 	mu       sync.RWMutex
 	subjects map[pkc.NodeID]*subjectState
-	digCRC   uint32
-	digValid bool
 }
 
 // Store is the reputation storage engine. Safe for concurrent use.
@@ -245,7 +230,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.replayOps(ops)
 	w.apply = s.applyOps
-	w.onCommit = opts.OnCommit
 	s.wal = w
 	return s, nil
 }
@@ -335,7 +319,6 @@ func (s *Store) Append(r Record) error {
 	var err error
 	if s.wal == nil {
 		s.applyOp(op)
-		s.emitOp(op)
 	} else {
 		err = s.wal.commit(op)
 	}
@@ -359,7 +342,7 @@ func (s *Store) Merge(oldID, newID pkc.NodeID) error {
 // MergeCertified is Merge carrying the §3.5 key-update certificate: the
 // rotated-away identity's signing key and the signed update wire that
 // authorizes the succession. The store persists both opaquely alongside the
-// lineage link (WAL op, snapshot, shard export) so a proof bundle spanning
+// lineage link (WAL op, snapshot) so a proof bundle spanning
 // the rotation can prove the link to a verifier — the caller (agentdir) must
 // have verified the wire with pkc.VerifyKeyUpdate before merging.
 func (s *Store) MergeCertified(oldID, newID pkc.NodeID, oldSP, updWire []byte) error {
@@ -385,7 +368,6 @@ func (s *Store) merge(op walOp) error {
 	var err error
 	if s.wal == nil {
 		s.applyOp(op)
-		s.emitOp(op)
 	} else {
 		err = s.wal.commit(op)
 	}
@@ -403,15 +385,6 @@ func (s *Store) applyOps(ops []walOp) {
 	for i := range ops {
 		s.applyOp(ops[i])
 	}
-}
-
-// emitOp frames one just-applied op and hands it to the OnCommit tap.
-// Memory-store path only — WAL stores tap the group-commit batch instead.
-func (s *Store) emitOp(op walOp) {
-	if s.opts.OnCommit == nil {
-		return
-	}
-	s.opts.OnCommit(appendFrame(nil, encodeOp(nil, op)))
 }
 
 // applyOp applies one operation to the in-memory state.
@@ -435,14 +408,12 @@ func (s *Store) applyOp(op walOp) {
 			rt.neg++
 		}
 		st.reporters[r.Reporter] = rt
-		// A replica with the evidence log off applies only the tally half of
-		// an evidence op — shard digests stay comparable because they cover
-		// tallies, never evidence (see replicate.go).
+		// A store reopened with the evidence log off replays only the tally
+		// half of an evidence op.
 		if op.kind == kindReportEv && s.opts.EvidenceCap > 0 {
 			st.ev = append(st.ev, evrec{reporter: r.Reporter, sp: r.SP, wire: r.Wire})
 			st.trimEvidence(s.opts.EvidenceCap)
 		}
-		sh.digValid = false
 		sh.mu.Unlock()
 		s.reports.Add(1)
 	case kindMerge, kindMergeCert:
@@ -481,8 +452,6 @@ func (s *Store) applyMerge(op walOp) {
 	if src == nil {
 		return
 	}
-	si.digValid = false
-	sj.digValid = false
 	delete(si.subjects, oldID)
 	dst := sj.subjects[newID]
 	if dst == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -462,6 +463,25 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	defer re.Close()
 	model.check(t, re)
+}
+
+// TestSnapshotRejectsOverflowingTally: a u64 tally past the int range is
+// rejected as corrupt on snapshot load, not converted into a negative count.
+func TestSnapshotRejectsOverflowingTally(t *testing.T) {
+	s, err := Open("", Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	subject := nid(1)
+	body := binary.LittleEndian.AppendUint32(nil, 1)
+	body = append(body, subject[:]...)
+	body = binary.LittleEndian.AppendUint64(body, math.MaxUint64) // pos
+	body = binary.LittleEndian.AppendUint64(body, math.MaxUint64) // neg
+	body = binary.LittleEndian.AppendUint32(body, 0)              // reporters
+	if err := s.decodeState(body); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("snapshot load of a 2^64-1 tally: err = %v, want ErrCorruptRecord", err)
+	}
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {

@@ -213,8 +213,8 @@ func decodeOp(p []byte) (walOp, error) {
 		if spLen == 0 || wireLen == 0 || wireLen > maxEvidenceWire || len(p) != spLen+wireLen {
 			return walOp{}, ErrCorruptRecord
 		}
-		// Copy: decode buffers are recovery reads or replicated batches whose
-		// backing arrays must not be pinned by retained evidence.
+		// Copy: decode buffers are recovery reads whose backing arrays must
+		// not be pinned by retained evidence.
 		op.rec.SP = append([]byte(nil), p[:spLen]...)
 		op.rec.Wire = append([]byte(nil), p[spLen:]...)
 		return op, nil
@@ -242,8 +242,8 @@ func decodeOp(p []byte) (walOp, error) {
 		if spLen == 0 || wireLen == 0 || wireLen > maxEvidenceWire || len(p) != spLen+wireLen {
 			return walOp{}, ErrCorruptRecord
 		}
-		// Copy: decode buffers are recovery reads or replicated batches whose
-		// backing arrays must not be pinned by the retained lineage table.
+		// Copy: decode buffers are recovery reads whose backing arrays must
+		// not be pinned by the retained lineage table.
 		op.oldSP = append([]byte(nil), p[:spLen]...)
 		op.updWire = append([]byte(nil), p[spLen:]...)
 		return op, nil
@@ -311,10 +311,9 @@ func syncDir(dir string) {
 // time writes and fsyncs the accumulated batch, applies it to the store,
 // and wakes every rider whose record the batch carried.
 type wal struct {
-	dir      string
-	noSync   bool
-	apply    func([]walOp) // set by the store after recovery
-	onCommit func([]byte)  // optional replication tap, set alongside apply
+	dir    string
+	noSync bool
+	apply  func([]walOp) // set by the store after recovery
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -402,34 +401,6 @@ func (w *wal) commit(op walOp) error {
 	return err
 }
 
-// commitBatch rides pre-framed operations (a replicated batch from a
-// primary's OnCommit tap) through the same group commit as local ops: the
-// frames are appended verbatim to the pending buffer, their decoded twins
-// queued for apply, and the caller waits for durability exactly like a
-// commit rider. The replica's log therefore holds byte-identical frames to
-// the primary's.
-func (w *wal) commitBatch(ops []walOp, frames []byte) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	w.buf = append(w.buf, frames...)
-	w.ops = append(w.ops, ops...)
-	gen := w.nextGen
-	for w.flushedGen <= gen && w.err == nil {
-		if !w.flushing {
-			w.flushBatchLocked()
-		} else {
-			w.cond.Wait()
-		}
-	}
-	err := w.err
-	w.mu.Unlock()
-	return err
-}
-
 // flushBatchLocked takes the pending batch, releases the lock for the I/O
 // and apply, then publishes the new durable generation. Caller holds w.mu.
 func (w *wal) flushBatchLocked() {
@@ -448,15 +419,6 @@ func (w *wal) flushBatchLocked() {
 		w.size.Add(int64(len(batch)))
 		if w.apply != nil {
 			w.apply(ops)
-		}
-		// Replication tap: only one flush runs at a time (w.flushing), so
-		// batches reach the tap serialized, in commit order, and every
-		// rider's applyMu read-hold outlives the callback — a SyncPoint
-		// therefore observes a state equal to exactly the batches tapped.
-		// The batch slice is never reused (w.buf was reset to nil), so the
-		// callback may retain it.
-		if w.onCommit != nil {
-			w.onCommit(batch)
 		}
 	} else {
 		// A failed write (or fsync) can still have landed a prefix of the

@@ -47,24 +47,6 @@ const (
 	// server tells a session from a one-shot exchange by its first frame.
 	THello
 	THelloAck
-	// Agent-state replication (DESIGN.md §10). These travel as direct
-	// frames between cooperating agents over the pooled transport — the
-	// replication channel is infrastructure between machines that already
-	// know each other's addresses, not part of the anonymous peer protocol.
-	// RReplicate ships one signed, sequenced group-commit batch;
-	// RReplicateAck returns the replica's applied position (and whether it
-	// has diverged and needs repair).
-	RReplicate
-	RReplicateAck
-	// RDigest / RDigestResp exchange per-shard CRC digests for
-	// anti-entropy comparison.
-	RDigest
-	RDigestResp
-	// RRepair streams one full shard export into a diverged replica; the
-	// final (sentinel) repair frame seals the round at the primary's
-	// sequence point. RRepairAck confirms application.
-	RRepair
-	RRepairAck
 	// TReportBatch carries the batched, acknowledged report-ingest pipeline
 	// (DESIGN.md §11): many signed transaction reports plus the sender's
 	// admission proof-of-work solution (DESIGN.md §13, possibly empty) in one
@@ -119,18 +101,6 @@ func (t MsgType) String() string {
 		return "hello"
 	case THelloAck:
 		return "hello-ack"
-	case RReplicate:
-		return "repl-batch"
-	case RReplicateAck:
-		return "repl-batch-ack"
-	case RDigest:
-		return "repl-digest"
-	case RDigestResp:
-		return "repl-digest-resp"
-	case RRepair:
-		return "repl-repair"
-	case RRepairAck:
-		return "repl-repair-ack"
 	case TReportBatch:
 		return "report-batch"
 	case TProofReq:
