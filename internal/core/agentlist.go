@@ -29,74 +29,132 @@ type Recommendation struct {
 // cannot lower the agent's rank in honest lists, because only the maximum
 // rank counts.
 func RankAgents(lists [][]Recommendation, n int) map[topology.NodeID]int {
-	return new(ranker).rank(lists, n)
+	r := new(ranker)
+	r.rank(lists, n)
+	ranks := make(map[topology.NodeID]int, len(r.touched))
+	for _, id := range r.touched {
+		ranks[id] = r.rankOf(id)
+	}
+	return ranks
 }
 
 // SelectAgents picks up to n agents by descending rank, breaking ties
 // randomly (§3.4.2: "If several agents have the same rank, requestor picks up
 // its trusted agents from them randomly"). exclude removes a node (the
-// requestor itself) from consideration.
+// requestor itself) from consideration. Ranks are as RankAgents returns
+// them: zero or more.
 func SelectAgents(ranks map[topology.NodeID]int, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
-	return new(ranker).selectAgents(ranks, n, exclude, rng)
-}
-
-// ranker is RankAgents and SelectAgents over scratch its owner keeps: the
-// map and slice they return belong to the ranker and are valid until its
-// next call.
-type ranker struct {
-	ranks  map[topology.NodeID]int
-	sorted []Recommendation
-	cands  []rankedAgent
-	picked []topology.NodeID
-}
-
-type rankedAgent struct {
-	id   topology.NodeID
-	rank int
-}
-
-func (r *ranker) rank(lists [][]Recommendation, n int) map[topology.NodeID]int {
-	if r.ranks == nil {
-		r.ranks = make(map[topology.NodeID]int)
-	}
-	clear(r.ranks)
-	for _, list := range lists {
-		r.sorted = append(r.sorted[:0], list...)
-		slices.SortStableFunc(r.sorted, func(a, b Recommendation) int { return cmp.Compare(b.Weight, a.Weight) })
-		for i, rec := range r.sorted {
-			rank := n - i
-			if rank < 0 {
-				rank = 0
-			}
-			if rank > r.ranks[rec.Agent] {
-				r.ranks[rec.Agent] = rank
-			}
-		}
-	}
-	return r.ranks
-}
-
-func (r *ranker) selectAgents(ranks map[topology.NodeID]int, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
-	cands := r.cands[:0]
+	r := new(ranker)
 	for id, rank := range ranks {
+		if rank < 0 {
+			panic("core: negative rank")
+		}
+		r.raise(id, rank)
+		r.top = max(r.top, rank)
+	}
+	picked := r.selectAgents(exclude, rng)
+	return picked[:min(n, len(picked))]
+}
+
+// ranker is RankAgents and SelectAgents over a dense table its owner keeps:
+// an agent's rank lives at the index its ID supplies, so a ranking is no map
+// and a list is never sorted. The slice selectAgents returns belongs to the
+// ranker and is valid until its next call.
+type ranker struct {
+	ranks   []int32           // rank+1 by agent ID; 0 = not recommended
+	touched []topology.NodeID // recommended agents, in first-seen order
+	top     int               // the greatest rank; ranks lie in [0, top]
+	best    []Recommendation  // one list's best n entries, best first
+	count   []int             // per-rank cursor of the counting pass
+	cands   []topology.NodeID
+	picked  []topology.NodeID
+}
+
+// rankOf returns agent id's rank; it must have been recommended.
+func (r *ranker) rankOf(id topology.NodeID) int { return int(r.ranks[id]) - 1 }
+
+// raise records that id is recommended at rank, keeping its highest rank.
+func (r *ranker) raise(id topology.NodeID, rank int) {
+	if int(id) >= len(r.ranks) {
+		r.ranks = append(r.ranks, make([]int32, int(id)+1-len(r.ranks))...)
+	}
+	if r.ranks[id] == 0 {
+		r.touched = append(r.touched, id)
+	}
+	if int32(rank+1) > r.ranks[id] {
+		r.ranks[id] = int32(rank + 1)
+	}
+}
+
+// rank replaces the table with lists' ranks for a requestor that wants n
+// agents. Each list's first n entries by descending weight — ties kept in
+// list order, as a stable sort would — are found by insertion; every other
+// entry ranks 0.
+func (r *ranker) rank(lists [][]Recommendation, n int) {
+	for _, id := range r.touched {
+		r.ranks[id] = 0
+	}
+	r.touched = r.touched[:0]
+	r.top = max(n, 0)
+	for _, list := range lists {
+		best := r.best[:0]
+		for _, rec := range list {
+			r.raise(rec.Agent, 0)
+			i := len(best)
+			for i > 0 && cmp.Less(best[i-1].Weight, rec.Weight) {
+				i--
+			}
+			if i >= n {
+				continue
+			}
+			if len(best) < n {
+				best = append(best, Recommendation{})
+			}
+			copy(best[i+1:], best[i:len(best)-1])
+			best[i] = rec
+		}
+		for i, rec := range best {
+			r.raise(rec.Agent, n-i)
+		}
+		r.best = best
+	}
+}
+
+// selectAgents returns every ranked agent but exclude, by descending rank
+// with ties in random order: candidates are sorted by ID, shuffled with rng,
+// then ordered by one stable counting pass over ranks top…0.
+func (r *ranker) selectAgents(exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
+	cands := r.cands[:0]
+	for _, id := range r.touched {
 		if id != exclude {
-			cands = append(cands, rankedAgent{id, rank})
+			cands = append(cands, id)
 		}
 	}
 	r.cands = cands
-	// Deterministic base order, then shuffle to randomize ties, then stable
-	// sort by rank so equal-rank order stays random.
-	slices.SortFunc(cands, func(a, b rankedAgent) int { return cmp.Compare(a.id, b.id) })
+	slices.Sort(cands)
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	slices.SortStableFunc(cands, func(a, b rankedAgent) int { return cmp.Compare(b.rank, a.rank) })
-	if len(cands) > n {
-		cands = cands[:n]
+	// count[rank] becomes the first output slot of that rank: ranks top…0
+	// fill the output in that order.
+	if cap(r.count) <= r.top {
+		r.count = make([]int, r.top+1)
 	}
-	r.picked = r.picked[:0]
-	for _, c := range cands {
-		r.picked = append(r.picked, c.id)
+	count := r.count[:r.top+1]
+	clear(count)
+	for _, id := range cands {
+		count[r.rankOf(id)]++
 	}
-	return r.picked
+	next := 0
+	for rank := r.top; rank >= 0; rank-- {
+		next, count[rank] = next+count[rank], next
+	}
+	picked := append(r.picked[:0], cands...)
+	for _, id := range cands {
+		rank := r.rankOf(id)
+		picked[count[rank]] = id
+		count[rank]++
+	}
+	r.picked = picked
+	return picked
 }
 
 // agentEntry is one row of a peer's trusted-agent list.

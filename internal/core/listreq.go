@@ -159,7 +159,7 @@ func (s *System) acquireAgents(id topology.NodeID) int {
 	p := s.peers[id]
 	lists := s.requestAgentLists(id)
 	r := &s.walk.rank
-	ranks := r.rank(lists, s.cfg.TrustedAgents)
+	r.rank(lists, s.cfg.TrustedAgents)
 	// Never select a node that is not actually agent-capable: the walk only
 	// nominates agents, but recommendations age.
 	want := s.cfg.TrustedAgents - len(p.list.entries)
@@ -167,7 +167,7 @@ func (s *System) acquireAgents(id topology.NodeID) int {
 		return 0
 	}
 	added := 0
-	for _, agent := range r.selectAgents(ranks, len(ranks), id, p.rng) {
+	for _, agent := range r.selectAgents(id, p.rng) {
 		if added >= want {
 			break
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +145,49 @@ func TestSelectAgentsPropertyRankOrderRespected(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sortRankSelect is §3.4.2 written the plain way: stable-sort each list by
+// descending weight into a rank map, then sort the candidates by ID, shuffle
+// them and stable-sort them by descending rank.
+func sortRankSelect(lists [][]Recommendation, n int, exclude topology.NodeID, rng *xrand.RNG) []topology.NodeID {
+	ranks := map[topology.NodeID]int{}
+	for _, list := range lists {
+		sorted := slices.Clone(list)
+		slices.SortStableFunc(sorted, func(a, b Recommendation) int { return cmp.Compare(b.Weight, a.Weight) })
+		for i, rec := range sorted {
+			ranks[rec.Agent] = max(ranks[rec.Agent], n-i, 0)
+		}
+	}
+	var cands []topology.NodeID
+	for id := range ranks {
+		if id != exclude {
+			cands = append(cands, id)
+		}
+	}
+	slices.Sort(cands)
+	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+	slices.SortStableFunc(cands, func(a, b topology.NodeID) int { return cmp.Compare(ranks[b], ranks[a]) })
+	return cands
+}
+
+// The dense ranker the walk uses picks the same agents in the same order as
+// the plain sort-based ranking, draw for draw, so its speed moves no table.
+// One ranker is reused across cases, as a System reuses it across walks.
+func TestRankerMatchesSortReference(t *testing.T) {
+	var r ranker
+	f := func(raw [][]uint16, nRaw, seedRaw uint8, excludeRaw uint8) bool {
+		n := int(nRaw % 10)
+		lists := genLists(raw)
+		exclude := topology.NodeID(excludeRaw % 70)
+		want := sortRankSelect(lists, n, exclude, xrand.New(int64(seedRaw)))
+		r.rank(lists, n)
+		got := r.selectAgents(exclude, xrand.New(int64(seedRaw)))
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

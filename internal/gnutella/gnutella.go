@@ -224,11 +224,11 @@ func NewSearch(net *simnet.Network, catalog *Catalog) *Search {
 // Handle processes one message if it belongs to the query protocol; it
 // returns false for foreign kinds so callers can chain handlers.
 func (s *Search) Handle(nw *simnet.Network, m simnet.Message) bool {
-	switch m.Kind {
-	case KindQuery:
+	switch m.KindID {
+	case kindQueryID:
 		s.onQuery(nw, m)
 		return true
-	case KindQueryHit:
+	case kindQueryHitID:
 		s.onHit(nw, m)
 		return true
 	}

@@ -153,12 +153,12 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 func (s *System) KillServer() { s.down = true }
 
 func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {
-	switch m.Kind {
-	case KindQuery:
+	switch m.KindID {
+	case kindQueryID:
 		s.onQuery(nw, m)
-	case KindQueryResp:
+	case kindQueryRespID:
 		s.onResp(nw, m)
-	case KindReport:
+	case kindReportID:
 		s.onReport(m)
 	}
 }
@@ -208,7 +208,7 @@ func (s *System) onReport(m simnet.Message) {
 // RunTransaction performs one centralized transaction: query the RCA,
 // choose, report back. Three unicasts total.
 func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology.NodeID) TxResult {
-	before := s.net.Count(KindQuery) + s.net.Count(KindQueryResp) + s.net.Count(KindReport)
+	before := s.net.CountKind(kindQueryID) + s.net.CountKind(kindQueryRespID) + s.net.CountKind(kindReportID)
 	s.nextID++
 	s.cur = &pending{id: s.nextID}
 	start := s.net.Now()
@@ -245,7 +245,7 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	s.cur = nil
 	s.net.SendKind(requestor, s.cfg.Server, kindReportID, reportPayload{subject: res.Chosen, positive: res.Outcome})
 	s.net.Run(0)
-	res.TrustMessages = s.net.Count(KindQuery) + s.net.Count(KindQueryResp) + s.net.Count(KindReport) - before
+	res.TrustMessages = s.net.CountKind(kindQueryID) + s.net.CountKind(kindQueryRespID) + s.net.CountKind(kindReportID) - before
 	return res
 }
 

@@ -1,151 +1,191 @@
 package simnet
 
-import "hirep/internal/topology"
-
-// Event phases. A message in flight is an evArrival event while it
-// propagates; after arriving it lives in its receiver's service queue (an
-// evQueued record) until served. Timers (After/At) are evTimer events
-// carrying a closure.
-const (
-	evTimer uint8 = iota
-	evArrival
-	evQueued
+import (
+	"math"
+	"math/bits"
 )
 
-// event is one scheduled occurrence's record, stored in the queue's slab.
-// Message deliveries are typed records — no per-send closure or heap
-// allocation. Records never move during heap sifts; only 24-byte keys do.
+// event is one scheduled occurrence's record, stored in the queue's slab:
+// 40 bytes. Message deliveries are typed records — no per-send closure or
+// heap allocation. Records never move during heap sifts; only 16-byte keys
+// do. A message's record is written when it is sent and read when it is
+// delivered, and not touched in between: its arrival, wait and service
+// start run on the key, its receiver in dest, the service queue entry and
+// the completion.
 type event struct {
-	kind  Kind   // message kind (delivery events)
+	kind  Kind   // message kind
 	epoch uint32 // counter window the message was sent in
-	phase uint8
-	from  topology.NodeID // sender (delivery events)
-	to    topology.NodeID // receiver (delivery events)
-	sent  Time            // virtual send instant (delivery events)
-	wait  Time            // arrival instant while queued; queueing delay once in service
-	load  any             // protocol payload (delivery events)
-	fn    func()          // timer callback (evTimer only)
+	from  int32  // sender; the receiver is in eventQueue.dest
+	sent  Time   // virtual send instant
+	load  any    // protocol payload, or a timer's func()
 }
 
-// evKey is the heap element: the ordering fields plus the slab index of the
-// record. Sift operations move these 24-byte keys, not ~90-byte records.
+// timerTo is the receiver recorded for a timer.
+const timerTo = -1
+
+// evKey orders one event: its time as float64 bits, then ord, which is the
+// schedule sequence number that breaks time ties above the slab index of
+// the event's record. Times are finite and non-negative (Validate, At and
+// After enforce it), and such a float64's bit pattern sorts like the float
+// itself; sequence numbers are unique; so (at, ord) compares as one 128-bit
+// unsigned value in (time, schedule) order. Four sibling keys fill one
+// 64-byte cache line.
 type evKey struct {
-	at  Time
-	seq uint64 // tie-break so same-time events run in schedule order
-	idx int32
+	at  uint64
+	ord uint64
 }
 
-// before orders keys by time, then schedule order.
-func (k evKey) before(o evKey) bool {
-	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+// idxBits is the width of the slab index in evKey.ord: at most 2^24 events
+// may be outstanding, and a Network schedules at most 2^40 in its life.
+const (
+	idxBits = 24
+	maxSlab = 1 << idxBits
+	maxSeq  = 1<<(64-idxBits) - 1
+)
+
+func newKey(t Time, seq uint64, idx int32) evKey {
+	return evKey{at: math.Float64bits(float64(t)), ord: seq<<idxBits | uint64(idx)}
+}
+
+func (k evKey) idx() int32 { return int32(k.ord & (maxSlab - 1)) }
+
+func (k evKey) time() Time { return Time(math.Float64frombits(k.at)) }
+
+// less is 1 when a orders before b and 0 otherwise, computed without
+// branches as the borrow of the 128-bit subtraction (a.at, a.ord) -
+// (b.at, b.ord).
+func less(a, b evKey) int {
+	_, borrow := bits.Sub64(a.ord, b.ord, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
 }
 
 // eventQueue is an indexed 4-ary min-heap holding timers and message
 // arrivals. Compared to container/heap over []*event it avoids the per-push
-// allocation and interface-call overhead; the higher branching factor halves
-// the depth per operation, and the key/slab split keeps sift traffic to 24
-// bytes per move. Service completions never enter the heap — because
-// ProcPerMsg is a single constant, they are scheduled exactly ProcPerMsg
-// ahead of a monotonically advancing clock and live in completionRing, an
-// O(1) FIFO.
+// allocation and interface-call overhead; the branching factor of four
+// halves the depth of a binary heap, and the key/slab split keeps sift
+// traffic to 16 bytes per move. The root sits at keys[heapRoot], after
+// three unused keys, so that each group of four siblings starts at a
+// multiple of four keys: one cache line once the array is 64-byte aligned,
+// as the allocator places every array of 1 KiB or more. Service completions
+// never enter the heap — because ProcPerMsg is a single constant, they are
+// scheduled exactly ProcPerMsg ahead of a monotonically advancing clock and
+// live in completionRing, an O(1) FIFO.
 type eventQueue struct {
 	keys []evKey
 	slab []event
+	dest []int32 // receiver of the event in each slab record, or timerTo
 	free []int32
 }
 
-func (q *eventQueue) len() int { return len(q.keys) }
+const heapRoot = 3
 
-// alloc stores rec in the slab and returns its index.
-func (q *eventQueue) alloc(rec event) int32 {
+func newEventQueue() eventQueue { return eventQueue{keys: make([]evKey, heapRoot, 64)} }
+
+func (q *eventQueue) len() int { return len(q.keys) - heapRoot }
+
+// slot returns the index of a free slab record.
+func (q *eventQueue) slot() int32 {
 	if n := len(q.free); n > 0 {
 		idx := q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[idx] = rec
 		return idx
 	}
-	q.slab = append(q.slab, rec)
+	if len(q.slab) == maxSlab {
+		panic("simnet: more than 2^24 events outstanding")
+	}
+	q.slab = append(q.slab, event{})
+	q.dest = append(q.dest, 0)
 	return int32(len(q.slab) - 1)
 }
 
-// release returns a slab slot to the free list, dropping payload references
-// so they do not outlive their delivery.
+// release returns a slab slot to the free list, dropping the payload
+// reference so it does not outlive its delivery.
 func (q *eventQueue) release(idx int32) {
 	q.slab[idx].load = nil
-	q.slab[idx].fn = nil
 	q.free = append(q.free, idx)
 }
 
 // push inserts a key, sifting a hole up instead of swapping.
 func (q *eventQueue) push(k evKey) {
-	h := append(q.keys, k)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !k.before(h[p]) {
+	q.keys = append(q.keys, k)
+	q.siftUp(len(q.keys)-1, k)
+}
+
+// siftUp places k at hole i or above it. The parent of keys[i] is
+// keys[i/4+2].
+func (q *eventQueue) siftUp(i int, k evKey) {
+	h := q.keys
+	for i > heapRoot {
+		p := i>>2 + 2
+		if less(k, h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
 	h[i] = k
-	q.keys = h
 }
 
 // top returns the earliest key without removing it. Callers check len first.
-func (q *eventQueue) top() evKey { return q.keys[0] }
+func (q *eventQueue) top() evKey { return q.keys[heapRoot] }
 
-// popTop removes the earliest key (already read via top).
+// popTop removes the earliest key (already read via top). It sifts
+// bottom-up: the hole at the root walks down to a leaf, taking the smallest
+// of each level's four children without a data-dependent branch, and the
+// last key then sifts up from that leaf. The last key came from the bottom
+// level, so it rarely climbs far; a top-down sift would instead compare it
+// against the smallest child at every level on the way down. Keys are
+// unique (seq), so the pop order is the key order whatever the heap's
+// shape.
 func (q *eventQueue) popTop() {
+	n := len(q.keys) - 1
+	k := q.keys[n]
+	// Reslicing the field in place writes only its length: no write
+	// barrier on the pointer.
+	q.keys = q.keys[:n]
 	h := q.keys
-	last := len(h) - 1
-	h[0] = h[last]
-	q.keys = h[:last]
-	if last > 0 {
-		q.siftDown(0)
+	if n == heapRoot {
+		return
 	}
-}
-
-func (q *eventQueue) siftDown(i int) {
-	h := q.keys
-	n := len(h)
-	k := h[i]
+	i := heapRoot
 	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
+		c := i<<2 - 8 // first child
+		if c+4 > n {
+			if c < n {
+				// A partial last group: its children are leaves.
+				m := c
+				for j := c + 1; j < n; j++ {
+					m += (j - m) * less(h[j], h[m])
+				}
+				h[i] = h[m]
+				i = m
 			}
-		}
-		if !h[m].before(k) {
 			break
 		}
-		h[i] = h[m]
-		i = m
+		g := h[c : c+4 : c+4]
+		a := less(g[1], g[0])
+		b := 2 + less(g[3], g[2])
+		m := a + (b-a)*less(g[b], g[a])
+		h[i] = g[m]
+		i = c + m
 	}
-	h[i] = k
+	q.siftUp(i, k)
 }
 
-// completion is one receiver-service completion: at its instant, the head of
-// node's service queue finishes processing and is delivered.
+// completion is the end of one message's service: the key of the message in
+// service (its completion time and slab index), its receiver and how long it
+// waited for it.
 type completion struct {
-	at   Time
-	seq  uint64
-	node int32
+	evKey
+	to   int32
+	wait Time
 }
 
-// completionRing is a growable circular FIFO of completions. Entries are
-// enqueued at now+ProcPerMsg under a monotonic clock, so the ring is always
-// time-ordered and both ends are O(1) — no heap involvement for the second
-// half of every message's life.
+// completionRing is a growable circular FIFO of service completions.
+// Entries are enqueued at now+ProcPerMsg under a monotonic clock, so the
+// ring is always time-ordered and both ends are O(1) — no heap involvement
+// for the second half of every message's life.
 type completionRing struct {
 	buf  []completion
 	head int
@@ -173,7 +213,7 @@ func (r *completionRing) grow() {
 	r.head = 0
 }
 
-func (r *completionRing) peek() completion { return r.buf[r.head] }
+func (r *completionRing) peek() *completion { return &r.buf[r.head] }
 
 func (r *completionRing) pop() completion {
 	c := r.buf[r.head]
@@ -182,27 +222,31 @@ func (r *completionRing) pop() completion {
 	return c
 }
 
-// svcQueue is one receiver's arrival-order service queue: slab indices of
-// messages that have arrived and are waiting for (or occupying) the
-// receiver. The head entry is the message in service; it has a completion
-// scheduled in the ring.
+// waiter is a message that arrived at a busy receiver: its slab index and
+// its arrival instant.
+type waiter struct {
+	idx     int32
+	arrived Time
+}
+
+// svcQueue is one busy receiver's arrival-order queue: messages that have
+// arrived and wait for the message in service (whose completion is in the
+// ring) to finish.
 type svcQueue struct {
-	idxs []int32
+	ws   []waiter
 	head int
 }
 
-func (s *svcQueue) empty() bool { return s.head == len(s.idxs) }
+func (s *svcQueue) empty() bool { return s.head == len(s.ws) }
 
-func (s *svcQueue) push(idx int32) { s.idxs = append(s.idxs, idx) }
+func (s *svcQueue) push(w waiter) { s.ws = append(s.ws, w) }
 
-func (s *svcQueue) peekHead() int32 { return s.idxs[s.head] }
-
-func (s *svcQueue) pop() int32 {
-	v := s.idxs[s.head]
+func (s *svcQueue) pop() waiter {
+	w := s.ws[s.head]
 	s.head++
-	if s.head == len(s.idxs) {
-		s.idxs = s.idxs[:0]
+	if s.head == len(s.ws) {
+		s.ws = s.ws[:0]
 		s.head = 0
 	}
-	return v
+	return w
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"unsafe"
 
 	"hirep/internal/topology"
 )
@@ -173,6 +174,15 @@ func TestSendZeroAllocs(t *testing.T) {
 		t.Fatalf("SendKind allocates %v per call, want 0", avg)
 	}
 	net.Run(0)
+}
+
+// An event record is 40 bytes: int32 endpoints, a timer's callback in the
+// payload slot, and no phase or wait (the key and the completion carry
+// them).
+func TestEventRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 40 {
+		t.Fatalf("event record is %d bytes, want 40", size)
+	}
 }
 
 // Epoch windows: a message sent before ResetCounters must still reach its

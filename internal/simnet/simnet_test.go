@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"hirep/internal/topology"
@@ -25,19 +27,70 @@ func testNet(t *testing.T, n int) *Network {
 	return net
 }
 
+// TestConfigValidate also holds the rule that every time is finite and
+// non-negative: the event queue orders times by their float64 bit
+// patterns, which sort like the times only then.
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{LatencyMin: -1, LatencyMax: 5},
-		{LatencyMin: 10, LatencyMax: 5},
-		{LatencyMin: 1, LatencyMax: 2, ProcPerMsg: -1},
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]Config{
+		"negative LatencyMin": {LatencyMin: -1, LatencyMax: 5},
+		"inverted range":      {LatencyMin: 10, LatencyMax: 5},
+		"negative ProcPerMsg": {LatencyMin: 1, LatencyMax: 2, ProcPerMsg: -1},
+		"NaN LatencyMin":      {LatencyMin: Time(nan), LatencyMax: 5},
+		"NaN LatencyMax":      {LatencyMin: 1, LatencyMax: Time(nan)},
+		"Inf LatencyMax":      {LatencyMin: 1, LatencyMax: Time(inf)},
+		"NaN ProcPerMsg":      {LatencyMin: 1, LatencyMax: 2, ProcPerMsg: Time(nan)},
+		"Inf ProcPerMsg":      {LatencyMin: 1, LatencyMax: 2, ProcPerMsg: Time(inf)},
+		"NaN LossProb":        {LatencyMin: 1, LatencyMax: 2, LossProb: nan},
 	}
-	for i, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("case %d: bad config accepted", i)
-		}
+	for name, c := range bad {
+		t.Run(name, func(t *testing.T) {
+			if c.Validate() == nil {
+				t.Errorf("bad config accepted: %+v", c)
+			}
+		})
 	}
 	if DefaultConfig(1).Validate() != nil {
 		t.Error("default config invalid")
+	}
+}
+
+// At and After refuse the times the queue cannot order.
+func TestNonFiniteTimesPanic(t *testing.T) {
+	nan, inf := Time(math.NaN()), Time(math.Inf(1))
+	for name, schedule := range map[string]func(*Network){
+		"At NaN":     func(n *Network) { n.At(nan, func() {}) },
+		"At +Inf":    func(n *Network) { n.At(inf, func() {}) },
+		"After NaN":  func(n *Network) { n.After(nan, func() {}) },
+		"After +Inf": func(n *Network) { n.After(inf, func() {}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := testNet(t, 5)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			schedule(net)
+		})
+	}
+}
+
+// At(-0) is At(0): it runs at time 0, in schedule order among the other
+// time-0 events and before anything later.
+func TestAtNegativeZeroIsZero(t *testing.T) {
+	net := testNet(t, 5)
+	var order []int
+	net.At(0, func() { order = append(order, 1) })
+	net.At(Time(math.Copysign(0, -1)), func() { order = append(order, 2) })
+	net.At(0, func() { order = append(order, 3) })
+	net.At(1, func() { order = append(order, 4) })
+	net.Run(0)
+	if !slices.Equal(order, []int{1, 2, 3, 4}) {
+		t.Fatalf("order %v, want [1 2 3 4]", order)
+	}
+	if net.Now() != 1 {
+		t.Fatalf("clock %v, want 1", net.Now())
 	}
 }
 
@@ -50,7 +103,7 @@ func TestSendDelivers(t *testing.T) {
 	if got == nil {
 		t.Fatal("message not delivered")
 	}
-	if got.From != 0 || got.To != 3 || got.Kind != "ping" || got.Payload.(string) != "hello" {
+	if got.From != 0 || got.To != 3 || got.KindID.String() != "ping" || got.Payload.(string) != "hello" {
 		t.Fatalf("message corrupted: %+v", got)
 	}
 }

@@ -195,12 +195,12 @@ func (s *System) THAsOf(p topology.NodeID) []topology.NodeID {
 }
 
 func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {
-	switch m.Kind {
-	case KindQuery:
+	switch m.KindID {
+	case kindQueryID:
 		s.onQuery(nw, m)
-	case KindQueryResp:
+	case kindQueryRespID:
 		s.onQueryResp(nw, m)
-	case KindReport:
+	case kindReportID:
 		s.onReport(nw, m)
 	}
 }
@@ -302,7 +302,7 @@ func (s *System) onReport(nw *simnet.Network, m simnet.Message) {
 // RunTransaction performs TrustMe's double-broadcast transaction: query
 // flood, THA responses, provider choice, then report flood.
 func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology.NodeID) TxResult {
-	before := s.net.Count(KindQuery) + s.net.Count(KindQueryResp) + s.net.Count(KindReport)
+	before := s.net.CountKind(kindQueryID) + s.net.CountKind(kindQueryRespID) + s.net.CountKind(kindReportID)
 	s.nextID++
 	poll := &pollState{id: s.nextID, byCand: make(map[topology.NodeID]*trust.Aggregate)}
 	for _, c := range candidates {
@@ -356,7 +356,7 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	s.net.Run(0)
 	delete(s.seen, s.nextID)
 
-	res.TrustMessages = s.net.Count(KindQuery) + s.net.Count(KindQueryResp) + s.net.Count(KindReport) - before
+	res.TrustMessages = s.net.CountKind(kindQueryID) + s.net.CountKind(kindQueryRespID) + s.net.CountKind(kindReportID) - before
 	return res
 }
 

@@ -56,7 +56,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.TTL < 1:
 		return fmt.Errorf("voting: TTL must be >= 1, got %d", c.TTL)
-	case c.MaliciousFrac < 0 || c.MaliciousFrac > 1:
+	case !(c.MaliciousFrac >= 0 && c.MaliciousFrac <= 1): // rejects NaN too
 		return fmt.Errorf("voting: MaliciousFrac must be in [0,1], got %v", c.MaliciousFrac)
 	case c.CandidatesPerTx < 1:
 		return fmt.Errorf("voting: CandidatesPerTx must be >= 1, got %d", c.CandidatesPerTx)

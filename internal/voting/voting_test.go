@@ -36,6 +36,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{TTL: 0, CandidatesPerTx: 1, Rating: trust.DefaultRatingModel()},
 		{TTL: 4, MaliciousFrac: -1, CandidatesPerTx: 1, Rating: trust.DefaultRatingModel()},
+		{TTL: 4, MaliciousFrac: math.NaN(), CandidatesPerTx: 1, Rating: trust.DefaultRatingModel()},
 		{TTL: 4, CandidatesPerTx: 0, Rating: trust.DefaultRatingModel()},
 	}
 	for i, c := range bad {
