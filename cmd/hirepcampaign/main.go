@@ -9,12 +9,6 @@
 //	hirepcampaign -backend both -campaign sybil-flood
 //	hirepcampaign -pow 0,8,12,16,20 -budget 4194304 -csv   # campaign-cost curve
 //	hirepcampaign -backend live -campaign slander-cell -pow 0,8
-//
-// The lying-agent campaign (DESIGN.md §15) is live-only and sweeps the audit
-// cadence instead of admission difficulty — it scores time-to-detection
-// (quarantine, eviction) of a tampering agent against the audit rate:
-//
-//	hirepcampaign -campaign lying-agent -audit-intervals 100ms,250ms,500ms
 package main
 
 import (
@@ -45,19 +39,8 @@ func main() {
 		tx       = flag.Int("tx", 0, "override sim transactions")
 		csv      = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		liveBits = flag.Int("live-pow-max", 16, "refuse live runs above this difficulty (real hashing)")
-
-		auditIntervals = flag.String("audit-intervals", "150ms,400ms", "audit cadences swept by the lying-agent campaign")
-		auditTimeout   = flag.Duration("audit-timeout", 30*time.Second, "per-run detection budget for the lying-agent campaign")
 	)
 	flag.Parse()
-
-	if *name == "lying-agent" {
-		if err := runLyingAgent(*auditIntervals, *auditTimeout, *seed, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	p := sim.PaperParams()
 	if *quick {
@@ -147,32 +130,4 @@ func main() {
 		t.Render(os.Stdout)
 		fmt.Printf("\n[%d runs in %s]\n", len(scores), time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runLyingAgent sweeps the audit cadence over live lying-agent runs and
-// renders the time-to-detection table (DESIGN.md §15).
-func runLyingAgent(intervals string, timeout time.Duration, seed int64, csv bool) error {
-	var scores []campaign.LyingAgentScore
-	start := time.Now()
-	for _, s := range strings.Split(intervals, ",") {
-		iv, err := time.ParseDuration(strings.TrimSpace(s))
-		if err != nil || iv <= 0 {
-			return fmt.Errorf("bad -audit-intervals entry %q", s)
-		}
-		score, err := campaign.RunLyingAgent(campaign.LyingAgentSpec{
-			AuditInterval: iv, Timeout: timeout, Seed: seed,
-		})
-		if err != nil {
-			return fmt.Errorf("lying-agent@%s: %w", iv, err)
-		}
-		scores = append(scores, score)
-	}
-	t := campaign.LyingAgentTable(scores)
-	if csv {
-		t.RenderCSV(os.Stdout)
-	} else {
-		t.Render(os.Stdout)
-		fmt.Printf("\n[%d runs in %s]\n", len(scores), time.Since(start).Round(time.Millisecond))
-	}
-	return nil
 }

@@ -45,15 +45,11 @@
 //	hirepnode -listen 127.0.0.1:7001 -agent -store /var/lib/hirep \
 //	          -evidence 256 -proof-cache 1024
 //
-// Run the self-healing trust plane (DESIGN.md §15) — a background auditor
-// samples subjects across the node's discovered agents, re-verifies their
-// proof bundles, cross-checks a second agent, and turns provable lies into
-// signed advisories gossiped to neighbors; verified liars are quarantined
-// (probation-probed) and evicted on a second distinct offense, with standbys
-// promoted into vacated slots. Requires -relays for the audit reply route:
-//
-//	hirepnode -listen 127.0.0.1:7007 -relays 127.0.0.1:7002,127.0.0.1:7003 \
-//	          -neighbors 127.0.0.1:7002 -audit-interval 30s
+// A lying agent is dropped by §3.4.3's expertise rule: its answers stop
+// predicting outcomes, its expertise falls below the threshold, and the peer
+// bans it. A peer that wants to check an agent's tally itself asks for the
+// proof bundle, which names the agent as the liar if its published tally
+// disagrees with its own signed evidence (DESIGN.md §14).
 //
 // Agent-only flags (-store, -evidence, -proof-cache)
 // on a node without -agent are rejected at startup, exit status 2.
@@ -87,7 +83,7 @@ func main() {
 		agent     = flag.Bool("agent", false, "serve as a reputation agent")
 		store     = flag.String("store", "", "durable report store directory (agents only; empty = in-memory)")
 		relays    = flag.String("relays", "", "comma-separated relay addresses to publish an onion through")
-		neighbors = flag.String("neighbors", "", "comma-separated node addresses for agent-discovery walks and advisory gossip")
+		neighbors = flag.String("neighbors", "", "comma-separated node addresses for agent-discovery walks")
 		demo      = flag.Bool("demo", false, "run the loopback demonstration fleet and exit")
 
 		// Delivery (DESIGN.md §8).
@@ -99,10 +95,9 @@ func main() {
 		admissionPoW  = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
 		admissionRate = flag.Float64("admission-rate", 0, "per-identity admitted-report refill rate per second, burst 512 (0 = no rate accounting)")
 
-		// Verifiable reads (DESIGN.md §14) and self-healing audit (§15).
-		evidence      = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
-		proofCache    = flag.Int("proof-cache", 0, "entries in the agent's cache of served proof bundles and signed trust snapshots, agents only (0 = no cache)")
-		auditInterval = flag.Duration("audit-interval", 0, "background audit sweep cadence (0 = auditing off; requires -relays and -neighbors)")
+		// Verifiable reads (DESIGN.md §14).
+		evidence   = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
+		proofCache = flag.Int("proof-cache", 0, "entries in the agent's cache of served proof bundles and signed trust snapshots, agents only (0 = no cache)")
 	)
 	flag.Parse()
 
@@ -113,14 +108,6 @@ func main() {
 		}
 		return
 	}
-	if *auditInterval > 0 && *relays == "" {
-		fmt.Fprintln(os.Stderr, "hirepnode: -audit-interval requires -relays (the audit reply route)")
-		os.Exit(2)
-	}
-	if *auditInterval > 0 && *neighbors == "" {
-		fmt.Fprintln(os.Stderr, "hirepnode: -audit-interval requires -neighbors (agent discovery and advisory gossip)")
-		os.Exit(2)
-	}
 	n, err := node.Listen(*listen, node.Options{
 		Agent:            *agent,
 		StoreDir:         *store,
@@ -129,7 +116,6 @@ func main() {
 		AdmissionRate:    *admissionRate,
 		EvidenceCap:      *evidence,
 		ProofCache:       *proofCache,
-		AuditInterval:    *auditInterval,
 	})
 	if err != nil {
 		// Any Listen failure exits 2, the status of a bad flag: invalid
@@ -157,7 +143,6 @@ func main() {
 
 	if *relays != "" {
 		relayAddrs := splitList(*relays)
-		var o *onion.Onion
 		if *agent {
 			// PublishDescriptor caches the descriptor so §3.4.1 agent-list
 			// walks can return this agent — printing alone keeps it
@@ -167,12 +152,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			info, err := node.DecodeInfo(desc)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			o = info.Onion
 			fmt.Printf("descriptor (give to peers):\n%s\n", desc)
 		} else {
 			route, err := fetchRoute(n, relayAddrs)
@@ -180,27 +159,12 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			o, err = n.BuildOnion(route)
+			o, err := n.BuildOnion(route)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			fmt.Printf("descriptor (give to peers):\n%s\n", node.EncodeInfo(n.Info(o)))
-		}
-
-		if *auditInterval > 0 {
-			// The auditor sweeps the discovered agent book, answering through
-			// this node's own onion (DESIGN.md §15).
-			book, err := hirepBookFor(n)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "audit: agent discovery:", err)
-				os.Exit(1)
-			}
-			if err := n.StartAuditor(book, o); err != nil {
-				fmt.Fprintln(os.Stderr, "audit:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("auditing %d agent(s) every %s\n", book.Len(), *auditInterval)
 		}
 	}
 

@@ -100,17 +100,6 @@ type Agent struct {
 	keys    map[pkc.NodeID]ed25519.PublicKey
 	store   *repstore.Store
 	replays *pkc.ReplayCache
-
-	// byReporter counts accepted reports per reporter — the evidence base for
-	// the node's per-identity admission rate accounting and the campaign
-	// harness's attacker-cost scoring (DESIGN.md §13). byReporterNeg tracks
-	// the negative subset, so the audit plane can spot slander campaigns
-	// (reporters whose output is overwhelmingly negative, DESIGN.md §15).
-	// Its own lock: the hot ingest path must not serialize on the key-list
-	// mutex.
-	repMu         sync.Mutex
-	byReporter    map[pkc.NodeID]int64
-	byReporterNeg map[pkc.NodeID]int64
 }
 
 // New creates an agent with identity self backed by a pure in-memory store.
@@ -129,12 +118,10 @@ func NewWithStore(self *pkc.Identity, replayCap int, store *repstore.Store) *Age
 		replayCap = 4096
 	}
 	a := &Agent{
-		self:          self,
-		keys:          make(map[pkc.NodeID]ed25519.PublicKey),
-		store:         store,
-		replays:       pkc.NewReplayCache(replayCap),
-		byReporter:    make(map[pkc.NodeID]int64),
-		byReporterNeg: make(map[pkc.NodeID]int64),
+		self:    self,
+		keys:    make(map[pkc.NodeID]ed25519.PublicKey),
+		store:   store,
+		replays: pkc.NewReplayCache(replayCap),
 	}
 	for _, n := range store.RecoveredNonces() {
 		a.replays.Observe(n)
@@ -215,58 +202,7 @@ func (a *Agent) SubmitReport(reporter pkc.NodeID, wire []byte) (Report, error) {
 		a.replays.Forget(nonce)
 		return Report{}, err
 	}
-	var neg int64
-	if !positive {
-		neg = 1
-	}
-	a.countAccepted(reporter, 1, neg)
 	return Report{Reporter: reporter, Subject: subject, Positive: positive, Nonce: nonce}, nil
-}
-
-// countAccepted bumps the reporter's accepted-report tally: n reports total,
-// neg of which were negative.
-func (a *Agent) countAccepted(reporter pkc.NodeID, n, neg int64) {
-	a.repMu.Lock()
-	a.byReporter[reporter] += n
-	if neg > 0 {
-		a.byReporterNeg[reporter] += neg
-	}
-	a.repMu.Unlock()
-}
-
-// ReportsBy returns how many reports from reporter this agent has accepted
-// (verified, fresh, and durably stored) since it started.
-func (a *Agent) ReportsBy(reporter pkc.NodeID) int64 {
-	a.repMu.Lock()
-	defer a.repMu.Unlock()
-	return a.byReporter[reporter]
-}
-
-// ReporterStat is one reporter's accepted-report tally as seen by this agent:
-// total accepted reports and the negative subset. The audit plane folds these
-// into its slander-skew table (DESIGN.md §15).
-type ReporterStat struct {
-	Reporter pkc.NodeID
-	Reports  int64 // accepted reports, any polarity
-	Negative int64 // accepted negative reports
-}
-
-// Reporters iterates over per-reporter accepted-report stats, SubjectStat
-// style: fn is called once per reporter until it returns false. The snapshot
-// is taken under the tally lock, but fn runs outside it, so callbacks may
-// re-enter the agent freely. Iteration order is unspecified.
-func (a *Agent) Reporters(fn func(ReporterStat) bool) {
-	a.repMu.Lock()
-	stats := make([]ReporterStat, 0, len(a.byReporter))
-	for id, n := range a.byReporter {
-		stats = append(stats, ReporterStat{Reporter: id, Reports: n, Negative: a.byReporterNeg[id]})
-	}
-	a.repMu.Unlock()
-	for _, s := range stats {
-		if !fn(s) {
-			return
-		}
-	}
 }
 
 // SubmitReportBatch verifies and stores a batch of signed reports, all from
@@ -319,7 +255,6 @@ func (a *Agent) SubmitReportBatch(reporter pkc.NodeID, wires [][]byte) ([]Report
 	ok := pkc.VerifyBatch(keys, bodies, sigs)
 	// Admission pass, in batch order: replay check, then store append. Both
 	// run outside the key lock, like the single-report path.
-	var accepted, negAccepted int64
 	for j, p := range valid {
 		if !ok[j] {
 			errs[p.idx] = ErrBadSignature
@@ -338,13 +273,6 @@ func (a *Agent) SubmitReportBatch(reporter pkc.NodeID, wires [][]byte) ([]Report
 			continue
 		}
 		reports[p.idx] = Report{Reporter: reporter, Subject: p.subject, Positive: p.positive, Nonce: p.nonce}
-		accepted++
-		if !p.positive {
-			negAccepted++
-		}
-	}
-	if accepted > 0 {
-		a.countAccepted(reporter, accepted, negAccepted)
 	}
 	return reports, errs
 }

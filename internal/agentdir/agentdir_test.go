@@ -351,52 +351,3 @@ func TestReplayCapOverflowKeepsRecentNonces(t *testing.T) {
 		t.Fatalf("evicted nonce should be forgotten (bounded-cache semantics): %v", err)
 	}
 }
-
-// TestReporterStats checks the per-reporter polarity tallies behind slander
-// detection (DESIGN.md §15): both the single and batch ingest paths count
-// negatives, only accepted reports count, and the Reporters iterator
-// snapshots without holding the tally lock (fn may re-enter the agent).
-func TestReporterStats(t *testing.T) {
-	a := New(ident(t), 0)
-	slanderer, honest, subject := ident(t), ident(t), ident(t)
-	for _, r := range []*pkc.Identity{slanderer, honest} {
-		if err := a.RegisterKey(r.ID, r.Sign.Public); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Single path: 3 negatives and 1 positive from the slanderer.
-	for i := 0; i < 4; i++ {
-		if _, err := a.SubmitReport(slanderer.ID, SignReport(slanderer, subject.ID, i == 0, nonce(t))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Batch path: 1 positive, 1 negative, and 1 replay (must NOT count) from
-	// the honest reporter.
-	dup := SignReport(honest, subject.ID, false, nonce(t))
-	wires := [][]byte{SignReport(honest, subject.ID, true, nonce(t)), dup, dup}
-	if _, errs := a.SubmitReportBatch(honest.ID, wires); errs[2] == nil {
-		t.Fatal("replayed batch entry accepted")
-	}
-
-	got := map[pkc.NodeID]ReporterStat{}
-	a.Reporters(func(s ReporterStat) bool {
-		if a.ReportsBy(s.Reporter) != s.Reports { // re-entrancy: no deadlock
-			t.Fatalf("iterator and ReportsBy disagree for %s", s.Reporter)
-		}
-		got[s.Reporter] = s
-		return true
-	})
-	if s := got[slanderer.ID]; s.Reports != 4 || s.Negative != 3 {
-		t.Fatalf("slanderer stats %+v, want 4 reports / 3 negative", s)
-	}
-	if s := got[honest.ID]; s.Reports != 2 || s.Negative != 1 {
-		t.Fatalf("honest stats %+v, want 2 reports / 1 negative", s)
-	}
-
-	// Early-exit contract: returning false stops iteration.
-	calls := 0
-	a.Reporters(func(ReporterStat) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("iterator ignored false return (%d calls)", calls)
-	}
-}

@@ -3,7 +3,6 @@ package campaign
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"hirep/internal/attack"
 	"hirep/internal/sim"
@@ -230,41 +229,5 @@ func TestSpecValidate(t *testing.T) {
 	ok := findCampaign(t, "sybil-flood")
 	if _, err := b.Run(Spec{Scenario: ok, Admission: Admission{PoWBits: -1}}); err == nil {
 		t.Fatal("negative bits should fail validation")
-	}
-}
-
-// TestLiveLyingAgentCampaign runs the lying-agent campaign once at a fast
-// audit cadence: the tampering agent must be quarantined and evicted within
-// the budget, the observing peer must have verified at least one gossiped
-// advisory on its own, and the trust plane must have kept answering.
-func TestLiveLyingAgentCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live fleet smoke")
-	}
-	score, err := RunLyingAgent(LyingAgentSpec{
-		AuditInterval: 100 * time.Millisecond,
-		Subjects:      3,
-		Reports:       4,
-		Timeout:       30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !score.Detected {
-		t.Fatalf("liar not evicted within budget: %+v", score)
-	}
-	if score.TimeToQuarantine <= 0 || score.TimeToEvict < score.TimeToQuarantine {
-		t.Fatalf("detection times inconsistent: %+v", score)
-	}
-	if score.Sweeps == 0 || score.Advisories == 0 {
-		t.Fatalf("no sweeps or no gossip verified: %+v", score)
-	}
-	if score.QueryFailures > score.QueriesServed {
-		t.Fatalf("trust plane mostly down during audit: %+v", score)
-	}
-	var sb strings.Builder
-	LyingAgentTable([]LyingAgentScore{score}).Render(&sb)
-	if !strings.Contains(sb.String(), "Lying-agent detection") {
-		t.Fatalf("table render: %q", sb.String())
 	}
 }

@@ -166,9 +166,12 @@ type agentEntry struct {
 
 // agentList is a peer's trusted-agent list plus the backup-agent cache of
 // §3.4.3 (most-recently-demoted first).
+//
+// Entries are stored by value: a pointer into either slice (find) is valid
+// until the next edit of the list.
 type agentList struct {
-	entries []*agentEntry
-	backups []*agentEntry
+	entries []agentEntry
+	backups []agentEntry
 	maxBack int
 	fresh   trust.Expertise // a new entry's expertise
 }
@@ -180,7 +183,7 @@ func newAgentList(size int, alpha float64) *agentList {
 	if err != nil {
 		panic(err) // alpha validated by Config.Validate
 	}
-	return &agentList{entries: make([]*agentEntry, 0, size), maxBack: size, fresh: *exp}
+	return &agentList{entries: make([]agentEntry, 0, size), maxBack: size, fresh: *exp}
 }
 
 // has reports whether agent is already a trusted agent.
@@ -199,26 +202,22 @@ func (l *agentList) add(agent topology.NodeID, path []topology.NodeID) {
 	if l.has(agent) {
 		return
 	}
-	l.entries = append(l.entries, &agentEntry{agent: agent, expertise: l.fresh, path: path})
+	l.entries = append(l.entries, agentEntry{agent: agent, expertise: l.fresh, path: path})
 }
 
-// backupEps is the floor below which an EWMA expertise counts as
-// non-positive for §3.4.3's backup decision (the EWMA itself never reaches
-// exactly zero).
-const backupEps = 1e-6
-
 // remove drops agent from the trusted list. When toBackup is true and the
-// entry's expertise is positive, the entry moves to the front of the backup
-// cache ("most recently first", §3.4.3); otherwise it is discarded.
+// entry's expertise is above trust.BackupFloor, the entry moves to the front
+// of the backup cache ("most recently first", §3.4.3); otherwise it is
+// discarded.
 func (l *agentList) remove(agent topology.NodeID, toBackup bool) {
 	for i, e := range l.entries {
 		if e.agent != agent {
 			continue
 		}
 		l.entries = append(l.entries[:i], l.entries[i+1:]...)
-		if toBackup && e.expertise.Value() > backupEps {
+		if toBackup && e.expertise.Value() > trust.BackupFloor {
 			if len(l.backups) < l.maxBack {
-				l.backups = append(l.backups, nil)
+				l.backups = append(l.backups, agentEntry{})
 			}
 			copy(l.backups[1:], l.backups)
 			l.backups[0] = e
@@ -251,11 +250,12 @@ func (l *agentList) appendWeights(dst []Recommendation) []Recommendation {
 	return dst
 }
 
-// find returns the entry for agent, or nil.
+// find returns the entry for agent, or nil. The pointer is valid until the
+// next edit of the list.
 func (l *agentList) find(agent topology.NodeID) *agentEntry {
-	for _, e := range l.entries {
-		if e.agent == agent {
-			return e
+	for i := range l.entries {
+		if l.entries[i].agent == agent {
+			return &l.entries[i]
 		}
 	}
 	return nil

@@ -150,7 +150,7 @@ type System struct {
 	toRemove []topology.NodeID
 	toBackup []topology.NodeID
 	acks     map[topology.NodeID]bool // live backups answering this refill's probes
-	backups  []*agentEntry
+	backups  []agentEntry
 	walk     listCollect
 }
 

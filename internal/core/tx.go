@@ -321,10 +321,11 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	// provider's observed outcome; handle non-responders as offline; drop
 	// agents below the removal threshold.
 	toRemove, toBackup := s.toRemove[:0], s.toBackup[:0]
-	for _, e := range p.list.entries {
+	for i := range p.list.entries {
+		e := &p.list.entries[i]
 		ests, responded := tx.responses[e.agent]
 		if !responded {
-			if e.expertise.Value() > 0 {
+			if e.expertise.Value() > trust.BackupFloor {
 				toBackup = append(toBackup, e.agent)
 			} else {
 				toRemove = append(toRemove, e.agent)

@@ -186,82 +186,6 @@ func BenchmarkIngestAdmission(b *testing.B) {
 	b.ReportMetric(float64(b.N)*size/b.Elapsed().Seconds(), "reports/sec")
 }
 
-// BenchmarkIngestAudited is BenchmarkIngestBatched with the agent retaining
-// evidence and under continuous background audit (DESIGN.md §15): a second
-// peer runs the auditor at the campaign's default cadence (150ms), so
-// proof-bundle fetches (assembly and per-wire verification at cap 64)
-// interleave with the measured ingest on the same agent. The verify.sh gate
-// holds this within 5% of BenchmarkIngestBatched (plus noise headroom) —
-// audit sweeps are read-side traffic and must not tax the ingest hot path.
-func BenchmarkIngestAudited(b *testing.B) {
-	const size = 256
-	_, peer, info, replyOnion := benchFleetOpts(b, Options{EvidenceCap: 64})
-	auditorNode, err := Listen("127.0.0.1:0", Options{
-		Timeout:       10 * time.Second,
-		AuditInterval: 150 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = auditorNode.Close() })
-	// The auditor gets its own relay: the proof fetches still land on the
-	// agent under test, but reply transit does not double as agent load.
-	auditRelay, err := Listen("127.0.0.1:0", Options{Timeout: 10 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = auditRelay.Close() })
-	rel, err := auditorNode.FetchAnonKey(auditRelay.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ao, err := auditorNode.BuildOnion([]relayAlias{rel})
-	if err != nil {
-		b.Fatal(err)
-	}
-	book, err := NewAgentBook(1, 0.3, 0.4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !book.Add(info) {
-		b.Fatal("book rejected agent")
-	}
-	if err := auditorNode.StartAuditor(book, ao); err != nil {
-		b.Fatal(err)
-	}
-
-	subject, _ := pkc.NewIdentity(nil)
-	auditorNode.NoteAuditSubjects(subject.ID)
-	reports := make([]BatchReport, size)
-	for i := range reports {
-		reports[i] = BatchReport{Subject: subject.ID, Positive: i%2 == 0}
-	}
-	if _, err := peer.ReportBatch(info, reports[:1], replyOnion); err != nil {
-		b.Fatal(err)
-	}
-	// Warm until the first sweep completes, so every measured iteration runs
-	// with the audit load already established.
-	for end := time.Now().Add(10 * time.Second); auditorNode.Stats().AuditSweeps == 0; {
-		if !time.Now().Before(end) {
-			b.Fatal("auditor never completed a sweep")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		statuses, err := peer.ReportBatch(info, reports, replyOnion)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, st := range statuses {
-			if st != StatusStored {
-				b.Fatalf("report %d acked %v", j, st)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)*size/b.Elapsed().Seconds(), "reports/sec")
-}
-
 // BenchmarkRoundTripDirect measures one legacy one-shot frame round trip
 // over loopback — dial, write, read, close per frame, exactly what the
 // pre-transport node paid on every message. It is the baseline

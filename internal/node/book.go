@@ -21,16 +21,13 @@ import (
 // consecutive failures → half-open probe → closed again) so a dead agent is
 // skipped instead of timing out every evaluation, and a quorum k: an
 // evaluation that gathers at least k answers out of the book succeeds with
-// partial results rather than failing on the first missing agent.
+// partial results rather than failing on the first missing agent. Breaker
+// state tracks reachability, not honesty, and is kept across demotion so a
+// dead agent is not instantly re-promoted.
 //
-// The audit subsystem (DESIGN.md §15) layers a health lifecycle on top:
-// healthy → suspect → quarantined → evicted. Suspect is a soft state (audit
-// divergence, unproven signals) that strikes accumulate in and a Matching
-// re-audit clears; quarantine removes the agent from both the active book and
-// the backup cache — it serves no quorum and cannot be promoted — but keeps
-// its descriptor for probation probes; eviction bans it outright. Breaker
-// state is deliberately different: it tracks reachability, not honesty, and
-// is kept across demotion so a dead agent is not instantly re-promoted.
+// An ID is in at most one of the active book, the backup cache and the ban
+// list: Add and AddBackup refuse an ID held elsewhere, and Restore refuses
+// one that is already active.
 type AgentBook struct {
 	mu        sync.Mutex
 	max       int
@@ -41,53 +38,11 @@ type AgentBook struct {
 	backups   []*bookEntry // most recently demoted first
 	banned    map[pkc.NodeID]bool
 	breakers  *resilience.Breakers[pkc.NodeID]
-	// quarantined holds agents pulled from service on verified lying
-	// evidence or accumulated suspect strikes, pending probation probes or
-	// eviction; defaultAuditQuarantineThreshold suspect strikes put an agent
-	// there.
-	quarantined map[pkc.NodeID]*bookEntry
 }
 
 type bookEntry struct {
 	info      AgentInfo
 	expertise *trust.Expertise
-	health    AgentHealth
-	strikes   int
-}
-
-// AgentHealth is an agent's position in the audit lifecycle (§15).
-type AgentHealth int
-
-const (
-	// Healthy: no open audit concern. The zero value, so fresh entries
-	// start healthy.
-	Healthy AgentHealth = iota
-	// Suspect: soft audit signals (divergence between two agents' bundles,
-	// repeated audit anomalies) accumulated against it; rehabilitated by a
-	// Matching re-audit, quarantined at the strike threshold.
-	Suspect
-	// Quarantined: out of service — excluded from quorum selection and from
-	// standby promotion — but retained for probation probes.
-	Quarantined
-	// Evicted: removed and banned; the terminal state.
-	Evicted
-	// HealthUnknown: the ID is not tracked by this book.
-	HealthUnknown
-)
-
-func (h AgentHealth) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Suspect:
-		return "suspect"
-	case Quarantined:
-		return "quarantined"
-	case Evicted:
-		return "evicted"
-	default:
-		return "unknown"
-	}
 }
 
 // NewAgentBook creates a book holding at most max agents, with expertise
@@ -103,14 +58,13 @@ func NewAgentBook(max int, alpha, threshold float64) (*AgentBook, error) {
 		return nil, fmt.Errorf("node: threshold must be in [0,1), got %v", threshold)
 	}
 	return &AgentBook{
-		max:         max,
-		alpha:       alpha,
-		threshold:   threshold,
-		quorum:      1,
-		entries:     make(map[pkc.NodeID]*bookEntry),
-		banned:      make(map[pkc.NodeID]bool),
-		breakers:    resilience.NewBreakers[pkc.NodeID](resilience.BreakerConfig{}),
-		quarantined: make(map[pkc.NodeID]*bookEntry),
+		max:       max,
+		alpha:     alpha,
+		threshold: threshold,
+		quorum:    1,
+		entries:   make(map[pkc.NodeID]*bookEntry),
+		banned:    make(map[pkc.NodeID]bool),
+		breakers:  resilience.NewBreakers[pkc.NodeID](resilience.BreakerConfig{}),
 	}, nil
 }
 
@@ -165,8 +119,10 @@ func (b *AgentBook) RecordFailure(id pkc.NodeID) bool {
 }
 
 // Add inserts a verified agent descriptor with initial expertise 1
-// (§3.4.3). It reports whether the agent was added: duplicates, banned
-// agents, descriptors failing verification, and a full book are rejected.
+// (§3.4.3). It reports whether the agent was added: duplicates (active or
+// backup), banned agents, descriptors failing verification, and a full book
+// are rejected. A backup comes back through Restore, with the expertise it
+// was demoted with.
 func (b *AgentBook) Add(info AgentInfo) bool {
 	if info.Onion == nil || info.Onion.VerifySig(info.SP) != nil {
 		return false
@@ -174,13 +130,7 @@ func (b *AgentBook) Add(info AgentInfo) bool {
 	id := info.ID()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.banned[id] {
-		return false
-	}
-	if _, dup := b.entries[id]; dup {
-		return false
-	}
-	if _, q := b.quarantined[id]; q {
+	if b.heldLocked(id) {
 		return false
 	}
 	if len(b.entries) >= b.max {
@@ -267,7 +217,7 @@ func (b *AgentBook) Demote(id pkc.NodeID) bool {
 		return false
 	}
 	delete(b.entries, id)
-	if e.expertise.Value() > 1e-6 {
+	if e.expertise.Value() > trust.BackupFloor {
 		b.backups = append([]*bookEntry{e}, b.backups...)
 		if len(b.backups) > b.max {
 			// Entries truncated off the cache leave the book entirely; a
@@ -279,7 +229,7 @@ func (b *AgentBook) Demote(id pkc.NodeID) bool {
 		}
 	} else {
 		// Dropped outright — the ID leaves the book, so its cached state goes
-		// with it (a re-keyed or rehabilitated agent must not inherit it).
+		// with it (a re-keyed agent must not inherit it).
 		b.clearStateLocked(id)
 	}
 	return true
@@ -296,19 +246,8 @@ func (b *AgentBook) AddBackup(info AgentInfo) bool {
 	id := info.ID()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.banned[id] {
+	if b.heldLocked(id) {
 		return false
-	}
-	if _, dup := b.entries[id]; dup {
-		return false
-	}
-	if _, q := b.quarantined[id]; q {
-		return false
-	}
-	for _, e := range b.backups {
-		if e.info.ID() == id {
-			return false
-		}
 	}
 	if len(b.backups) >= b.max {
 		return false
@@ -334,11 +273,12 @@ func (b *AgentBook) BackupInfo(id pkc.NodeID) (AgentInfo, bool) {
 }
 
 // Restore moves a backup agent back into the book (after a successful
-// probe); it reports success.
+// probe); it reports success. An ID that is already active is refused, so a
+// restore always grows the book by one.
 func (b *AgentBook) Restore(id pkc.NodeID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.entries) >= b.max {
+	if _, active := b.entries[id]; active || len(b.entries) >= b.max {
 		return false
 	}
 	for i, e := range b.backups {
@@ -363,7 +303,7 @@ func (b *AgentBook) Backups() []pkc.NodeID {
 }
 
 // clearStateLocked drops id's breaker position so an agent that fully
-// leaves the book and is later re-added (rehabilitated or re-keyed) does not
+// leaves the book and is later re-added (re-keyed, or after a drop) does not
 // inherit stale failure state. Called with b.mu held, and only when id
 // leaves the book entirely: demotion INTO the backup cache keeps breaker
 // state on purpose, because promotion must not re-select an agent that is
@@ -372,160 +312,18 @@ func (b *AgentBook) clearStateLocked(id pkc.NodeID) {
 	b.breakers.Forget(id)
 }
 
-// findLocked returns id's entry wherever it lives (active, backup, or
-// quarantine). Called with b.mu held.
-func (b *AgentBook) findLocked(id pkc.NodeID) *bookEntry {
-	if e, ok := b.entries[id]; ok {
-		return e
-	}
-	if e, ok := b.quarantined[id]; ok {
-		return e
+// heldLocked reports whether id is banned, active or cached as a backup.
+// Called with b.mu held.
+func (b *AgentBook) heldLocked(id pkc.NodeID) bool {
+	if _, active := b.entries[id]; active || b.banned[id] {
+		return true
 	}
 	for _, e := range b.backups {
 		if e.info.ID() == id {
-			return e
+			return true
 		}
 	}
-	return nil
-}
-
-// Health returns id's audit-lifecycle position: the entry's health for
-// tracked agents, Evicted for banned IDs, HealthUnknown otherwise.
-func (b *AgentBook) Health(id pkc.NodeID) AgentHealth {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e := b.findLocked(id); e != nil {
-		return e.health
-	}
-	if b.banned[id] {
-		return Evicted
-	}
-	return HealthUnknown
-}
-
-// MarkSuspect records one audit strike against id (divergence or another
-// soft, unproven signal). At the configured threshold the agent is
-// quarantined. It returns the agent's resulting health, whether this call
-// quarantined it, and whether the quarantine vacated an ACTIVE slot (the
-// caller's cue to promote a standby). Unknown and already-quarantined IDs
-// are unchanged.
-func (b *AgentBook) MarkSuspect(id pkc.NodeID) (health AgentHealth, quarantined, wasActive bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.findLocked(id)
-	if e == nil {
-		if b.banned[id] {
-			return Evicted, false, false
-		}
-		return HealthUnknown, false, false
-	}
-	if e.health == Quarantined {
-		return Quarantined, false, false
-	}
-	e.health = Suspect
-	e.strikes++
-	if e.strikes >= defaultAuditQuarantineThreshold {
-		_, wasActive = b.entries[id]
-		b.quarantineLocked(id, e)
-		return Quarantined, true, wasActive
-	}
-	return Suspect, false, false
-}
-
-// Rehabilitate clears a suspect back to healthy after a Matching re-audit.
-// Only suspects rehabilitate: a quarantined agent got there on verified
-// lying evidence (or a full strike count) and serving one honest bundle under
-// observation does not undo that — selective honesty is exactly the attack
-// probation exists to catch.
-func (b *AgentBook) Rehabilitate(id pkc.NodeID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.findLocked(id)
-	if e == nil || e.health != Suspect {
-		return false
-	}
-	e.health = Healthy
-	e.strikes = 0
-	return true
-}
-
-// Quarantine pulls id out of service immediately — the escalation for
-// verified lying evidence, bypassing the strike ladder. The agent leaves the
-// active book and the backup cache (so Agents(), promotion, and quorum never
-// see it) but keeps its descriptor in the quarantine set for probation
-// probes. It reports whether this call quarantined the agent, and whether it
-// held an ACTIVE slot — the signal that the caller should promote a standby
-// into the hole.
-func (b *AgentBook) Quarantine(id pkc.NodeID) (quarantined, wasActive bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.findLocked(id)
-	if e == nil || e.health == Quarantined {
-		return false, false
-	}
-	_, wasActive = b.entries[id]
-	b.quarantineLocked(id, e)
-	return true, wasActive
-}
-
-// quarantineLocked moves e (id's entry) into the quarantine set. Called with
-// b.mu held.
-func (b *AgentBook) quarantineLocked(id pkc.NodeID, e *bookEntry) {
-	delete(b.entries, id)
-	for i, be := range b.backups {
-		if be.info.ID() == id {
-			b.backups = append(b.backups[:i], b.backups[i+1:]...)
-			break
-		}
-	}
-	e.health = Quarantined
-	b.quarantined[id] = e
-}
-
-// Quarantined returns the quarantine set's agent IDs in stable order.
-func (b *AgentBook) Quarantined() []pkc.NodeID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]pkc.NodeID, 0, len(b.quarantined))
-	for id := range b.quarantined {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// QuarantinedInfo returns the descriptor of a quarantined agent, for
-// probation probes.
-func (b *AgentBook) QuarantinedInfo(id pkc.NodeID) (AgentInfo, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.quarantined[id]; ok {
-		return e.info, true
-	}
-	return AgentInfo{}, false
-}
-
-// Evict removes id from everywhere (active book, backups, quarantine), bans
-// it, and clears its cached breaker state. It reports whether the
-// agent was tracked.
-func (b *AgentBook) Evict(id pkc.NodeID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.findLocked(id)
-	if e == nil {
-		return false
-	}
-	delete(b.entries, id)
-	delete(b.quarantined, id)
-	for i, be := range b.backups {
-		if be.info.ID() == id {
-			b.backups = append(b.backups[:i], b.backups[i+1:]...)
-			break
-		}
-	}
-	b.banned[id] = true
-	b.clearStateLocked(id)
-	return true
+	return false
 }
 
 // EvaluateSubject asks the trusted agents in book for subject's trust value
@@ -552,9 +350,6 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 	if len(agents) == 0 {
 		return 0, nil, fmt.Errorf("node: agent book is empty")
 	}
-	// Every evaluated subject is audit-worthy: feed the auditor's rotating
-	// sample pool (DESIGN.md §15) so sweeps audit what the node actually uses.
-	n.NoteAuditSubjects(subject)
 	type answer struct {
 		id      pkc.NodeID
 		v       trust.Value

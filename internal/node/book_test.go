@@ -1,10 +1,12 @@
 package node
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"hirep/internal/pkc"
+	"hirep/internal/proof"
 	"hirep/internal/resilience"
 )
 
@@ -108,6 +110,56 @@ func TestAgentBookDemoteRestore(t *testing.T) {
 	}
 	if book.Restore(info.ID()) {
 		t.Fatal("double restore succeeded")
+	}
+}
+
+// TestBookDepartureClearsAgentState is the regression for stale per-agent
+// state: an ID that fully leaves the book (dropped on demotion) must not leak
+// its breaker position to a later re-add under the same ID. Demotion INTO the
+// backup cache, by contrast, must keep breaker state — promotion decisions
+// depend on it.
+func TestBookDepartureClearsAgentState(t *testing.T) {
+	nodes := fleet(t, 2, 1)
+	relay := nodes[1]
+	book, _ := NewAgentBook(3, 0.5, 0)
+	book.SetBreakerConfig(resilience.BreakerConfig{Threshold: 1})
+	info := liveAgentInfo(t, nodes[0], relay)
+	id := info.ID()
+	book.Add(info)
+
+	trip := func() {
+		book.RecordFailure(id)
+		if book.BreakerState(id) != resilience.BreakerOpen {
+			t.Fatal("breaker not tripped")
+		}
+	}
+
+	// Demotion into the backup cache KEEPS breaker state.
+	trip()
+	book.Demote(id)
+	if book.BreakerState(id) != resilience.BreakerOpen {
+		t.Fatal("demotion into backups cleared breaker state")
+	}
+	book.Restore(id)
+
+	// Dropped outright (expertise driven to ~0 with threshold 0): cleared.
+	for i := 0; i < 30; i++ {
+		book.RecordOutcome(id, false)
+	}
+	book.Demote(id) // expertise ~0 -> dropped, not cached
+	if got := book.Backups(); len(got) != 0 {
+		t.Fatalf("zero-expertise agent cached as backup: %v", got)
+	}
+	if book.BreakerState(id) != resilience.BreakerClosed {
+		t.Fatal("drop on demotion kept stale breaker state")
+	}
+
+	// Re-add starts with a clean slate.
+	if !book.Add(info) {
+		t.Fatal("re-add after drop failed")
+	}
+	if e, _ := book.Expertise(id); e != 1 {
+		t.Fatalf("re-added agent starts at expertise %v, want 1", e)
 	}
 }
 
@@ -259,5 +311,111 @@ func TestAbstentionIsNotAWrongAnswer(t *testing.T) {
 	}
 	if _, _, err := peer.EvaluateSubject(book, subject.ID, replyOnion); err != nil {
 		t.Fatalf("fourth evaluation: %v", err)
+	}
+}
+
+// TestExpertiseRemovesLyingAgent is §3.4.3's defence against a lying agent,
+// end to end: answers that do not predict outcomes lose expertise, and the
+// agent is dropped. A colluding reporter files positive reports about a bad
+// subject at one agent only, so that agent's bare answer and its Matching
+// proof bundle both call the subject good. Every transaction on the subject
+// turns out bad, so at α 0.3 the agent's expertise goes 1 → 0.70 → 0.49 →
+// 0.34, below the 0.4 threshold, and the third CompleteTransaction removes
+// it. The two honest agents stay, every evaluation meets quorum, and the
+// removed agent is banned for good.
+func TestExpertiseRemovesLyingAgent(t *testing.T) {
+	fl, err := StartFleet(FleetConfig{
+		Agents: 3, Relays: 1, Peers: 2,
+		AgentOpts: func(_ int, o *Options) { o.EvidenceCap = 64 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fl.Close() })
+	peer, colluder := fl.Peers[0], fl.Peers[1]
+	infos, err := fl.AgentInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := fl.Book(infos, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.AttachBook(book)
+	replyOnion, err := fl.ReplyOnion(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colluderOnion, err := fl.ReplyOnion(colluder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, _ := pkc.NewIdentity(nil)
+	liar := infos[0]
+
+	// Every agent hears two honest negative reports; the liar also hears the
+	// colluder's six positive ones.
+	honest := []BatchReport{{Subject: subject.ID}, {Subject: subject.ID}}
+	for _, info := range infos {
+		if _, err := peer.ReportBatch(info, honest, replyOnion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collusion := make([]BatchReport, 6)
+	for i := range collusion {
+		collusion[i] = BatchReport{Subject: subject.ID, Positive: true}
+	}
+	if _, err := colluder.ReportBatch(liar, collusion, colluderOnion); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return fl.Agents[0].Agent().ReportCount() == len(honest)+len(collusion) })
+
+	// The liar's bare answer and its proof bundle agree: the subject is good.
+	// The bundle is honest about the liar's own store, so it verifies.
+	if v, hasData, err := peer.RequestTrust(liar, subject.ID, replyOnion); err != nil || !hasData || v <= 0.5 {
+		t.Fatalf("liar's bare answer: %v (data %v, err %v), want above 0.5", v, hasData, err)
+	}
+	b, res, err := peer.RequestTrustProven(liar, subject.ID, replyOnion)
+	if err != nil || res.Verdict != proof.Matching || b.Pos <= b.Neg {
+		t.Fatalf("liar's bundle: %+v verdict %v err %v, want a Matching bundle calling the subject good", b, res.Verdict, err)
+	}
+
+	want := []float64{0.7, 0.49}
+	for tx := 1; ; tx++ {
+		_, perAgent, err := peer.EvaluateSubject(book, subject.ID, replyOnion)
+		if err != nil {
+			t.Fatalf("transaction %d: %v", tx, err)
+		}
+		if _, ok := perAgent[liar.ID()]; !ok {
+			t.Fatalf("transaction %d: the liar gave no opinion", tx)
+		}
+		removed := peer.CompleteTransaction(book, subject.ID, false, perAgent)
+		if len(removed) == 1 && removed[0] == liar.ID() {
+			if tx != 3 {
+				t.Fatalf("liar removed after %d transactions, want 3", tx)
+			}
+			break
+		}
+		if len(removed) != 0 || tx == 3 {
+			t.Fatalf("transaction %d removed %v", tx, removed)
+		}
+		if e, _ := book.Expertise(liar.ID()); math.Abs(e-want[tx-1]) > 1e-9 {
+			t.Fatalf("transaction %d: liar's expertise %v, want %v", tx, e, want[tx-1])
+		}
+	}
+
+	if book.Len() != 2 {
+		t.Fatalf("book holds %d agents, want the 2 honest ones", book.Len())
+	}
+	for _, info := range infos[1:] {
+		if e, ok := book.Expertise(info.ID()); !ok || e != 1 {
+			t.Fatalf("honest agent %v: expertise %v, in book %v", info.ID(), e, ok)
+		}
+	}
+	if _, _, err := peer.EvaluateSubject(book, subject.ID, replyOnion); err != nil {
+		t.Fatalf("evaluation after the removal: %v", err)
+	}
+	if book.Add(liar) {
+		t.Fatal("the removed liar was added back")
 	}
 }

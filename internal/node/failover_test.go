@@ -245,3 +245,46 @@ func TestRestoreFirstFallsThrough(t *testing.T) {
 		t.Fatalf("restoreFirst = (%v, %v), want fallthrough to %v", id, ok, info2.ID())
 	}
 }
+
+// TestPromotionGrowsBook: every promotion that reports success grows the
+// active book by one. An agent demoted to the backup cache may not be added
+// back beside its cached copy; otherwise a later failover "restores" the
+// cached copy over the active one, the book stays short, and the agent's
+// expertise reverts to what it was demoted with.
+func TestPromotionGrowsBook(t *testing.T) {
+	nodes := fleet(t, 4, 3)
+	peer := nodes[3]
+	book, err := NewAgentBook(3, 0.3, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book.SetBreakerConfig(resilience.BreakerConfig{Threshold: 1})
+	infos := make([]AgentInfo, 3)
+	for i := range infos {
+		infos[i] = liveAgentInfo(t, nodes[i], peer)
+		if !book.Add(infos[i]) {
+			t.Fatal("Add failed")
+		}
+	}
+	a, b := infos[0].ID(), infos[1].ID()
+
+	book.RecordOutcome(a, false) // expertise 0.7
+	book.Demote(a)
+	if book.Add(infos[0]) {
+		t.Fatal("Add took an agent that is in the backup cache")
+	}
+
+	book.RecordFailure(b) // trips b's breaker, so a is the only candidate
+	book.Demote(b)
+	before := book.Len()
+	id, ok := peer.promoteBackup(book)
+	if !ok || id != a {
+		t.Fatalf("promoted %v (ok %v), want %v", id, ok, a)
+	}
+	if book.Len() != before+1 {
+		t.Fatalf("promotion left the book at %d agents, want %d", book.Len(), before+1)
+	}
+	if e, _ := book.Expertise(a); math.Abs(e-0.7) > 1e-9 {
+		t.Fatalf("restored agent's expertise %v, want the 0.7 it was demoted with", e)
+	}
+}

@@ -112,10 +112,6 @@ type Options struct {
 	// (entries, FIFO), which memoizes assembled bundles and snapshots.
 	// Requires Agent.
 	ProofCache int
-	// AuditInterval is the cadence of the background audit sweep started by
-	// StartAuditor (DESIGN.md §15). 0 disables the periodic loop; AuditSweep
-	// can still be driven manually.
-	AuditInterval time.Duration
 }
 
 // AgentInfo is what a trusted-agent list entry holds about an agent in the
@@ -162,8 +158,8 @@ type Node struct {
 	oneWayMu   sync.Mutex
 	oneWay     map[pkc.NodeID]*pkc.Identity
 
-	// Verifiable-read plumbing (proof.go): the payload cache and the audit
-	// harness's tamper hook.
+	// Verifiable-read plumbing (proof.go): the payload cache and the tests'
+	// lying-agent tamper hook.
 	proofCache  *proofCache
 	proofMu     sync.Mutex
 	proofTamper func(*proof.Bundle)
@@ -198,16 +194,6 @@ type Node struct {
 	agentCache    map[pkc.NodeID]string
 	discoveries   map[pkc.Nonce]*discoveryCollect
 	walksSeen     *pkc.ReplayCache
-
-	// Audit plumbing (audit.go): the auditor state machine behind
-	// StartAuditor/AuditSweep, gossip dedup, the verified-advisory log, and
-	// the per-accused verified-lying-evidence ledger driving the
-	// quarantine → eviction escalation.
-	auditor       *auditor
-	auditMu       sync.Mutex
-	advSeen       *pkc.ReplayCache // advisory digests already processed
-	advisLog      []AdvisoryRecord // bounded log of verified advisories
-	lyingEvidence map[pkc.NodeID]map[[32]byte]bool
 }
 
 // relayAlias is the onion-route hop type returned by FetchAnonKey.
@@ -486,8 +472,6 @@ func (n *Node) handleOnion(payload []byte) {
 		n.handleReportBatch(inner)
 	case wire.TProofReq:
 		n.handleProofReq(inner)
-	case wire.TAdvisory:
-		n.handleAdvisory(inner)
 	}
 }
 

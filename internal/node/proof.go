@@ -99,11 +99,11 @@ func (c *proofCache) put(key string, payload []byte, expires time.Time) {
 	c.m[key] = proofCacheEntry{payload: payload, expires: expires}
 }
 
-// SetProofTamper installs a hook mutating every bundle this agent assembles
-// between assembly and signing — the audit harness's lying agent. The agent
-// then signs the mutated claim, which is exactly the misbehavior
-// proof.Verify pins on it. Nil restores honesty.
-func (n *Node) SetProofTamper(fn func(*proof.Bundle)) {
+// setProofTamper installs a hook mutating every bundle this agent assembles
+// between assembly and signing — the tests' lying agent. The agent then signs
+// the mutated claim, which is exactly the misbehavior proof.Verify pins on
+// it. Nil restores honesty.
+func (n *Node) setProofTamper(fn func(*proof.Bundle)) {
 	n.proofMu.Lock()
 	n.proofTamper = fn
 	n.proofMu.Unlock()
@@ -131,7 +131,7 @@ func (n *Node) RequestTrustProven(agent AgentInfo, subject pkc.NodeID, replyOnio
 }
 
 // requestTrustProvenOnce is one bundle fetch-and-verify under an explicit
-// wait budget (the auditor caps each probe by its sweep deadline).
+// wait budget.
 func (n *Node) requestTrustProvenOnce(agent AgentInfo, subject pkc.NodeID, replyOnion *onion.Onion, wait time.Duration) (*proof.Bundle, proof.Result, error) {
 	kind, payload, err := n.requestProofOnce(agent, subject, replyOnion, false, wait)
 	if err != nil {
@@ -260,7 +260,7 @@ func (n *Node) handleProofReq(sealed []byte) {
 // serveProof answers a proof request from this agent's own store: cached
 // payloads are re-served within their TTL, and fresh ones are assembled under
 // the store's current WAL epoch (with the tamper hook applied between
-// assembly and signing, for the audit harness's lying agent).
+// assembly and signing, for the tests' lying agent).
 func (n *Node) serveProof(req *proofRequest) {
 	kind := uint64(proofKindBundle)
 	if req.snapshotOnly {

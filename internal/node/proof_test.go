@@ -84,7 +84,7 @@ func TestProofEndToEndAudit(t *testing.T) {
 
 	// The agent turns dishonest: it signs bundles claiming two extra
 	// positives its own evidence does not back.
-	agentNode.SetProofTamper(func(b *proof.Bundle) { b.Pos += 2 })
+	agentNode.setProofTamper(func(b *proof.Bundle) { b.Pos += 2 })
 	b2, res2, err := requestor.RequestTrustProven(info, subject.ID, reqOnion)
 	if err != nil {
 		t.Fatalf("lying bundle must still verify (it is authenticated): %v", err)
@@ -265,14 +265,14 @@ func TestProofWarmVerifierKeepsEveryVerdict(t *testing.T) {
 		w[len(w)-1] ^= 1
 		b.Evidence[3].Wire = w
 	}
-	agentNode.SetProofTamper(flipWire)
+	agentNode.setProofTamper(flipWire)
 	for i := 0; i < 2; i++ {
 		res, cost, err := read(info)
 		if err != nil || res.Verdict != proof.Lying || !strings.Contains(res.Reason, "evidence 3: report signature invalid") || cost != 1 {
 			t.Fatalf("forged wire, read %d: %+v, %d signature checks, %v; want Lying at 1", i+1, res, cost, err)
 		}
 	}
-	agentNode.SetProofTamper(nil)
+	agentNode.setProofTamper(nil)
 	if got := metric(t, requestor, "node_proofs_lying_total"); got != 2 {
 		t.Fatalf("node_proofs_lying_total = %d, want 2", got)
 	}

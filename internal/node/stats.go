@@ -62,22 +62,6 @@ type counters struct {
 	proofCacheHits   *metrics.Counter
 	proofCacheMisses *metrics.Counter
 
-	// Self-healing trust plane (DESIGN.md §15): auditor progress, advisory
-	// gossip intake, book lifecycle actions, and slander suspects.
-	auditSweeps          *metrics.Counter
-	auditProbes          *metrics.Counter
-	auditFailures        *metrics.Counter
-	auditDiverged        *metrics.Counter
-	advisoriesIssued     *metrics.Counter
-	advisoriesAccepted   *metrics.Counter
-	advisoriesRejected   *metrics.Counter
-	advisoriesDuplicate  *metrics.Counter
-	agentsQuarantined    *metrics.Counter
-	agentsRehabilitated  *metrics.Counter
-	agentsEvicted        *metrics.Counter
-	slanderSuspects      *metrics.Gauge
-	slanderSuspectsFound *metrics.Counter
-
 	// Agent report-store health, mirrored from repstore by updateStoreHealth.
 	storeWALBytes        *metrics.Gauge
 	storeCompactFailures *metrics.Gauge
@@ -129,19 +113,6 @@ func (c *counters) bind(r *metrics.Registry) {
 	c.proofsLying = r.Counter("node_proofs_lying_total")
 	c.proofCacheHits = r.Counter("node_proof_cache_hits_total")
 	c.proofCacheMisses = r.Counter("node_proof_cache_misses_total")
-	c.auditSweeps = r.Counter("node_audit_sweeps_total")
-	c.auditProbes = r.Counter("node_audit_probes_total")
-	c.auditFailures = r.Counter("node_audit_failures_total")
-	c.auditDiverged = r.Counter("node_audit_diverged_total")
-	c.advisoriesIssued = r.Counter("node_advisories_issued_total")
-	c.advisoriesAccepted = r.Counter("node_advisories_accepted_total")
-	c.advisoriesRejected = r.Counter("node_advisories_rejected_total")
-	c.advisoriesDuplicate = r.Counter("node_advisories_duplicate_total")
-	c.agentsQuarantined = r.Counter("node_agents_quarantined_total")
-	c.agentsRehabilitated = r.Counter("node_agents_rehabilitated_total")
-	c.agentsEvicted = r.Counter("node_agents_evicted_total")
-	c.slanderSuspects = r.Gauge("node_slander_suspects_total")
-	c.slanderSuspectsFound = r.Counter("node_slander_suspects_found_total")
 	c.storeWALBytes = r.Gauge("node_store_wal_bytes")
 	c.storeCompactFailures = r.Gauge("node_store_compact_failures")
 	c.storeCompactErr = r.Gauge("node_store_compact_err")
@@ -151,19 +122,17 @@ func (c *counters) bind(r *metrics.Registry) {
 // live benchmark's per-layer figures and the campaign harness's scores.
 // Every other counter is read by its name in Metrics.
 type Stats struct {
-	FramesIn           int64 // inbound frames accepted, every message type
-	OnionsForwarded    int64 // relay duty: peeled and passed on
-	OnionsExited       int64 // onion payloads consumed at this node
-	TrustServed        int64 // trust requests answered as an agent
-	ReportsStored      int64 // reports accepted into the agent store
-	IngestShed         int64 // reports shed by admission control (retryable)
-	ReportsDeferred    int64 // reports queued in the outbox instead of sent
-	ReportsLost        int64 // reports dropped (outbox eviction or corruption)
-	ProofCacheHits     int64 // proof payloads served straight from cache
-	ProofCacheMisses   int64 // proof requests that had to assemble
-	AuditSweeps        int64 // audit sweeps completed
-	AdvisoriesAccepted int64 // received advisories that passed full re-verification
-	AdmissionWork      int64 // hash attempts spent minting admission proofs
+	FramesIn         int64 // inbound frames accepted, every message type
+	OnionsForwarded  int64 // relay duty: peeled and passed on
+	OnionsExited     int64 // onion payloads consumed at this node
+	TrustServed      int64 // trust requests answered as an agent
+	ReportsStored    int64 // reports accepted into the agent store
+	IngestShed       int64 // reports shed by admission control (retryable)
+	ReportsDeferred  int64 // reports queued in the outbox instead of sent
+	ReportsLost      int64 // reports dropped (outbox eviction or corruption)
+	ProofCacheHits   int64 // proof payloads served straight from cache
+	ProofCacheMisses int64 // proof requests that had to assemble
+	AdmissionWork    int64 // hash attempts spent minting admission proofs
 }
 
 // Stats loads the view from this node's own counters.
@@ -174,19 +143,17 @@ func (n *Node) Stats() Stats {
 		framesIn += f.Load()
 	}
 	return Stats{
-		FramesIn:           framesIn,
-		OnionsForwarded:    c.onionsForwarded.Load(),
-		OnionsExited:       c.onionsExited.Load(),
-		TrustServed:        c.trustServed.Load(),
-		ReportsStored:      c.ingest[StatusStored].Load(),
-		IngestShed:         c.ingest[StatusSaturated].Load(),
-		ReportsDeferred:    c.reportsDeferred.Load(),
-		ReportsLost:        c.reportsLost.Load(),
-		ProofCacheHits:     c.proofCacheHits.Load(),
-		ProofCacheMisses:   c.proofCacheMisses.Load(),
-		AuditSweeps:        c.auditSweeps.Load(),
-		AdvisoriesAccepted: c.advisoriesAccepted.Load(),
-		AdmissionWork:      c.admissionWork.Load(),
+		FramesIn:         framesIn,
+		OnionsForwarded:  c.onionsForwarded.Load(),
+		OnionsExited:     c.onionsExited.Load(),
+		TrustServed:      c.trustServed.Load(),
+		ReportsStored:    c.ingest[StatusStored].Load(),
+		IngestShed:       c.ingest[StatusSaturated].Load(),
+		ReportsDeferred:  c.reportsDeferred.Load(),
+		ReportsLost:      c.reportsLost.Load(),
+		ProofCacheHits:   c.proofCacheHits.Load(),
+		ProofCacheMisses: c.proofCacheMisses.Load(),
+		AdmissionWork:    c.admissionWork.Load(),
 	}
 }
 

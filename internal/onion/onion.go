@@ -101,10 +101,10 @@ func Build(owner *pkc.Identity, ownerAddress string, route []Relay, seq uint64, 
 
 // BuildExit constructs a single-layer onion that exits at target rather than
 // at the builder: target's peel yields Exit=true. It lets a node hand an
-// onion-inner frame (e.g. a gossiped audit advisory) to a neighbor known only
-// by address and anonymity key, reusing the relay transport path without the
-// neighbor publishing a reply onion first. The builder signs the onion as
-// usual; rand may be nil for crypto/rand.
+// onion-inner frame to a neighbor known only by address and anonymity key,
+// reusing the relay transport path without the neighbor publishing a reply
+// onion first. The builder signs the onion as usual; rand may be nil for
+// crypto/rand.
 func BuildExit(owner *pkc.Identity, target Relay, seq uint64, rand io.Reader) (*Onion, error) {
 	if target.AP == nil || target.Addr == "" {
 		return nil, fmt.Errorf("%w: incomplete exit target", ErrBadOnion)

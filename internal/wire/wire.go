@@ -58,16 +58,11 @@ const (
 	// than as a bare tally (DESIGN.md §14); the reply carries a
 	// self-verifying proof bundle or a compact signed trust snapshot.
 	TProofReq
-	// TAdvisory is the onion-inner gossip frame of the audit subsystem
-	// (DESIGN.md §15): a signed, self-contained audit advisory accusing an
-	// agent of provable lying, with the offending proof bundle riding inside
-	// so every receiver re-runs proof.Verify before acting.
-	TAdvisory
 )
 
 // NumMsgTypes is one past the highest assigned MsgType, for per-type
 // counter arrays.
-const NumMsgTypes = int(TAdvisory) + 1
+const NumMsgTypes = int(TProofReq) + 1
 
 func (t MsgType) String() string {
 	switch t {
@@ -105,8 +100,6 @@ func (t MsgType) String() string {
 		return "report-batch"
 	case TProofReq:
 		return "proof-req"
-	case TAdvisory:
-		return "audit-advisory"
 	default:
 		return fmt.Sprintf("MsgType(%d)", byte(t))
 	}

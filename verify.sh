@@ -93,15 +93,16 @@ go vet ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-# Campaign smoke (DESIGN.md §13, §15): a small sybil flood and slander cell
+# Campaign smoke (DESIGN.md §13): a small sybil flood and slander cell
 # against both backends — the sim world and a live fleet with a real (cheap)
-# admission gate — plus one live lying-agent run (tampering agent detected,
-# quarantined, and evicted through the audit plane while queries keep
-# answering) must score sanely under the race detector. The package is
-# covered by the full pass above; this explicit line keeps the adversarial
-# harness from silently dropping out of the gate if the test tree moves.
-echo "== campaign smoke (sybil flood + slander cell + lying agent, -race)"
-go test -race -count=1 -run 'TestSimAdmissionRaisesCost|TestLiveBackendSmoke|TestLiveLyingAgentCampaign' ./internal/campaign/
+# admission gate — must score sanely under the race detector, and a lying
+# agent must be dropped by §3.4.3's expertise rule on a live fleet while the
+# honest agents stay and every evaluation meets quorum. The packages are
+# covered by the full pass above; these explicit lines keep the adversarial
+# checks from silently dropping out of the gate if the test tree moves.
+echo "== campaign smoke (sybil flood + slander cell, lying agent removed by expertise, -race)"
+go test -race -count=1 -run 'TestSimAdmissionRaisesCost|TestLiveBackendSmoke' ./internal/campaign/
+go test -race -count=1 -run 'TestExpertiseRemovesLyingAgent' ./internal/node/
 
 # The simulator's tables are a function of the seed (DESIGN.md §6): two runs
 # of the CLI must write byte-identical CSV for all 13 experiments, at whatever
@@ -341,33 +342,6 @@ if b and a:
     print(f"admission-gated ingest overhead vs ungated batched: {100 * (r - 1):+.1f}% (design bound 5%)")
     if r > 1.20:
         print(f"verify: FAIL — admission gate costs {100 * (r - 1):.1f}% on the batched ingest path")
-        sys.exit(1)
-EOF
-
-# Auditor steady-state overhead (DESIGN.md §15): with a peer sweeping the
-# agent at the campaign's default audit cadence, batched ingest must stay
-# within 5% of the unaudited path — audit sweeps are read-side proof fetches
-# and must not tax the ingest hot path. Same interleaved-pair sampling and
-# the same 15% noise headroom as the gates above: a real regression (proof
-# assembly under the ingest lock, per-report audit work) shows up as 2x.
-echo "== auditor-overhead A/B pairs"
-for _ in 1 2 3 4 5 6; do
-    out="$out
-$(go test -run '^$' -bench 'BenchmarkIngestBatched$' -benchtime 0.5s -count=1 ./internal/node/ 2>&1 | grep 'ns/op' || true)
-$(go test -run '^$' -bench 'BenchmarkIngestAudited$' -benchtime 0.5s -count=1 ./internal/node/ 2>&1 | grep 'ns/op' || true)"
-done
-BENCH_OUT="$out" python3 - <<'EOF'
-import os, re, statistics, sys
-d = {}
-for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op", os.environ["BENCH_OUT"], re.M):
-    d.setdefault(m.group(1), []).append(float(m.group(2)))
-plain = d.get("BenchmarkIngestBatched")
-audited = d.get("BenchmarkIngestAudited")
-if plain and audited:
-    r = statistics.median(audited) / statistics.median(plain)
-    print(f"audited ingest overhead vs unaudited batched: {100 * (r - 1):+.1f}% (design bound 5%)")
-    if r > 1.20:
-        print(f"verify: FAIL — background audit costs {100 * (r - 1):.1f}% on the batched ingest path")
         sys.exit(1)
 EOF
 
