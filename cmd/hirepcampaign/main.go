@@ -7,16 +7,13 @@
 //
 //	hirepcampaign                                  # all campaigns, sim backend, quick scale
 //	hirepcampaign -backend both -campaign sybil-flood
-//	hirepcampaign -pow 0,8,12,16,20 -budget 4194304 -csv   # campaign-cost curve
-//	hirepcampaign -backend live -campaign slander-cell -pow 0,8
+//	hirepcampaign -backend live -campaign slander-cell -seed 2007 -csv
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"hirep/internal/attack"
@@ -26,19 +23,15 @@ import (
 
 func main() {
 	var (
-		backend  = flag.String("backend", "sim", "battlefield: sim|live|both")
-		name     = flag.String("campaign", "all", "campaign: sybil-flood|collusion-ring|slander-cell|composite-sybil-dos|all")
-		pow      = flag.String("pow", "0", "comma-separated admission PoW difficulties to sweep (bits)")
-		rateCap  = flag.Int("ratecap", 32, "reports one admission buys before re-solving (0 = forever)")
-		reports  = flag.Int("reports", 0, "override reports per identity per agent")
-		waves    = flag.Int("waves", 0, "override sybil join ramp (identity waves)")
-		budget   = flag.Int64("budget", 0, "attacker work budget in hash attempts (0 = unlimited)")
-		seed     = flag.Int64("seed", 0, "override root seed")
-		quick    = flag.Bool("quick", true, "reduced-scale sim parameters")
-		n        = flag.Int("n", 0, "override sim network size")
-		tx       = flag.Int("tx", 0, "override sim transactions")
-		csv      = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		liveBits = flag.Int("live-pow-max", 16, "refuse live runs above this difficulty (real hashing)")
+		backend = flag.String("backend", "sim", "battlefield: sim|live|both")
+		name    = flag.String("campaign", "all", "campaign: sybil-flood|collusion-ring|slander-cell|composite-sybil-dos|all")
+		reports = flag.Int("reports", 0, "override reports per identity per agent")
+		waves   = flag.Int("waves", 0, "override sybil join ramp (identity waves)")
+		seed    = flag.Int64("seed", 0, "override root seed")
+		quick   = flag.Bool("quick", true, "reduced-scale sim parameters")
+		n       = flag.Int("n", 0, "override sim network size")
+		tx      = flag.Int("tx", 0, "override sim transactions")
+		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	flag.Parse()
 
@@ -55,16 +48,6 @@ func main() {
 	if err := p.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	var bitsSweep []int
-	for _, s := range strings.Split(*pow, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || b < 0 {
-			fmt.Fprintf(os.Stderr, "bad -pow entry %q\n", s)
-			os.Exit(2)
-		}
-		bitsSweep = append(bitsSweep, b)
 	}
 
 	var scenarios []attack.Scenario
@@ -99,27 +82,18 @@ func main() {
 	start := time.Now()
 	for _, b := range backends {
 		for _, sc := range scenarios {
-			for _, bits := range bitsSweep {
-				if b.Name() == "live" && bits > *liveBits {
-					fmt.Fprintf(os.Stderr, "skipping live %s at %d bits (> -live-pow-max %d: real hashing)\n",
-						sc.Name, bits, *liveBits)
-					continue
-				}
-				spec := campaign.Spec{
-					Scenario:           sc,
-					ReportsPerIdentity: *reports,
-					Waves:              *waves,
-					Admission:          campaign.Admission{PoWBits: bits, RateCap: *rateCap},
-					WorkBudget:         *budget,
-					Seed:               *seed,
-				}
-				score, err := b.Run(spec)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%s/%s@%dbits: %v\n", b.Name(), sc.Name, bits, err)
-					os.Exit(1)
-				}
-				scores = append(scores, score)
+			spec := campaign.Spec{
+				Scenario:           sc,
+				ReportsPerIdentity: *reports,
+				Waves:              *waves,
+				Seed:               *seed,
 			}
+			score, err := b.Run(spec)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s/%s: %v\n", b.Name(), sc.Name, err)
+				os.Exit(1)
+			}
+			scores = append(scores, score)
 		}
 	}
 

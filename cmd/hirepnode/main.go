@@ -14,11 +14,6 @@
 //
 //	hirepnode -listen 127.0.0.1:7001 -agent -relays 127.0.0.1:7002,127.0.0.1:7003
 //
-// Journal undeliverable reports so they survive a restart, and require two
-// agent answers per evaluation (DESIGN.md §8):
-//
-//	hirepnode -outbox /var/lib/hirep/outbox.journal -quorum 2
-//
 // Retries, backoff, breakers, probe deadlines, the outbox's cap and flush
 // cadence (§8), the connection pool and session cap (§9), and the report
 // batch size and verification pool (§11) run at the constants DESIGN.md
@@ -28,14 +23,6 @@
 // acknowledged report: each peer reports every transaction to all of its
 // agents (§3.6), and a peer's breaker demotes the dead agent and promotes a
 // standby from its backup cache (§3.4.3, DESIGN.md §10).
-//
-// Gate report admission (DESIGN.md §13) — an agent demands a one-time
-// proof-of-work bound to each new reporter identity before storing its first
-// report, and optional rate accounting revokes admission from identities
-// that flood past a burst of 512 reports (they must re-solve). Senders solve
-// and retry automatically:
-//
-//	hirepnode -listen 127.0.0.1:7001 -agent -admission-pow 18 -admission-rate 2.0
 //
 // Serve verifiable reads (DESIGN.md §14) — an agent retains up to -evidence
 // signed report wires per subject and answers proof requests with
@@ -73,10 +60,6 @@ import (
 	"hirep/internal/pkc"
 )
 
-// bookQuorum is the -quorum flag value, applied to every agent book this
-// process builds (see hirepBookFor).
-var bookQuorum = 1
-
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
@@ -85,15 +68,6 @@ func main() {
 		relays    = flag.String("relays", "", "comma-separated relay addresses to publish an onion through")
 		neighbors = flag.String("neighbors", "", "comma-separated node addresses for agent-discovery walks")
 		demo      = flag.Bool("demo", false, "run the loopback demonstration fleet and exit")
-
-		// Delivery (DESIGN.md §8).
-		outboxPath = flag.String("outbox", "", "journal file for undeliverable reports (empty = in-memory outbox)")
-		quorum     = flag.Int("quorum", 1, "minimum agent answers for an evaluation to succeed")
-
-		// Admission gate (agents only): per-identity first-report proof-of-work
-		// plus report-rate accounting, pricing sybil floods (DESIGN.md §13).
-		admissionPoW  = flag.Int("admission-pow", 0, "leading-zero bits demanded from an identity's first report (0 = gate off, max 30)")
-		admissionRate = flag.Float64("admission-rate", 0, "per-identity admitted-report refill rate per second, burst 512 (0 = no rate accounting)")
 
 		// Verifiable reads (DESIGN.md §14).
 		evidence   = flag.Int("evidence", 0, "signed report wires retained per subject for proof bundles, agents only (0 = tallies only)")
@@ -109,22 +83,18 @@ func main() {
 		return
 	}
 	n, err := node.Listen(*listen, node.Options{
-		Agent:            *agent,
-		StoreDir:         *store,
-		OutboxPath:       *outboxPath,
-		AdmissionPoWBits: *admissionPoW,
-		AdmissionRate:    *admissionRate,
-		EvidenceCap:      *evidence,
-		ProofCache:       *proofCache,
+		Agent:       *agent,
+		StoreDir:    *store,
+		EvidenceCap: *evidence,
+		ProofCache:  *proofCache,
 	})
 	if err != nil {
 		// Any Listen failure exits 2, the status of a bad flag: invalid
 		// options (an agent-only setting without -agent) as well as an
-		// address in use, an unreadable store or outbox journal.
+		// address in use or an unreadable store.
 		fmt.Fprintln(os.Stderr, "hirepnode:", err)
 		os.Exit(2)
 	}
-	bookQuorum = *quorum
 	defer n.Close()
 	role := "relay"
 	if *agent {
@@ -203,7 +173,6 @@ func hirepBookFor(n *node.Node) (*node.AgentBook, error) {
 	if err != nil {
 		return nil, err
 	}
-	book.SetQuorum(bookQuorum)
 	for _, info := range infos {
 		book.Add(info)
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"hirep/internal/core"
-	"hirep/internal/gnutella"
 	"hirep/internal/metrics"
 	"hirep/internal/node"
 	"hirep/internal/onion"
@@ -180,49 +179,6 @@ func NewVotingTestbed(n int, trustworthyFrac float64, cfg VotingConfig, seed int
 		return nil, err
 	}
 	return &VotingTestbed{System: sys, Oracle: oracle, Net: net}, nil
-}
-
-// CatalogSpec parameterizes the shared-file catalog of the gnutella search
-// substrate (titles, replication, popularity skew).
-type CatalogSpec = gnutella.CatalogSpec
-
-// DefaultCatalogSpec returns a KaZaA-like catalog configuration.
-func DefaultCatalogSpec() CatalogSpec { return gnutella.DefaultCatalogSpec() }
-
-// SearchLayer is a gnutella-style query substrate attached to a Testbed: the
-// §3.6 "query process" that discovers provider candidates which hiREP then
-// vets.
-type SearchLayer struct {
-	Catalog *gnutella.Catalog
-	Search  *gnutella.Search
-}
-
-// AttachSearch overlays keyword search on the testbed's network: every node
-// shares files per spec and answers TTL-limited query floods. hiREP traffic
-// and query traffic are counted under distinct kinds, so the Figure 5
-// accounting is unaffected.
-func (tb *Testbed) AttachSearch(spec CatalogSpec, seed int64) (*SearchLayer, error) {
-	cat, err := gnutella.NewCatalog(tb.Graph.N(), spec, xrand.New(seed).Split("catalog"))
-	if err != nil {
-		return nil, err
-	}
-	search := gnutella.NewSearch(tb.Net, cat)
-	sys := tb.System
-	for _, v := range tb.Graph.Nodes() {
-		tb.Net.SetHandler(v, func(nw *simnet.Network, m simnet.Message) {
-			if !search.Handle(nw, m) {
-				sys.Dispatch(nw, m)
-			}
-		})
-	}
-	return &SearchLayer{Catalog: cat, Search: search}, nil
-}
-
-// FindProviders floods query from requestor with ttl and returns up to k
-// distinct provider candidates, nearest first.
-func (l *SearchLayer) FindProviders(requestor NodeID, query string, ttl, k int) []NodeID {
-	hits := l.Search.Run(requestor, query, ttl)
-	return gnutella.Candidates(hits, requestor, k)
 }
 
 // TrustMeConfig holds the TrustMe-baseline parameters.

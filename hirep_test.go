@@ -70,35 +70,6 @@ func TestVotingTestbed(t *testing.T) {
 	}
 }
 
-func TestAttachSearchIntegration(t *testing.T) {
-	tb, err := hirep.NewTestbed(250, 0.5, hirep.DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layer, err := tb.AttachSearch(hirep.DefaultCatalogSpec(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The combined stack: query flood finds candidates, hiREP vets them.
-	req := hirep.NodeID(7)
-	title := layer.Catalog.Titles()[0]
-	cands := layer.FindProviders(req, title, 7, 3)
-	if len(cands) == 0 {
-		t.Fatal("popular title unfindable at TTL 7")
-	}
-	res := tb.System.RunTransaction(req, cands)
-	if res.Responded == 0 {
-		t.Fatal("hiREP broke after attaching search (handler composition)")
-	}
-	// Both traffic families must be counted under their own kinds.
-	if tb.Net.Count("gnutella/query") == 0 {
-		t.Fatal("query traffic not counted")
-	}
-	if tb.Net.Count("hirep/trust-req") == 0 {
-		t.Fatal("trust traffic not counted")
-	}
-}
-
 func TestExperimentFacades(t *testing.T) {
 	p := hirep.QuickParams()
 	p.NetworkSize = 100

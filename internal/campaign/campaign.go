@@ -6,16 +6,15 @@
 //
 //   - the discrete-event simulator (internal/sim + internal/core), where
 //     100k-node worlds make population-scale questions answerable;
-//   - a live internal/node fleet on real loopback TCP, where the admission
-//     gate, batched ingest, and fault dialer are the real implementations.
+//   - a live internal/node fleet on real loopback TCP, where identity
+//     rotation, batched ingest, and the fault dialer are the real
+//     implementations.
 //
 // Every run is scored the same way: reputation damage (MSE of honest agents'
 // estimates against true trust, victim-misclassification rate) against
-// attacker cost (identities minted, reports sent and admitted, proof-of-work
-// hash attempts spent). The resistance table those scores form is the
-// machine-readable answer to "what does this attack cost, and what does it
-// buy" — and sweeping the admission difficulty turns it into the
-// campaign-cost curve of EXPERIMENTS.md.
+// attacker effort (identities minted, reports sent and admitted). The
+// resistance table those scores form is the machine-readable answer to
+// "what does this attack take, and what does it buy".
 package campaign
 
 import (
@@ -24,17 +23,6 @@ import (
 	"hirep/internal/attack"
 	"hirep/internal/stats"
 )
-
-// Admission is the defense configuration a campaign runs against.
-type Admission struct {
-	// PoWBits is the per-identity first-report proof-of-work difficulty
-	// demanded by agents (0 disables the gate).
-	PoWBits int
-	// RateCap is how many reports one admission buys before the identity's
-	// rate accounting revokes it and demands fresh work (0 = one admission
-	// lasts forever).
-	RateCap int
-}
 
 // Spec describes one campaign run.
 type Spec struct {
@@ -47,12 +35,6 @@ type Spec struct {
 	// Waves ramps the sybil join rate: identities enter in this many waves
 	// with honest traffic between them (default 1 = all at once).
 	Waves int
-	// Admission is the defense in force.
-	Admission Admission
-	// WorkBudget bounds the campaign's total hash attempts; once spent, no
-	// further identities can be admitted (0 = attackers pay whatever it
-	// takes). Sweeping PoWBits under a fixed budget yields the cost curve.
-	WorkBudget int64
 	// Seed roots the run's randomness (0 uses the backend's default).
 	Seed int64
 }
@@ -78,38 +60,25 @@ func (s Spec) validate() error {
 		return fmt.Errorf("campaign: population %+v is not runnable", p)
 	case s.Scenario.Kind == attack.KindSlanderCell && p.Victims < 1:
 		return fmt.Errorf("campaign: slander cell needs victims")
-	case s.Admission.PoWBits < 0 || s.Admission.RateCap < 0 || s.WorkBudget < 0:
-		return fmt.Errorf("campaign: negative defense knobs")
 	}
 	return nil
 }
 
-// Score is one campaign run's outcome: damage on the left, cost on the right.
+// Score is one campaign run's outcome: damage on the left, effort on the
+// right.
 type Score struct {
 	Backend  string // which battlefield ran it
 	Campaign string // scenario name
-	PoWBits  int    // admission difficulty in force
 
 	// Damage.
 	MSE            float64 // honest agents' estimate MSE vs true trust
 	VictimMisclass float64 // fraction of (agent, target) estimates pushed to the attacker's side
 	AgentsKilled   int     // honest agents the fault plan took down
 
-	// Cost.
+	// Effort.
 	IdentitiesMinted int64 // attacker identities created
 	ReportsSent      int64 // attack reports fired
-	ReportsAdmitted  int64 // attack reports that made it past admission
-	Work             int64 // hash attempts spent on admission proofs
-}
-
-// AdmittedPerWork is the attacker's reports-admitted-per-unit-work — the
-// campaign-cost curve's y axis. An un-gated run (no work spent) returns +Inf
-// conceptually; it is reported as the admitted count so tables stay finite.
-func (s Score) AdmittedPerWork() float64 {
-	if s.Work <= 0 {
-		return float64(s.ReportsAdmitted)
-	}
-	return float64(s.ReportsAdmitted) / float64(s.Work)
+	ReportsAdmitted  int64 // attack reports the agents stored
 }
 
 // Backend runs campaigns against one battlefield.
@@ -124,51 +93,11 @@ type Backend interface {
 // (stats.Table renders text and CSV).
 func ResistanceTable(scores []Score) *stats.Table {
 	t := stats.NewTable("Campaign resistance (DESIGN.md §13)",
-		"backend", "campaign", "pow bits", "MSE", "victim misclass", "killed",
-		"identities", "sent", "admitted", "work", "admitted/work")
+		"backend", "campaign", "MSE", "victim misclass", "killed",
+		"identities", "sent", "admitted")
 	for _, s := range scores {
-		t.AddRow(s.Backend, s.Campaign, s.PoWBits, s.MSE, s.VictimMisclass,
-			s.AgentsKilled, s.IdentitiesMinted, s.ReportsSent, s.ReportsAdmitted,
-			s.Work, s.AdmittedPerWork())
+		t.AddRow(s.Backend, s.Campaign, s.MSE, s.VictimMisclass,
+			s.AgentsKilled, s.IdentitiesMinted, s.ReportsSent, s.ReportsAdmitted)
 	}
 	return t
-}
-
-// costAccountant is the shared admission-cost bookkeeping: it decides, per
-// (identity, agent) pair, whether the next report is admitted, charging
-// 2^bits expected hash attempts per admission and re-charging every RateCap
-// reports. Both backends use it — the sim backend for the whole cost model,
-// the live backend only for its budget cut-off (real solves are measured).
-type costAccountant struct {
-	bits      int
-	rateCap   int
-	budget    int64 // 0 = unlimited
-	work      int64
-	perTarget map[[2]int64]int // reports admitted since last solve, keyed (identity, agent)
-}
-
-func newCostAccountant(a Admission, budget int64) *costAccountant {
-	return &costAccountant{bits: a.PoWBits, rateCap: a.RateCap, budget: budget,
-		perTarget: make(map[[2]int64]int)}
-}
-
-// admit reports whether one more report from identity to agent clears
-// admission, charging for a fresh solve when needed.
-func (c *costAccountant) admit(identity, agent int64) bool {
-	if c.bits <= 0 {
-		return true
-	}
-	key := [2]int64{identity, agent}
-	used, admitted := c.perTarget[key]
-	needSolve := !admitted || (c.rateCap > 0 && used >= c.rateCap)
-	if needSolve {
-		cost := int64(1) << uint(c.bits) // expected attempts at `bits` leading zeros
-		if c.budget > 0 && c.work+cost > c.budget {
-			return false
-		}
-		c.work += cost
-		used = 0
-	}
-	c.perTarget[key] = used + 1
-	return true
 }

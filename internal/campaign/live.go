@@ -12,9 +12,9 @@ import (
 // LiveBackend runs campaigns against a real internal/node fleet on loopback
 // TCP, started through the shared fleet harness (node.StartFleet) the chaos
 // tests use. Nothing is modeled here: the attacker is a node that rotates to
-// a fresh identity per sybil, the admission gate is the agents' real gate,
-// proof-of-work cost is the attacker's measured AdmissionWork counter, and
-// the fault plan black-holes agents through the fleet's fault dialer.
+// a fresh identity per sybil, its reports go through the agents' real batched
+// ingest, and the fault plan black-holes agents through the fleet's fault
+// dialer.
 type LiveBackend struct {
 	// Agents is the fleet's agent count (default 2).
 	Agents int
@@ -55,18 +55,7 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 	}
 
 	fd := resilience.NewFaultDialer(nil, seed)
-	fl, err := node.StartFleet(node.FleetConfig{
-		Agents: nAgents, Relays: 1, Peers: 2, Faults: fd,
-		AgentOpts: func(_ int, opts *node.Options) {
-			opts.AdmissionPoWBits = spec.Admission.PoWBits
-			if spec.Admission.RateCap > 0 {
-				// A near-zero refill rate makes the burst the effective cap:
-				// every RateCap reports the identity must re-solve.
-				opts.AdmissionRate = 1e-6
-				opts.AdmissionBurst = spec.Admission.RateCap
-			}
-		},
-	})
+	fl, err := node.StartFleet(node.FleetConfig{Agents: nAgents, Relays: 1, Peers: 2, Faults: fd})
 	if err != nil {
 		return Score{}, err
 	}
@@ -135,12 +124,12 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 	liveAgents := fl.Agents[killed:]
 	liveInfos := infos[killed:]
 
-	score := Score{Backend: b.Name(), Campaign: spec.Scenario.Name, PoWBits: spec.Admission.PoWBits, AgentsKilled: killed}
+	score := Score{Backend: b.Name(), Campaign: spec.Scenario.Name, AgentsKilled: killed}
 	pop := spec.Scenario.Population
 	identities := pop.Attackers * pop.IdentitiesPer
 
 	// Attack waves: each identity is a real key rotation on the attacker
-	// node, so every wave re-enters the agents' admission gate from zero.
+	// node, so every wave reaches the agents as identities they never saw.
 	for wave := 0; wave < spec.Waves; wave++ {
 		lo, hi := identities*wave/spec.Waves, identities*(wave+1)/spec.Waves
 		for i := lo; i < hi; i++ {
@@ -162,9 +151,6 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 			}
 			for _, info := range liveInfos {
 				score.ReportsSent += int64(len(reports))
-				if spec.WorkBudget > 0 && attacker.Stats().AdmissionWork >= spec.WorkBudget {
-					continue // budget exhausted: this identity stays unadmitted
-				}
 				statuses, err := attacker.ReportBatch(info, reports, attackerReply)
 				if err != nil {
 					return Score{}, fmt.Errorf("campaign: attack batch: %w", err)
@@ -177,7 +163,6 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 			}
 		}
 	}
-	score.Work = attacker.Stats().AdmissionWork
 
 	// Score over the surviving agents' served tallies.
 	var sq float64

@@ -20,9 +20,7 @@ const simScoreProviders = 256
 
 // SimBackend runs campaigns inside the discrete-event simulator: honest
 // traffic is the deterministic sim workload, attacker reports are injected
-// straight into agent tallies (core.InjectReport), and admission cost is
-// modeled analytically — 2^bits expected hash attempts per admission, one
-// admission per RateCap reports per (identity, agent). That is what makes
+// straight into agent tallies (core.InjectReport). That is what makes
 // 100k-node campaigns tractable: attacker floods cost map updates, not
 // simulated onion traffic.
 type SimBackend struct {
@@ -82,8 +80,7 @@ func (b SimBackend) Run(spec Spec) (Score, error) {
 		agents = agents[:simTargetAgents]
 	}
 
-	score := Score{Backend: b.Name(), Campaign: spec.Scenario.Name, PoWBits: spec.Admission.PoWBits}
-	cost := newCostAccountant(spec.Admission, spec.WorkBudget)
+	score := Score{Backend: b.Name(), Campaign: spec.Scenario.Name}
 	pop := spec.Scenario.Population
 	identities := pop.Attackers * pop.IdentitiesPer
 	score.IdentitiesMinted = int64(identities)
@@ -98,7 +95,7 @@ func (b SimBackend) Run(spec Spec) (Score, error) {
 		score.AgentsKilled = len(sys.KillAgents(f))
 	}
 
-	// Attack waves, ramped: each wave admits its identity cohort and fires,
+	// Attack waves, ramped: each wave mints its identity cohort and fires,
 	// with a slice of honest traffic in between (the rest of the workload is
 	// split evenly across waves).
 	rest := work[warm:]
@@ -113,9 +110,6 @@ func (b SimBackend) Run(spec Spec) (Score, error) {
 				for r := 0; r < spec.ReportsPerIdentity; r++ {
 					subject := targets[(i+r)%len(targets)]
 					score.ReportsSent++
-					if !cost.admit(int64(i), int64(agent)) {
-						continue // admission unaffordable: report bounced
-					}
 					if sys.InjectReport(agent, reporter, subject, positive) {
 						score.ReportsAdmitted++
 					}
@@ -127,7 +121,6 @@ func (b SimBackend) Run(spec Spec) (Score, error) {
 			sys.RunTransaction(spec.Requestor, spec.Candidates)
 		}
 	}
-	score.Work = cost.work
 
 	// Score over the targeted agents: squared error of every available
 	// report-based estimate against ground truth, and the fraction of target

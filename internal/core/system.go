@@ -323,12 +323,6 @@ func (s *System) ExpertiseOf(peer, agent topology.NodeID) (float64, bool) {
 	return 0, false
 }
 
-// Dispatch processes one simulator message addressed to this system's
-// protocol. It is exported so callers can compose hiREP with other protocols
-// (e.g. the gnutella query substrate) on the same network by installing a
-// combined handler that routes by message kind.
-func (s *System) Dispatch(nw *simnet.Network, m simnet.Message) { s.dispatch(nw, m) }
-
 // dispatch routes a delivered message to its protocol handler, unwrapping
 // onion envelopes.
 func (s *System) dispatch(nw *simnet.Network, m simnet.Message) {

@@ -50,15 +50,8 @@ const (
 	StatusMalformed                       // report wire undecodable
 	StatusStoreFailed                     // verified, but the store append failed (retryable)
 	StatusSaturated                       // shed by admission control before verification (retryable)
-	// StatusAdmissionRequired bounces a whole batch from an identity the
-	// agent's sybil-admission gate (DESIGN.md §13) has not admitted: the
-	// batch must carry a proof-of-work solution bound to the reporter's
-	// nodeID. Not Retryable() — a blind resend cannot succeed — but not
-	// final either: ReportBatch mints a solution and retries, and the ack
-	// carries the demanded difficulty.
-	StatusAdmissionRequired
 
-	numStatuses = int(StatusAdmissionRequired) + 1 // one past the last defined status
+	numStatuses = int(StatusSaturated) + 1 // one past the last defined status
 )
 
 // Retryable reports whether the status names a condition worth re-sending
@@ -81,8 +74,6 @@ func (s ReportStatus) String() string {
 		return "store-failed"
 	case StatusSaturated:
 		return "saturated"
-	case StatusAdmissionRequired:
-		return "admission-required"
 	default:
 		return fmt.Sprintf("ReportStatus(%d)", uint8(s))
 	}
@@ -95,71 +86,57 @@ type BatchReport struct {
 }
 
 // encodeBatchBody writes a TReportBatch request body: the signed report wires
-// (agentdir.SignReport), then the sender's admission proof-of-work solution
-// (DESIGN.md §13) — empty until an agent has demanded one.
-func encodeBatchBody(e *wire.Encoder, reports [][]byte, sol []byte) {
+// (agentdir.SignReport).
+func encodeBatchBody(e *wire.Encoder, reports [][]byte) {
 	e.U64(uint64(len(reports)))
 	for _, r := range reports {
 		e.Bytes(r)
 	}
-	e.Bytes(sol)
 }
 
 // decodeBatchBody parses a body written by encodeBatchBody, rejecting empty
 // and oversized counts before allocating.
-func decodeBatchBody(d *wire.Decoder) (reports [][]byte, sol []byte, err error) {
+func decodeBatchBody(d *wire.Decoder) ([][]byte, error) {
 	count := d.U64()
 	if d.Err() != nil || count == 0 || count > MaxBatchReports {
-		return nil, nil, ErrBadMessage
+		return nil, ErrBadMessage
 	}
-	reports = make([][]byte, 0, count)
+	reports := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
 		reports = append(reports, d.Bytes())
 	}
-	sol = d.Bytes()
-	if d.Finish() != nil || (len(sol) != 0 && len(sol) != pkc.AdmissionSolutionSize) {
-		return nil, nil, ErrBadMessage
+	if d.Finish() != nil {
+		return nil, ErrBadMessage
 	}
-	return reports, sol, nil
+	return reports, nil
 }
 
-// batchAck is one settled ack: the per-report statuses plus the admission
-// difficulty demanded by the agent (0 unless the batch was bounced). The
-// difficulty rides inside the signed reply body, so a relay cannot inflate
-// the work it asks of a reporter.
-type batchAck struct {
-	statuses []ReportStatus
-	bits     int
-}
-
-// encodeBatchAck writes an ack reply body: one status byte per report, then
-// the demanded difficulty.
-func encodeBatchAck(e *wire.Encoder, statuses []ReportStatus, bits int) {
+// encodeBatchAck writes an ack reply body: one status byte per report.
+func encodeBatchAck(e *wire.Encoder, statuses []ReportStatus) {
 	raw := make([]byte, len(statuses))
 	for i, s := range statuses {
 		raw[i] = byte(s)
 	}
-	e.Bytes(raw).U64(uint64(bits))
+	e.Bytes(raw)
 }
 
 // decodeBatchAck parses an ack reply body, which must carry exactly count
 // defined statuses. An undefined status byte is refused rather than read:
-// it is neither retryable nor an admission bounce, so it would settle as a
-// final reject and retire its report from the outbox unstored.
-func decodeBatchAck(r *wire.Decoder, count int) (batchAck, error) {
+// it is not retryable, so it would settle as a final reject and retire its
+// report from the outbox unstored.
+func decodeBatchAck(r *wire.Decoder, count int) ([]ReportStatus, error) {
 	raw := r.Bytes()
-	bits := r.U64()
-	if r.Finish() != nil || len(raw) != count || bits > 256 {
-		return batchAck{}, ErrBadAgent
+	if r.Finish() != nil || len(raw) != count {
+		return nil, ErrBadAgent
 	}
 	statuses := make([]ReportStatus, len(raw))
 	for i, v := range raw {
 		if int(v) >= numStatuses {
-			return batchAck{}, ErrBadAgent
+			return nil, ErrBadAgent
 		}
 		statuses[i] = ReportStatus(v)
 	}
-	return batchAck{statuses: statuses, bits: int(bits)}, nil
+	return statuses, nil
 }
 
 // ReportBatch sends a batch of signed transaction reports to agent through
@@ -179,46 +156,34 @@ func (n *Node) ReportBatch(agent AgentInfo, reports []BatchReport, replyOnion *o
 	if len(reports) > MaxBatchReports {
 		return nil, ErrBatchTooLarge
 	}
-	var ack batchAck
-	send := func(sol []byte) error {
-		return n.retry(0, func(wait time.Duration) error {
-			var aerr error
-			ack, aerr = n.reportBatchOnce(agent, reports, replyOnion, sol, wait)
-			return aerr
-		})
-	}
-	err := send(nil)
-	if err == nil && ack.bits > 0 && allAdmissionRequired(ack.statuses) {
-		// The agent's sybil-admission gate bounced us (§13): mint a solution
-		// bound to our nodeID at the demanded difficulty and retry once with
-		// it attached. A nil solution (difficulty beyond the solve limit)
-		// leaves the admission-required statuses for the caller to defer.
-		if sol := n.mintAdmission(ack.bits); sol != nil {
-			err = send(sol)
-		}
-	}
-	return ack.statuses, err
+	var statuses []ReportStatus
+	err := n.retry(0, func(wait time.Duration) error {
+		var aerr error
+		statuses, aerr = n.reportBatchOnce(agent, reports, replyOnion, wait)
+		return aerr
+	})
+	return statuses, err
 }
 
 // reportBatchOnce runs one complete batch/ack exchange under wait, signing
 // every report under a fresh nonce.
-func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, sol []byte, wait time.Duration) (batchAck, error) {
+func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, wait time.Duration) ([]ReportStatus, error) {
 	q, err := n.newRequest(replyOnion)
 	if err != nil {
-		return batchAck{}, err
+		return nil, err
 	}
 	wires := make([][]byte, len(reports))
 	for i, rep := range reports {
 		rn, err := pkc.NewNonce(nil)
 		if err != nil {
-			return batchAck{}, err
+			return nil, err
 		}
 		wires[i] = agentdir.SignReport(q.self, rep.Subject, rep.Positive, rn)
 	}
-	encodeBatchBody(&q.body, wires, sol)
+	encodeBatchBody(&q.body, wires)
 	r, err := n.exchange(agent, wire.TReportBatch, &q, wait)
 	if err != nil {
-		return batchAck{}, err
+		return nil, err
 	}
 	return decodeBatchAck(&r, len(reports))
 }
@@ -231,7 +196,7 @@ func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnio
 // len(reports).
 func (n *Node) ReportBatchOrDefer(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) error {
 	return n.deliver(book, agent, reports, replyOnion, func(i int, st ReportStatus, err error) {
-		if err != nil || !st.final() {
+		if err != nil || st.Retryable() {
 			n.deferReport(agent, reports[i].Subject, reports[i].Positive)
 		}
 	})
@@ -247,10 +212,9 @@ var errNotSent = errors.New("node: report not sent")
 // node's batch size, skips the agent while its breaker is not closed, sends
 // each chunk with ReportBatch, counts the acks, and hands each report's
 // status — or the error that left it without one — to settle by index. An
-// all-saturated or all-admission-required ack stops the loop: every further
-// chunk would bounce the same way. A stored ack opens the one-way fast path
-// to the agent (reportOrDefer); an admission bounce closes it. It returns the
-// first send error.
+// all-saturated ack stops the loop: every further chunk would be shed the
+// same way. A stored ack opens the one-way fast path to the agent
+// (reportOrDefer). It returns the first send error.
 func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, settle func(i int, st ReportStatus, err error)) error {
 	id, size := agent.ID(), defaultReportBatchSize
 	self := n.identity() // the identity a stored ack is credited to
@@ -281,30 +245,20 @@ func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, 
 			case st == StatusStored:
 				n.cnt.reportsAcked.Inc()
 				n.setOneWay(id, self)
-			case st == StatusAdmissionRequired:
-				n.setOneWay(id, nil)
-			case st.final():
+			case !st.Retryable():
 				n.cnt.reportsRejected.Inc()
 			}
 			settle(lo+i, st, nil)
 		}
-		if allAdmissionRequired(statuses) || allSaturated(statuses) {
-			// Unadmitted and unable to solve the demanded difficulty, or shed
-			// whole by a full verification queue: firing the remaining chunks
-			// would only bounce each of them and spin against the agent.
+		if allSaturated(statuses) {
+			// Shed whole by a full verification queue: firing the remaining
+			// chunks would only bounce each of them and spin against the
+			// agent.
 			unsent(hi, len(reports), errNotSent)
 			break
 		}
 	}
 	return firstErr
-}
-
-// final reports whether a status settles its report for good: stored, or a
-// protocol reject no resend can change. Retryable statuses and an admission
-// bounce (ReportBatch already tried to solve; the difficulty exceeds our
-// limit) leave the report to be sent again later.
-func (s ReportStatus) final() bool {
-	return !s.Retryable() && s != StatusAdmissionRequired
 }
 
 // allSaturated reports whether an ack shed its entire (non-empty) batch at
@@ -369,8 +323,7 @@ func (p *ingestPool) stop() {
 }
 
 // handleReportBatch admits one TReportBatch arriving through this agent's
-// onion: vet the request, pass the sybil-admission gate, register the
-// self-certifying reporter key (§3.5.2, as for trust requests), then hand the
+// onion: vet the request, register the self-certifying reporter key (§3.5.2, as for trust requests), then hand the
 // batch to the verification pool — or shed with an all-saturated ack when the
 // pool's admission queue is full.
 func (n *Node) handleReportBatch(sealed []byte) {
@@ -379,9 +332,8 @@ func (n *Node) handleReportBatch(sealed []byte) {
 	}
 	req, err := n.openRequest(sealed)
 	var reports [][]byte
-	var sol []byte
 	if err == nil {
-		reports, sol, err = decodeBatchBody(&req.body)
+		reports, err = decodeBatchBody(&req.body)
 	}
 	if err != nil {
 		// A batch that opens but does not decode — including the empty
@@ -394,29 +346,6 @@ func (n *Node) handleReportBatch(sealed []byte) {
 		return
 	}
 	job := ingestJob{req: req, reports: reports}
-	// Sybil-admission gate (§13), deliberately BEFORE RegisterKey — an
-	// unadmitted identity must not even occupy a key-table slot — and before
-	// the verification pool, so a bounced batch costs this agent one SHA-256
-	// over the claimed solution instead of N Ed25519 verifies. The whole
-	// batch bounces with StatusAdmissionRequired plus the demanded
-	// difficulty; the sender solves and retries.
-	if g := n.admission; g != nil {
-		verdict := g.check(req.id, sol, len(reports))
-		if !verdict.passed() {
-			switch verdict {
-			case admissionReplay:
-				n.cnt.admissionReplayed.Inc()
-			case admissionThrottled:
-				n.cnt.admissionThrottled.Inc()
-			}
-			n.cnt.admissionRequired.Add(int64(len(reports)))
-			n.sendBatchAck(job, uniformStatuses(len(reports), StatusAdmissionRequired), g.bits)
-			return
-		}
-		if verdict == admissionNewlyOK {
-			n.cnt.admissionAdmitted.Inc()
-		}
-	}
 	if err := n.agent.RegisterKey(req.id, req.sp); err != nil {
 		return
 	}
@@ -427,17 +356,12 @@ func (n *Node) handleReportBatch(sealed []byte) {
 		// batch before spending any signature check on it, and say so — the
 		// sender re-queues saturated reports through its outbox.
 		n.cnt.ingest[StatusSaturated].Add(int64(len(reports)))
-		n.sendBatchAck(job, uniformStatuses(len(reports), StatusSaturated), 0)
+		statuses := make([]ReportStatus, len(reports))
+		for i := range statuses {
+			statuses[i] = StatusSaturated
+		}
+		n.sendBatchAck(job, statuses)
 	}
-}
-
-// uniformStatuses returns n copies of st: the ack of a batch judged whole.
-func uniformStatuses(n int, st ReportStatus) []ReportStatus {
-	statuses := make([]ReportStatus, n)
-	for i := range statuses {
-		statuses[i] = st
-	}
-	return statuses
 }
 
 // processReportBatch is the worker body: batch-verify and commit the
@@ -450,14 +374,13 @@ func (n *Node) processReportBatch(job ingestJob) {
 		n.countIngest(statuses[i])
 	}
 	n.cnt.reportBatches.Inc()
-	n.sendBatchAck(job, statuses, 0)
+	n.sendBatchAck(job, statuses)
 }
 
-// sendBatchAck answers one batch with its per-report statuses. bits, when
-// positive, is the admission difficulty demanded of a bounced batch.
-func (n *Node) sendBatchAck(job ingestJob, statuses []ReportStatus, bits int) {
+// sendBatchAck answers one batch with its per-report statuses.
+func (n *Node) sendBatchAck(job ingestJob, statuses []ReportStatus) {
 	e := job.req.replyBody()
-	encodeBatchAck(&e, statuses, bits)
+	encodeBatchAck(&e, statuses)
 	n.reply(&job.req, &e)
 }
 

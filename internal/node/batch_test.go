@@ -40,43 +40,43 @@ func batchPair(t *testing.T, agentOpts Options) (agentNode, peer *Node, info Age
 
 // sendWires runs one batch/ack exchange for hand-crafted report wires, the
 // way reportBatchOnce does for freshly signed ones.
-func sendWires(t *testing.T, peer *Node, info AgentInfo, wires [][]byte, replyOnion *onion.Onion) batchAck {
+func sendWires(t *testing.T, peer *Node, info AgentInfo, wires [][]byte, replyOnion *onion.Onion) []ReportStatus {
 	t.Helper()
 	q, err := peer.newRequest(replyOnion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	encodeBatchBody(&q.body, wires, nil)
+	encodeBatchBody(&q.body, wires)
 	r, err := peer.exchange(info, wire.TReportBatch, &q, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := decodeBatchAck(&r, len(wires))
+	statuses, err := decodeBatchAck(&r, len(wires))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ack
+	return statuses
 }
 
 // TestBatchAckRejectsUndefinedStatus crafts acks carrying a status byte past
-// the last defined one. Read as a status it would be neither retryable nor an
-// admission bounce, so the delivery loop would settle it as a final reject
-// and retire the report from the outbox unstored: the ack must be refused as
-// a bad answer instead, leaving the report to be delivered again.
+// the last defined one. Read as a status it would not be retryable, so the
+// delivery loop would settle it as a final reject and retire the report from
+// the outbox unstored: the ack must be refused as a bad answer instead,
+// leaving the report to be delivered again.
 func TestBatchAckRejectsUndefinedStatus(t *testing.T) {
-	decode := func(raw []byte) (batchAck, error) {
+	decode := func(raw []byte) ([]ReportStatus, error) {
 		var e wire.Encoder
-		e.Bytes(raw).U64(0)
+		e.Bytes(raw)
 		return decodeBatchAck(wire.NewDecoder(e.Encode()), len(raw))
 	}
-	for _, v := range []byte{byte(StatusAdmissionRequired) + 1, 0xff} {
-		if ack, err := decode([]byte{byte(StatusStored), v}); !errors.Is(err, ErrBadAgent) {
-			t.Fatalf("status byte %d: ack %v accepted (err %v), want ErrBadAgent", v, ack.statuses, err)
+	for _, v := range []byte{byte(numStatuses), 0xff} {
+		if statuses, err := decode([]byte{byte(StatusStored), v}); !errors.Is(err, ErrBadAgent) {
+			t.Fatalf("status byte %d: ack %v accepted (err %v), want ErrBadAgent", v, statuses, err)
 		}
 	}
-	for st := StatusStored; st <= StatusAdmissionRequired; st++ {
-		if ack, err := decode([]byte{byte(st)}); err != nil || ack.statuses[0] != st {
-			t.Fatalf("defined status %v: %v, %v", st, ack.statuses, err)
+	for st := StatusStored; int(st) < numStatuses; st++ {
+		if statuses, err := decode([]byte{byte(st)}); err != nil || statuses[0] != st {
+			t.Fatalf("defined status %v: %v, %v", st, statuses, err)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestReportBatchMixed(t *testing.T) {
 	want := []ReportStatus{StatusStored, StatusStored, StatusReplay, StatusBadKey, StatusMalformed}
 
 	// Send the crafted batch through the real wire path and wait for its ack.
-	statuses := sendWires(t, peer, info, wires, replyOnion).statuses
+	statuses := sendWires(t, peer, info, wires, replyOnion)
 	for i, st := range statuses {
 		if st != want[i] {
 			t.Fatalf("report %d acked %v, want %v", i, st, want[i])
@@ -223,7 +223,7 @@ func TestReportBatchSaturationSheds(t *testing.T) {
 	reports := []BatchReport{{Subject: subject.ID, Positive: true}, {Subject: subject.ID, Positive: false}}
 	// First batch occupies the queue slot (nobody drains it), so its ack
 	// never arrives; give it a throwaway send with a short wait.
-	if _, err := peer.reportBatchOnce(info, reports[:1], replyOnion, nil, 300*time.Millisecond); err != ErrTimeout {
+	if _, err := peer.reportBatchOnce(info, reports[:1], replyOnion, 300*time.Millisecond); err != ErrTimeout {
 		t.Fatalf("queued batch returned %v, want %v (ack can only time out)", err, ErrTimeout)
 	}
 	// Second batch finds the queue full and must be shed with an ack.
@@ -359,7 +359,7 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 	// Occupy the single admission slot; nobody drains it, so the ack can
 	// only time out.
 	filler := []BatchReport{{Subject: subject.ID, Positive: true}}
-	if _, err := sender.reportBatchOnce(info, filler, ro, nil, 300*time.Millisecond); err != ErrTimeout {
+	if _, err := sender.reportBatchOnce(info, filler, ro, 300*time.Millisecond); err != ErrTimeout {
 		t.Fatalf("queued batch returned %v, want %v", err, ErrTimeout)
 	}
 
@@ -389,7 +389,7 @@ func TestEmptyReportBatchCountedMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encodeBatchBody(&q.body, nil, nil)
+	encodeBatchBody(&q.body, nil)
 	sealed, err := q.seal(info.AP)
 	if err != nil {
 		t.Fatal(err)

@@ -14,21 +14,8 @@ import (
 // benchFleet builds agent + peer + relay once per benchmark.
 func benchFleet(b *testing.B) (agentNode, peer *Node, info AgentInfo, replyOnion *onion.Onion) {
 	b.Helper()
-	return benchFleetOpts(b, Options{})
-}
-
-// benchFleetOpts is benchFleet with extra knobs on the agent's Options (the
-// admission benchmark arms the sybil gate through it).
-func benchFleetOpts(b *testing.B, agentOpts Options) (agentNode, peer *Node, info AgentInfo, replyOnion *onion.Onion) {
-	b.Helper()
 	mk := func(isAgent bool) *Node {
-		opts := Options{Timeout: 10 * time.Second}
-		if isAgent {
-			opts = agentOpts
-			opts.Agent = true
-			opts.Timeout = 10 * time.Second
-		}
-		n, err := Listen("127.0.0.1:0", opts)
+		n, err := Listen("127.0.0.1:0", Options{Agent: isAgent, Timeout: 10 * time.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +107,7 @@ func BenchmarkIngestSingle(b *testing.B) {
 // batch-verified → stored → acked — at 256 reports per frame. ns/op is per
 // BATCH; the reports/sec metric and the verify.sh gate divide by the batch
 // size, and the ratio against BenchmarkIngestSingle×256 is the pipeline's
-// amortization win (ROADMAP item 2 targets ≥5x). Stored is not durable here:
+// amortization win (DESIGN.md §11 targets ≥5x). Stored is not durable here:
 // benchFleet sets no StoreDir, so the agent appends to the memory store and
 // no batch waits on a WAL write or an fsync. The durable figure is the
 // ingest-durable workload of bench/ — comparing the two is comparing a
@@ -135,41 +122,6 @@ func BenchmarkIngestBatched(b *testing.B) {
 	}
 	if _, err := peer.ReportBatch(info, reports[:1], replyOnion); err != nil {
 		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		statuses, err := peer.ReportBatch(info, reports, replyOnion)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, st := range statuses {
-			if st != StatusStored {
-				b.Fatalf("report %d acked %v", j, st)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)*size/b.Elapsed().Seconds(), "reports/sec")
-}
-
-// BenchmarkIngestAdmission is BenchmarkIngestBatched with the agent's
-// sybil-admission gate armed (DESIGN.md §13): the sender pays one proof of
-// work in the warm-up, then every measured batch is from an already-admitted
-// identity. The verify.sh gate holds this within 5% of BenchmarkIngestBatched
-// — steady-state admission costs one map lookup per batch, not crypto.
-func BenchmarkIngestAdmission(b *testing.B) {
-	const size = 256
-	_, peer, info, replyOnion := benchFleetOpts(b, Options{AdmissionPoWBits: 8})
-	subject, _ := pkc.NewIdentity(nil)
-	reports := make([]BatchReport, size)
-	for i := range reports {
-		reports[i] = BatchReport{Subject: subject.ID, Positive: i%2 == 0}
-	}
-	// Warm: bounces once, mints the admission proof, registers the key.
-	if _, err := peer.ReportBatch(info, reports[:1], replyOnion); err != nil {
-		b.Fatal(err)
-	}
-	if got := metric(b, peer, "node_admission_solved_total"); got != 1 {
-		b.Fatalf("warm-up solved %d proofs, want 1", got)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

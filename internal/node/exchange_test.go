@@ -36,7 +36,7 @@ func exchangeKinds() []exchangeKind {
 		}},
 		{"report batch", wire.TReportBatch, func(q *outRequest) {
 			rn, _ := pkc.NewNonce(nil)
-			encodeBatchBody(&q.body, [][]byte{agentdir.SignReport(q.self, subject, true, rn)}, nil)
+			encodeBatchBody(&q.body, [][]byte{agentdir.SignReport(q.self, subject, true, rn)})
 		}},
 	}
 }
@@ -390,12 +390,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	var subject pkc.NodeID
 	nonce, _ := pkc.NewNonce(nil)
 	ro := &onion.Onion{Entry: "127.0.0.1:1", Blob: []byte{1, 2, 3}, Seq: 1, Sig: []byte{4}}
-	sol, _, _ := pkc.MintAdmission(self.ID, 4, nil)
-	for _, s := range [][]byte{nil, sol[:]} {
+	report := agentdir.SignReport(self, subject, true, nonce)
+	for _, reports := range [][][]byte{{report}, {report, report}} {
 		var e wire.Encoder
 		e.Bytes(self.Sign.Public).Bytes(nonce[:])
 		encodeOnion(&e, ro)
-		encodeBatchBody(&e, [][]byte{agentdir.SignReport(self, subject, true, nonce)}, s)
+		encodeBatchBody(&e, reports)
 		f.Add(e.Encode())
 	}
 	f.Add([]byte{})
@@ -408,15 +408,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		if len(req.sp) == 0 || req.replyOnion == nil || len(req.nonce) != pkc.NonceSize {
 			t.Fatal("accepted prefix with missing fields")
 		}
-		reports, sol, err := decodeBatchBody(&req.body)
+		reports, err := decodeBatchBody(&req.body)
 		if err != nil {
 			return
 		}
 		if len(reports) == 0 || len(reports) > MaxBatchReports {
 			t.Fatalf("accepted batch with %d reports", len(reports))
-		}
-		if len(sol) != 0 && len(sol) != pkc.AdmissionSolutionSize {
-			t.Fatalf("accepted solution of %d bytes", len(sol))
 		}
 	})
 }
@@ -424,9 +421,8 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeReply throws arbitrary bytes at everything a requestor runs on a
 // reply, under one fixed reply key: as a box off the wire (handle, open,
 // envelope, signature), and — because no fuzzer forges a GCM tag — as the
-// envelope inside a box that did open, then the batch-ack body with its
-// demanded admission difficulty. Nothing may panic and accepted values must
-// be in range, every accepted status a defined one.
+// envelope inside a box that did open, then the batch-ack body. Nothing may
+// panic, and every accepted status must be a defined one.
 func FuzzDecodeReply(f *testing.F) {
 	self, err := pkc.NewIdentity(nil)
 	if err != nil {
@@ -438,10 +434,10 @@ func FuzzDecodeReply(f *testing.F) {
 	}
 	nonce, _ := pkc.NewNonce(nil)
 	w := waiter{sp: self.Sign.Public, key: key, nonce: nonce}
-	for _, bits := range []int{0, 12} {
+	for _, st := range []ReportStatus{StatusStored, StatusSaturated} {
 		var signed wire.Encoder
 		signed.Bytes(nonce[:])
-		encodeBatchAck(&signed, []ReportStatus{StatusAdmissionRequired}, bits)
+		encodeBatchAck(&signed, []ReportStatus{st})
 		var e wire.Encoder
 		e.Bytes(signed.Encode()).Bytes(self.Sign.Public).Bytes(self.SignMessage(signed.Encode()))
 		box, err := key.Seal(e.Encode(), nil)
@@ -453,11 +449,11 @@ func FuzzDecodeReply(f *testing.F) {
 	}
 	f.Add([]byte{})
 	checkAck := func(t *testing.T, body *wire.Decoder) {
-		if a, err := decodeBatchAck(body, 1); err == nil {
-			if len(a.statuses) != 1 || a.bits < 0 || a.bits > 256 {
-				t.Fatalf("accepted ack with %d statuses, difficulty %d", len(a.statuses), a.bits)
+		if statuses, err := decodeBatchAck(body, 1); err == nil {
+			if len(statuses) != 1 {
+				t.Fatalf("accepted ack with %d statuses", len(statuses))
 			}
-			if st := a.statuses[0]; strings.HasPrefix(st.String(), "ReportStatus(") {
+			if st := statuses[0]; strings.HasPrefix(st.String(), "ReportStatus(") {
 				t.Fatalf("accepted undefined status %d", uint8(st))
 			}
 		}

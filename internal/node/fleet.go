@@ -50,7 +50,7 @@ type FleetConfig struct {
 	Opts Options
 
 	// AgentOpts, when non-nil, tweaks agent i's options before Listen — store
-	// dirs, admission difficulty.
+	// dirs, evidence caps.
 	AgentOpts func(i int, opts *Options)
 }
 

@@ -89,20 +89,6 @@ type Options struct {
 	// pool (default 128 batches); a batch arriving at a full queue is shed
 	// with an all-saturated ack instead of queueing unboundedly.
 	VerifyQueue int
-	// AdmissionPoWBits, when positive on an agent, arms the sybil-admission
-	// gate (DESIGN.md §13): the first report batch of every identity must
-	// carry a proof-of-work solution with this many leading zero bits bound
-	// to the reporter's nodeID, checked in the ingest path before any
-	// signature work. 0 disables the gate; at most pkc.MaxAdmissionBits,
-	// since no sender can mint a harder proof.
-	AdmissionPoWBits int
-	// AdmissionRate is the sustained reports/sec the gate allows per
-	// admitted identity; exceeding it revokes the admission so a flood pays
-	// a fresh proof of work per burst. 0 means unlimited once admitted.
-	AdmissionRate float64
-	// AdmissionBurst is the per-identity token-bucket burst (default two
-	// full report batches, 512). Only meaningful with AdmissionRate set.
-	AdmissionBurst int
 	// EvidenceCap, when positive on an agent, retains up to that many signed
 	// report wires per subject in the report store — the evidence log behind
 	// the verifiable-read subsystem (DESIGN.md §14). 0 keeps tallies only;
@@ -148,8 +134,7 @@ type Node struct {
 	timeoutNs atomic.Int64
 
 	// Batched report ingest (batch.go): the agent-side verification pool.
-	ingest    *ingestPool
-	admission *admissionGate // sybil-admission gate (nil = disabled)
+	ingest *ingestPool
 
 	// Report delivery (resilience.go): the reply route the outbox flusher's
 	// acks come back through (newRequest records it), and the agents the
@@ -301,7 +286,6 @@ func Listen(addr string, opts Options) (*Node, error) {
 			return nil, fmt.Errorf("node: open report store: %w", err)
 		}
 		n.agent = agentdir.NewWithStore(id, 0, st)
-		n.admission = newAdmissionGate(opts.AdmissionPoWBits, opts.AdmissionRate, opts.AdmissionBurst)
 		n.startIngestPool(opts.VerifyWorkers, opts.VerifyQueue)
 	}
 	n.wg.Add(1)
@@ -312,7 +296,7 @@ func Listen(addr string, opts Options) (*Node, error) {
 }
 
 // validate rejects the options Listen cannot honour: an agent-only setting
-// on a non-agent, or a proof of work no sender can mint.
+// on a non-agent.
 func (o *Options) validate() error {
 	if !o.Agent {
 		for _, f := range []struct {
@@ -327,9 +311,6 @@ func (o *Options) validate() error {
 				return fmt.Errorf("node: %s requires Agent", f.name)
 			}
 		}
-	}
-	if o.AdmissionPoWBits > pkc.MaxAdmissionBits {
-		return fmt.Errorf("node: AdmissionPoWBits %d exceeds the mintable maximum %d", o.AdmissionPoWBits, pkc.MaxAdmissionBits)
 	}
 	return nil
 }

@@ -247,9 +247,8 @@ func TestStaleReplyOnionRejected(t *testing.T) {
 }
 
 // TestListenRejectsInvalidOptions pins Listen as the one place options are
-// validated: an agent-only setting on a non-agent and a proof of work no
-// sender can mint are errors, not settings quietly ignored or a gate every
-// report bounces off forever.
+// validated: an agent-only setting on a non-agent is an error, not a
+// setting quietly ignored.
 func TestListenRejectsInvalidOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -258,7 +257,6 @@ func TestListenRejectsInvalidOptions(t *testing.T) {
 		{"StoreDir", Options{StoreDir: t.TempDir()}},
 		{"EvidenceCap", Options{EvidenceCap: 8}},
 		{"ProofCache", Options{ProofCache: 8}},
-		{"AdmissionPoWBits", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits + 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nd, err := Listen("127.0.0.1:0", tc.opts)
@@ -271,11 +269,6 @@ func TestListenRejectsInvalidOptions(t *testing.T) {
 			}
 		})
 	}
-	nd, err := Listen("127.0.0.1:0", Options{Agent: true, AdmissionPoWBits: pkc.MaxAdmissionBits})
-	if err != nil {
-		t.Fatalf("the hardest mintable difficulty was refused: %v", err)
-	}
-	_ = nd.Close()
 }
 
 func TestCloseIdempotent(t *testing.T) {

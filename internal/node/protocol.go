@@ -200,22 +200,10 @@ func (n *Node) handleReport(sealed []byte) {
 	}
 	var reporter pkc.NodeID
 	copy(reporter[:], idRaw)
-	// Sybil admission (§13): the one-way frame is no way around the gate. The
-	// check is read-only because the frame is unauthenticated until its
-	// signature verifies — charging here would let anyone drain another
-	// identity's rate bucket. The bucket is charged for a stored report.
-	g := n.admission
-	if g != nil && !g.isAdmitted(reporter) {
-		n.cnt.admissionRequired.Inc()
-		return
-	}
 	// Every outcome is counted by reason, so replayed, mis-keyed, and
 	// store-failed reports are visible even on this unacked path.
 	_, err := n.agent.SubmitReport(reporter, reportWire)
 	n.countIngest(statusFromSubmitError(err))
-	if err == nil && g != nil && g.check(reporter, nil, 1) == admissionThrottled {
-		n.cnt.admissionThrottled.Inc()
-	}
 }
 
 // encodeOnion serializes an onion into an encoder.

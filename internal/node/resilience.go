@@ -139,12 +139,13 @@ func (n *Node) probeBackups(book *AgentBook, replyOnion *onion.Onion) []pkc.Node
 
 // reportOrDefer delivers one transaction report, or queues it in the outbox.
 // The unacknowledged TReport is a fast path, taken only to an agent that has
-// acked a stored batch from this identity (setOneWay): first contact goes
-// through the flusher's acked loop, which solves the agent's admission gate
-// (§13). The report is also queued when the agent's breaker is not closed
-// (sending through an onion cannot observe a dead terminal agent, so breaker
-// state is the only trustworthy health signal), and after a real first-hop
-// send failure.
+// acked a stored batch from this identity (setOneWay), so the agent is known
+// to hold the identity's key: first contact goes through the flusher's acked
+// loop, whose batch registers the key (§3.5.2) and whose ack names each
+// report's fate. The report is also queued when the agent's breaker is not
+// closed (sending through an onion cannot observe a dead terminal agent, so
+// breaker state is the only trustworthy health signal), and after a real
+// first-hop send failure.
 func (n *Node) reportOrDefer(book *AgentBook, a AgentInfo, subject pkc.NodeID, positive bool) error {
 	id := a.ID()
 	if book != nil && book.BreakerState(id) != resilience.BreakerClosed {
@@ -164,15 +165,10 @@ func (n *Node) reportOrDefer(book *AgentBook, a AgentInfo, subject pkc.NodeID, p
 	return nil
 }
 
-// setOneWay records that agent id acked a stored batch signed by self, or
-// with a nil self forgets the agent.
+// setOneWay records that agent id acked a stored batch signed by self.
 func (n *Node) setOneWay(id pkc.NodeID, self *pkc.Identity) {
 	n.oneWayMu.Lock()
 	defer n.oneWayMu.Unlock()
-	if self == nil {
-		delete(n.oneWay, id)
-		return
-	}
 	if n.oneWay == nil {
 		n.oneWay = make(map[pkc.NodeID]*pkc.Identity)
 	}
@@ -314,7 +310,7 @@ func (n *Node) flushOutbox() (blocked int) {
 		}
 		// A send error reaches settle too, as each report's blocked count.
 		_ = n.deliver(book, g.info, g.reports, ro, func(i int, st ReportStatus, err error) {
-			if err != nil || !st.final() {
+			if err != nil || st.Retryable() {
 				blocked++
 				return
 			}

@@ -37,8 +37,8 @@ func (n *Node) RotateIdentity(agents []AgentInfo) (oldID, newID pkc.NodeID, err 
 	n.ids.Store(&rotated)
 	n.mu.Unlock()
 	// Onions signed by the old key no longer verify against the new SP, and
-	// agents have admitted the old nodeID, not the new one: the flusher waits
-	// for a fresh reply route, and every agent is first contact again.
+	// agents know the old nodeID, not the new one: the flusher waits for a
+	// fresh reply route, and every agent is first contact again.
 	n.replyRoute.Store(nil)
 	n.oneWayMu.Lock()
 	n.oneWay = nil

@@ -40,18 +40,9 @@ type counters struct {
 	// outcome on the agent, indexed by ReportStatus; the acked and rejected
 	// counters reconcile acks on the sender.
 	reportBatches   *metrics.Counter
-	ingest          [StatusAdmissionRequired]*metrics.Counter
+	ingest          [numStatuses]*metrics.Counter
 	reportsAcked    *metrics.Counter
 	reportsRejected *metrics.Counter
-
-	// Sybil-admission gate (DESIGN.md §13): agent-side bounce/admit/replay/
-	// throttle counts and sender-side proof-of-work cost.
-	admissionRequired  *metrics.Counter
-	admissionAdmitted  *metrics.Counter
-	admissionReplayed  *metrics.Counter
-	admissionThrottled *metrics.Counter
-	admissionSolved    *metrics.Counter
-	admissionWork      *metrics.Counter
 
 	// Verifiable reads (DESIGN.md §14): proofs served and verified, caught
 	// lies, and the proof payload cache.
@@ -101,12 +92,6 @@ func (c *counters) bind(r *metrics.Registry) {
 	}
 	c.reportsAcked = r.Counter("node_reports_acked_total")
 	c.reportsRejected = r.Counter("node_reports_rejected_total")
-	c.admissionRequired = r.Counter("node_admission_required_total")
-	c.admissionAdmitted = r.Counter("node_admission_admitted_total")
-	c.admissionReplayed = r.Counter("node_admission_replayed_total")
-	c.admissionThrottled = r.Counter("node_admission_throttled_total")
-	c.admissionSolved = r.Counter("node_admission_solved_total")
-	c.admissionWork = r.Counter("node_admission_work_total")
 	c.proofsServed = r.Counter("node_proofs_served_total")
 	c.proofsVerified = r.Counter("node_proofs_verified_total")
 	c.proofsPartial = r.Counter("node_proofs_partial_total")
@@ -119,7 +104,7 @@ func (c *counters) bind(r *metrics.Registry) {
 }
 
 // Stats is a read-only view of the counters read outside this package: the
-// live benchmark's per-layer figures and the campaign harness's scores.
+// live benchmark's per-layer figures.
 // Every other counter is read by its name in Metrics.
 type Stats struct {
 	FramesIn         int64 // inbound frames accepted, every message type
@@ -132,7 +117,6 @@ type Stats struct {
 	ReportsLost      int64 // reports dropped (outbox eviction or corruption)
 	ProofCacheHits   int64 // proof payloads served straight from cache
 	ProofCacheMisses int64 // proof requests that had to assemble
-	AdmissionWork    int64 // hash attempts spent minting admission proofs
 }
 
 // Stats loads the view from this node's own counters.
@@ -153,7 +137,6 @@ func (n *Node) Stats() Stats {
 		ReportsLost:      c.reportsLost.Load(),
 		ProofCacheHits:   c.proofCacheHits.Load(),
 		ProofCacheMisses: c.proofCacheMisses.Load(),
-		AdmissionWork:    c.admissionWork.Load(),
 	}
 }
 

@@ -48,9 +48,8 @@ const (
 	THello
 	THelloAck
 	// TReportBatch carries the batched, acknowledged report-ingest pipeline
-	// (DESIGN.md §11): many signed transaction reports plus the sender's
-	// admission proof-of-work solution (DESIGN.md §13, possibly empty) in one
-	// request, answered by a per-report status — unlike the fire-and-forget
+	// (DESIGN.md §11): many signed transaction reports in one request,
+	// answered by a per-report status — unlike the fire-and-forget
 	// TReport, rejected reports are visible to the sender instead of
 	// vanishing.
 	TReportBatch
