@@ -91,18 +91,19 @@ func (a *agentState) down() bool { return a.offline || a.killed }
 
 // peerState is the general-peer role of a node (every node has one).
 type peerState struct {
-	id   topology.NodeID
-	list *agentList
+	id topology.NodeID
+	// list holds the peer's trusted agents, each with its published onion
+	// path (agent last; read-only), the backup cache and the agents banned
+	// for poor expertise, so recommendations cannot re-inject them — the
+	// peer "filtering out poor performance reputation agents based on its
+	// own experience" (§4.2.2).
+	list *trust.List[topology.NodeID, []topology.NodeID]
 	// path is the peer's published onion: its relays, then the peer itself.
 	// Senders to the peer and the peer's own reply onion alias it, so it is
 	// never written after NewSystem.
 	path     []topology.NodeID
 	rng      *xrand.RNG
 	poisoner bool // answers list requests with fabricated recommendations (§4.2.1)
-	// banned remembers agents removed for poor expertise so recommendations
-	// cannot re-inject them — the peer "filtering out poor performance
-	// reputation agents based on its own experience" (§4.2.2).
-	banned map[topology.NodeID]bool
 }
 
 // txCollect gathers one in-flight transaction's responses.
@@ -147,10 +148,8 @@ type System struct {
 	resps    []trustRespPayload // this transaction's trust responses
 	ests     []trust.Value      // their estimates, len(candidates) each
 	aggs     []trust.Aggregate
-	toRemove []topology.NodeID
-	toBackup []topology.NodeID
+	ids      []topology.NodeID        // agents to score, or backups to restore
 	acks     map[topology.NodeID]bool // live backups answering this refill's probes
-	backups  []agentEntry
 	walk     listCollect
 }
 
@@ -184,12 +183,15 @@ func NewSystem(net *simnet.Network, oracle *trust.Oracle, cfg Config, rng *xrand
 	roleRNG := s.rng.Split("roles")
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
+		list, err := trust.NewList[topology.NodeID, []topology.NodeID](cfg.TrustedAgents, cfg.Alpha, cfg.RemoveThreshold)
+		if err != nil {
+			panic(err) // validated by Config.Validate
+		}
 		s.peers[i] = &peerState{
 			id:       id,
-			list:     newAgentList(cfg.TrustedAgents, cfg.Alpha),
+			list:     list,
 			rng:      s.rng.SplitN("peer", i),
 			poisoner: cfg.PoisonFrac > 0 && roleRNG.Bool(cfg.PoisonFrac),
-			banned:   make(map[topology.NodeID]bool),
 		}
 		s.peers[i].path = s.pickPath(id, s.peers[i].rng)
 		if roleRNG.Bool(cfg.AgentFrac) {
@@ -262,16 +264,16 @@ func (s *System) Net() *simnet.Network { return s.net }
 
 // TrustedAgentsOf returns the current trusted-agent IDs of a peer.
 func (s *System) TrustedAgentsOf(id topology.NodeID) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(s.peers[id].list.entries))
-	for _, e := range s.peers[id].list.entries {
-		out = append(out, e.agent)
+	out := make([]topology.NodeID, 0, len(s.peers[id].list.Entries()))
+	for _, e := range s.peers[id].list.Entries() {
+		out = append(out, e.ID)
 	}
 	return out
 }
 
 // BackupCountOf returns the size of a peer's backup-agent cache.
 func (s *System) BackupCountOf(id topology.NodeID) int {
-	return len(s.peers[id].list.backups)
+	return len(s.peers[id].list.Backups())
 }
 
 // AgentIDs returns every agent-capable node ID in ascending order.
@@ -317,8 +319,8 @@ func (s *System) KillAgents(frac float64) []topology.NodeID {
 
 // ExpertiseOf returns a peer's expertise value for one of its trusted agents.
 func (s *System) ExpertiseOf(peer, agent topology.NodeID) (float64, bool) {
-	if e := s.peers[peer].list.find(agent); e != nil {
-		return e.expertise.Value(), true
+	if e := s.peers[peer].list.Find(agent); e != nil {
+		return e.Expertise.Value(), true
 	}
 	return 0, false
 }

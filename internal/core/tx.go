@@ -261,8 +261,8 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	// the agent's onion; carry the requestor's own onion for the reply path.
 	// Every agent gets the same request, so one record serves them all.
 	s.trustReq = trustReqPayload{txID: tx.id, requestor: requestor, candidates: candidates, replyRoute: p.path}
-	for _, e := range p.list.entries {
-		s.onionSend(requestor, kindTrustReqID, e.path, &s.trustReq)
+	for _, e := range p.list.Entries() {
+		s.onionSend(requestor, kindTrustReqID, e.Data, &s.trustReq)
 	}
 	s.net.Run(0)
 
@@ -278,12 +278,12 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	// float sums are the same on every run.
 	aggs := append(s.aggs[:0], make([]trust.Aggregate, len(candidates))...)
 	s.aggs = aggs
-	for _, e := range p.list.entries {
-		ests, responded := tx.responses[e.agent]
+	for _, e := range p.list.Entries() {
+		ests, responded := tx.responses[e.ID]
 		if !responded {
 			continue
 		}
-		w := e.expertise.Value()
+		w := e.Expertise.Value()
 		for i := range candidates {
 			aggs[i].Add(ests[i], w)
 		}
@@ -318,37 +318,24 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 	s.curTx = nil
 
 	// §3.4.3 maintenance: update expertise of responders on the chosen
-	// provider's observed outcome; handle non-responders as offline; drop
-	// agents below the removal threshold.
-	toRemove, toBackup := s.toRemove[:0], s.toBackup[:0]
-	for i := range p.list.entries {
-		e := &p.list.entries[i]
-		ests, responded := tx.responses[e.agent]
-		if !responded {
-			if e.expertise.Value() > trust.BackupFloor {
-				toBackup = append(toBackup, e.agent)
-			} else {
-				toRemove = append(toRemove, e.agent)
-			}
-			continue
-		}
-		e.expertise.Update(ests[bestIdx].Consistent(res.Outcome))
-		if e.expertise.Value() < s.cfg.RemoveThreshold {
-			toRemove = append(toRemove, e.agent)
-			p.banned[e.agent] = true // never re-select a known-poor agent (§4.2.2)
-		}
+	// provider's observed outcome, banning any that fall below the removal
+	// threshold; handle non-responders as offline.
+	ids := s.ids[:0]
+	for _, e := range p.list.Entries() {
+		ids = append(ids, e.ID)
 	}
-	s.toRemove, s.toBackup = toRemove, toBackup
-	for _, id := range toBackup {
-		p.list.remove(id, true)
-	}
-	for _, id := range toRemove {
-		p.list.remove(id, false)
+	s.ids = ids
+	for _, id := range ids {
+		if ests, responded := tx.responses[id]; responded {
+			p.list.Record(id, ests[bestIdx].Consistent(res.Outcome))
+		} else {
+			p.list.Demote(id)
+		}
 	}
 
 	// Refill when the list gets thin: probe backups first, then a new
 	// agent-list request (§3.4.3).
-	if len(p.list.entries) < s.cfg.RefillBelow {
+	if len(p.list.Entries()) < s.cfg.RefillBelow {
 		s.refill(requestor)
 	}
 
@@ -360,8 +347,8 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 		reported = !res.Outcome
 	}
 	s.report = reportPayload{reporter: requestor, subject: res.Chosen, positive: reported}
-	for _, e := range p.list.entries {
-		s.onionSend(requestor, kindReportID, e.path, &s.report)
+	for _, e := range p.list.Entries() {
+		s.onionSend(requestor, kindReportID, e.Data, &s.report)
 	}
 	s.net.Run(0)
 
@@ -374,26 +361,27 @@ func (s *System) RunTransaction(requestor topology.NodeID, candidates []topology
 // with a fresh agent-list walk if still below the trusted-agent target.
 func (s *System) refill(id topology.NodeID) {
 	p := s.peers[id]
-	if len(p.list.backups) > 0 {
+	if len(p.list.Backups()) > 0 {
 		clear(s.acks)
-		for _, b := range p.list.backups {
-			s.net.SendKindBytes(id, b.agent, kindProbeID, nil, probeSize())
+		for _, b := range p.list.Backups() {
+			s.net.SendKindBytes(id, b.ID, kindProbeID, nil, probeSize())
 		}
 		s.net.Run(0)
-		// Most recently demoted first, the cache's own order: which live
-		// backups rejoin a nearly full list must not depend on map order.
-		// restore edits the cache, so walk a copy.
-		s.backups = append(s.backups[:0], p.list.backups...)
-		for _, b := range s.backups {
-			if len(p.list.entries) >= s.cfg.TrustedAgents {
-				break
-			}
-			if s.acks[b.agent] {
-				p.list.restore(b.agent)
+		// Live backups rejoin in the cache's own order, most recently
+		// demoted first, until the list is full: which ones rejoin must not
+		// depend on map order. Restore edits the cache, so collect first.
+		ids := s.ids[:0]
+		for _, b := range p.list.Backups() {
+			if s.acks[b.ID] {
+				ids = append(ids, b.ID)
 			}
 		}
+		s.ids = ids
+		for _, b := range ids {
+			p.list.Restore(b)
+		}
 	}
-	if len(p.list.entries) < s.cfg.TrustedAgents {
+	if len(p.list.Entries()) < s.cfg.TrustedAgents {
 		s.acquireAgents(id)
 	}
 }
