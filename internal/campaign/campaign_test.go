@@ -97,6 +97,18 @@ func TestLiveBackendSmoke(t *testing.T) {
 	if sl.VictimMisclass < 0 || sl.VictimMisclass > 1 {
 		t.Fatalf("slander misclass out of range: %+v", sl)
 	}
+
+	// The composite's fault plan kills 0.3 of the honest agents: on a
+	// 2-agent fleet that is one, not int(0.6) = none.
+	composite := findCampaign(t, "composite-sybil-dos")
+	composite.Population = attack.Population{Attackers: 2, IdentitiesPer: 1, Victims: 2}
+	co, err := b.Run(Spec{Scenario: composite, ReportsPerIdentity: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if co.AgentsKilled != 1 {
+		t.Fatalf("composite on 2 agents killed %d, want 1", co.AgentsKilled)
+	}
 }
 
 func TestResistanceTableRenders(t *testing.T) {

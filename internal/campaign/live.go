@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 
 	"hirep/internal/attack"
 	"hirep/internal/node"
@@ -108,13 +109,12 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 	}
 
 	// Fault plan: black-hole the leading agents mid-run. Their stores freeze;
-	// they are excluded from scoring, like a down agent in the sim.
+	// they are excluded from scoring, like a down agent in the sim. A fleet
+	// is a handful of agents, so the share rounds up (0.3 of 2 kills one),
+	// always leaving one agent to score.
 	killed := 0
 	if f := spec.Scenario.Faults.KillHonestFrac; f > 0 {
-		killed = int(f * float64(nAgents))
-		if killed >= nAgents {
-			killed = nAgents - 1 // always leave one agent to score
-		}
+		killed = min(int(math.Ceil(f*float64(nAgents))), nAgents-1)
 		for i := 0; i < killed; i++ {
 			if err := fl.BlackHole(fl.Agents[i]); err != nil {
 				return Score{}, err
