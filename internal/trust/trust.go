@@ -103,7 +103,7 @@ func (e *Expertise) Value() float64 { return e.value }
 // BackupFloor is the expertise at or below which an agent counts as
 // non-positive for §3.4.3's offline handling: a demoted agent above it goes
 // to the backup cache, one at or below it is dropped (the EWMA itself never
-// reaches exactly zero). Both engines' agent lists use it.
+// reaches exactly zero). List.Demote applies it.
 const BackupFloor = 1e-6
 
 // Aggregate combines agent evaluations into a final estimated trust value.

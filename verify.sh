@@ -139,7 +139,7 @@ run_tests() {
 # every evaluation meets quorum. The packages are covered by the full pass
 # above; these explicit lines keep the adversarial checks from silently
 # dropping out of the gate if the test tree moves.
-echo "== campaign smoke (all campaigns in the sim, sybil flood + slander cell live, lying agent removed by expertise, -race)"
+echo "== campaign smoke (all campaigns in the sim, sybil flood + slander cell + composite live, lying agent removed by expertise, -race)"
 run_tests ./internal/campaign/ TestSimBackendCampaigns TestLiveBackendSmoke
 run_tests ./internal/node/ TestExpertiseRemovesLyingAgent
 
