@@ -244,14 +244,6 @@ type RetryPolicy = resilience.RetryPolicy
 // (NodeOptions.Breaker).
 type BreakerConfig = resilience.BreakerConfig
 
-// FaultDialer is a deterministic fault-injection TCP dialer for chaos-testing
-// live nodes (NodeOptions.Dialer).
-type FaultDialer = resilience.FaultDialer
-
-// NewFaultDialer wraps the real TCP dialer with seeded fault injection; pass
-// its Dial method as NodeOptions.Dialer.
-func NewFaultDialer(seed int64) *FaultDialer { return resilience.NewFaultDialer(nil, seed) }
-
 // MetricsRegistry is a named set of operational counters and gauges: the
 // type Node.Metrics returns, holding every counter a live node keeps.
 type MetricsRegistry = metrics.Registry

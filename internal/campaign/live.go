@@ -50,12 +50,7 @@ func (b LiveBackend) Run(spec Spec) (Score, error) {
 	if honestPer <= 0 {
 		honestPer = 8
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
-	fd := resilience.NewFaultDialer(nil, seed)
+	fd := resilience.NewFaultDialer(nil)
 	fl, err := node.StartFleet(node.FleetConfig{Agents: nAgents, Relays: 1, Peers: 2, Faults: fd})
 	if err != nil {
 		return Score{}, err

@@ -188,33 +188,19 @@ func (n *Node) reportBatchOnce(agent AgentInfo, reports []BatchReport, replyOnio
 	return decodeBatchAck(&r, len(reports))
 }
 
-// ReportBatchOrDefer is the resilient form of ReportBatch: it sends reports
-// through the node's delivery loop and routes every report without a final
-// ack (an unreachable or saturated agent, a store failure, a lost ack) into
-// the durable outbox, where the flusher re-sends it once the agent recovers.
-// Nothing is silently dropped: acked + rejected + deferred always adds up to
-// len(reports).
-func (n *Node) ReportBatchOrDefer(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion) error {
-	return n.deliver(book, agent, reports, replyOnion, func(i int, st ReportStatus, err error) {
-		if err != nil || st.Retryable() {
-			n.deferReport(agent, reports[i].Subject, reports[i].Positive)
-		}
-	})
-}
-
 // errNotSent settles a report the delivery loop kept off the wire: its
 // agent's breaker is not closed, or an earlier chunk's ack showed that every
 // further chunk would bounce.
 var errNotSent = errors.New("node: report not sent")
 
-// deliver is the node's one acknowledged delivery loop (DESIGN.md §11), under
-// both ReportBatchOrDefer and the outbox flusher. It chunks reports to the
-// node's batch size, skips the agent while its breaker is not closed, sends
-// each chunk with ReportBatch, counts the acks, and hands each report's
-// status — or the error that left it without one — to settle by index. An
-// all-saturated ack stops the loop: every further chunk would be shed the
-// same way. A stored ack opens the one-way fast path to the agent
-// (reportOrDefer). It returns the first send error.
+// deliver is the node's one acknowledged delivery loop (DESIGN.md §11),
+// under the outbox flusher. It chunks reports to the node's batch size,
+// skips the agent while its breaker is not closed, sends each chunk with
+// ReportBatch, counts the acks, and hands each report's status — or the
+// error that left it without one — to settle by index. An all-saturated ack
+// stops the loop: every further chunk would be shed the same way. A stored
+// ack opens the one-way fast path to the agent (reportOrDefer). It returns
+// the first send error.
 func (n *Node) deliver(book *AgentBook, agent AgentInfo, reports []BatchReport, replyOnion *onion.Onion, settle func(i int, st ReportStatus, err error)) error {
 	id, size := agent.ID(), defaultReportBatchSize
 	self := n.identity() // the identity a stored ack is credited to

@@ -212,9 +212,10 @@ func TestLegacyReportRejectsCounted(t *testing.T) {
 
 // TestReportBatchSaturationSheds stops the agent's verification workers and
 // fills its one-slot admission queue: the next batch must come back
-// all-saturated — typed backpressure, not a hang or a silent drop — and
-// ReportBatchOrDefer must route every saturated report into the outbox so
-// acked + rejected + deferred still accounts for the whole batch.
+// all-saturated — typed backpressure, not a hang or a silent drop — and a
+// flusher pass over the same reports, deferred, must keep every saturated
+// one queued so acked + rejected + deferred still accounts for the whole
+// batch.
 func TestReportBatchSaturationSheds(t *testing.T) {
 	agentNode, peer, info, replyOnion := batchPair(t, Options{VerifyWorkers: 1, VerifyQueue: 1})
 	subject, _ := pkc.NewIdentity(nil)
@@ -243,9 +244,13 @@ func TestReportBatchSaturationSheds(t *testing.T) {
 		t.Fatalf("IngestShed = %d, want 2", as.IngestShed)
 	}
 
-	// The resilient entry point turns those saturated acks into deferrals.
-	if err := peer.ReportBatchOrDefer(nil, info, reports, replyOnion); err != nil {
-		t.Fatal(err)
+	// Deferred, the same reports meet the same saturated agent through the
+	// flusher's delivery loop and stay queued.
+	for _, r := range reports {
+		peer.deferReport(info, r.Subject, r.Positive)
+	}
+	if blocked := peer.flushOutbox(); blocked != len(reports) {
+		t.Fatalf("flush left %d reports blocked, want %d", blocked, len(reports))
 	}
 	deferred := peer.Stats().ReportsDeferred
 	acked := metric(t, peer, "node_reports_acked_total")
@@ -255,31 +260,6 @@ func TestReportBatchSaturationSheds(t *testing.T) {
 	}
 	if d := peer.OutboxDepth(); d != 2 {
 		t.Fatalf("outbox depth = %d, want 2", d)
-	}
-}
-
-// TestReportBatchOrDeferReconciles checks the sender-side ledger on the
-// happy path: every report handed to ReportBatchOrDefer is acked as stored,
-// counted exactly once, and nothing is deferred or rejected.
-func TestReportBatchOrDeferReconciles(t *testing.T) {
-	agentNode, peer, info, replyOnion := batchPair(t, Options{})
-	subject, _ := pkc.NewIdentity(nil)
-	const n = 10
-	reports := make([]BatchReport, n)
-	for i := range reports {
-		reports[i] = BatchReport{Subject: subject.ID, Positive: true}
-	}
-	if err := peer.ReportBatchOrDefer(nil, info, reports, replyOnion); err != nil {
-		t.Fatal(err)
-	}
-	acked := metric(t, peer, "node_reports_acked_total")
-	rejected := metric(t, peer, "node_reports_rejected_total")
-	deferred := peer.Stats().ReportsDeferred
-	if acked != n || rejected != 0 || deferred != 0 {
-		t.Fatalf("sender stats acked=%d rejected=%d deferred=%d, want %d/0/0", acked, rejected, deferred, n)
-	}
-	if got := agentNode.Agent().ReportCount(); got != n {
-		t.Fatalf("agent stored %d, want %d", got, n)
 	}
 }
 
@@ -312,6 +292,53 @@ func TestFlushOutboxBatched(t *testing.T) {
 	}
 }
 
+// TestOutboxMemoryFIFOAndBound defers one report past the outbox's cap
+// before the node has a reply route: the oldest report is evicted and
+// counted lost, and the rest stay queued in order.
+func TestOutboxMemoryFIFOAndBound(t *testing.T) {
+	nd := fleet(t, 1, 0)[0]
+	subject := func(i int) pkc.NodeID { return pkc.NodeID{byte(i), byte(i >> 8)} }
+	for i := 0; i <= outboxCap; i++ {
+		nd.deferReport(AgentInfo{}, subject(i), true)
+	}
+	s := nd.Stats()
+	if s.ReportsDeferred != outboxCap+1 || s.ReportsLost != 1 {
+		t.Fatalf("deferred=%d lost=%d, want %d/1", s.ReportsDeferred, s.ReportsLost, outboxCap+1)
+	}
+	if d, g := nd.OutboxDepth(), metric(t, nd, "node_outbox_depth"); d != outboxCap || g != outboxCap {
+		t.Fatalf("depth=%d gauge=%d, want %d", d, g, outboxCap)
+	}
+	nd.outboxMu.Lock()
+	first, last := nd.outbox[0].subject, nd.outbox[len(nd.outbox)-1].subject
+	nd.outboxMu.Unlock()
+	if first != subject(1) || last != subject(outboxCap) {
+		t.Fatalf("queue runs %x..%x, want the first deferral evicted", first[:2], last[:2])
+	}
+}
+
+// TestCloseCountsQueuedReportsLost defers reports before the node has a
+// reply route, then closes it: the queued reports can never reach their
+// agent, so Close counts them lost and empties the depth gauge, and a report
+// deferred after Close is lost at once.
+func TestCloseCountsQueuedReportsLost(t *testing.T) {
+	_, nd, info, _ := batchPair(t, Options{})
+	for i := 0; i < 3; i++ {
+		nd.deferReport(info, pkc.NodeID{byte(i)}, true)
+	}
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := nd.Stats()
+	sent, depth := metric(t, nd, "node_outbox_sent_total"), metric(t, nd, "node_outbox_depth")
+	if s.ReportsDeferred != 3 || s.ReportsLost != 3 || sent != 0 || depth != 0 {
+		t.Fatalf("after Close deferred=%d lost=%d sent=%d depth=%d, want 3/3/0/0", s.ReportsDeferred, s.ReportsLost, sent, depth)
+	}
+	nd.deferReport(info, pkc.NodeID{9}, true)
+	if lost, d := nd.Stats().ReportsLost, nd.OutboxDepth(); lost != 4 || d != 0 {
+		t.Fatalf("deferral after Close: lost=%d depth=%d, want 4/0", lost, d)
+	}
+}
+
 // TestReportBatchTooLarge bounds the sender API.
 func TestReportBatchTooLarge(t *testing.T) {
 	peer := fleet(t, 1, 0)[0]
@@ -322,8 +349,8 @@ func TestReportBatchTooLarge(t *testing.T) {
 }
 
 // TestReportBatchOrDeferStopsWhenSaturated pins the saturation-backoff fix:
-// once a chunk comes back with an all-saturated ack, ReportBatchOrDefer must
-// defer the remaining chunks in one step instead of firing each of them at
+// once a chunk comes back with an all-saturated ack, a flusher pass must keep
+// the remaining chunks queued in one step instead of firing each of them at
 // the saturated agent — the hot loop that re-shed every chunk and burned a
 // full batch/ack round trip per re-defer.
 func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
@@ -335,8 +362,8 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = agentNode.Close() })
 	relay := fleet(t, 1, 0)[0]
-	// An hour-scale flush interval keeps the outbox flusher from re-sending
-	// deferred reports mid-assertion.
+	// An hour-scale flush interval keeps the background flusher out of the
+	// one pass the test runs.
 	sender, err := Listen("127.0.0.1:0", Options{
 		Timeout: 4 * time.Second, OutboxFlushInterval: time.Hour,
 	})
@@ -364,16 +391,19 @@ func TestReportBatchOrDeferStopsWhenSaturated(t *testing.T) {
 	}
 
 	// Three chunks' worth of reports. Chunk 1 is shed with an all-saturated
-	// ack; chunks 2 and 3 must be deferred without touching the wire.
-	reports := make([]BatchReport, 3*defaultReportBatchSize)
-	for i := range reports {
-		reports[i] = BatchReport{Subject: subject.ID, Positive: i%2 == 0}
+	// ack; chunks 2 and 3 must stay queued without touching the wire.
+	const n = 3 * defaultReportBatchSize
+	for i := 0; i < n; i++ {
+		sender.deferReport(info, subject.ID, i%2 == 0)
 	}
-	if err := sender.ReportBatchOrDefer(nil, info, reports, ro); err != nil {
-		t.Fatal(err)
+	if blocked := sender.flushOutbox(); blocked != n {
+		t.Fatalf("flush left %d reports blocked, want all %d", blocked, n)
 	}
-	if got := sender.Stats().ReportsDeferred; got != int64(len(reports)) {
-		t.Fatalf("deferred %d reports, want all %d", got, len(reports))
+	if got := sender.Stats().ReportsDeferred; got != n {
+		t.Fatalf("deferred %d reports, want all %d", got, n)
+	}
+	if d := sender.OutboxDepth(); d != n {
+		t.Fatalf("outbox depth = %d, want all %d queued", d, n)
 	}
 	if got := agentNode.Stats().IngestShed; got != defaultReportBatchSize {
 		t.Fatalf("agent shed %d reports, want %d: the sender must stop after one all-saturated ack", got, defaultReportBatchSize)

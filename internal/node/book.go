@@ -317,7 +317,7 @@ func (n *Node) EvaluateSubject(book *AgentBook, subject pkc.NodeID, replyOnion *
 // are NOT demoted here — their circuit breakers (fed by EvaluateSubject)
 // decide that, so one dropped packet no longer costs an agent its slot.
 // Reports that cannot be delivered — the agent's breaker is not closed, or
-// the send fails — are queued in the node's durable outbox and re-sent by the
+// the send fails — are queued in the node's outbox and re-sent by the
 // background flusher once the agent recovers, instead of being silently
 // discarded. It returns the IDs removed for poor expertise.
 func (n *Node) CompleteTransaction(book *AgentBook, subject pkc.NodeID, outcome bool, perAgent map[pkc.NodeID]trust.Value) []pkc.NodeID {

@@ -27,7 +27,7 @@ func TestChaosFleetSurvivesAgentOutage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos test")
 	}
-	fd := resilience.NewFaultDialer(nil, 42)
+	fd := resilience.NewFaultDialer(nil)
 	fl, err := StartFleet(FleetConfig{Agents: 4, Relays: 2, Peers: 1, Faults: fd})
 	if err != nil {
 		t.Fatal(err)

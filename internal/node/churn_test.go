@@ -110,8 +110,8 @@ func TestDeferredReportResignedAfterKeyRotation(t *testing.T) {
 
 // TestLiveFleetSurvivesRelayChurn wires internal/sim's churn model into the
 // live fleet: where the simulation sweeps OfflineProb over peers going dark
-// mid-protocol, here the report route's relay flaps offline (observable
-// refused dials, FaultDrop) in alternating phases while transaction traffic
+// mid-protocol, here the report route's relay flaps offline (connections
+// reset by the fault dialer) in alternating phases while transaction traffic
 // keeps flowing. Every report sent during an offline phase must be deferred —
 // never lost — and after each revival the deferred/sent counters must
 // reconcile exactly: lost == 0 and outbox_sent == deferred.
@@ -119,7 +119,7 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live churn test")
 	}
-	fd := resilience.NewFaultDialer(nil, 7)
+	fd := resilience.NewFaultDialer(nil)
 	a := mkNode(t, fd, true, t.TempDir())
 	relay := mkNode(t, fd, false, "")
 	peer := mkNode(t, fd, false, "")
@@ -145,10 +145,15 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 	peer.AttachBook(book)
 
 	subject, _ := pkc.NewIdentity(nil)
-	// Baseline: one acked report opens the one-way path the online phases
-	// measure (reportOrDefer sends one-way only to an agent that acked).
+	// Baseline: one report acked through the delivery loop opens the one-way
+	// path the online phases measure (reportOrDefer sends one-way only to an
+	// agent that acked a batch there).
 	baseline := []BatchReport{{Subject: subject.ID, Positive: true}}
-	if err := peer.ReportBatchOrDefer(book, infoA, baseline, replyOnion); err != nil {
+	if err := peer.deliver(book, infoA, baseline, replyOnion, func(_ int, st ReportStatus, err error) {
+		if err != nil || st != StatusStored {
+			t.Fatalf("baseline report: %v %v", st, err)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,7 +174,7 @@ func TestLiveFleetSurvivesRelayChurn(t *testing.T) {
 		// OfflineProb models. The first failures trip the agent's breaker
 		// (the peer cannot tell a dead relay from a dead agent through an
 		// onion) and every report of the phase lands in the outbox.
-		fd.SetRule(relay.Addr(), resilience.FaultRule{Mode: resilience.FaultReset})
+		fd.Reset(relay.Addr())
 		for i := 0; i < perPhase; i++ {
 			_ = peer.reportOrDefer(book, infoA, subject.ID, true) // send error expected
 			sent++

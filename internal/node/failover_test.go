@@ -21,7 +21,7 @@ func TestChaosAgentLossFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos test")
 	}
-	fd := resilience.NewFaultDialer(nil, 42)
+	fd := resilience.NewFaultDialer(nil)
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()}
 	agents := make([]*Node, len(dirs)) // a0, a1, a2 active; s1, s2 standby
 	for i, dir := range dirs {

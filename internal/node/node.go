@@ -65,10 +65,6 @@ type Options struct {
 	// AttachBook. Zero fields mean defaults (3 consecutive failures, 30s
 	// cooldown).
 	Breaker resilience.BreakerConfig
-	// OutboxPath, when non-empty, journals undeliverable transaction reports
-	// to that file so they survive restarts; empty keeps the outbox in
-	// memory only. The outbox is active either way.
-	OutboxPath string
 	// OutboxFlushInterval is the base cadence of the background flusher that
 	// retries queued reports (default 250ms, backed off while deliveries
 	// keep failing).
@@ -162,11 +158,12 @@ type Node struct {
 	cnt counters
 
 	// Resilience plumbing (resilience.go): retry wrapper, pluggable dialer,
-	// durable report outbox and its flusher, and the agent book whose
-	// breakers gate outbox flushing.
+	// the in-memory report outbox (FIFO, oldest first) and its flusher, and
+	// the agent book whose breakers gate outbox flushing.
 	retrier  *resilience.Retrier
 	dialer   resilience.Dialer
-	outbox   *resilience.Outbox
+	outboxMu sync.Mutex
+	outbox   []*deferredReport
 	bookMu   sync.Mutex
 	book     *AgentBook
 	flushCh  chan struct{}
@@ -272,17 +269,10 @@ func Listen(addr string, opts Options) (*Node, error) {
 	// instead, so this only needs to vary per node).
 	n.retrier = resilience.NewRetrier(opts.Retry, int64(id.ID[0])<<8|int64(id.ID[1]))
 	n.retrier.OnRetry = func(int, error) { n.cnt.retries.Inc() }
-	n.outbox, err = resilience.OpenOutbox(opts.OutboxPath, 0)
-	if err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("node: open outbox: %w", err)
-	}
-	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
 	if opts.Agent {
 		st, err := repstore.Open(opts.StoreDir, repstore.Options{EvidenceCap: opts.EvidenceCap})
 		if err != nil {
 			ln.Close()
-			n.outbox.Close()
 			return nil, fmt.Errorf("node: open report store: %w", err)
 		}
 		n.agent = agentdir.NewWithStore(id, 0, st)
@@ -329,8 +319,7 @@ func (n *Node) Agent() *agentdir.Agent { return n.agent }
 
 // Close shuts the node down, waits for in-flight handlers, and flushes the
 // agent's report store (snapshot + WAL release) when one is attached. Reports
-// still queued in the outbox stay journaled (when OutboxPath is set) for the
-// next run.
+// still queued in the outbox can never be sent and are counted lost.
 func (n *Node) Close() error {
 	if !n.closed.CompareAndSwap(false, true) {
 		return nil
@@ -338,14 +327,16 @@ func (n *Node) Close() error {
 	close(n.closeCh)
 	err := n.ln.Close()
 	n.outboxWG.Wait()
+	n.outboxMu.Lock()
+	n.cnt.reportsLost.Add(int64(len(n.outbox)))
+	n.outbox = nil
+	n.cnt.outboxDepth.Set(0)
+	n.outboxMu.Unlock()
 	_ = n.pool.Close() // drains in-flight outbound requests
 	n.closeSessions()  // inbound sessions would otherwise linger to idle timeout
 	n.wg.Wait()
 	if n.ingest != nil {
 		n.ingest.stop() // verification workers must quit before the store closes
-	}
-	if oerr := n.outbox.Close(); err == nil {
-		err = oerr
 	}
 	if n.agent != nil {
 		if serr := n.agent.Close(); err == nil {

@@ -1,16 +1,16 @@
 package node
 
 import (
+	"slices"
 	"time"
 
 	"hirep/internal/onion"
 	"hirep/internal/pkc"
 	"hirep/internal/resilience"
-	"hirep/internal/wire"
 )
 
 // This file wires the node onto internal/resilience: deferral of
-// undeliverable transaction reports into the durable outbox, the background
+// undeliverable transaction reports into the in-memory outbox, the background
 // flusher that drains it through the acknowledged delivery loop once the
 // target agent's circuit breaker closes again, and backup-agent failover plus
 // probing (§3.4.3, §3.6).
@@ -184,41 +184,45 @@ func (n *Node) oneWayTo(id pkc.NodeID) bool {
 	return n.oneWay[id] == n.identity()
 }
 
-// deferReport queues a report for the outbox flusher. The payload is the
-// agent's full descriptor plus the report parameters; the report itself is
-// re-signed with a fresh nonce at delivery time, so nothing stale is replayed.
+// outboxCap bounds the reports the outbox holds; at the cap the oldest is
+// evicted and counted lost.
+const outboxCap = 1024
+
+// deferredReport is one outbox entry. It holds no signature: deliver signs
+// the report under the identity current when it is sent, with a fresh nonce,
+// so nothing stale is replayed.
+type deferredReport struct {
+	agent    AgentInfo
+	subject  pkc.NodeID
+	positive bool
+}
+
+// deferReport queues a report for the outbox flusher. A report deferred
+// after Close can never be sent and is counted lost at once.
 func (n *Node) deferReport(a AgentInfo, subject pkc.NodeID, positive bool) {
-	var e wire.Encoder
-	e.String(EncodeInfo(a)).Bytes(subject[:]).Bool(positive)
-	evicted, err := n.outbox.Enqueue(a.ID().String(), e.Encode())
-	n.cnt.reportsLost.Add(int64(evicted))
-	if err != nil {
+	n.outboxMu.Lock()
+	defer n.outboxMu.Unlock()
+	n.cnt.reportsDeferred.Inc()
+	if n.isClosed() {
 		n.cnt.reportsLost.Inc()
 		return
 	}
-	n.cnt.reportsDeferred.Inc()
-	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
+	if len(n.outbox) >= outboxCap {
+		n.outbox[0] = nil
+		n.outbox = n.outbox[1:]
+		n.cnt.reportsLost.Inc()
+	}
+	n.outbox = append(n.outbox, &deferredReport{a, subject, positive})
+	n.cnt.outboxDepth.Set(int64(len(n.outbox)))
 }
 
-// decodeDeferredReport parses an outbox payload written by deferReport.
-func decodeDeferredReport(payload []byte) (AgentInfo, pkc.NodeID, bool, error) {
-	d := wire.NewDecoder(payload)
-	desc := d.String()
-	subjRaw := d.Bytes()
-	positive := d.Bool()
-	if err := d.Finish(); err != nil {
-		return AgentInfo{}, pkc.NodeID{}, false, err
+// retire removes an entry deliver settled; an entry already evicted is gone.
+func (n *Node) retire(e *deferredReport) {
+	n.outboxMu.Lock()
+	defer n.outboxMu.Unlock()
+	if i := slices.Index(n.outbox, e); i >= 0 {
+		n.outbox = slices.Delete(n.outbox, i, i+1)
 	}
-	if len(subjRaw) != pkc.NodeIDSize {
-		return AgentInfo{}, pkc.NodeID{}, false, ErrBadMessage
-	}
-	info, err := DecodeInfo(desc)
-	if err != nil {
-		return AgentInfo{}, pkc.NodeID{}, false, err
-	}
-	var subject pkc.NodeID
-	copy(subject[:], subjRaw)
-	return info, subject, positive, nil
 }
 
 // kickFlush nudges the flusher without blocking (it coalesces).
@@ -269,9 +273,9 @@ func (n *Node) flushLoop() {
 // delivery loop. It groups the entries per agent in queue order and retires
 // each on its own acked status: stored as sent, a protocol reject as
 // rejected. Anything else (saturated agent, store failure, lost ack, open
-// breaker) stays queued and counts as blocked, so the loop backs off;
-// undecodable entries are dropped as lost. The acks come back through the node's reply route;
-// until the node has one, the outbox waits.
+// breaker) stays queued and counts as blocked, so the loop backs off. The
+// acks come back through the node's reply route; until the node has one, the
+// outbox waits.
 func (n *Node) flushOutbox() (blocked int) {
 	ro := n.replyRoute.Load()
 	if ro == nil {
@@ -279,27 +283,24 @@ func (n *Node) flushOutbox() (blocked int) {
 	}
 	type group struct {
 		info    AgentInfo
-		seqs    []uint64
+		entries []*deferredReport
 		reports []BatchReport
 	}
 	groups := make(map[pkc.NodeID]*group)
 	var order []pkc.NodeID
-	for _, e := range n.outbox.Pending() {
-		info, subject, positive, err := decodeDeferredReport(e.Payload)
-		if err != nil {
-			_ = n.outbox.Ack(e.Seq)
-			n.cnt.reportsLost.Inc()
-			continue
-		}
-		id := info.ID()
+	n.outboxMu.Lock()
+	pending := slices.Clone(n.outbox)
+	n.outboxMu.Unlock()
+	for _, e := range pending {
+		id := e.agent.ID()
 		g := groups[id]
 		if g == nil {
-			g = &group{info: info}
+			g = &group{info: e.agent}
 			groups[id] = g
 			order = append(order, id)
 		}
-		g.seqs = append(g.seqs, e.Seq)
-		g.reports = append(g.reports, BatchReport{Subject: subject, Positive: positive})
+		g.entries = append(g.entries, e)
+		g.reports = append(g.reports, BatchReport{Subject: e.subject, Positive: e.positive})
 	}
 	book := n.attachedBook()
 	for _, id := range order {
@@ -314,15 +315,19 @@ func (n *Node) flushOutbox() (blocked int) {
 				blocked++
 				return
 			}
-			_ = n.outbox.Ack(g.seqs[i])
+			n.retire(g.entries[i])
 			if st == StatusStored {
 				n.cnt.outboxSent.Inc()
 			}
 		})
 	}
-	n.cnt.outboxDepth.Set(int64(n.outbox.Depth()))
+	n.cnt.outboxDepth.Set(int64(n.OutboxDepth()))
 	return blocked
 }
 
 // OutboxDepth returns the number of reports currently queued for redelivery.
-func (n *Node) OutboxDepth() int { return n.outbox.Depth() }
+func (n *Node) OutboxDepth() int {
+	n.outboxMu.Lock()
+	defer n.outboxMu.Unlock()
+	return len(n.outbox)
+}

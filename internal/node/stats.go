@@ -114,7 +114,7 @@ type Stats struct {
 	ReportsStored    int64 // reports accepted into the agent store
 	IngestShed       int64 // reports shed by admission control (retryable)
 	ReportsDeferred  int64 // reports queued in the outbox instead of sent
-	ReportsLost      int64 // reports dropped (outbox eviction or corruption)
+	ReportsLost      int64 // reports dropped (outbox eviction or shutdown)
 	ProofCacheHits   int64 // proof payloads served straight from cache
 	ProofCacheMisses int64 // proof requests that had to assemble
 }

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"hirep/internal/xrand"
 )
 
 // Dialer is the node's pluggable transport connector: it dials addr within
@@ -22,139 +19,69 @@ func NetDialer(network string) Dialer {
 	}
 }
 
-// FaultMode selects how a FaultDialer sabotages a dial.
-type FaultMode uint8
+// faultMode selects how a FaultDialer sabotages traffic to an address.
+type faultMode uint8
 
 const (
-	// FaultNone passes the dial through untouched.
-	FaultNone FaultMode = iota
-	// FaultDrop fails the dial immediately (connection refused).
-	FaultDrop
-	// FaultDelay holds the dial for Rule.Delay, then connects normally —
-	// still honoring the dial timeout.
-	FaultDelay
-	// FaultReset returns a connection whose reads and writes fail with a
-	// reset error, as if the peer sent RST after accept.
-	FaultReset
-	// FaultBlackHole returns a connection that swallows writes and never
-	// delivers reads: the peer appears reachable but is gone. Reads block
-	// until the read deadline (or Close) and then time out.
-	FaultBlackHole
+	// faultNone passes the traffic through untouched.
+	faultNone faultMode = iota
+	// faultReset fails reads and writes with a reset error, as if the peer
+	// sent RST after accept.
+	faultReset
+	// faultBlackHole swallows writes and never delivers reads: the peer
+	// appears reachable but is gone. Reads block until the read deadline
+	// (or Close) and then time out.
+	faultBlackHole
 )
 
-// String names the mode for logs and stats.
-func (m FaultMode) String() string {
-	switch m {
-	case FaultNone:
-		return "none"
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultReset:
-		return "reset"
-	case FaultBlackHole:
-		return "black-hole"
-	default:
-		return "invalid"
-	}
-}
+// ErrInjectedReset is the error a reset connection's reads and writes fail
+// with.
+var ErrInjectedReset = errors.New("resilience: injected connection reset")
 
-// FaultRule is one injection rule. Prob in (0,1) fires the fault on that
-// fraction of dials; Prob <= 0 or >= 1 fires it on every dial.
-type FaultRule struct {
-	Mode  FaultMode
-	Prob  float64
-	Delay time.Duration // FaultDelay only
-}
-
-// Errors surfaced by injected faults. They satisfy net.Error where the real
-// failure would (timeouts), so retry classification sees realistic shapes.
-var (
-	ErrInjectedRefused = errors.New("resilience: injected connection refused")
-	ErrInjectedReset   = errors.New("resilience: injected connection reset")
-)
-
-// FaultStats counts what a FaultDialer has done.
-type FaultStats struct {
-	Dials      int64 // total Dial calls
-	Dropped    int64
-	Delayed    int64
-	Reset      int64
-	BlackHoled int64
-}
-
-// FaultDialer wraps a base Dialer with deterministic, per-address fault
-// injection, seeded through internal/xrand so a chaos run replays exactly
-// from its seed. Share one FaultDialer across every node of a test fleet and
-// an address rule partitions that node from the whole world at the TCP
-// layer.
+// FaultDialer wraps a base Dialer with per-address fault injection. Share
+// one FaultDialer across every node of a test fleet and an address rule
+// partitions that node from the whole world at the TCP layer.
 type FaultDialer struct {
 	base Dialer
 
 	mu    sync.Mutex
-	rng   *xrand.RNG
-	rules map[string]FaultRule
-	def   FaultRule
-
-	dials, dropped, delayed, reset, blackholed atomic.Int64
+	rules map[string]faultMode
 }
 
-// NewFaultDialer wraps base (nil means NetDialer("tcp")) with the given
-// jitter/fault seed.
-func NewFaultDialer(base Dialer, seed int64) *FaultDialer {
+// NewFaultDialer wraps base (nil means NetDialer("tcp")).
+func NewFaultDialer(base Dialer) *FaultDialer {
 	if base == nil {
 		base = NetDialer("tcp")
 	}
-	return &FaultDialer{base: base, rng: xrand.New(seed), rules: make(map[string]FaultRule)}
+	return &FaultDialer{base: base, rules: make(map[string]faultMode)}
 }
 
-// SetRule installs (or replaces) the rule for one address.
-func (f *FaultDialer) SetRule(addr string, r FaultRule) {
+func (f *FaultDialer) set(addr string, m faultMode) {
 	f.mu.Lock()
-	f.rules[addr] = r
+	f.rules[addr] = m
 	f.mu.Unlock()
 }
 
-// SetDefault installs the rule applied to addresses without a specific one.
-func (f *FaultDialer) SetDefault(r FaultRule) {
-	f.mu.Lock()
-	f.def = r
-	f.mu.Unlock()
-}
+// BlackHole swallows all traffic to addr — the "agent was killed" primitive
+// of the chaos tests.
+func (f *FaultDialer) BlackHole(addr string) { f.set(addr, faultBlackHole) }
 
-// Clear removes addr's rule, restoring healthy dials to it.
+// Reset fails every read and write to addr with ErrInjectedReset, as a peer
+// that answers with RST does.
+func (f *FaultDialer) Reset(addr string) { f.set(addr, faultReset) }
+
+// Clear removes addr's rule, restoring healthy traffic to it.
 func (f *FaultDialer) Clear(addr string) {
 	f.mu.Lock()
 	delete(f.rules, addr)
 	f.mu.Unlock()
 }
 
-// BlackHole is shorthand for SetRule(addr, every dial black-holed) — the
-// "agent was killed" primitive of the chaos tests.
-func (f *FaultDialer) BlackHole(addr string) {
-	f.SetRule(addr, FaultRule{Mode: FaultBlackHole})
-}
-
-// Stats returns the injection counters.
-func (f *FaultDialer) Stats() FaultStats {
-	return FaultStats{
-		Dials:      f.dials.Load(),
-		Dropped:    f.dropped.Load(),
-		Delayed:    f.delayed.Load(),
-		Reset:      f.reset.Load(),
-		BlackHoled: f.blackholed.Load(),
-	}
-}
-
 // ruleFor returns the rule currently installed for addr.
-func (f *FaultDialer) ruleFor(addr string) FaultRule {
+func (f *FaultDialer) ruleFor(addr string) faultMode {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if r, ok := f.rules[addr]; ok {
-		return r
-	}
-	return f.def
+	return f.rules[addr]
 }
 
 // Dial implements Dialer with the configured faults. Connections it
@@ -164,52 +91,18 @@ func (f *FaultDialer) ruleFor(addr string) FaultRule {
 // partition that a dial-per-frame transport would have hit — real partitions
 // kill established flows as well as new ones.
 func (f *FaultDialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	f.dials.Add(1)
-	f.mu.Lock()
-	rule, ok := f.rules[addr]
-	if !ok {
-		rule = f.def
-	}
-	fire := rule.Mode != FaultNone
-	if fire && rule.Prob > 0 && rule.Prob < 1 {
-		fire = f.rng.Float64() < rule.Prob
-	}
-	f.mu.Unlock()
-	if !fire {
-		return f.dialWrapped(addr, timeout)
-	}
-	switch rule.Mode {
-	case FaultDrop:
-		f.dropped.Add(1)
-		return nil, ErrInjectedRefused
-	case FaultDelay:
-		f.delayed.Add(1)
-		d := rule.Delay
-		if timeout > 0 && d >= timeout {
-			time.Sleep(timeout)
-			return nil, &timeoutError{op: "dial", addr: addr}
-		}
-		time.Sleep(d)
-		return f.dialWrapped(addr, timeout)
-	case FaultReset:
-		f.reset.Add(1)
+	switch f.ruleFor(addr) {
+	case faultReset:
 		return &resetConn{addr: addr}, nil
-	case FaultBlackHole:
-		f.blackholed.Add(1)
+	case faultBlackHole:
 		return newBlackHoleConn(addr), nil
 	default:
-		return f.dialWrapped(addr, timeout)
+		c, err := f.base(addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return &ruleConn{Conn: c, d: f, addr: addr, done: make(chan struct{})}, nil
 	}
-}
-
-// dialWrapped dials through the base dialer and ties the resulting
-// connection to the rule table.
-func (f *FaultDialer) dialWrapped(addr string, timeout time.Duration) (net.Conn, error) {
-	c, err := f.base(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &ruleConn{Conn: c, d: f, addr: addr, done: make(chan struct{})}, nil
 }
 
 // rulePollInterval is how often a black-holed established connection
@@ -217,7 +110,7 @@ func (f *FaultDialer) dialWrapped(addr string, timeout time.Duration) (net.Conn,
 const rulePollInterval = 5 * time.Millisecond
 
 // ruleConn consults the dialer's current rule for its address on every Read
-// and Write: FaultReset fails the operation, FaultBlackHole swallows writes
+// and Write: a reset fails the operation, a black hole swallows writes
 // and stalls reads (until the read deadline, Close, or the rule is lifted —
 // a healed partition resumes the flow), anything else passes through.
 type ruleConn struct {
@@ -233,10 +126,10 @@ type ruleConn struct {
 
 func (c *ruleConn) Read(b []byte) (int, error) {
 	for {
-		switch c.d.ruleFor(c.addr).Mode {
-		case FaultReset:
+		switch c.d.ruleFor(c.addr) {
+		case faultReset:
 			return 0, ErrInjectedReset
-		case FaultBlackHole:
+		case faultBlackHole:
 			c.mu.Lock()
 			deadline := c.rdline
 			c.mu.Unlock()
@@ -264,10 +157,10 @@ func (c *ruleConn) Read(b []byte) (int, error) {
 }
 
 func (c *ruleConn) Write(b []byte) (int, error) {
-	switch c.d.ruleFor(c.addr).Mode {
-	case FaultReset:
+	switch c.d.ruleFor(c.addr) {
+	case faultReset:
 		return 0, ErrInjectedReset
-	case FaultBlackHole:
+	case faultBlackHole:
 		return len(b), nil
 	default:
 		return c.Conn.Write(b)
@@ -309,14 +202,11 @@ func (a faultAddr) Network() string { return "fault" }
 func (a faultAddr) String() string  { return string(a) }
 
 // resetConn is an "established" connection that resets on first use.
-type resetConn struct {
-	addr   string
-	closed atomic.Bool
-}
+type resetConn struct{ addr string }
 
 func (c *resetConn) Read([]byte) (int, error)           { return 0, ErrInjectedReset }
 func (c *resetConn) Write(b []byte) (int, error)        { return 0, ErrInjectedReset }
-func (c *resetConn) Close() error                       { c.closed.Store(true); return nil }
+func (c *resetConn) Close() error                       { return nil }
 func (c *resetConn) LocalAddr() net.Addr                { return faultAddr("fault:local") }
 func (c *resetConn) RemoteAddr() net.Addr               { return faultAddr(c.addr) }
 func (c *resetConn) SetDeadline(time.Time) error        { return nil }

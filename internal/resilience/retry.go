@@ -1,8 +1,7 @@
 // Package resilience is the live protocol's fault-tolerance toolkit: a
 // retry policy with jittered exponential backoff (retry.go), per-peer
-// circuit breakers (breaker.go), a bounded durable outbox for messages that
-// must survive a peer blip (outbox.go), and a deterministic fault-injection
-// dialer for chaos-testing the real TCP path (faultdial.go).
+// circuit breakers (breaker.go), and a fault-injection dialer for
+// chaos-testing the real TCP path (faultdial.go).
 //
 // The package is transport-agnostic and deliberately free of node-protocol
 // types: internal/node plumbs its send/roundTrip/report paths through these
