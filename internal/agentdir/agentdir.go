@@ -217,6 +217,9 @@ func (a *Agent) SubmitReport(reporter pkc.NodeID, wire []byte) (Report, error) {
 // Signatures are checked with pkc.VerifyBatch; nonces are observed in batch
 // order, so a nonce duplicated within one batch stores its first occurrence
 // and rejects the rest as replays, exactly as if they had arrived singly.
+// The reports that pass both checks go to the store in one Append — one WAL
+// write and fsync for the batch — so they are stored or fail together: on a
+// store error each of them carries that error and has its nonce released.
 func (a *Agent) SubmitReportBatch(reporter pkc.NodeID, wires [][]byte) ([]Report, []error) {
 	reports := make([]Report, len(wires))
 	errs := make([]error, len(wires))
@@ -253,8 +256,11 @@ func (a *Agent) SubmitReportBatch(reporter pkc.NodeID, wires [][]byte) ([]Report
 		keys = append(keys, sp)
 	}
 	ok := pkc.VerifyBatch(keys, bodies, sigs)
-	// Admission pass, in batch order: replay check, then store append. Both
-	// run outside the key lock, like the single-report path.
+	// Admission pass, in batch order: the replay check decides which reports
+	// go to the store. It runs outside the key lock, like the single-report
+	// path.
+	admitted := valid[:0]
+	recs := make([]repstore.Record, 0, len(valid))
 	for j, p := range valid {
 		if !ok[j] {
 			errs[p.idx] = ErrBadSignature
@@ -264,8 +270,14 @@ func (a *Agent) SubmitReportBatch(reporter pkc.NodeID, wires [][]byte) ([]Report
 			errs[p.idx] = ErrReplayedReport
 			continue
 		}
-		rec := repstore.Record{Reporter: reporter, Subject: p.subject, Positive: p.positive, Nonce: p.nonce, SP: sp, Wire: wires[p.idx]}
-		if err := a.store.Append(rec); err != nil {
+		admitted = append(admitted, p)
+		recs = append(recs, repstore.Record{Reporter: reporter, Subject: p.subject, Positive: p.positive, Nonce: p.nonce, SP: sp, Wire: wires[p.idx]})
+	}
+	// One Append for the whole batch: one WAL write and fsync, and one
+	// outcome shared by every admitted report.
+	err := a.store.Append(recs...)
+	for _, p := range admitted {
+		if err != nil {
 			// Rejected, not stored: release the nonce so a retry of the same
 			// signed report is not misclassified as a replay (see SubmitReport).
 			a.replays.Forget(p.nonce)

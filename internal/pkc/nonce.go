@@ -38,10 +38,11 @@ type ReplayCache struct {
 	mu   sync.Mutex
 	cap  int
 	seen map[Nonce]uint64 // nonce -> seq of its latest observation
-	// order is the observation queue. Refreshing a nonce appends a new
-	// entry and strands the old one; stale entries (seq no longer current in
-	// seen) are skipped lazily during eviction and swept when the slice
-	// outgrows 2×cap, so memory stays O(cap) amortized.
+	// order is the observation queue; order[:head] is already evicted.
+	// Refreshing a nonce appends a new entry and strands the old one; stale
+	// entries (seq no longer current in seen) are skipped lazily during
+	// eviction. The queue is swept once cap entries have been evicted or
+	// 2×cap are pending, so it stays under 3×cap entries.
 	order []replayEntry
 	head  int
 	seq   uint64
@@ -85,15 +86,19 @@ func (c *ReplayCache) Observe(n Nonce) bool {
 			}
 		}
 	}
-	// Sweep: rebuild the queue from live entries once stale ones dominate.
-	if len(c.order)-c.head >= 2*c.cap {
-		live := make([]replayEntry, 0, len(c.seen))
+	// Sweep: compact the live entries to the front of the queue, in place,
+	// once the evicted prefix reaches cap (fresh nonces: every append evicts
+	// one) or stale entries dominate the pending part (a refreshed nonce
+	// strands its old entry).
+	if c.head >= c.cap || len(c.order)-c.head >= 2*c.cap {
+		live := 0
 		for _, e := range c.order[c.head:] {
 			if s, ok := c.seen[e.n]; ok && s == e.seq {
-				live = append(live, e)
+				c.order[live] = e
+				live++
 			}
 		}
-		c.order, c.head = live, 0
+		c.order, c.head = c.order[:live], 0
 	}
 	return !dup
 }

@@ -3,6 +3,7 @@ package pkc
 import (
 	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -307,6 +308,35 @@ func TestReplayCacheDupFloodBounded(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d nonces, want 1", c.Len())
+	}
+}
+
+func TestReplayCacheFreshNoncesBounded(t *testing.T) {
+	// An agent sees mostly fresh nonces: each one evicts the oldest, so the
+	// evicted prefix of the queue must be reclaimed too, or the queue keeps
+	// an entry for every nonce ever observed.
+	c := NewReplayCache(64)
+	var n Nonce
+	for i := 0; i < 100_000; i++ {
+		binary.LittleEndian.PutUint64(n[:], uint64(i))
+		if !c.Observe(n) {
+			t.Fatalf("fresh nonce %d rejected", i)
+		}
+		if len(c.order) > 3*c.cap {
+			t.Fatalf("after %d fresh nonces the queue holds %d entries (cap %d)", i+1, len(c.order), c.cap)
+		}
+	}
+	if c.Len() != c.cap {
+		t.Fatalf("cache holds %d nonces, want %d", c.Len(), c.cap)
+	}
+	// The newest cap nonces are still remembered, the one before them not.
+	binary.LittleEndian.PutUint64(n[:], 100_000-1)
+	if c.Observe(n) {
+		t.Fatal("newest nonce accepted again")
+	}
+	binary.LittleEndian.PutUint64(n[:], 100_000-66)
+	if !c.Observe(n) {
+		t.Fatal("a nonce evicted long ago is still remembered")
 	}
 }
 

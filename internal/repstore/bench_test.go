@@ -1,8 +1,12 @@
 package repstore
 
 import (
+	"encoding/binary"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"hirep/internal/pkc"
 )
 
 // benchRecord makes ingest benchmarks cheap to vary: reporter and subject
@@ -121,4 +125,42 @@ func BenchmarkRepstoreQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRepstoreEvidenceRetained measures what the evidence log keeps
+// alive per retained report: 4,096 subjects, each sent 80 reports (past the
+// cap of 64) by 2 reporters with 32-byte keys and 101-byte signed wires, the
+// shape of a durable agent under steady ingest. It reports the live heap the
+// filled store holds, divided by the 4,096 × 64 records it retains, as
+// B/record; verify.sh gates it.
+func BenchmarkRepstoreEvidenceRetained(b *testing.B) {
+	const subjects, evCap, perSubject = 4096, 64, 80
+	reporters := [2]pkc.NodeID{nid(1), nid(2)}
+	sps := [2][]byte{make([]byte, 32), make([]byte, 32)}
+	sps[0][0], sps[1][0] = 1, 2
+	wire := make([]byte, 101)
+	var perRecord float64
+	for n := 0; n < b.N; n++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, err := Open("", Options{EvidenceCap: evCap})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < subjects*perSubject; i++ {
+			k := i / subjects % 2
+			binary.LittleEndian.PutUint64(wire, uint64(i))
+			r := Record{Reporter: reporters[k], Subject: nid(100000 + i%subjects), Positive: i%3 != 0,
+				Nonce: nnc(i), SP: sps[k], Wire: wire}
+			if err := s.Append(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perRecord = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (subjects * evCap)
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(perRecord, "B/record")
 }

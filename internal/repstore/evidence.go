@@ -1,6 +1,7 @@
 package repstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sort"
 
@@ -31,8 +32,10 @@ const evFlagTruncated byte = 1
 
 // Evidence is one retained signed report: the wire bytes exactly as the
 // reporter signed them, plus the public key they verify under. The store
-// treats both as opaque (agentdir owns the formats); callers must not mutate
-// the slices, which may be shared with the store's retained copy.
+// treats both as opaque (agentdir owns the formats). SP is the store's one
+// interned copy of the reporter's key, shared by every Evidence naming it:
+// callers must not mutate it. Wire is the caller's own, cut from a copy
+// SubjectProof makes once per call.
 type Evidence struct {
 	Reporter pkc.NodeID
 	SP       []byte
@@ -52,16 +55,25 @@ func (s *Store) EvidenceEnabled() bool { return s.opts.EvidenceCap > 0 }
 func (s *Store) SubjectProof(subject pkc.NodeID) (pos, neg int, evs []Evidence, truncated bool, ok bool) {
 	sh := s.shardFor(subject)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	st := sh.subjects[subject]
 	if st == nil || st.pos+st.neg == 0 {
+		sh.mu.RUnlock()
 		return 0, 0, nil, false, false
 	}
-	evs = make([]Evidence, len(st.ev))
-	for i, e := range st.ev {
-		evs[i] = Evidence{Reporter: e.reporter, SP: e.sp, Wire: e.wire}
+	// Copy: the cap rewrites the packed records in place, and the wires
+	// handed out must never change under the caller.
+	pos, neg, truncated, n := st.pos, st.neg, st.evTrunc, st.evN
+	packed := append([]byte(nil), st.ev...)
+	sh.mu.RUnlock()
+	if n == 0 {
+		return pos, neg, nil, truncated, true
 	}
-	return st.pos, st.neg, evs, st.evTrunc, true
+	keys := s.keyTable()
+	evs = make([]Evidence, 0, n)
+	eachEvidence(packed, func(key uint32, wire []byte) {
+		evs = append(evs, Evidence{Reporter: keys[key].id, SP: keys[key].sp, Wire: wire})
+	})
+	return pos, neg, evs, truncated, true
 }
 
 // LineageLink is one identity-merge record: the old identity folded into the
@@ -145,7 +157,7 @@ func (s *Store) Subjects(fn func(SubjectStat) bool) {
 				Pos:       st.pos,
 				Neg:       st.neg,
 				Reporters: len(st.reporters),
-				Evidence:  len(st.ev),
+				Evidence:  st.evN,
 				Truncated: st.evTrunc,
 			}
 			if !fn(stat) {
@@ -172,18 +184,19 @@ func (s *Store) SubjectStat(subject pkc.NodeID) (SubjectStat, bool) {
 		Pos:       st.pos,
 		Neg:       st.neg,
 		Reporters: len(st.reporters),
-		Evidence:  len(st.ev),
+		Evidence:  st.evN,
 		Truncated: st.evTrunc,
 	}, true
 }
 
 // appendEvidenceSection serializes the evidence of the given subjects (those
-// with any evidence state) in the given order.
-func appendEvidenceSection(body []byte, subjects []pkc.NodeID, get func(pkc.NodeID) *subjectState) []byte {
+// with any evidence state) in the given order, resolving each record's key
+// index through keys.
+func appendEvidenceSection(body []byte, subjects []pkc.NodeID, get func(pkc.NodeID) *subjectState, keys []evKey) []byte {
 	withEv := subjects[:0:0]
 	for _, subject := range subjects {
 		st := get(subject)
-		if len(st.ev) > 0 || st.evTrunc {
+		if st.evN > 0 || st.evTrunc {
 			withEv = append(withEv, subject)
 		}
 	}
@@ -196,25 +209,27 @@ func appendEvidenceSection(body []byte, subjects []pkc.NodeID, get func(pkc.Node
 			flags |= evFlagTruncated
 		}
 		body = append(body, flags)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(st.ev)))
-		for _, e := range st.ev {
-			body = append(body, e.reporter[:]...)
-			body = append(body, byte(len(e.sp)))
-			body = append(body, e.sp...)
-			var wl [2]byte
-			binary.LittleEndian.PutUint16(wl[:], uint16(len(e.wire)))
-			body = append(body, wl[:]...)
-			body = append(body, e.wire...)
-		}
+		body = binary.LittleEndian.AppendUint32(body, uint32(st.evN))
+		eachEvidence(st.ev, func(key uint32, wire []byte) {
+			k := keys[key]
+			body = append(body, k.id[:]...)
+			body = append(body, byte(len(k.sp)))
+			body = append(body, k.sp...)
+			body = binary.LittleEndian.AppendUint16(body, uint16(len(wire)))
+			body = append(body, wire...)
+		})
 	}
 	return body
 }
 
 // decodeEvidenceSection parses one evidence section, handing each subject's
-// decoded evidence to attach. The reader's error state is the only failure
+// evidence to attach packed (subjectState.ev layout, n records) with its keys
+// resolved through intern. The reader's error state is the only failure
 // channel; attach is never called after an error.
-func decodeEvidenceSection(d *snapReader, attach func(subject pkc.NodeID, evs []evrec, truncated bool) bool) {
+func decodeEvidenceSection(d *snapReader, intern func(pkc.NodeID, []byte) uint32,
+	attach func(subject pkc.NodeID, ev []byte, n int, truncated bool) bool) {
 	count := d.u32()
+	var ev []byte // reused per subject; each subject keeps an exact-size copy
 	for i := uint32(0); i < count; i++ {
 		var subject pkc.NodeID
 		copy(subject[:], d.take(pkc.NodeIDSize))
@@ -224,39 +239,36 @@ func decodeEvidenceSection(d *snapReader, attach func(subject pkc.NodeID, evs []
 			flags = fb[0]
 		}
 		n := d.u32()
-		hint := int(n)
-		if hint > 1024 {
-			hint = 1024
-		}
-		evs := make([]evrec, 0, hint)
+		ev = ev[:0]
 		for j := uint32(0); j < n; j++ {
-			var e evrec
-			copy(e.reporter[:], d.take(pkc.NodeIDSize))
+			var reporter pkc.NodeID
+			copy(reporter[:], d.take(pkc.NodeIDSize))
 			lb := d.take(1)
 			if lb == nil {
 				return
 			}
-			spLen := int(lb[0])
-			e.sp = append([]byte(nil), d.take(spLen)...)
+			sp := d.take(int(lb[0]))
 			wb := d.take(2)
 			if wb == nil {
 				return
 			}
 			wireLen := int(binary.LittleEndian.Uint16(wb))
-			if spLen == 0 || wireLen == 0 || wireLen > maxEvidenceWire {
+			if len(sp) == 0 || wireLen == 0 || wireLen > maxEvidenceWire {
 				d.err = ErrCorruptRecord
 				return
 			}
-			e.wire = append([]byte(nil), d.take(wireLen)...)
+			wire := d.take(wireLen)
 			if d.err != nil {
 				return
 			}
-			evs = append(evs, e)
+			ev = binary.LittleEndian.AppendUint32(ev, intern(reporter, sp))
+			ev = binary.LittleEndian.AppendUint16(ev, uint16(wireLen))
+			ev = append(ev, wire...)
 		}
 		if d.err != nil {
 			return
 		}
-		if !attach(subject, evs, flags&evFlagTruncated != 0) {
+		if !attach(subject, bytes.Clone(ev), int(n), flags&evFlagTruncated != 0) {
 			d.err = ErrCorruptRecord
 			return
 		}

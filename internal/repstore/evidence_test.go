@@ -326,3 +326,73 @@ func TestSubjectsIterator(t *testing.T) {
 		t.Fatalf("early stop visited %d subjects", count)
 	}
 }
+
+// TestEvidenceKeysInternedAndWiresCopied pins the packed evidence log's two
+// sharing rules: every report by one reporter hands out the same interned
+// key — at ingest and after a snapshot reload — and the wires a proof hands
+// out are the caller's, untouched when the cap later rewrites the subject's
+// records.
+func TestEvidenceKeysInternedAndWiresCopied(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, CompactAfter: -1, EvidenceCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := bytes.Repeat([]byte{7}, 32)
+	rec := func(i int, subject pkc.NodeID) Record {
+		return Record{Reporter: nid(1), Subject: subject, Positive: true, Nonce: nnc(i),
+			SP: sp, Wire: []byte(fmt.Sprintf("wire-%04d", i))}
+	}
+	a, b := nid(560), nid(561)
+	for i := 0; i < 4; i++ {
+		if err := s.Append(rec(i, a), rec(100+i, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := func(s *Store) {
+		t.Helper()
+		_, _, ea, _, _ := s.SubjectProof(a)
+		_, _, eb, _, _ := s.SubjectProof(b)
+		for _, ev := range append(ea, eb...) {
+			if !bytes.Equal(ev.SP, sp) || &ev.SP[0] != &ea[0].SP[0] {
+				t.Fatal("one reporter's key is held more than once")
+			}
+		}
+	}
+	shared(s)
+	sp[0] = 8 // the caller reuses its buffer; the store kept its own copy
+	if _, _, evs, _, _ := s.SubjectProof(a); evs[0].SP[0] != 7 {
+		t.Fatal("the interned key aliases the caller's buffer")
+	}
+	sp[0] = 7
+
+	_, _, before, _, _ := s.SubjectProof(a)
+	held := make([][]byte, len(before))
+	for i, ev := range before {
+		held[i] = append([]byte(nil), ev.Wire...)
+	}
+	for i := 4; i < 8; i++ {
+		if err := s.Append(rec(i, a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, ev := range before {
+		if !bytes.Equal(ev.Wire, held[i]) {
+			t.Fatalf("wire %d handed out earlier changed to %q after the cap dropped it", i, ev.Wire)
+		}
+	}
+	_, _, after, trunc, _ := s.SubjectProof(a)
+	if !trunc || len(after) != 4 || string(after[0].Wire) != "wire-0004" {
+		t.Fatalf("after overflow: %d evs, trunc=%v, oldest %q", len(after), trunc, after[0].Wire)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{NoSync: true, EvidenceCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	shared(re)
+}

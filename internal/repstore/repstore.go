@@ -12,9 +12,10 @@
 //     per-reporter breakdown, so ballot-stuffing analysis (how many distinct
 //     reporters back an opinion) never needs a log scan.
 //   - Durability (optional — Open with a directory) is an append-only WAL of
-//     CRC32C-framed records with group commit: concurrent appends ride one
-//     write+fsync. A record is applied to the shards only after its batch is
-//     durable, so observed state never runs ahead of the log.
+//     CRC32C-framed records with group commit: every record of one Append
+//     call, and of every Append running beside it, rides one write+fsync. A
+//     record is applied to the shards only after its batch is durable, so
+//     observed state never runs ahead of the log.
 //   - The WAL lives in epoch-named files (wal.<epoch>.log). Compaction
 //     rotates to a fresh epoch, then writes an atomic snapshot (write tmp,
 //     fsync, rename) naming that epoch as its replay floor; recovery = load
@@ -64,7 +65,8 @@ type Options struct {
 	CompactAfter int64
 	// EvidenceCap, when positive, arms the evidence log (DESIGN.md §14): each
 	// accepted report's signed wire bytes and reporter key are retained
-	// alongside the tally, up to this many records per subject. Overflow
+	// alongside the tally, up to this many records per subject (the key once
+	// per store, the wire once per record). Overflow
 	// drops the oldest evidence and marks the subject's evidence truncated,
 	// so a proof bundle built from it is honestly labeled partial. 0 (the
 	// default) retains nothing — tallies only, the pre-§14 behavior.
@@ -86,7 +88,8 @@ type Record struct {
 	// key and the full signed report wire (agentdir formats — the store
 	// treats both as opaque bytes). A proof assembler later re-serves them so
 	// anyone can re-verify the signature and recompute the tally. Ignored
-	// when the evidence log is off.
+	// when the evidence log is off. The store copies what it keeps, so the
+	// slices need only stay valid for the Append call.
 	SP   []byte
 	Wire []byte
 }
@@ -96,25 +99,36 @@ type reporterTally struct {
 	pos, neg uint32
 }
 
-// evrec is one retained piece of evidence: the signed report wire plus the
-// reporter key it verifies under, exactly as ingested. The byte slices are
-// immutable once stored, so readers may share them without copying.
-type evrec struct {
-	reporter pkc.NodeID
-	sp       []byte
-	wire     []byte
-}
-
-// subjectState is everything known about one subject. ev holds the retained
-// evidence in ingest order (oldest first); evTrunc records that evidence was
-// ever dropped — by the retention cap or by merging in tallies that arrived
-// without evidence — so a proof built from this state must present itself as
-// partial rather than claim completeness.
+// subjectState is everything known about one subject. ev packs the evN
+// retained evidence records in ingest order (oldest first), each
+//
+//	u32le key index | u16le wire length | wire
+//
+// where the key index names the reporter's (NodeID, SP) pair in the store's
+// key table. evTrunc records that evidence was ever dropped — by the
+// retention cap or by merging in tallies that arrived without evidence — so a
+// proof built from this state must present itself as partial rather than
+// claim completeness. ev is rewritten in place when the cap drops a record,
+// so readers copy it (SubjectProof) rather than share it.
 type subjectState struct {
 	pos, neg  int
 	reporters map[pkc.NodeID]reporterTally
-	ev        []evrec
+	ev        []byte
+	evN       int
 	evTrunc   bool
+}
+
+// evHeader is the packed evidence record's header: u32le key index and
+// u16le wire length.
+const evHeader = 6
+
+// evKey is one interned reporter key: the ID a report names and the signing
+// key its wire verifies under. A peer's key is the same in every report it
+// files (agentdir binds NodeID = SHA-1(SP) at registration), so the store
+// keeps each pair once, not once per retained report.
+type evKey struct {
+	id pkc.NodeID
+	sp []byte
 }
 
 // shard is one lock domain of the subject table.
@@ -158,6 +172,14 @@ type Store struct {
 	lineMu  sync.Mutex
 	lineage map[pkc.NodeID]lineageVal
 
+	// keys is the evidence log's reporter-key table, append-only: an index
+	// handed out names the same (NodeID, SP) pair for the store's lifetime.
+	// keyIdx maps NodeID || SP to its index. The store still treats the key
+	// bytes as opaque; two pairs are one entry only when both halves match.
+	keyMu  sync.RWMutex
+	keys   []evKey
+	keyIdx map[string]uint32
+
 	dir       string // "" for memory-only
 	wal       *wal   // nil for memory-only
 	recovered []pkc.Nonce
@@ -189,7 +211,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		n <<= 1
 	}
 	s := &Store{opts: opts, mask: uint64(n - 1), shards: make([]shard, n), dir: dir,
-		lineage: make(map[pkc.NodeID]lineageVal)}
+		lineage: make(map[pkc.NodeID]lineageVal), keyIdx: make(map[string]uint32)}
 	for i := range s.shards {
 		s.shards[i].subjects = make(map[pkc.NodeID]*subjectState)
 	}
@@ -296,38 +318,29 @@ func (s *Store) shardIndex(subject pkc.NodeID) uint64 {
 	return binary.LittleEndian.Uint64(subject[:8]) & s.mask
 }
 
-// Append ingests one report. With a WAL it returns only after the record's
-// group-commit batch is durable and applied; the in-memory view never shows
-// records the log does not hold.
-func (s *Store) Append(r Record) error {
-	if s.closed.Load() {
-		return ErrClosed
+// Append ingests reports, all or none. With a WAL every record of the call
+// lands in one group-commit batch — one write and one fsync, shared with any
+// Append running beside it — and Append returns only after that batch is
+// durable and applied; the in-memory view never shows records the log does
+// not hold. An error means none of recs was stored.
+func (s *Store) Append(recs ...Record) error {
+	var one [1]walOp // a single record needs no heap slice
+	ops := one[:0]
+	if len(recs) > 1 {
+		ops = make([]walOp, 0, len(recs))
 	}
-	op := walOp{kind: kindReport, rec: r}
-	op.rec.SP, op.rec.Wire = nil, nil
-	if s.opts.EvidenceCap > 0 && len(r.SP) > 0 && len(r.Wire) > 0 {
-		if len(r.SP) > maxEvidenceKey || len(r.Wire) > maxEvidenceWire {
+	for _, r := range recs {
+		// No copy of SP or Wire: the batch is applied before commit returns,
+		// and applying interns the key and copies the wire.
+		op := walOp{kind: kindReportEv, rec: r}
+		if s.opts.EvidenceCap <= 0 || len(r.SP) == 0 || len(r.Wire) == 0 {
+			op.kind, op.rec.SP, op.rec.Wire = kindReport, nil, nil
+		} else if len(r.SP) > maxEvidenceKey || len(r.Wire) > maxEvidenceWire {
 			return ErrRecordTooLarge
 		}
-		// Copy: the caller's slices may alias a network buffer it reuses,
-		// and the store retains evidence indefinitely.
-		op.kind = kindReportEv
-		op.rec.SP = append([]byte(nil), r.SP...)
-		op.rec.Wire = append([]byte(nil), r.Wire...)
+		ops = append(ops, op)
 	}
-	s.applyMu.RLock()
-	var err error
-	if s.wal == nil {
-		s.applyOp(op)
-	} else {
-		err = s.wal.commit(op)
-	}
-	s.applyMu.RUnlock()
-	if err != nil {
-		return err
-	}
-	s.maybeCompact()
-	return nil
+	return s.commit(ops...)
 }
 
 // Merge folds the state recorded about oldID into newID — the durable half
@@ -336,7 +349,7 @@ func (s *Store) Append(r Record) error {
 // lineage link is uncertified — a proof bundle cannot ship it (see
 // MergeCertified).
 func (s *Store) Merge(oldID, newID pkc.NodeID) error {
-	return s.merge(walOp{kind: kindMerge, oldID: oldID, newID: newID})
+	return s.commit(walOp{kind: kindMerge, oldID: oldID, newID: newID})
 }
 
 // MergeCertified is Merge carrying the §3.5 key-update certificate: the
@@ -357,19 +370,24 @@ func (s *Store) MergeCertified(oldID, newID pkc.NodeID, oldSP, updWire []byte) e
 	op := walOp{kind: kindMergeCert, oldID: oldID, newID: newID}
 	op.oldSP = append([]byte(nil), oldSP...)
 	op.updWire = append([]byte(nil), updWire...)
-	return s.merge(op)
+	return s.commit(op)
 }
 
-func (s *Store) merge(op walOp) error {
+// commit logs ops as one batch (memory stores apply them at once), then
+// compacts if the log has outgrown its threshold.
+func (s *Store) commit(ops ...walOp) error {
 	if s.closed.Load() {
 		return ErrClosed
+	}
+	if len(ops) == 0 {
+		return nil
 	}
 	s.applyMu.RLock()
 	var err error
 	if s.wal == nil {
-		s.applyOp(op)
+		s.applyOps(ops)
 	} else {
-		err = s.wal.commit(op)
+		err = s.wal.commit(ops...)
 	}
 	s.applyMu.RUnlock()
 	if err != nil {
@@ -392,6 +410,13 @@ func (s *Store) applyOp(op walOp) {
 	switch op.kind {
 	case kindReport, kindReportEv:
 		r := op.rec
+		// A store reopened with the evidence log off replays only the tally
+		// half of an evidence op.
+		keep := op.kind == kindReportEv && s.opts.EvidenceCap > 0
+		var key uint32
+		if keep {
+			key = s.internKey(r.Reporter, r.SP)
+		}
 		sh := s.shardFor(r.Subject)
 		sh.mu.Lock()
 		st := sh.subjects[r.Subject]
@@ -408,11 +433,8 @@ func (s *Store) applyOp(op walOp) {
 			rt.neg++
 		}
 		st.reporters[r.Reporter] = rt
-		// A store reopened with the evidence log off replays only the tally
-		// half of an evidence op.
-		if op.kind == kindReportEv && s.opts.EvidenceCap > 0 {
-			st.ev = append(st.ev, evrec{reporter: r.Reporter, sp: r.SP, wire: r.Wire})
-			st.trimEvidence(s.opts.EvidenceCap)
+		if keep {
+			st.addEvidence(key, r.Wire, s.opts.EvidenceCap)
 		}
 		sh.mu.Unlock()
 		s.reports.Add(1)
@@ -468,26 +490,96 @@ func (s *Store) applyMerge(op walOp) {
 	}
 	// Evidence follows the tally it backs, kept as-ingested: the wires still
 	// name oldID as their subject, which a verifier accepts through the
-	// lineage link recorded above.
-	if len(src.ev) > 0 || src.evTrunc {
+	// lineage link recorded above. Key indices are store-wide, so the packed
+	// records concatenate as they are.
+	if src.evN > 0 || src.evTrunc {
 		dst.ev = append(dst.ev, src.ev...)
+		dst.evN += src.evN
 		dst.evTrunc = dst.evTrunc || src.evTrunc
 		dst.trimEvidence(s.opts.EvidenceCap)
 	}
 }
 
-// trimEvidence enforces the per-subject retention cap, dropping the oldest
-// evidence first and marking the state truncated.
-func (st *subjectState) trimEvidence(cap int) {
-	if cap <= 0 || len(st.ev) <= cap {
+// internKey returns the key-table index of (id, sp), adding the pair on
+// first sight. sp is copied only then: the caller's bytes may alias a
+// network or recovery buffer.
+func (s *Store) internKey(id pkc.NodeID, sp []byte) uint32 {
+	var buf [pkc.NodeIDSize + maxEvidenceKey]byte
+	k := append(append(buf[:0], id[:]...), sp...)
+	s.keyMu.RLock()
+	i, ok := s.keyIdx[string(k)]
+	s.keyMu.RUnlock()
+	if ok {
+		return i
+	}
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
+	if i, ok := s.keyIdx[string(k)]; ok {
+		return i
+	}
+	i = uint32(len(s.keys))
+	s.keys = append(s.keys, evKey{id: id, sp: append([]byte(nil), sp...)})
+	s.keyIdx[string(k)] = i
+	return i
+}
+
+// keyTable returns the interned keys. Entries are never changed once added,
+// so the caller may read the returned slice without the lock.
+func (s *Store) keyTable() []evKey {
+	s.keyMu.RLock()
+	defer s.keyMu.RUnlock()
+	return s.keys
+}
+
+// addEvidence packs one record onto the subject's evidence, dropping the
+// oldest first when the subject already holds limit records, so the buffer
+// never holds more than the cap.
+func (st *subjectState) addEvidence(key uint32, wire []byte, limit int) {
+	if st.evN >= limit {
+		st.trimEvidence(limit - 1)
+	}
+	need := evHeader + len(wire)
+	if n := len(st.ev); n+need > cap(st.ev) {
+		// Grow by a quarter (at least one more record), not by doubling: most
+		// subjects sit below the cap, and their slack is the log's overhead.
+		// Never grow past limit records of the average length so far, so a
+		// full subject carries no slack at all.
+		size := n + need + max(n/4, need)
+		if full := (n + need) / (st.evN + 1) * limit; full >= n+need && full < size {
+			size = full
+		}
+		grown := make([]byte, n, size)
+		copy(grown, st.ev)
+		st.ev = grown
+	}
+	st.ev = binary.LittleEndian.AppendUint32(st.ev, key)
+	st.ev = binary.LittleEndian.AppendUint16(st.ev, uint16(len(wire)))
+	st.ev = append(st.ev, wire...)
+	st.evN++
+}
+
+// trimEvidence drops the oldest evidence until at most keep records remain,
+// marking the state truncated if any went.
+func (st *subjectState) trimEvidence(keep int) {
+	if st.evN <= keep {
 		return
 	}
-	n := copy(st.ev, st.ev[len(st.ev)-cap:])
-	for k := n; k < len(st.ev); k++ {
-		st.ev[k] = evrec{} // release the dropped wires
+	off := 0
+	for ; st.evN > keep; st.evN-- {
+		off += evHeader + int(binary.LittleEndian.Uint16(st.ev[off+4:]))
 	}
-	st.ev = st.ev[:n]
+	st.ev = st.ev[:copy(st.ev, st.ev[off:])]
 	st.evTrunc = true
+}
+
+// eachEvidence calls fn with every packed record of ev, oldest first. wire
+// aliases ev.
+func eachEvidence(ev []byte, fn func(key uint32, wire []byte)) {
+	for len(ev) > 0 {
+		n := evHeader + int(binary.LittleEndian.Uint16(ev[4:]))
+		fn(binary.LittleEndian.Uint32(ev), ev[evHeader:n:n])
+		ev = ev[n:]
+	}
 }
 
 // Tally returns the raw positive/negative counts for a subject. ok is false

@@ -1,6 +1,7 @@
 package repstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -537,7 +538,7 @@ func TestPreviousSnapshotLayoutRefused(t *testing.T) {
 	body = le.AppendUint64(body, 3)
 	body = le.AppendUint32(body, 0)
 	body = appendLineageSection(body, nil)
-	body = appendEvidenceSection(body, nil, nil)
+	body = appendEvidenceSection(body, nil, nil, nil)
 	const epoch = 0
 	hdr := le.AppendUint64(nil, epoch)
 	crc := crc32.Update(crc32.Checksum(hdr, crcTable), crcTable, body)
@@ -559,7 +560,10 @@ func TestPreviousSnapshotLayoutRefused(t *testing.T) {
 }
 
 // TestConcurrentIngestQuery is the acceptance race-stress test: ≥8 writer
-// goroutines ingest while readers query, under -race.
+// goroutines ingest while readers query, under -race. Odd writers append in
+// batches of 8 records per call, even writers one at a time; every report
+// carries evidence, so writers intern reporter keys concurrently while
+// readers take proofs.
 func TestConcurrentIngestQuery(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -569,12 +573,13 @@ func TestConcurrentIngestQuery(t *testing.T) {
 			dir = t.TempDir()
 		}
 		t.Run(name, func(t *testing.T) {
-			s, err := Open(dir, Options{NoSync: true, Shards: 8})
+			s, err := Open(dir, Options{NoSync: true, Shards: 8, EvidenceCap: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
 			const writers = 8
 			const perWriter = 400
+			spOf := func(reporter pkc.NodeID) []byte { return bytes.Repeat(reporter[:1], 32) }
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
 			// Readers hammer queries until the writers finish.
@@ -591,6 +596,13 @@ func TestConcurrentIngestQuery(t *testing.T) {
 						for i := 0; i < 16; i++ {
 							_, _ = s.TrustValue(nid(200 + i))
 							_, _, _ = s.Tally(nid(200 + i))
+							_, _, evs, _, _ := s.SubjectProof(nid(200 + i))
+							for _, ev := range evs {
+								if !bytes.Equal(ev.SP, spOf(ev.Reporter)) || len(ev.Wire) != 8 {
+									t.Errorf("proof evidence pairs reporter %x with key %x, wire %q", ev.Reporter[:4], ev.SP[:4], ev.Wire)
+									return
+								}
+							}
 						}
 						_ = s.ReportCount()
 						_ = s.SubjectCount()
@@ -604,19 +616,28 @@ func TestConcurrentIngestQuery(t *testing.T) {
 				wwg.Add(1)
 				go func(w int) {
 					defer wwg.Done()
+					batch := 1 + 7*(w%2)
+					var recs []Record
 					for i := 0; i < perWriter; i++ {
-						r := Record{
-							Reporter: nid(w),
+						id := nid(w)
+						recs = append(recs, Record{
+							Reporter: id,
 							Subject:  nid(200 + (w*perWriter+i)%64),
 							Positive: i%5 != 0,
 							Nonce:    nnc(w*perWriter + i),
+							SP:       spOf(id),
+							Wire:     binary.LittleEndian.AppendUint64(nil, uint64(w*perWriter+i)),
+						})
+						if len(recs) < batch {
+							continue
 						}
-						if err := s.Append(r); err != nil {
+						if err := s.Append(recs...); err != nil {
 							werrMu.Lock()
 							werr = err
 							werrMu.Unlock()
 							return
 						}
+						recs = recs[:0]
 					}
 					// Sprinkle merges into the mix.
 					_ = s.Merge(nid(200+w), nid(300+w))

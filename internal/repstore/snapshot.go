@@ -126,7 +126,7 @@ func (s *Store) encodeState() []byte {
 	}
 	body = appendEvidenceSection(body, subjects, func(id pkc.NodeID) *subjectState {
 		return s.shardFor(id).subjects[id]
-	})
+	}, s.keyTable())
 	return body
 }
 
@@ -200,7 +200,16 @@ func (s *Store) decodeState(body []byte) error {
 		total += int64(pos + neg)
 	}
 	s.addLineage(decodeLineageSection(&d))
-	decodeEvidenceSection(&d, func(subject pkc.NodeID, evs []evrec, truncated bool) bool {
+	// Keys are interned as in ingest, so a reopened store holds each
+	// reporter key once too. With retention off in this Open the wires are
+	// dropped and nothing is interned.
+	intern := func(id pkc.NodeID, sp []byte) uint32 {
+		if s.opts.EvidenceCap <= 0 {
+			return 0
+		}
+		return s.internKey(id, sp)
+	}
+	decodeEvidenceSection(&d, intern, func(subject pkc.NodeID, ev []byte, n int, truncated bool) bool {
 		st := s.shardFor(subject).subjects[subject]
 		if st == nil {
 			return false // evidence for a subject the tally section never named
@@ -208,7 +217,7 @@ func (s *Store) decodeState(body []byte) error {
 		if s.opts.EvidenceCap <= 0 {
 			return true // retention turned off this session; drop the wires
 		}
-		st.ev = evs
+		st.ev, st.evN = ev, n
 		st.evTrunc = truncated
 		st.trimEvidence(s.opts.EvidenceCap) // cap may have shrunk across restarts
 		return true

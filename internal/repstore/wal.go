@@ -213,10 +213,11 @@ func decodeOp(p []byte) (walOp, error) {
 		if spLen == 0 || wireLen == 0 || wireLen > maxEvidenceWire || len(p) != spLen+wireLen {
 			return walOp{}, ErrCorruptRecord
 		}
-		// Copy: decode buffers are recovery reads whose backing arrays must
-		// not be pinned by retained evidence.
-		op.rec.SP = append([]byte(nil), p[:spLen]...)
-		op.rec.Wire = append([]byte(nil), p[spLen:]...)
+		// SP and Wire alias p: applying the op interns the key and copies
+		// the wire into the subject's packed evidence, so nothing retains
+		// the recovery buffer.
+		op.rec.SP = p[:spLen:spLen]
+		op.rec.Wire = p[spLen:]
 		return op, nil
 	case kindMerge:
 		if len(p) != mergePayloadSize {
@@ -309,7 +310,7 @@ func syncDir(dir string) {
 
 // wal is the append-only log with group commit. One leader goroutine at a
 // time writes and fsyncs the accumulated batch, applies it to the store,
-// and wakes every rider whose record the batch carried.
+// and wakes every rider whose records the batch carried.
 type wal struct {
 	dir    string
 	noSync bool
@@ -321,6 +322,7 @@ type wal struct {
 	epoch      uint64  // epoch of the active file; advanced only by rotate
 	buf        []byte  // encoded frames awaiting commit
 	ops        []walOp // decoded twins of buf, applied after the batch lands
+	enc        []byte  // payload encoding buffer, reused under mu
 	nextGen    uint64  // generation currently accumulating
 	flushedGen uint64  // latest generation fully durable + applied
 	flushing   bool
@@ -376,18 +378,22 @@ func readSealedWAL(path string) ([]walOp, error) {
 	return ops, nil
 }
 
-// commit makes op durable and applied. Concurrent callers share one
-// write+fsync: the first to find no flush in progress becomes the leader for
-// everything queued so far; the rest wait for their generation.
-func (w *wal) commit(op walOp) error {
+// commit makes ops durable and applied, all in the same batch: one frame per
+// op, one write+fsync for the lot, and one outcome. Concurrent callers share
+// that write+fsync: the first to find no flush in progress becomes the
+// leader for everything queued so far; the rest wait for their generation.
+func (w *wal) commit(ops ...walOp) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	w.buf = appendFrame(w.buf, encodeOp(nil, op))
-	w.ops = append(w.ops, op)
+	for i := range ops {
+		w.enc = encodeOp(w.enc[:0], ops[i])
+		w.buf = appendFrame(w.buf, w.enc)
+	}
+	w.ops = append(w.ops, ops...)
 	gen := w.nextGen
 	for w.flushedGen <= gen && w.err == nil {
 		if !w.flushing {

@@ -46,9 +46,11 @@ for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$", o
         s["allocs_op"] = int(a.group(1))
     if b := re.search(r"(\d+) B/op", rest):
         s["bytes_op"] = int(b.group(1))
+    if b := re.search(r"([\d.]+) B/record", rest):
+        s["bytes_record"] = float(b.group(1))
 for name, s in samples.items():
     r = {"ns_op": statistics.median(s["ns"])}
-    for k in ("allocs_op", "bytes_op"):
+    for k in ("allocs_op", "bytes_op", "bytes_record"):
         if k in s:
             r[k] = s[k]
     if len(s["ns"]) > 1:
@@ -164,6 +166,28 @@ done
 # No file under bench/ may be edited to make this pass.
 echo "== bench module (vet + race tests against this tree)"
 (cd bench && go vet ./... && go test -race ./...)
+
+# Evidence-log memory (DESIGN.md §14): the live heap a store holds per
+# retained report, at cap 64 with 2 reporters and 101-byte wires. The packed
+# log keeps each reporter key once per store and each wire once, behind a
+# 6-byte header, in its subject's buffer: ~115 B per record measured. A slot
+# per record with its own copies of key and wire cost ~235 B; the gate sits
+# between the two.
+echo "== repstore evidence memory (live heap per retained report)"
+mem_out=$(go test -run '^$' -bench 'BenchmarkRepstoreEvidenceRetained' -benchtime 1x ./internal/repstore/ 2>&1)
+echo "$mem_out" | grep '^Benchmark' || true
+BENCH_OUT="$mem_out" python3 - <<'EOF'
+import os, re, sys
+m = re.search(r"^BenchmarkRepstoreEvidenceRetained\S*\s.*?([\d.]+) B/record", os.environ["BENCH_OUT"], re.M)
+if not m:
+    print("verify: FAIL — BenchmarkRepstoreEvidenceRetained did not run")
+    sys.exit(1)
+v = float(m.group(1))
+print(f"evidence retained: {v:.1f} B/record (gate <= 170)")
+if v > 170:
+    print(f"verify: FAIL — a retained report costs {v:.1f} B of live heap; keys or wires are held per record again")
+    sys.exit(1)
+EOF
 
 # Every example, and hirepnode's demonstration fleet, must run to completion
 # and exit 0: livenet, anonymity and the demo drive the live report path,
